@@ -3,7 +3,6 @@ decode-and-relay vehicular link: PHY framing, relay state machine,
 loss-cluster statistics, latency prediction, and stopping-distance
 analysis."""
 
-from ._kernels import BACKEND
 from .channel import (
     ErrorProcess,
     GilbertElliott,
@@ -13,7 +12,6 @@ from .channel import (
     PerDistanceTable,
     per_at,
     sample_losses,
-    sample_packet_outcome,
 )
 from .clusters import (
     ClusterDistribution,
@@ -41,12 +39,8 @@ from .codec import (
 from .node import (
     LinkConfig,
     Mode,
-    NodeState,
-    RelayDecision,
     compute_per,
     estimate_ber_upper,
-    rx_adr_step,
-    tx_schedule,
 )
 from .safety import (
     SafetyScenario,
@@ -56,6 +50,14 @@ from .safety import (
     stop_distance,
     vlc_reaction_latency,
 )
-from .sim import PacketTrace, Summary, read_trace_csv, run, summarize, write_trace_csv
+from .sim import (
+    PacketTrace,
+    Summary,
+    read_trace_csv,
+    relay,
+    run,
+    summarize,
+    write_trace_csv,
+)
 
 __version__ = "0.1.0"

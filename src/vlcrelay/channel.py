@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import nbinom
 
-from ._kernels import ge_chain
-
 BITS_PER_PACKET = 32
 PER_FLOOR = 1e-5
 _RUN_CAP = 10**7  # tail guard for inverse-CDF run draws
@@ -166,11 +164,28 @@ def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     return max(1, min(int(k), _RUN_CAP))
 
 
+def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float) -> np.ndarray:
+    """Gilbert-Elliott state (True = bad) before each packet, from the
+    transition draws of the packets before it.
+
+    Each draw maps the state one of four ways: stay (no transition fires),
+    force bad (only ``u < p_gb``), force good (only ``u < p_bg``) or swap
+    (both).  So the state is the target of the last force, flipped once per
+    swap since then.  A leading force-good stands for the chain's start.
+    """
+    to_bad = np.concatenate(([False], u_trans < p_gb))
+    to_good = np.concatenate(([True], u_trans < p_bg))
+    idx = np.arange(to_bad.size)
+    last_force = np.maximum.accumulate(np.where(to_bad != to_good, idx, 0))
+    swaps = np.logical_xor.accumulate(to_bad & to_good)  # parity so far
+    return to_bad[last_force] ^ swaps ^ swaps[last_force]
+
+
 def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np.ndarray:
     """Loss flags for ``n`` consecutive packets (True = lost).
 
-    Deterministic in the generator state; consumes randomness in the same
-    order as repeated sample_packet_outcome calls.
+    Deterministic in the generator state: the same seed gives the same
+    flags for every process.
     """
     if n < 1:
         raise ChannelError(f"n must be >= 1, got {n}")
@@ -179,11 +194,11 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
     if isinstance(process, IidBit):
         return rng.binomial(BITS_PER_PACKET, process.p_bit, size=n) > 0
     if isinstance(process, GilbertElliott):
+        # per packet: one loss draw in the current state, then one
+        # transition draw, interleaved in the stream
         u = rng.random(2 * n)
-        lost = np.zeros(n, dtype=np.uint8)
-        ge_chain(u[0::2], u[1::2], process.p_gb, process.p_bg,
-                 process.loss_good, process.loss_bad, lost)
-        return lost.astype(bool)
+        bad = _ge_bad_before(u[1:-1:2], process.p_gb, process.p_bg)
+        return u[0::2] < np.where(bad, process.loss_bad, process.loss_good)
     if isinstance(process, NbCluster):
         lost = np.empty(n, dtype=bool)
         pos = 0
@@ -201,47 +216,11 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
     raise ChannelError(f"unknown error process {process!r}")
 
 
-def sample_packet_outcome(process: ErrorProcess, rng: np.random.Generator,
-                          state=None) -> tuple[bool, object]:
-    """Draw one packet outcome; thread ``state`` through successive calls.
-
-    Walks the same random stream as sample_losses, one packet at a time.
-    """
-    if isinstance(process, IidPacket):
-        return bool(rng.random() < process.p_loss), None
-    if isinstance(process, IidBit):
-        return bool(rng.binomial(BITS_PER_PACKET, process.p_bit) > 0), None
-    if isinstance(process, GilbertElliott):
-        ge_state = 0 if state is None else state
-        u_loss = rng.random()
-        u_trans = rng.random()
-        if ge_state == 0:
-            lost = u_loss < process.loss_good
-            if u_trans < process.p_gb:
-                ge_state = 1
-        else:
-            lost = u_loss < process.loss_bad
-            if u_trans < process.p_bg:
-                ge_state = 0
-        return bool(lost), ge_state
-    if isinstance(process, NbCluster):
-        if state is None:
-            in_loss, remaining = False, 0  # streams start in a success run
-        else:
-            in_loss, remaining = state
-            if remaining == 0:
-                in_loss = not in_loss
-        if remaining == 0:
-            if in_loss:
-                remaining = _draw_cluster_size(process, rng)
-            else:
-                remaining = int(rng.geometric(process.p_start))
-        return bool(in_loss), (in_loss, remaining - 1)
-    raise ChannelError(f"unknown error process {process!r}")
-
-
 def process_from_spec(spec: str) -> ErrorProcess:
-    """Parse 'name:param=value,...' descriptors, e.g. 'iid-packet:p=0.1'."""
+    """Parse 'name:param=value,...' descriptors, e.g. 'iid-packet:p=0.1'.
+
+    Every parameter must be numeric and used by the named process.
+    """
     name, _, rest = spec.partition(":")
     params: dict[str, float] = {}
     if rest:
@@ -249,25 +228,33 @@ def process_from_spec(spec: str) -> ErrorProcess:
             key, _, value = item.partition("=")
             if not value:
                 raise ChannelError(f"malformed process parameter {item!r}")
-            params[key.strip()] = float(value)
+            try:
+                params[key.strip()] = float(value)
+            except ValueError:
+                raise ChannelError(f"process parameter {key.strip()!r} is not a "
+                                   f"number: {value!r}") from None
     try:
         if name == "iid-packet":
-            return IidPacket(p_loss=params.pop("p"))
-        if name == "iid-bit":
-            return IidBit(p_bit=params.pop("p"))
-        if name == "gilbert-elliott":
-            return GilbertElliott(p_gb=params.pop("p_gb"), p_bg=params.pop("p_bg"),
-                                  loss_good=params.pop("loss_good"),
-                                  loss_bad=params.pop("loss_bad"))
-        if name == "nb-cluster":
-            if "target_per" in params:
-                return NbCluster.for_target_per(params.pop("r"), params.pop("p"),
-                                                params.pop("target_per"))
-            return NbCluster(r=params.pop("r"), p=params.pop("p"),
-                             p_start=params.pop("p_start"))
+            process = IidPacket(p_loss=params.pop("p"))
+        elif name == "iid-bit":
+            process = IidBit(p_bit=params.pop("p"))
+        elif name == "gilbert-elliott":
+            process = GilbertElliott(p_gb=params.pop("p_gb"), p_bg=params.pop("p_bg"),
+                                     loss_good=params.pop("loss_good"),
+                                     loss_bad=params.pop("loss_bad"))
+        elif name == "nb-cluster" and "target_per" in params:
+            process = NbCluster.for_target_per(params.pop("r"), params.pop("p"),
+                                               params.pop("target_per"))
+        elif name == "nb-cluster":
+            process = NbCluster(r=params.pop("r"), p=params.pop("p"),
+                                p_start=params.pop("p_start"))
+        else:
+            raise ChannelError(f"unknown process {name!r}")
     except KeyError as exc:
         raise ChannelError(f"process {name!r} missing parameter {exc}") from None
-    raise ChannelError(f"unknown process {name!r}")
+    if params:
+        raise ChannelError(f"process {name!r} has no parameter(s) {sorted(params)}")
+    return process
 
 
 def process_to_spec(process: ErrorProcess) -> str:

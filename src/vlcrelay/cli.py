@@ -173,6 +173,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if n < 1:
         raise CliError(EXIT_CONFIG, f"n must be >= 1, got {n}")
     seeds = args.seeds if args.seeds else [0]
+    if len(set(seeds)) != len(seeds):
+        raise CliError(EXIT_CONFIG, f"each seed may be given once, got {seeds}")
     jobs = args.jobs if args.jobs is not None else 1
     if jobs < 1:
         raise CliError(EXIT_CONFIG, f"jobs must be >= 1, got {jobs}")
@@ -305,9 +307,10 @@ def cmd_sal(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.targets)
     baud = args.baud if args.baud is not None else 230000
     ipd_s = (args.ipd_us if args.ipd_us is not None else 0.0) / 1e6
-    if baud <= 0:
-        raise CliError(EXIT_CONFIG, f"baud must be positive, got {baud}")
-    params = _clusters.LatencyParams.from_baud(baud, ipd_s=ipd_s)
+    try:
+        params = _clusters.LatencyParams.from_baud(baud, ipd_s=ipd_s)
+    except ConfigError as exc:
+        raise CliError(EXIT_CONFIG, str(exc)) from None
 
     if args.per_grid:
         try:
@@ -358,7 +361,7 @@ def cmd_safety(args: argparse.Namespace) -> int:
         kwargs["vlc_reaction_s"] = args.vlc_reaction_ms / 1e3
     try:
         table = _safety.comparison_table(rows, **kwargs)
-    except _safety.SafetyError as exc:
+    except (_safety.SafetyError, ConfigError) as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from None
 
     out = Path(args.out) if args.out else _default_out("safety.csv")

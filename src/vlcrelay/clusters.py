@@ -22,6 +22,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, xlogy
 
+from .node import LinkConfig
+
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
 _QUANTILE_CAP = 10**7
@@ -326,10 +328,12 @@ class LatencyParams:
             raise ClusterStatsError("latency parameters must be >= 0")
 
     @classmethod
-    def from_baud(cls, baud: int, ipd_s: float = 0.0, t_proc_s: float = 10e-6,
-                  guard_s: float = 28.5e-6) -> "LatencyParams":
-        pt = 64.0 / baud
-        return cls(l0_s=2 * pt + t_proc_s + guard_s, ipd_s=ipd_s, pt_s=pt)
+    def from_baud(cls, baud: int, ipd_s: float = 0.0,
+                  t_proc_s: float = LinkConfig.t_proc_s,
+                  guard_s: float = LinkConfig.guard_s) -> "LatencyParams":
+        """Timing of a broadcast link; raises ``ConfigError`` on bad input."""
+        config = LinkConfig(baud=baud, ipd_s=ipd_s, t_proc_s=t_proc_s, guard_s=guard_s)
+        return cls(l0_s=config.l0_s, ipd_s=ipd_s, pt_s=config.packet_time_s)
 
 
 def latency_from_clusters(n_lost: int, params: LatencyParams) -> float:

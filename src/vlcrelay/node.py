@@ -1,19 +1,16 @@
-"""Link configuration plus the transmit scheduler and relay state machine.
+"""Link configuration: timing of the transmitter and the relay stage.
 
 The receiver decodes each packet, bit-compares it against a stored
 reference, and re-transmits it on a rear lamp when it matches.  While that
 relay transmission is in flight the node cannot listen, so in continuous
-broadcast at most every second packet can be relayed; the packet-error
-accounting below corrects for that.
+broadcast at most every second packet can be relayed (``sim.relay``); the
+packet-error accounting below corrects for that.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .codec import CHIPS_PER_FRAME, DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
 
@@ -57,6 +54,12 @@ class LinkConfig:
                 f"beacon_interval_s must exceed the packet time "
                 f"({self.packet_time_s:.6g} s), got {self.beacon_interval_s}"
             )
+        if self.dead_time_s >= self.period_s:
+            # the relay could then block a packet two or more slots later,
+            # which the relay rule in sim.relay does not model
+            raise ConfigError(
+                f"t_proc_s + guard_s ({self.dead_time_s:.6g} s) must be shorter "
+                f"than the transmit period ({self.period_s:.6g} s)")
         if len(self.reference_payload) != 2:
             raise ConfigError("reference_payload must be 2 bytes")
         if len(self.preamble) != 2:
@@ -82,88 +85,6 @@ class LinkConfig:
         if self.mode is Mode.BEACON:
             return self.beacon_interval_s
         return self.packet_time_s + self.ipd_s
-
-
-def tx_schedule(config: LinkConfig, n_packets: int) -> np.ndarray:
-    """Transmit start times; packet k starts at k * period."""
-    if n_packets < 1:
-        raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
-    return np.arange(n_packets, dtype=np.float64) * config.period_s
-
-
-@dataclass(frozen=True)
-class RelayDecision:
-    relayed: bool
-    blocked: bool = False
-    relay_start_s: float | None = None
-    relay_end_s: float | None = None
-    latency_s: float | None = None
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Relay-stage state threaded through rx_adr_step."""
-
-    relay_start_s: float = -math.inf
-    relay_end_s: float = -math.inf
-    block_pending: bool = False
-    loss_run: int = 0
-    run_start_tx_s: float = math.nan
-
-
-def rx_adr_step(state: NodeState, tx_start_s: float, payload: bytes | None,
-                config: LinkConfig) -> tuple[NodeState, RelayDecision]:
-    """Advance the relay stage by one packet event, in time order.
-
-    ``payload`` is the decoded payload or None for a channel loss.  A packet
-    whose on-air window overlaps a relay transmission is dropped as blocked
-    (one per relay; the residual overlap with the following preamble is
-    absorbed by the sync pattern).  Channel outcomes of blocked packets
-    still feed the loss-run bookkeeping so cluster statistics stay about
-    the channel.
-    """
-    pt = config.packet_time_s
-    rx_end = tx_start_s + pt
-    channel_ok = payload is not None and payload == config.reference_payload
-
-    decision = RelayDecision(relayed=False)
-    new_relay_start = state.relay_start_s
-    new_relay_end = state.relay_end_s
-    block_pending = state.block_pending
-
-    if (state.block_pending and tx_start_s < state.relay_end_s
-            and rx_end > state.relay_start_s):
-        decision = RelayDecision(relayed=False, blocked=True)
-        block_pending = False
-    elif channel_ok:
-        relay_start = rx_end + config.dead_time_s
-        relay_end = relay_start + pt
-        run_start = state.run_start_tx_s if state.loss_run > 0 else tx_start_s
-        decision = RelayDecision(
-            relayed=True,
-            relay_start_s=relay_start,
-            relay_end_s=relay_end,
-            latency_s=relay_end - run_start,
-        )
-        new_relay_start = relay_start
-        new_relay_end = relay_end
-        block_pending = True
-
-    if channel_ok:
-        loss_run = 0
-        run_start_tx = math.nan
-    else:
-        loss_run = state.loss_run + 1
-        run_start_tx = state.run_start_tx_s if state.loss_run > 0 else tx_start_s
-
-    new_state = NodeState(
-        relay_start_s=new_relay_start,
-        relay_end_s=new_relay_end,
-        block_pending=block_pending,
-        loss_run=loss_run,
-        run_start_tx_s=run_start_tx,
-    )
-    return new_state, decision
 
 
 def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:

@@ -14,6 +14,7 @@ import importlib.resources
 from dataclasses import dataclass
 
 from .clusters import LatencyParams, ModelTable, latency_from_clusters, quantile
+from .node import LinkConfig
 
 G_DEFAULT = 9.8  # m/s^2; pins braking distances to the published precision
 MU_DEFAULT = 0.7  # dry asphalt, good tires
@@ -138,8 +139,8 @@ def comparison_table(rows, mu: float = MU_DEFAULT, g: float = G_DEFAULT,
     rows = list(rows)
     if not rows:
         raise SafetyError("comparison_table needs at least one scenario row")
+    pt_s = LinkConfig(baud=baud).packet_time_s
     table = table or ModelTable.bundled()
-    pt_s = 64.0 / baud
     out = []
     for v_kmh, distance_m, per in rows:
         relay_s = relay_latency_at(per, target=target, baud=baud, table=table)

@@ -1,7 +1,7 @@
 """Deterministic event loop composing scheduler, channel, and relay stage.
 
 Each run is a pure function of (config, process, n_packets, seed): the
-channel outcomes come from a seeded PCG64 stream and the relay scan is
+channel outcomes come from a seeded PCG64 stream and the relay rule is
 deterministic, so identical arguments reproduce traces byte-for-byte.
 
 Trace CSV layout: ``# key=value`` header lines (config snapshot, seed, rng
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as _channel
-from ._kernels import relay_scan
 from .clusters import loss_run_lengths
 from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
@@ -86,29 +85,47 @@ class PacketTrace:
         return items
 
 
+def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relay flags and latencies (NaN where not relayed) for channel outcomes.
+
+    A relay transmission starts ``dead_time_s`` after a packet ends and lasts
+    one packet time, and the node cannot listen meanwhile.  When that window
+    reaches into the next packet (``period < 2 pt + dead``), the next packet
+    is blocked, so within a run of received packets only those at an even
+    offset are relayed; otherwise every received packet is.  The short
+    spill-over into the following preamble is absorbed by the sync pattern.
+    A relayed packet's latency spans back over the loss run just before it:
+    ``l0 + run * period``.
+    """
+    received = np.asarray(received, dtype=bool)
+    idx = np.arange(received.size)
+    if config.period_s < 2 * config.packet_time_s + config.dead_time_s:
+        # a received packet's offset in its run is idx - last_loss - 1
+        last_loss = np.maximum.accumulate(np.where(received, -1, idx))
+        relayed = received & ((idx - last_loss) % 2 == 1)
+    else:
+        relayed = received.copy()
+    last_rx = np.maximum.accumulate(np.where(received, idx, -1))
+    loss_run = idx - np.concatenate(([-1], last_rx[:-1])) - 1
+    latency_s = np.where(relayed, config.l0_s + loss_run * config.period_s, np.nan)
+    return relayed, latency_s
+
+
 def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
         seed: int) -> PacketTrace:
     """Simulate ``n_packets`` transmissions through channel and relay."""
     if n_packets < 1:
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
     rng = np.random.default_rng(seed)
-    lost = _channel.sample_losses(process, n_packets, rng)
-    received = (~lost).astype(np.uint8)
-
-    relayed = np.zeros(n_packets, dtype=np.uint8)
-    blocked = np.zeros(n_packets, dtype=np.uint8)
-    latency_s = np.full(n_packets, np.nan)
-    relay_scan(received, config.period_s, config.packet_time_s,
-               config.dead_time_s, config.l0_s, relayed, blocked, latency_s)
-
-    tx_start_s = np.arange(n_packets, dtype=np.float64) * config.period_s
+    received = ~_channel.sample_losses(process, n_packets, rng)
+    relayed, latency_s = relay(config, received)
     return PacketTrace(
         config=config,
         process_spec=_channel.process_to_spec(process),
         seed=seed,
-        tx_start_s=tx_start_s,
-        received=received.astype(bool),
-        relayed=relayed.astype(bool),
+        tx_start_s=np.arange(n_packets, dtype=np.float64) * config.period_s,
+        received=received,
+        relayed=relayed,
         latency_s=latency_s,
     )
 
@@ -205,19 +222,40 @@ def read_trace_csv(path) -> PacketTrace:
     if seqs != list(range(len(seqs))):
         raise TraceFormatError(path, 0, "seq must increase from 0 without gaps")
     missing = {"mode", "baud", "ipd_us", "beacon_interval_us", "t_proc_us",
-               "guard_us", "payload", "preamble", "seed"} - set(header)
+               "guard_us", "payload", "preamble", "n_packets", "seed"} - set(header)
     if missing:
         raise TraceFormatError(path, 0, f"missing header keys: {sorted(missing)}")
+    if header["n_packets"] != str(len(seqs)):
+        raise TraceFormatError(path, 0, f"header n_packets={header['n_packets']} but "
+                               f"{len(seqs)} packet records")
     try:
         config = _config_from_header(header)
+        seed = int(header["seed"])
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(path, 0, f"bad header: {exc}") from None
-    return PacketTrace(
-        config=config,
-        process_spec=header.get("process", ""),
-        seed=int(header["seed"]),
-        tx_start_s=np.asarray(tx_us) / 1e6,
-        received=np.asarray(received, dtype=bool),
-        relayed=np.asarray(relayed, dtype=bool),
-        latency_s=np.asarray(latency_us) / 1e6,
-    )
+    columns = dict(tx_start_s=np.asarray(tx_us) / 1e6,
+                   received=np.asarray(received, dtype=bool),
+                   relayed=np.asarray(relayed, dtype=bool),
+                   latency_s=np.asarray(latency_us) / 1e6)
+    del seqs, tx_us, received, relayed, latency_us  # keep the peak memory at the parse
+    _check_relay_rule(path, config, **columns)
+    return PacketTrace(config=config, process_spec=header.get("process", ""),
+                       seed=seed, **columns)
+
+
+def _check_relay_rule(path, config: LinkConfig, tx_start_s, received, relayed,
+                      latency_s) -> None:
+    """Reject trace columns that are not what the header config and the
+    ``received`` column give.  Times compare to 1e-9 relative, since the
+    header and the columns round-trip through microsecond text."""
+    expect_relayed, expect_latency_s = relay(config, received)
+    expect_tx_start_s = np.arange(received.size) * config.period_s
+    for column, bad in (
+        ("tx_start_us", ~np.isclose(tx_start_s, expect_tx_start_s, rtol=1e-9, atol=0)),
+        ("relayed", relayed != expect_relayed),
+        ("latency_us", ~np.isclose(latency_s, expect_latency_s, rtol=1e-9, atol=0,
+                                   equal_nan=True)),
+    ):
+        if bad.any():
+            raise TraceFormatError(path, 0, f"seq {int(np.argmax(bad))}: {column} "
+                                   "disagrees with the relay rule for the header config")

@@ -1,0 +1,205 @@
+"""Per-packet loop oracles for the vectorized relay rule and channel chain.
+
+These are the simulator's original loop bodies and per-packet step API,
+kept verbatim as bit-exact references: ``relay_scan`` and ``rx_adr_step``
+for ``sim.relay``, ``ge_chain`` and ``sample_packet_outcome`` for
+``channel.sample_losses``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from vlcrelay.channel import (
+    BITS_PER_PACKET,
+    ChannelError,
+    ErrorProcess,
+    GilbertElliott,
+    IidBit,
+    IidPacket,
+    NbCluster,
+    _draw_cluster_size,
+)
+from vlcrelay.node import LinkConfig
+
+
+def relay_scan(received, period_s, pt_s, dead_s, l0_s, relayed, blocked, latency_s):
+    """Walk the packet stream through the decode-and-relay stage.
+
+    ``received`` holds per-packet channel outcomes (1 = decodable).  A relay
+    transmission makes the node deaf, which costs at most the one packet
+    whose on-air window overlaps the relay window; the short spill-over into
+    the following packet's preamble is absorbed by the sync preamble and
+    does not count.  Latency of a relayed packet spans back over the
+    immediately preceding run of channel losses.
+    """
+    relay_start = -1.0e30
+    relay_end = -1.0e30
+    block_pending = False
+    loss_run = 0
+    n = received.shape[0]
+    for j in range(n):
+        start = j * period_s
+        end = start + pt_s
+        if block_pending and start < relay_end and end > relay_start:
+            blocked[j] = 1
+            block_pending = False
+        elif received[j] == 1:
+            relayed[j] = 1
+            latency_s[j] = l0_s + loss_run * period_s
+            relay_start = end + dead_s
+            relay_end = relay_start + pt_s
+            block_pending = True
+        if received[j] == 1:
+            loss_run = 0
+        else:
+            loss_run += 1
+
+
+def scan(received, config: LinkConfig):
+    """``relay_scan`` over boolean outcomes: (relayed, blocked, latency_s)."""
+    n = received.size
+    relayed = np.zeros(n, dtype=np.uint8)
+    blocked = np.zeros(n, dtype=np.uint8)
+    latency = np.full(n, np.nan)
+    relay_scan(np.asarray(received).astype(np.uint8), config.period_s,
+               config.packet_time_s, config.dead_time_s, config.l0_s,
+               relayed, blocked, latency)
+    return relayed.astype(bool), blocked.astype(bool), latency
+
+
+def ge_chain(u_loss, u_trans, p_gb, p_bg, loss_good, loss_bad, lost):
+    """Two-state burst channel: per-packet loss draw, then state transition.
+
+    Consumes exactly one uniform per draw from each input array.
+    """
+    state = 0  # 0 = good, 1 = bad
+    n = u_loss.shape[0]
+    for i in range(n):
+        if state == 0:
+            if u_loss[i] < loss_good:
+                lost[i] = 1
+            if u_trans[i] < p_gb:
+                state = 1
+        else:
+            if u_loss[i] < loss_bad:
+                lost[i] = 1
+            if u_trans[i] < p_bg:
+                state = 0
+
+
+@dataclass(frozen=True)
+class RelayDecision:
+    relayed: bool
+    blocked: bool = False
+    relay_start_s: float | None = None
+    relay_end_s: float | None = None
+    latency_s: float | None = None
+
+
+@dataclass(frozen=True)
+class NodeState:
+    """Relay-stage state threaded through rx_adr_step."""
+
+    relay_start_s: float = -math.inf
+    relay_end_s: float = -math.inf
+    block_pending: bool = False
+    loss_run: int = 0
+    run_start_tx_s: float = math.nan
+
+
+def rx_adr_step(state: NodeState, tx_start_s: float, payload: bytes | None,
+                config: LinkConfig) -> tuple[NodeState, RelayDecision]:
+    """Advance the relay stage by one packet event, in time order.
+
+    ``payload`` is the decoded payload or None for a channel loss.  A packet
+    whose on-air window overlaps a relay transmission is dropped as blocked
+    (one per relay; the residual overlap with the following preamble is
+    absorbed by the sync pattern).  Channel outcomes of blocked packets
+    still feed the loss-run bookkeeping so cluster statistics stay about
+    the channel.
+    """
+    pt = config.packet_time_s
+    rx_end = tx_start_s + pt
+    channel_ok = payload is not None and payload == config.reference_payload
+
+    decision = RelayDecision(relayed=False)
+    new_relay_start = state.relay_start_s
+    new_relay_end = state.relay_end_s
+    block_pending = state.block_pending
+
+    if (state.block_pending and tx_start_s < state.relay_end_s
+            and rx_end > state.relay_start_s):
+        decision = RelayDecision(relayed=False, blocked=True)
+        block_pending = False
+    elif channel_ok:
+        relay_start = rx_end + config.dead_time_s
+        relay_end = relay_start + pt
+        run_start = state.run_start_tx_s if state.loss_run > 0 else tx_start_s
+        decision = RelayDecision(
+            relayed=True,
+            relay_start_s=relay_start,
+            relay_end_s=relay_end,
+            latency_s=relay_end - run_start,
+        )
+        new_relay_start = relay_start
+        new_relay_end = relay_end
+        block_pending = True
+
+    if channel_ok:
+        loss_run = 0
+        run_start_tx = math.nan
+    else:
+        loss_run = state.loss_run + 1
+        run_start_tx = state.run_start_tx_s if state.loss_run > 0 else tx_start_s
+
+    new_state = NodeState(
+        relay_start_s=new_relay_start,
+        relay_end_s=new_relay_end,
+        block_pending=block_pending,
+        loss_run=loss_run,
+        run_start_tx_s=run_start_tx,
+    )
+    return new_state, decision
+
+
+def sample_packet_outcome(process: ErrorProcess, rng: np.random.Generator,
+                          state=None) -> tuple[bool, object]:
+    """Draw one packet outcome; thread ``state`` through successive calls.
+
+    Walks the same random stream as sample_losses, one packet at a time.
+    """
+    if isinstance(process, IidPacket):
+        return bool(rng.random() < process.p_loss), None
+    if isinstance(process, IidBit):
+        return bool(rng.binomial(BITS_PER_PACKET, process.p_bit) > 0), None
+    if isinstance(process, GilbertElliott):
+        ge_state = 0 if state is None else state
+        u_loss = rng.random()
+        u_trans = rng.random()
+        if ge_state == 0:
+            lost = u_loss < process.loss_good
+            if u_trans < process.p_gb:
+                ge_state = 1
+        else:
+            lost = u_loss < process.loss_bad
+            if u_trans < process.p_bg:
+                ge_state = 0
+        return bool(lost), ge_state
+    if isinstance(process, NbCluster):
+        if state is None:
+            in_loss, remaining = False, 0  # streams start in a success run
+        else:
+            in_loss, remaining = state
+            if remaining == 0:
+                in_loss = not in_loss
+        if remaining == 0:
+            if in_loss:
+                remaining = _draw_cluster_size(process, rng)
+            else:
+                remaining = int(rng.geometric(process.p_start))
+        return bool(in_loss), (in_loss, remaining - 1)
+    raise ChannelError(f"unknown error process {process!r}")

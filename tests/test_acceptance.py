@@ -34,12 +34,6 @@ def criterion(num, desc):
     return decorate
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # pay any JIT compilation before the timed criteria run
-    sim.run(node.LinkConfig(), channel.IidPacket(0.0), 2, seed=0)
-
-
 @criterion(1, "published quantile table reproduced exactly")
 def test_criterion_1_quantile_table():
     t0 = time.perf_counter()

@@ -3,6 +3,8 @@ import pytest
 
 from vlcrelay import channel
 
+import oracles
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -111,8 +113,28 @@ def test_per_packet_walks_same_stream_as_batch(process):
     state = None
     single = np.empty(3000, dtype=bool)
     for i in range(3000):
-        single[i], state = channel.sample_packet_outcome(process, gen, state)
+        single[i], state = oracles.sample_packet_outcome(process, gen, state)
     assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("p_gb, p_bg, loss_good, loss_bad", [
+    (0.02, 0.1, 0.01, 0.5),
+    (0.5, 0.5, 0.0, 1.0),
+    (0.9, 0.95, 0.3, 0.6),
+    (0.0, 0.0, 0.1, 0.9),
+    (1.0, 1.0, 0.1, 0.9),
+    (1.0, 0.0, 0.1, 0.9),
+    (0.0, 1.0, 0.1, 0.9),
+    (1.0, 0.3, 0.2, 0.7),
+    (0.3, 1.0, 0.2, 0.7),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 20000])
+def test_gilbert_elliott_matches_loop(p_gb, p_bg, loss_good, loss_bad, n):
+    process = channel.GilbertElliott(p_gb, p_bg, loss_good, loss_bad)
+    u = rng(13).random(2 * n)
+    lost = np.zeros(n, dtype=np.uint8)
+    oracles.ge_chain(u[0::2], u[1::2], p_gb, p_bg, loss_good, loss_bad, lost)
+    assert np.array_equal(channel.sample_losses(process, n, rng(13)), lost.astype(bool))
 
 
 def test_process_spec_roundtrip():
@@ -123,10 +145,11 @@ def test_process_spec_roundtrip():
         channel.NbCluster(r=0.1691, p=0.0638, p_start=0.0643),
     ]:
         assert channel.process_from_spec(channel.process_to_spec(process)) == process
-    with pytest.raises(channel.ChannelError):
-        channel.process_from_spec("nonsense:p=1")
-    with pytest.raises(channel.ChannelError):
-        channel.process_from_spec("iid-packet:oops=1")
+    for bad in ("nonsense:p=1", "iid-packet:oops=1", "iid-packet:p=0.1,extra=5",
+                "iid-packet:p=abc", "iid-bit:p=",
+                "nb-cluster:r=0.1691,p=0.0638,target_per=0.3,p_start=0.1"):
+        with pytest.raises(channel.ChannelError):
+            channel.process_from_spec(bad)
 
 
 def test_per_at_bundled_anchors():

@@ -259,3 +259,55 @@ def test_default_output_dir_env(tmp_path, monkeypatch, capsys):
     rc = run_cli("simulate", "--per", "0", "--n", "10")
     assert rc == 0
     assert (tmp_path / "outdir" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["iid-packet:p=0.1,extra=5", "iid-packet:p=abc"])
+def test_simulate_rejects_bad_process_spec(tmp_path, capsys, spec):
+    rc = run_cli("simulate", "--process", spec, "--n", "10",
+                 "--out", str(tmp_path / "t.csv"))
+    assert rc == 2
+    assert "error:" in run_err(capsys)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_rejects_repeated_seed(tmp_path, capsys):
+    rc = run_cli("simulate", "--per", "0.1", "--n", "10", "--seed", "1",
+                 "--seed", "1", "--out", str(tmp_path / "t.csv"))
+    assert rc == 2
+    assert "seed" in run_err(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_rejects_dead_time_beyond_period(tmp_path, capsys):
+    rc = run_cli("simulate", "--per", "0", "--t-proc-us", "300", "--n", "10",
+                 "--out", str(tmp_path / "t.csv"))
+    assert rc == 2
+    assert "t_proc_s + guard_s" in run_err(capsys)
+
+
+@pytest.mark.parametrize("baud", ["0", "-5"])
+def test_safety_rejects_bad_baud(tmp_path, capsys, baud):
+    rc = run_cli("safety", "--baud", baud, "--out", str(tmp_path / "s.csv"))
+    assert rc == 2
+    assert "baud must be positive" in run_err(capsys)
+
+
+@pytest.mark.parametrize("flags", [["--baud", "0"], ["--ipd-us", "-5"]])
+def test_sal_rejects_bad_timing(tmp_path, capsys, flags):
+    assert run_cli("sal", *flags, "--out", str(tmp_path / "sal.csv")) == 2
+    assert "error:" in run_err(capsys)
+
+
+def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    assert run_cli("simulate", "--per", "0.2", "--n", "200", "--seed", "3",
+                   "--out", str(trace_path)) == 0
+    lines = trace_path.read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.endswith(",1,1,595.0217391304348"))
+    lines[at] = lines[at].replace(",1,1,595.0217391304348", ",1,0,")
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = run_cli("analyze", str(trace_path), "--clusters-out", str(tmp_path / "c.csv"),
+                 "--report-out", str(tmp_path / "r.txt"))
+    assert rc == 3
+    assert "relayed disagrees with the relay rule" in run_err(capsys)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcrelay import node
-from vlcrelay._kernels import relay_scan_py
+from vlcrelay import channel, node, sim
+
+import oracles
 
 CFG = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
 
@@ -22,6 +23,12 @@ def test_config_validation():
         node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=1e-6)
     with pytest.raises(node.ConfigError):
         node.LinkConfig(reference_payload=b"\x01")
+    # decode + turnaround must end before the next transmit starts
+    with pytest.raises(node.ConfigError):
+        node.LinkConfig(t_proc_s=300e-6)
+    with pytest.raises(node.ConfigError):
+        node.LinkConfig(t_proc_s=CFG.packet_time_s - CFG.guard_s)
+    node.LinkConfig(t_proc_s=300e-6, ipd_s=100e-6)
 
 
 def test_timing_properties():
@@ -40,7 +47,7 @@ def test_l0_scales_with_baud():
 
 
 def test_tx_schedule_broadcast():
-    starts = node.tx_schedule(CFG, 4)
+    starts = sim.run(CFG, channel.IidPacket(0.0), 4, seed=0).tx_start_s
     assert starts[0] == 0.0
     assert starts[1] * 1e6 == pytest.approx(278.26, abs=0.01)
     # total span of n periods
@@ -49,98 +56,102 @@ def test_tx_schedule_broadcast():
 
 def test_tx_schedule_beacon():
     cfg = node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=0.1)
-    starts = node.tx_schedule(cfg, 5)
+    starts = sim.run(cfg, channel.IidPacket(0.0), 5, seed=0).tx_start_s
     assert starts[3] == pytest.approx(0.3)
     assert np.allclose(np.diff(starts), 0.1)
 
 
 def test_tx_schedule_rejects_empty():
     with pytest.raises(node.ConfigError):
-        node.tx_schedule(CFG, 0)
+        sim.run(CFG, channel.IidPacket(0.0), 0, seed=0)
 
 
 def test_step_clean_packet_idle_node():
-    state = node.NodeState()
-    state, decision = node.rx_adr_step(state, 0.0, CFG.reference_payload, CFG)
-    assert decision.relayed and not decision.blocked
-    assert decision.relay_end_s - decision.relay_start_s == pytest.approx(
-        CFG.packet_time_s)
-    assert decision.latency_s == pytest.approx(CFG.l0_s)
+    relayed, latency = sim.relay(CFG, np.array([True]))
+    assert relayed[0]
+    assert latency[0] == CFG.l0_s
 
 
 def test_step_blocks_packet_arriving_mid_relay():
-    state = node.NodeState()
-    state, first = node.rx_adr_step(state, 0.0, CFG.reference_payload, CFG)
-    assert first.relayed
-    state, second = node.rx_adr_step(state, CFG.packet_time_s,
-                                     CFG.reference_payload, CFG)
-    assert second.blocked and not second.relayed
-    # the relay already spent its one blocked slot; the next packet goes out
-    state, third = node.rx_adr_step(state, 2 * CFG.packet_time_s,
-                                    CFG.reference_payload, CFG)
-    assert third.relayed
+    relayed, _ = sim.relay(CFG, np.ones(3, dtype=bool))
+    # the second packet arrives mid-relay; the relay spent its one blocked
+    # slot, so the third goes out
+    assert relayed.tolist() == [True, False, True]
 
 
 def test_step_never_relays_corrupted_payload():
-    state = node.NodeState()
-    state, decision = node.rx_adr_step(state, 0.0, b"\x00\x00", CFG)
-    assert not decision.relayed and not decision.blocked
-    # the mismatch counts as a channel loss for the latency span
-    state, nxt = node.rx_adr_step(state, CFG.period_s, CFG.reference_payload, CFG)
-    assert nxt.relayed
-    assert nxt.latency_s == pytest.approx(CFG.l0_s + CFG.period_s)
+    # a payload that fails the reference compare is a channel loss
+    relayed, latency = sim.relay(CFG, np.array([False, True]))
+    assert relayed.tolist() == [False, True]
+    # and it counts toward the latency span of the next relay
+    assert latency[1] == pytest.approx(CFG.l0_s + CFG.period_s)
 
 
 def test_step_loss_then_relay_latency_spans_run():
-    state = node.NodeState()
-    for k in range(3):
-        state, decision = node.rx_adr_step(state, k * CFG.period_s, None, CFG)
-        assert not decision.relayed
-    state, decision = node.rx_adr_step(state, 3 * CFG.period_s,
-                                       CFG.reference_payload, CFG)
-    assert decision.latency_s == pytest.approx(CFG.l0_s + 3 * CFG.period_s)
-
-
-def _scan_with_kernel(received, cfg):
-    n = received.size
-    relayed = np.zeros(n, dtype=np.uint8)
-    blocked = np.zeros(n, dtype=np.uint8)
-    latency = np.full(n, np.nan)
-    relay_scan_py(received.astype(np.uint8), cfg.period_s, cfg.packet_time_s,
-                  cfg.dead_time_s, cfg.l0_s, relayed, blocked, latency)
-    return relayed.astype(bool), blocked.astype(bool), latency
+    relayed, latency = sim.relay(CFG, np.array([False, False, False, True]))
+    assert relayed.tolist() == [False, False, False, True]
+    assert np.isnan(latency[:3]).all()
+    assert latency[3] == CFG.l0_s + 3 * CFG.period_s
 
 
 def _scan_with_steps(received, cfg):
-    state = node.NodeState()
+    state = oracles.NodeState()
     relayed = np.zeros(received.size, dtype=bool)
-    blocked = np.zeros(received.size, dtype=bool)
     latency = np.full(received.size, np.nan)
     for k, ok in enumerate(received):
         payload = cfg.reference_payload if ok else None
-        state, decision = node.rx_adr_step(state, k * cfg.period_s, payload, cfg)
+        state, decision = oracles.rx_adr_step(state, k * cfg.period_s, payload, cfg)
         relayed[k] = decision.relayed
-        blocked[k] = decision.blocked
         if decision.relayed:
             latency[k] = decision.latency_s
-    return relayed, blocked, latency
+    return relayed, latency
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.booleans(), min_size=1, max_size=120),
-       st.sampled_from(["broadcast", "beacon"]),
-       st.sampled_from([0.0, 10e-6, 100e-6, 400e-6]))
-def test_step_function_matches_kernel(pattern, mode, ipd_s):
-    if mode == "beacon":
-        cfg = node.LinkConfig(mode=node.Mode.BEACON)
-    else:
-        cfg = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=ipd_s)
+       st.sampled_from([("broadcast", 230000, ipd) for ipd in
+                        (0.0, 10e-6, 100e-6, 287e-6, 400e-6)]
+                       + [("beacon", baud, 0.0) for baud in (19000, 230000)]))
+def test_step_function_matches_kernel(pattern, link):
+    mode, baud, ipd_s = link
+    cfg = node.LinkConfig(baud=baud, mode=node.Mode(mode), ipd_s=ipd_s)
     received = np.array(pattern, dtype=bool)
-    kr, kb, kl = _scan_with_kernel(received, cfg)
-    sr, sb, sl = _scan_with_steps(received, cfg)
-    assert np.array_equal(kr, sr)
-    assert np.array_equal(kb, sb)
-    assert np.allclose(kl, sl, equal_nan=True, rtol=1e-12, atol=0)
+    relayed, latency = sim.relay(cfg, received)
+    loop_relayed, loop_blocked, loop_latency = oracles.scan(received, cfg)
+    assert np.array_equal(relayed, loop_relayed)
+    assert np.array_equal(latency.view(np.int64), loop_latency.view(np.int64))
+    # a received packet the loop did not relay is one it blocked
+    assert np.array_equal(received & ~relayed, received & loop_blocked)
+    step_relayed, step_latency = _scan_with_steps(received, cfg)
+    assert np.array_equal(relayed, step_relayed)
+    assert np.allclose(latency, step_latency, equal_nan=True, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode, ipd_s", [("broadcast", 0.0), ("broadcast", 287e-6),
+                                          ("broadcast", 400e-6), ("beacon", 0.0)])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_relay_matches_loop_on_long_streams(mode, ipd_s, p):
+    cfg = node.LinkConfig(mode=node.Mode(mode), ipd_s=ipd_s)
+    received = np.random.default_rng(3).random(20000) >= p
+    relayed, latency = sim.relay(cfg, received)
+    loop_relayed, _, loop_latency = oracles.scan(received, cfg)
+    assert np.array_equal(relayed, loop_relayed)
+    assert np.array_equal(latency.view(np.int64), loop_latency.view(np.int64))
+
+
+def test_relay_decision_is_per_config_at_overlap_boundary():
+    # at ipd = pt + dead the relay window ends as the next packet starts;
+    # the loop decided overlap per packet in floating point, so its choice
+    # changed with the packet index there, while the rule decides once
+    boundary = CFG.packet_time_s + CFG.dead_time_s
+    received = np.ones(200000, dtype=bool)
+    for ipd_s in (boundary - 1e-17, boundary, boundary + 1e-17):
+        cfg = node.LinkConfig(ipd_s=ipd_s)
+        relayed, _ = sim.relay(cfg, received)
+        every_other = np.arange(received.size) % 2 == 0
+        assert np.array_equal(relayed, received) or np.array_equal(relayed, every_other)
+    loop_relayed, _, _ = oracles.scan(received, node.LinkConfig(ipd_s=boundary))
+    assert received.size // 2 < loop_relayed.sum() < received.size
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,9 +161,8 @@ def test_relay_blocking_bound(pattern, ipd_s):
     # ipd below packet_time + t_proc: never more than every other packet
     cfg = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=ipd_s)
     assert ipd_s < cfg.packet_time_s + cfg.t_proc_s
-    received = np.array(pattern, dtype=bool)
-    relayed, _, _ = _scan_with_kernel(received, cfg)
-    assert relayed.sum() <= math.ceil(received.size / 2)
+    relayed, _ = sim.relay(cfg, np.array(pattern, dtype=bool))
+    assert relayed.sum() <= math.ceil(len(pattern) / 2)
 
 
 def test_compute_per_broadcast_ideal_and_dead():

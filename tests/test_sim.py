@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,75 @@ def test_blocked_packets_do_not_pollute_clusters():
         dist = clusters.extract_clusters(trace)
     assert dist.counts == {}
     assert dist.n_lost == 0
+
+
+def _rewrite_row(path, seq, column, value):
+    lines = path.read_text().splitlines()
+    at = lines.index("seq,tx_start_us,received,relayed,latency_us") + 1 + seq
+    fields = lines[at].split(",")
+    fields[column] = value
+    lines[at] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, value", [
+    (1, "1.5"),   # tx_start_us off the period grid
+    (3, "0"),     # relayed bit flipped off
+    (4, "600.0"),  # latency off the loss-run law
+])
+def test_read_trace_rejects_columns_the_relay_rule_contradicts(tmp_path, column, value):
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.0), 10, seed=0), path)
+    sim.read_trace_csv(path)
+    _rewrite_row(path, 2, column, value)
+    with pytest.raises(sim.TraceFormatError, match="seq 2"):
+        sim.read_trace_csv(path)
+
+
+def test_read_trace_rejects_truncated_trace(tmp_path):
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.2), 10, seed=0), path)
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(sim.TraceFormatError, match="n_packets=10 but 9"):
+        sim.read_trace_csv(path)
+
+
+def test_read_trace_rejects_relayed_bit_flipped_on(tmp_path):
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.0), 10, seed=0), path)
+    _rewrite_row(path, 1, 3, "1")
+    _rewrite_row(path, 1, 4, repr(BROADCAST.l0_s * 1e6))
+    with pytest.raises(sim.TraceFormatError, match="seq 1: relayed"):
+        sim.read_trace_csv(path)
+
+
+# sha256 of write_trace_csv for 3000 packets at seed 7 under the default
+# LinkConfig of each mode, recorded before the relay rule and the
+# Gilbert-Elliott chain were vectorized
+GOLDEN_TRACE_SHA256 = {
+    ("broadcast", "iid-packet:p=0.1"):
+        "81c74974810844c71483bd11dd4b2c5361048af8f959a9c6c27e10e5a481a295",
+    ("broadcast", "iid-bit:p=0.005"):
+        "6834e14e63aa894fdcc113c2c5ec4daca17cb19063791ed403f0b2dd501e9f33",
+    ("broadcast", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
+        "a2545ffbf7063c06b914d9e61c34bb3a1b88647653fca36fe9bf44ab8c1c55b4",
+    ("broadcast", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
+        "b70ff3d690a8c2d903559b786e1029347f9da07c364793ff51d8e876ee771df5",
+    ("beacon", "iid-packet:p=0.1"):
+        "9cafa1684d28deafdbb81408b75d5efe7fa22bcadfb354165034530b4267ad87",
+    ("beacon", "iid-bit:p=0.005"):
+        "6b65590351706ba2f1f151e85324ebe650cf657ee6813898b663a7e564c75663",
+    ("beacon", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
+        "c79a7834799212b14cc71c6e97e2a6da157e252283baad50d77ec4b0f0d75861",
+    ("beacon", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
+        "0bcb4300e378e683acf49dd4c3654e87adf530a32f5bc63564b01c1fe5086b78",
+}
+
+
+@pytest.mark.parametrize("mode, spec", sorted(GOLDEN_TRACE_SHA256))
+def test_golden_trace_bytes(tmp_path, mode, spec):
+    config = node.LinkConfig(mode=node.Mode(mode))
+    trace = sim.run(config, channel.process_from_spec(spec), 3000, seed=7)
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[mode, spec]
