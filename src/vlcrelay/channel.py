@@ -10,12 +10,13 @@ to measured distances per baud rate.
 from __future__ import annotations
 
 import csv
-import importlib.resources
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import nbinom
+
+from ._tables import data_path, read_table
 
 BITS_PER_PACKET = 32
 PER_FLOOR = 1e-5
@@ -299,20 +300,11 @@ class PerDistanceTable:
 
     @classmethod
     def from_csv(cls, path) -> "PerDistanceTable":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = {"distance_m", "baud", "per"}
-            if reader.fieldnames is None or set(reader.fieldnames) != expected:
-                raise ChannelError(
-                    f"{path}: header must be distance_m,baud,per, got {reader.fieldnames}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    rows.append((float(row["distance_m"]), int(float(row["baud"])),
-                                 float(row["per"])))
-                except (TypeError, ValueError) as exc:
-                    raise ChannelError(f"{path}:{lineno}: bad row: {exc}") from None
-        return cls.from_rows(rows)
+        return cls.from_rows(read_table(
+            path, ("distance_m", "baud", "per"),
+            lambda row: (float(row["distance_m"]), int(float(row["baud"])),
+                         float(row["per"])),
+            ChannelError))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -323,16 +315,12 @@ class PerDistanceTable:
 
     @classmethod
     def bundled(cls) -> "PerDistanceTable":
-        return cls.from_csv(_data_path("per_distance.csv"))
+        return cls.from_csv(data_path("per_distance.csv"))
 
     @classmethod
     def bundled_tilted(cls) -> "PerDistanceTable":
         """Anchors for the lamp reclined a few degrees toward long range."""
-        return cls.from_csv(_data_path("per_distance_tilted.csv"))
-
-
-def _data_path(name: str):
-    return importlib.resources.files("vlcrelay") / "data" / name
+        return cls.from_csv(data_path("per_distance_tilted.csv"))
 
 
 def per_at(table: PerDistanceTable, distance_m: float, baud: int) -> float:

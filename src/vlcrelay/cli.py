@@ -32,17 +32,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_THIN_SAMPLE = 4
 
-_CONFIG_KEYS = {
-    "baud", "mode", "ipd_us", "beacon_interval_us", "t_proc_us", "guard_us",
-    "per", "process", "distance_m", "tilted", "n", "seed", "seeds", "jobs",
-    "out", "summary",
-}
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _out_dir() -> Path:
@@ -55,57 +46,42 @@ def _default_out(name: str) -> Path:
     return directory / name
 
 
-def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file; blank lines and ``#`` comments ignored."""
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read config {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def read_config_file(path) -> list[str]:
+    """``simulate`` flags from a flat ``key = value`` file; blank lines and
+    ``#`` comments ignored.
+
+    Each key is a flag name with ``_`` for ``-``; ``seeds`` takes a comma
+    list (one ``--seed`` each) and ``tilted`` a boolean.
+    """
+    flags: list[str] = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CliError(EXIT_CONFIG, f"{path}:{lineno}: expected key = value")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise CliError(EXIT_CONFIG, f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key.isidentifier():
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        if key == "seeds":
+            flags += [f"--seed={seed}" for seed in value.split(",")]
+        elif key == "tilted":
+            if value.lower() not in _BOOLEANS:
+                raise ConfigError(f"{path}:{lineno}: tilted: expected a boolean, got {value!r}")
+            flags += ["--tilted"] if _BOOLEANS[value.lower()] else []
+        else:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the config file; flags win."""
-    if not args.config:
-        return
-    file_values = read_config_file(args.config)
-    translate = {
-        "baud": ("baud", int), "mode": ("mode", str),
-        "ipd_us": ("ipd_us", float), "beacon_interval_us": ("beacon_interval_us", float),
-        "t_proc_us": ("t_proc_us", float), "guard_us": ("guard_us", float),
-        "per": ("per", float), "process": ("process", str),
-        "distance_m": ("distance_m", float), "tilted": ("tilted", _parse_bool),
-        "n": ("n", int), "seed": ("seeds", lambda s: [int(s)]),
-        "seeds": ("seeds", lambda s: [int(x) for x in s.split(",")]),
-        "jobs": ("jobs", int), "out": ("out", str), "summary": ("summary", str),
-    }
-    for key, value in file_values.items():
-        dest, conv = translate[key]
-        if getattr(args, dest, None) is None:
-            try:
-                setattr(args, dest, conv(value))
-            except ValueError as exc:
-                raise CliError(EXIT_CONFIG, f"config key {key}: {exc}") from None
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+def _fill_from_config_file(args: argparse.Namespace) -> None:
+    """Fill the ``simulate`` options the command line left unset from
+    ``args.config``.  The parser for the file's flags has no ``--config``,
+    no ``--help`` and no prefix matching, so a key must spell a flag."""
+    parser = argparse.ArgumentParser(prog=str(args.config), usage=argparse.SUPPRESS,
+                                     add_help=False, allow_abbrev=False)
+    _add_simulate_arguments(parser)
+    for dest, value in vars(parser.parse_args(read_config_file(args.config))).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _format_float(x: float) -> str:
@@ -113,40 +89,30 @@ def _format_float(x: float) -> str:
 
 
 def _build_link_config(args: argparse.Namespace) -> LinkConfig:
-    try:
-        return LinkConfig(
-            baud=args.baud if args.baud is not None else 230000,
-            mode=Mode(args.mode if args.mode is not None else "broadcast"),
-            ipd_s=(args.ipd_us if args.ipd_us is not None else 0.0) / 1e6,
-            beacon_interval_s=(args.beacon_interval_us
-                               if args.beacon_interval_us is not None else 1e5) / 1e6,
-            t_proc_s=(args.t_proc_us if args.t_proc_us is not None else 10.0) / 1e6,
-            guard_s=(args.guard_us if args.guard_us is not None else 28.5) / 1e6,
-        )
-    except (ConfigError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+    """The link the flags give; ``LinkConfig``'s defaults fill the rest."""
+    fields = {name: getattr(args, name, None) for name in ("baud", "mode")}
+    for name in ("ipd", "beacon_interval", "t_proc", "guard"):
+        us = getattr(args, f"{name}_us", None)
+        fields[f"{name}_s"] = None if us is None else us / 1e6
+    return LinkConfig(**{k: v for k, v in fields.items() if v is not None})
 
 
-def _build_process(args: argparse.Namespace) -> _channel.ErrorProcess:
+def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess:
     given = [name for name, val in
              (("per", args.per), ("process", args.process), ("distance_m", args.distance_m))
              if val is not None]
     if len(given) > 1:
-        raise CliError(EXIT_CONFIG, f"give only one of per/process/distance_m, got {given}")
-    try:
-        if args.process is not None:
-            return _channel.process_from_spec(args.process)
-        if args.distance_m is not None:
-            baud = args.baud if args.baud is not None else 230000
-            table = (_channel.PerDistanceTable.bundled_tilted() if args.tilted
-                     else _channel.PerDistanceTable.bundled())
-            return _channel.IidPacket(p_loss=_channel.per_at(table, args.distance_m, baud))
-        per = args.per if args.per is not None else 0.0
-        if not 0.0 <= per <= 1.0:
-            raise CliError(EXIT_CONFIG, f"per must be in [0, 1], got {per}")
-        return _channel.IidPacket(p_loss=per)
-    except _channel.ChannelError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+        raise ConfigError(f"give only one of per/process/distance_m, got {given}")
+    if args.process is not None:
+        return _channel.process_from_spec(args.process)
+    if args.distance_m is not None:
+        table = (_channel.PerDistanceTable.bundled_tilted() if args.tilted
+                 else _channel.PerDistanceTable.bundled())
+        return _channel.IidPacket(p_loss=_channel.per_at(table, args.distance_m, baud))
+    per = args.per if args.per is not None else 0.0
+    if not 0.0 <= per <= 1.0:
+        raise ConfigError(f"per must be in [0, 1], got {per}")
+    return _channel.IidPacket(p_loss=per)
 
 
 def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
@@ -168,16 +134,16 @@ def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_link_config(args)
-    process = _build_process(args)
+    process = _build_process(args, config.baud)
     n = args.n if args.n is not None else 10000
     if n < 1:
-        raise CliError(EXIT_CONFIG, f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     seeds = args.seeds if args.seeds else [0]
     if len(set(seeds)) != len(seeds):
-        raise CliError(EXIT_CONFIG, f"each seed may be given once, got {seeds}")
+        raise ConfigError(f"each seed may be given once, got {seeds}")
     jobs = args.jobs if args.jobs is not None else 1
     if jobs < 1:
-        raise CliError(EXIT_CONFIG, f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     out = Path(args.out) if args.out else _default_out("trace.csv")
 
@@ -191,14 +157,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _sim.write_trace_csv(trace, trace_path(seed))
         return seed, _sim.summarize(trace)
 
-    try:
-        if jobs > 1 and len(seeds) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, seeds))
-        else:
-            results = [one(seed) for seed in seeds]
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    if jobs > 1 and len(seeds) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(one, seeds))
+    else:
+        results = [one(seed) for seed in seeds]
 
     results.sort(key=lambda item: item[0])
     lines: list[str] = []
@@ -208,20 +171,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     text = "\n".join(lines).rstrip("\n") + "\n"
     print(text, end="")
     if args.summary:
-        try:
-            Path(args.summary).write_text(text)
-        except OSError as exc:
-            raise CliError(EXIT_IO, str(exc)) from None
+        Path(args.summary).write_text(text)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        trace = _sim.read_trace_csv(args.trace)
-    except _sim.TraceFormatError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {args.trace}: {exc}") from None
+    trace = _sim.read_trace_csv(args.trace)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _clusters.InsufficientErrorsWarning)
@@ -235,13 +190,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pmf = dist.pmf_grid()
     cdf = np.cumsum(pmf)
     counts = [dist.n_zero] + [dist.counts.get(int(k), 0) for k in grid[1:]]
-    try:
-        with open(clusters_out, "w", newline="\n") as fh:
-            fh.write("k,count,pmf,cdf\n")
-            for k, c, q, s in zip(grid, counts, pmf, cdf):
-                fh.write(f"{int(k)},{int(c)},{_format_float(q)},{_format_float(s)}\n")
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    with open(clusters_out, "w", newline="\n") as fh:
+        fh.write("k,count,pmf,cdf\n")
+        for k, c, q, s in zip(grid, counts, pmf, cdf):
+            fh.write(f"{int(k)},{int(c)},{_format_float(q)},{_format_float(s)}\n")
 
     lines = [
         f"trace={args.trace}",
@@ -276,10 +228,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    try:
-        report_out.write_text(text)
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    report_out.write_text(text)
     return code
 
 
@@ -289,41 +238,28 @@ def _parse_targets(spec: str | None) -> list[float]:
     try:
         targets = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"targets: {exc}") from None
+        raise ConfigError(f"targets: {exc}") from None
     if not targets or not all(0.0 < t < 1.0 for t in targets):
-        raise CliError(EXIT_CONFIG, f"targets must be probabilities in (0, 1), got {spec}")
+        raise ConfigError(f"targets must be probabilities in (0, 1), got {spec}")
     return targets
 
 
 def cmd_sal(args: argparse.Namespace) -> int:
-    try:
-        table = (_clusters.ModelTable.from_csv(args.models) if args.models
-                 else _clusters.ModelTable.bundled())
-    except _clusters.ClusterStatsError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
-
+    table = (_clusters.ModelTable.from_csv(args.models) if args.models
+             else _clusters.ModelTable.bundled())
     targets = _parse_targets(args.targets)
-    baud = args.baud if args.baud is not None else 230000
-    ipd_s = (args.ipd_us if args.ipd_us is not None else 0.0) / 1e6
-    try:
-        params = _clusters.LatencyParams.from_baud(baud, ipd_s=ipd_s)
-    except ConfigError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+    config = _build_link_config(args)
+    params = _clusters.LatencyParams.from_baud(config.baud, ipd_s=config.ipd_s)
 
     if args.per_grid:
         try:
             grid = [float(x) for x in args.per_grid.split(",") if x.strip()]
         except ValueError as exc:
-            raise CliError(EXIT_CONFIG, f"per-grid: {exc}") from None
+            raise ConfigError(f"per-grid: {exc}") from None
     else:
         grid = [float(p) for p in table.pers]
 
-    try:
-        points = _clusters.sal_curve(grid, targets, table, params)
-    except _clusters.OutOfRange as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+    points = _clusters.sal_curve(grid, targets, table, params)
 
     out = Path(args.out) if args.out else _default_out("sal.csv")
     lines = ["per,target,packets,latency_us"]
@@ -331,22 +267,14 @@ def cmd_sal(args: argparse.Namespace) -> int:
         lines.append(f"{_format_float(pt.per)},{_format_float(pt.target)},"
                      f"{pt.packets},{_format_float(pt.latency_s * 1e6)}")
     text = "\n".join(lines) + "\n"
-    try:
-        out.write_text(text)
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    out.write_text(text)
     print(text, end="")
     return EXIT_OK
 
 
 def cmd_safety(args: argparse.Namespace) -> int:
-    try:
-        rows = (_safety.read_scenarios_csv(args.scenarios) if args.scenarios
-                else _safety.bundled_scenarios())
-    except _safety.SafetyError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    rows = (_safety.read_scenarios_csv(args.scenarios) if args.scenarios
+            else _safety.bundled_scenarios())
 
     kwargs = {}
     if args.mu is not None:
@@ -359,10 +287,7 @@ def cmd_safety(args: argparse.Namespace) -> int:
         kwargs["target"] = args.target
     if args.vlc_reaction_ms is not None:
         kwargs["vlc_reaction_s"] = args.vlc_reaction_ms / 1e3
-    try:
-        table = _safety.comparison_table(rows, **kwargs)
-    except (_safety.SafetyError, ConfigError) as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+    table = _safety.comparison_table(rows, **kwargs)
 
     out = Path(args.out) if args.out else _default_out("safety.csv")
     header = ("v_kmh,distance_m,per,vlc_reaction_latency_ms,vlc_relay_latency_ms,"
@@ -381,10 +306,7 @@ def cmd_safety(args: argparse.Namespace) -> int:
             _format_float(r.stop_human_m),
         ]))
     text = "\n".join(lines) + "\n"
-    try:
-        out.write_text(text)
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    out.write_text(text)
 
     print(f"{'v':>5} {'D':>6} {'per':>9} {'brake':>8} "
           f"{'r_vlc':>8} {'r_rf':>8} {'r_hum':>8} {'s_vlc':>8} {'s_rf':>8} {'s_hum':>8}")
@@ -396,39 +318,20 @@ def cmd_safety(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest_per_table(args: argparse.Namespace) -> int:
-    try:
-        table = _channel.PerDistanceTable.from_csv(args.table)
-    except _channel.ChannelError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
-    except OSError as exc:
-        raise CliError(EXIT_IO, str(exc)) from None
+    table = _channel.PerDistanceTable.from_csv(args.table)
     print(f"rows={table.distances_m.size}")
     print(f"bauds={sorted(set(int(b) for b in table.bauds))}")
     if args.out:
-        try:
-            table.to_csv(args.out)
-        except OSError as exc:
-            raise CliError(EXIT_IO, str(exc)) from None
+        table.to_csv(args.out)
     if args.distance_m is not None:
         if args.baud is None:
-            raise CliError(EXIT_CONFIG, "--baud is required with --distance-m")
-        try:
-            per = _channel.per_at(table, args.distance_m, args.baud)
-        except _channel.ChannelError as exc:
-            raise CliError(EXIT_CONFIG, str(exc)) from None
-        print(f"per={_format_float(per)}")
+            raise ConfigError("--baud is required with --distance-m")
+        print(f"per={_format_float(_channel.per_at(table, args.distance_m, args.baud))}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vlcrelay",
-        description="Simulate and analyze a visible-light decode-and-relay link.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run a link simulation to a trace CSV")
-    sim.add_argument("--config", help="flat key = value config file")
+def _add_simulate_arguments(sim: argparse.ArgumentParser) -> None:
+    """Every ``simulate`` option but ``--config``; config-file keys name them."""
     sim.add_argument("--baud", type=int)
     sim.add_argument("--mode", choices=[m.value for m in Mode])
     sim.add_argument("--ipd-us", dest="ipd_us", type=float)
@@ -447,6 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--jobs", type=int, help="concurrent seeds (default 1)")
     sim.add_argument("--out", help="trace CSV path")
     sim.add_argument("--summary", help="also write the summary to this path")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vlcrelay",
+        description="Simulate and analyze a visible-light decode-and-relay link.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sim = sub.add_parser("simulate", help="run a link simulation to a trace CSV")
+    sim.add_argument("--config", help="flat key = value config file")
+    _add_simulate_arguments(sim)
     sim.set_defaults(func=cmd_simulate, config=None)
 
     ana = sub.add_parser("analyze", help="cluster statistics and model fits for a trace")
@@ -486,22 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; errors map to exit codes here and nowhere else."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    if getattr(args, "config", None):
-        try:
-            _merge_config(args, parser)
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.code
-    try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            _fill_from_config_file(args)
         return args.func(args)
-    except CliError as exc:
+    except SystemExit as exc:  # argparse: usage errors and --help
+        return int(exc.code) if exc.code else EXIT_OK
+    except (_sim.TraceFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_IO
+    except (ConfigError, _channel.ChannelError, _clusters.ClusterStatsError,
+            _safety.SafetyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -11,17 +11,16 @@ quantiles of the winner to statistically-averaged latency (SAL) figures.
 
 from __future__ import annotations
 
-import csv
-import importlib.resources
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, xlogy
 
+from ._tables import data_path, read_table
 from .node import LinkConfig
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
@@ -198,6 +197,14 @@ def binom_pmf(k, n: int, p: float) -> np.ndarray:
     return np.where(inside, np.exp(logpmf), 0.0)
 
 
+def _family_pmf(family: Family, params: tuple[float, ...], k) -> np.ndarray:
+    if family is Family.NEG_BINOMIAL:
+        return nb_pmf(k, *params)
+    if family is Family.POISSON:
+        return poisson_pmf(k, *params)
+    return binom_pmf(k, int(params[0]), params[1])
+
+
 @dataclass(frozen=True)
 class FitResult:
     """A fitted (or table-supplied) cluster-law model."""
@@ -205,14 +212,9 @@ class FitResult:
     family: Family
     params: tuple[float, ...]
     max_cdf_error: float = math.nan
-    cdf_error: np.ndarray | None = field(default=None, repr=False)
 
     def pmf(self, k) -> np.ndarray:
-        if self.family is Family.NEG_BINOMIAL:
-            return nb_pmf(k, *self.params)
-        if self.family is Family.POISSON:
-            return poisson_pmf(k, *self.params)
-        return binom_pmf(k, int(self.params[0]), self.params[1])
+        return _family_pmf(self.family, self.params, k)
 
     def cdf(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.int64)
@@ -278,11 +280,9 @@ def fit(dist: ClusterDistribution, family: Family,
         n = max(1, dist.max_cluster)
         params = (float(n), mean / n)
 
-    model = FitResult(family=family, params=params)
-    ks = np.arange(dist.max_cluster + 1)
-    err = np.cumsum(dist.pmf_grid()) - model.cdf(ks)
-    return FitResult(family=family, params=params,
-                     max_cdf_error=float(np.max(np.abs(err))), cdf_error=err)
+    model_cdf = np.cumsum(_family_pmf(family, params, np.arange(dist.max_cluster + 1)))
+    err = np.cumsum(dist.pmf_grid()) - model_cdf
+    return FitResult(family=family, params=params, max_cdf_error=float(np.max(np.abs(err))))
 
 
 def select_best(fits, tie_tol: float = 1e-4) -> FitResult:
@@ -349,6 +349,13 @@ def prediction_error(model, empirical, targets=DEFAULT_TARGETS) -> np.ndarray:
                     dtype=np.int64)
 
 
+def _model_row(row: dict[str, str]) -> tuple[float, Family, list[float]]:
+    params = [float(row["param1"])]
+    if row["param2"]:
+        params.append(float(row["param2"]))
+    return float(row["per"]), Family(row["family"].strip()), params
+
+
 @dataclass(frozen=True)
 class ModelTable:
     """PER-indexed cluster-law models with log-PER parameter interpolation."""
@@ -379,29 +386,12 @@ class ModelTable:
 
     @classmethod
     def from_csv(cls, path) -> "ModelTable":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = {"per", "family", "param1", "param2"}
-            if reader.fieldnames is None or set(reader.fieldnames) != expected:
-                raise ClusterStatsError(
-                    f"{path}: header must be per,family,param1,param2, "
-                    f"got {reader.fieldnames}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    family = Family(row["family"].strip())
-                    params = [float(row["param1"])]
-                    if row["param2"]:
-                        params.append(float(row["param2"]))
-                    rows.append((float(row["per"]), family, params))
-                except (KeyError, ValueError) as exc:
-                    raise ClusterStatsError(f"{path}:{lineno}: bad row: {exc}") from None
-        return cls.from_rows(rows)
+        return cls.from_rows(read_table(
+            path, ("per", "family", "param1", "param2"), _model_row, ClusterStatsError))
 
     @classmethod
     def bundled(cls) -> "ModelTable":
-        path = importlib.resources.files("vlcrelay") / "data" / "cluster_models.csv"
-        return cls.from_csv(path)
+        return cls.from_csv(data_path("cluster_models.csv"))
 
     def model_at(self, per: float) -> FitResult:
         """Model for a PER, interpolating parameters between bracketing rows.

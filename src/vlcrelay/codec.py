@@ -16,7 +16,6 @@ FRAME_BITS = 32
 CHIPS_PER_FRAME = 2 * FRAME_BITS
 DEFAULT_PREAMBLE = b"\xff\xff"
 REFERENCE_PAYLOAD = b"\xa5\xa5"
-STANDARD_BAUDS = (19000, 57000, 115000, 230000)
 
 
 class CodecError(ValueError):

@@ -93,6 +93,13 @@ def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:
     Beacon mode: lost fraction directly.  Broadcast mode rescales so the
     ideal half-relayed stream maps to 0 and none-relayed maps to 1, because
     the relay stage can never exceed half the transmitted packets there.
+
+    So broadcast ``per`` is not the channel loss rate.  When each relay
+    blocks the next packet (back-to-back packets), a packet is relayed iff
+    it is received and the one before it was not relayed; with iid loss
+    ``p`` the relayed fraction tends to ``(1 - p) / (2 - p)`` and ``per``
+    to ``p / (2 - p)``: losing a packet the relay would have been deaf to
+    anyway costs no relay.
     """
     if n_transmitted < 1:
         raise EmptyTrace("PER needs at least one transmitted packet")

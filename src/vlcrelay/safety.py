@@ -9,10 +9,9 @@ delivery target) against each other over the same scenarios.
 
 from __future__ import annotations
 
-import csv
-import importlib.resources
 from dataclasses import dataclass
 
+from ._tables import data_path, read_table
 from .clusters import LatencyParams, ModelTable, latency_from_clusters, quantile
 from .node import LinkConfig
 
@@ -164,24 +163,14 @@ def comparison_table(rows, mu: float = MU_DEFAULT, g: float = G_DEFAULT,
 
 def bundled_scenarios() -> list[tuple[float, float, float]]:
     """Reference (speed, distance, per) rows shipped with the package."""
-    path = importlib.resources.files("vlcrelay") / "data" / "safety_scenarios.csv"
-    return read_scenarios_csv(path)
+    return read_scenarios_csv(data_path("safety_scenarios.csv"))
 
 
 def read_scenarios_csv(path) -> list[tuple[float, float, float]]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"v_kmh", "distance_m", "per"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise SafetyError(
-                f"{path}: header must be v_kmh,distance_m,per, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append((float(row["v_kmh"]), float(row["distance_m"]),
-                             float(row["per"])))
-            except (TypeError, ValueError) as exc:
-                raise SafetyError(f"{path}:{lineno}: bad row: {exc}") from None
+    rows = read_table(
+        path, ("v_kmh", "distance_m", "per"),
+        lambda row: (float(row["v_kmh"]), float(row["distance_m"]), float(row["per"])),
+        SafetyError)
     if not rows:
         raise SafetyError(f"{path}: no scenario rows")
     return rows

@@ -209,11 +209,14 @@ def read_trace_csv(path) -> PacketTrace:
             parts = line.split(",")
             if len(parts) != 5:
                 raise TraceFormatError(path, lineno, f"expected 5 fields, got {len(parts)}")
+            if parts[2] not in ("0", "1") or parts[3] not in ("0", "1"):
+                raise TraceFormatError(path, lineno, "received and relayed must be 0 or 1, "
+                                       f"got {parts[2]!r} and {parts[3]!r}")
             try:
                 seqs.append(int(parts[0]))
                 tx_us.append(float(parts[1]))
-                received.append(bool(int(parts[2])))
-                relayed.append(bool(int(parts[3])))
+                received.append(parts[2] == "1")
+                relayed.append(parts[3] == "1")
                 latency_us.append(float(parts[4]) if parts[4] else float("nan"))
             except ValueError as exc:
                 raise TraceFormatError(path, lineno, str(exc)) from None

@@ -201,3 +201,9 @@ def test_table_validation(tmp_path):
     bad.write_text("distance_m,baud\n10,230000\n")
     with pytest.raises(channel.ChannelError):
         channel.PerDistanceTable.from_csv(bad)
+    bad.write_text("baud,distance_m,per\n230000,10,0.1\n")
+    with pytest.raises(channel.ChannelError, match="header must be distance_m,baud,per"):
+        channel.PerDistanceTable.from_csv(bad)
+    bad.write_text("distance_m,baud,per\n\n10,230000,0.1,99\n")
+    with pytest.raises(channel.ChannelError, match="bad.csv:3: expected 3 fields"):
+        channel.PerDistanceTable.from_csv(bad)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,10 +75,27 @@ def test_config_file_and_overrides(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobnicate = 1\n")
-    rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"))
-    assert rc == 2
-    assert "frobnicate" in capsys.readouterr().err
+    # a key must spell a simulate flag in full: no prefix of --baud, and
+    # neither --help (which would print usage and exit 0) nor --config
+    for key in ("frobnicate", "bau", "help", "config"):
+        cfg.write_text(f"{key} = 1\n")
+        rc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv"))
+        assert rc == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_config_file_keys_act_as_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seeds = 1,2\ntilted = yes\ndistance_m = 50\nn = 2000\n")
+    for tag, source in (("file", ["--config", str(cfg)]),
+                        ("flags", ["--seed", "1", "--seed", "2", "--tilted",
+                                   "--distance-m", "50", "--n", "2000"])):
+        (tmp_path / tag).mkdir()
+        assert run_cli("simulate", *source, "--out", str(tmp_path / tag / "t.csv"),
+                       "--summary", str(tmp_path / tag / "s.txt")) == 0
+    for name in ("t_seed1.csv", "t_seed2.csv", "s.txt"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 def _write_table_regime_trace(path, n=200000, seed=3):
@@ -215,6 +234,22 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("m.csv", "per,family,param1,param2\n0.1,poisson\n", ["sal", "--models"]),
+    ("m.csv", "per,family,param1,param2\n0.1,poisson,0.2,,9\n", ["sal", "--models"]),
+    ("p.csv", "distance_m,baud,per\n10,230000,0.1,99\n", ["ingest-per-table"]),
+    ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
+    ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
+], ids=["models-short-row", "models-extra-field", "per-table-extra-field",
+        "scenario-per-above-models", "safety-target-above-1"])
+def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, str(tmp_path / name), "--out", str(out)) == 2
+    assert "error:" in run_err(capsys)
+    assert not out.exists()
+
+
 def test_ingest_per_table(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("distance_m,baud,per\n10,230000,1e-4\n20,230000,1e-2\n")
@@ -236,6 +271,8 @@ def test_ingest_per_table_rejects_duplicates(tmp_path, capsys):
 
 def test_missing_trace_is_io_error(tmp_path, capsys):
     assert run_cli("analyze", str(tmp_path / "nope.csv")) == 3
+    (tmp_path / "binary.csv").write_bytes(b"seq,\xd0\xff\n")  # not UTF-8 text
+    assert run_cli("analyze", str(tmp_path / "binary.csv")) == 3
 
 
 @pytest.mark.parametrize("baud", [19000, 57000, 115000, 230000])
@@ -311,3 +348,33 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
                  "--report-out", str(tmp_path / "r.txt"))
     assert rc == 3
     assert "relayed disagrees with the relay rule" in run_err(capsys)
+
+
+# sha256 of CLI outputs recorded before the CLI's error handling, config
+# merge and table reading were consolidated; report.txt without its
+# trace= line, which holds the path
+GOLDEN_CLI_SHA256 = {
+    "summary.txt": "f8ab0b46105bd034ca85b3422c2c101979adf0d8348a6373c52f4f2806318207",
+    "clusters.csv": "b0d82e297bfafe24ce275b105d67f71a90b2cf3ab1f6ce08367033ebd14b293f",
+    "report.txt": "ea4238e7d78cb3e77e620f0ae8daf5e4f1008dc4035152780ed62b6691f5ec7c",
+    "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
+    "safety.csv": "4c7219b3ff3c3fa343bd41fd11e158227a1a262a277b5fbd297e60ecb4bbb7b6",
+}
+
+
+def test_golden_cli_outputs(tmp_path, capsys):
+    out = {name: tmp_path / name for name in GOLDEN_CLI_SHA256}
+    trace = tmp_path / "t.csv"
+    assert run_cli("simulate", "--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3",
+                   "--n", "20000", "--seed", "7", "--out", str(trace),
+                   "--summary", str(out["summary.txt"])) == 0
+    assert run_cli("analyze", str(trace), "--clusters-out", str(out["clusters.csv"]),
+                   "--report-out", str(out["report.txt"])) == 0
+    assert run_cli("sal", "--out", str(out["sal.csv"])) == 0
+    assert run_cli("safety", "--out", str(out["safety.csv"])) == 0
+    report = out["report.txt"].read_text().splitlines(keepends=True)
+    out["report.txt"].write_text("".join(line for line in report
+                                         if not line.startswith("trace=")))
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in out.items()}
+    assert digests == GOLDEN_CLI_SHA256

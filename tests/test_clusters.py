@@ -272,6 +272,10 @@ def test_model_table_csv_errors(tmp_path):
     bad.write_text("per,family,param1,param2\n0.1,weird,0.2,\n")
     with pytest.raises(clusters.ClusterStatsError):
         clusters.ModelTable.from_csv(bad)
+    for row in ("0.1,poisson", "0.1,poisson,0.2,,9"):  # too few / too many fields
+        bad.write_text(f"per,family,param1,param2\n{row}\n")
+        with pytest.raises(clusters.ClusterStatsError, match="m.csv:2: expected 4 fields"):
+            clusters.ModelTable.from_csv(bad)
 
 
 # ----------------------------------------------------------------------- SAL

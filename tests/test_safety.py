@@ -148,3 +148,6 @@ def test_scenarios_csv_errors(tmp_path):
     bad.write_text("v_kmh,distance_m\n40,10\n")
     with pytest.raises(safety.SafetyError):
         safety.read_scenarios_csv(bad)
+    bad.write_text("v_kmh,distance_m,per\n40,10,1e-5,7\n")
+    with pytest.raises(safety.SafetyError, match="bad.csv:2: expected 3 fields"):
+        safety.read_scenarios_csv(bad)

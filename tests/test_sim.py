@@ -35,6 +35,15 @@ def test_monte_carlo_per_beacon():
     assert per == pytest.approx(0.30, abs=0.01)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
+def test_broadcast_per_is_p_over_two_minus_p(p):
+    # a loss the relay would have been deaf to anyway costs no relay, so
+    # back-to-back broadcast reports p / (2 - p), not the channel rate p
+    trace = sim.run(BROADCAST, channel.IidPacket(p), 2 * 10**5, seed=0)
+    per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config.mode)
+    assert per == pytest.approx(p / (2 - p), rel=0.03)
+
+
 def test_conservation_and_consistency():
     trace = sim.run(BROADCAST, channel.IidPacket(0.2), 5000, seed=3)
     assert trace.n_relayed + int((~trace.relayed).sum()) == trace.n_tx
@@ -180,6 +189,17 @@ def test_read_trace_rejects_columns_the_relay_rule_contradicts(tmp_path, column,
     _rewrite_row(path, 2, column, value)
     with pytest.raises(sim.TraceFormatError, match="seq 2"):
         sim.read_trace_csv(path)
+
+
+@pytest.mark.parametrize("column, value", [(2, "7"), (3, "2"), (2, "-0"), (3, " 1")])
+def test_read_trace_accepts_only_0_or_1_flags(tmp_path, column, value):
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(BEACON, channel.IidPacket(0.0), 5, seed=0), path)
+    _rewrite_row(path, 2, column, value)
+    with pytest.raises(sim.TraceFormatError, match="must be 0 or 1") as err:
+        sim.read_trace_csv(path)
+    assert err.value.lineno == path.read_text().splitlines().index(
+        "seq,tx_start_us,received,relayed,latency_us") + 4
 
 
 def test_read_trace_rejects_truncated_trace(tmp_path):
