@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import nbinom
+from scipy.special._ufuncs import _nbinom_ppf
 
 from ._tables import data_path, read_table
 
@@ -155,11 +155,20 @@ ErrorProcess = IidPacket | IidBit | GilbertElliott | NbCluster
 
 
 def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of a cluster size (>= 1)."""
+    """Inverse-CDF draw of a cluster size (>= 1).
+
+    ``_nbinom_ppf`` is the Boost quantile that ``scipy.stats.nbinom.ppf``
+    calls inside (0, 1), without that method's per-call argument handling
+    or the ``scipy.stats`` import; ``tests/oracles.draw_cluster_size`` keeps
+    the ``nbinom.ppf`` draw and ``test_draw_cluster_size_matches_scipy_stats``
+    pins the two together.
+    """
     p0 = process.p ** process.r
     u = rng.random()
     target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
-    k = float(nbinom.ppf(target, process.r, process.p))
+    if target == 1.0:  # nbinom.ppf gives the support end; the ufunc raises
+        return _RUN_CAP
+    k = float(_nbinom_ppf(target, process.r, process.p))
     if not math.isfinite(k):
         return _RUN_CAP
     return max(1, min(int(k), _RUN_CAP))

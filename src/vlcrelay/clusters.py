@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, xlogy
 
 from ._tables import data_path, read_table
@@ -253,6 +252,10 @@ def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
                         + r * math.log(p) + values * math.log1p(-p))
         return -float(ll)
 
+    # imported here: only ``analyze`` fits, and a module-level import of
+    # scipy.optimize would slow every other command's start-up
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(nll, bounds=(math.log(1e-8), math.log(1e8)),
                           method="bounded", options={"xatol": 1e-12})
     if not res.success or not math.isfinite(res.fun):
@@ -400,7 +403,7 @@ class ModelTable:
         log(PER); across a family boundary the per-transmission mean is
         interpolated instead and a Poisson law carries it.
         """
-        if per < self.per_min or per > self.per_max:
+        if not self.per_min <= per <= self.per_max:  # NaN included
             # tolerate grid endpoints reconstructed with float round-off
             if math.isclose(per, self.per_min, rel_tol=1e-9):
                 per = self.per_min

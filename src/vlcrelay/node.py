@@ -9,6 +9,7 @@ packet-error accounting below corrects for that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,6 +44,10 @@ class LinkConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
         if self.baud <= 0:
             raise ConfigError(f"baud must be positive, got {self.baud}")
+        for name in ("ipd_s", "beacon_interval_s", "t_proc_s", "guard_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # NaN would pass every check below
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.ipd_s < 0:
             raise ConfigError(f"ipd_s must be >= 0, got {self.ipd_s}")
         if self.t_proc_s < 0:

@@ -3,7 +3,8 @@
 These are the simulator's original loop bodies and per-packet step API,
 kept verbatim as bit-exact references: ``relay_scan`` and ``rx_adr_step``
 for ``sim.relay``, ``ge_chain`` and ``sample_packet_outcome`` for
-``channel.sample_losses``.
+``channel.sample_losses``, and ``draw_cluster_size`` (the cluster draw
+through ``scipy.stats.nbinom.ppf``) for ``channel._draw_cluster_size``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import nbinom
 
 from vlcrelay.channel import (
+    _RUN_CAP,
     BITS_PER_PACKET,
     ChannelError,
     ErrorProcess,
@@ -21,7 +24,6 @@ from vlcrelay.channel import (
     IidBit,
     IidPacket,
     NbCluster,
-    _draw_cluster_size,
 )
 from vlcrelay.node import LinkConfig
 
@@ -89,6 +91,17 @@ def ge_chain(u_loss, u_trans, p_gb, p_bg, loss_good, loss_bad, lost):
                 lost[i] = 1
             if u_trans[i] < p_bg:
                 state = 0
+
+
+def draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of a cluster size (>= 1)."""
+    p0 = process.p ** process.r
+    u = rng.random()
+    target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
+    k = float(nbinom.ppf(target, process.r, process.p))
+    if not math.isfinite(k):
+        return _RUN_CAP
+    return max(1, min(int(k), _RUN_CAP))
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,7 @@ def sample_packet_outcome(process: ErrorProcess, rng: np.random.Generator,
                 in_loss = not in_loss
         if remaining == 0:
             if in_loss:
-                remaining = _draw_cluster_size(process, rng)
+                remaining = draw_cluster_size(process, rng)
             else:
                 remaining = int(rng.geometric(process.p_start))
         return bool(in_loss), (in_loss, remaining - 1)

@@ -101,6 +101,16 @@ def test_seed_determinism():
     assert not np.array_equal(a, c)
 
 
+def oracle_walk(process, n, seed):
+    """Loss flags from ``n`` per-packet oracle steps on one seeded stream."""
+    gen = rng(seed)
+    state = None
+    lost = np.empty(n, dtype=bool)
+    for i in range(n):
+        lost[i], state = oracles.sample_packet_outcome(process, gen, state)
+    return lost
+
+
 @pytest.mark.parametrize("process", [
     channel.IidPacket(0.2),
     channel.IidBit(0.01),
@@ -109,12 +119,44 @@ def test_seed_determinism():
 ])
 def test_per_packet_walks_same_stream_as_batch(process):
     batch = channel.sample_losses(process, 3000, rng(9))
-    gen = rng(9)
-    state = None
-    single = np.empty(3000, dtype=bool)
-    for i in range(3000):
-        single[i], state = oracles.sample_packet_outcome(process, gen, state)
-    assert np.array_equal(batch, single)
+    assert np.array_equal(batch, oracle_walk(process, 3000, seed=9))
+
+
+class _FixedRandom:
+    """Stands in for a Generator whose next ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = float(u)
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("r, p", [(0.1691, 0.0638), (5, 0.5), (0.01, 0.9), (200, 1e-3)])
+def test_draw_cluster_size_matches_scipy_stats(r, p):
+    process = channel.NbCluster(r=r, p=p, p_start=0.5)
+    p0 = p ** r
+    near_p0 = [np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0)]
+    near_zero = [2.0 ** -53, 2.0 ** -52, 1e-12]  # target within ulps of 1: the far tail
+    near_one = [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]  # target within ulps of p0
+    grid = np.linspace(0.0, 1.0, 1000, endpoint=False)
+    for u in [0.0, *near_zero, *near_p0, *near_one, *grid]:
+        got = channel._draw_cluster_size(process, _FixedRandom(u))
+        assert got == oracles.draw_cluster_size(process, _FixedRandom(u)), u
+    # for each pair, u = 0 rounds the target to 1.0: the support end
+    assert p0 + (1.0 - p0) == 1.0
+    assert channel._draw_cluster_size(process, _FixedRandom(0.0)) == channel._RUN_CAP
+
+
+@pytest.mark.parametrize("process", [
+    channel.NbCluster.for_target_per(0.1691, 0.0638, 0.3),
+    channel.NbCluster(r=5, p=0.5, p_start=0.3),
+    channel.NbCluster(r=0.01, p=0.9, p_start=0.9),
+], ids=["per-0.3-anchor", "r5", "r0.01"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 77])
+def test_nb_cluster_losses_match_scipy_stats_walk(process, seed):
+    batch = channel.sample_losses(process, 2000, rng(seed))
+    assert np.array_equal(batch, oracle_walk(process, 2000, seed))
 
 
 @pytest.mark.parametrize("p_gb, p_bg, loss_good, loss_bad", [

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vlcrelay
 from vlcrelay import channel, cli, sim
 from vlcrelay.node import LinkConfig, Mode
 
@@ -240,8 +245,9 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     ("p.csv", "distance_m,baud,per\n10,230000,0.1,99\n", ["ingest-per-table"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
+    ("s.csv", "v_kmh,distance_m,per\n50,12,nan\n", ["safety"]),
 ], ids=["models-short-row", "models-extra-field", "per-table-extra-field",
-        "scenario-per-above-models", "safety-target-above-1"])
+        "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan"])
 def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):
     (tmp_path / name).write_text(text)
     out = tmp_path / "out.csv"
@@ -322,6 +328,18 @@ def test_simulate_rejects_dead_time_beyond_period(tmp_path, capsys):
     assert "t_proc_s + guard_s" in run_err(capsys)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--ipd-us", "nan"], ["--t-proc-us", "nan"], ["--guard-us", "nan"],
+    ["--ipd-us", "inf"], ["--mode", "beacon", "--beacon-interval-us", "inf"],
+    ["--mode", "beacon", "--beacon-interval-us", "nan"],
+])
+def test_simulate_rejects_non_finite_times(tmp_path, capsys, flags):
+    rc = run_cli("simulate", *flags, "--n", "10", "--out", str(tmp_path / "t.csv"))
+    assert rc == 2
+    assert "must be finite" in run_err(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("baud", ["0", "-5"])
 def test_safety_rejects_bad_baud(tmp_path, capsys, baud):
     rc = run_cli("safety", "--baud", baud, "--out", str(tmp_path / "s.csv"))
@@ -329,10 +347,17 @@ def test_safety_rejects_bad_baud(tmp_path, capsys, baud):
     assert "baud must be positive" in run_err(capsys)
 
 
-@pytest.mark.parametrize("flags", [["--baud", "0"], ["--ipd-us", "-5"]])
+@pytest.mark.parametrize("flags", [["--baud", "0"], ["--ipd-us", "-5"], ["--ipd-us", "nan"]])
 def test_sal_rejects_bad_timing(tmp_path, capsys, flags):
     assert run_cli("sal", *flags, "--out", str(tmp_path / "sal.csv")) == 2
     assert "error:" in run_err(capsys)
+
+
+@pytest.mark.parametrize("grid", ["nan", "0.01,nan"])
+def test_sal_rejects_nan_per_grid(tmp_path, capsys, grid):
+    assert run_cli("sal", "--per-grid", grid, "--out", str(tmp_path / "sal.csv")) == 2
+    assert "outside model table span" in run_err(capsys)
+    assert not (tmp_path / "sal.csv").exists()
 
 
 def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
@@ -378,3 +403,16 @@ def test_golden_cli_outputs(tmp_path, capsys):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in out.items()}
     assert digests == GOLDEN_CLI_SHA256
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # each costs every command a large share of its start-up; only the
+    # negative-binomial fit in analyze needs scipy.optimize
+    src = str(Path(vlcrelay.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, vlcrelay.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -262,6 +262,8 @@ def test_model_table_out_of_range():
         table.model_at(0.5)
     with pytest.raises(clusters.OutOfRange):
         table.model_at(1e-5)
+    with pytest.raises(clusters.OutOfRange):
+        table.model_at(math.nan)
 
 
 def test_model_table_csv_errors(tmp_path):

@@ -29,6 +29,10 @@ def test_config_validation():
     with pytest.raises(node.ConfigError):
         node.LinkConfig(t_proc_s=CFG.packet_time_s - CFG.guard_s)
     node.LinkConfig(t_proc_s=300e-6, ipd_s=100e-6)
+    for name in ("ipd_s", "beacon_interval_s", "t_proc_s", "guard_s"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(node.ConfigError, match=f"{name} must be finite"):
+                node.LinkConfig(**{name: value})
 
 
 def test_timing_properties():
