@@ -53,10 +53,12 @@ from .safety import (
 from .sim import (
     PacketTrace,
     Summary,
+    read_trace,
     read_trace_csv,
     relay,
     run,
     summarize,
+    write_trace,
     write_trace_csv,
 )
 

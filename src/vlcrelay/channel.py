@@ -10,11 +10,11 @@ to measured distances per baud rate.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special._ufuncs import _nbinom_ppf
 
 from ._tables import data_path, read_table
 
@@ -113,14 +113,17 @@ class NbCluster:
             raise ChannelError(f"r must be > 0, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ChannelError(f"p must be in (0, 1), got {self.p}")
+        # the quantile search behind a cluster draw runs out to the far
+        # tail, and for mean clusters far beyond the cap it never ends
+        if not self.mean_cluster <= _RUN_CAP:
+            raise ChannelError(f"mean cluster size {self.mean_cluster:.3g} is beyond "
+                               f"{_RUN_CAP} packets (r={self.r}, p={self.p})")
         if not 0.0 < self.p_start <= 1.0:
             raise ChannelError(f"p_start must be in (0, 1], got {self.p_start}")
 
     @property
     def mean_cluster(self) -> float:
-        mu = self.r * (1.0 - self.p) / self.p
-        p0 = self.p ** self.r
-        return mu / (1.0 - p0)
+        return _nb_mean_cluster(self.r, self.p)
 
     @property
     def loss_rate(self) -> float:
@@ -139,9 +142,7 @@ class NbCluster:
         """Pick p_start so the long-run loss rate equals ``target_per``."""
         if not 0.0 < target_per < 1.0:
             raise ChannelError(f"target_per must be in (0, 1), got {target_per}")
-        mu = r * (1.0 - p) / p
-        p0 = p ** r
-        mean_cluster = mu / (1.0 - p0)
+        mean_cluster = _nb_mean_cluster(r, p)
         p_start = target_per / (mean_cluster * (1.0 - target_per))
         if p_start > 1.0:
             raise ChannelError(
@@ -151,7 +152,22 @@ class NbCluster:
         return cls(r=r, p=p, p_start=p_start)
 
 
+def _nb_mean_cluster(r: float, p: float) -> float:
+    """Mean of the negative binomial (r, p) conditioned on >= 1; infinite
+    when no mass is left above zero."""
+    p0 = p ** r
+    return r * (1.0 - p) / p / (1.0 - p0) if p0 < 1.0 else math.inf
+
+
 ErrorProcess = IidPacket | IidBit | GilbertElliott | NbCluster
+
+
+@functools.cache
+def _nbinom_ppf():
+    """The negative-binomial quantile ufunc, imported on the first cluster
+    draw: ``scipy.special`` would slow every command's start-up."""
+    from scipy.special._ufuncs import _nbinom_ppf
+    return _nbinom_ppf
 
 
 def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
@@ -168,7 +184,7 @@ def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
     if target == 1.0:  # nbinom.ppf gives the support end; the ufunc raises
         return _RUN_CAP
-    k = float(_nbinom_ppf(target, process.r, process.p))
+    k = float(_nbinom_ppf()(target, process.r, process.p))
     if not math.isfinite(k):
         return _RUN_CAP
     return max(1, min(int(k), _RUN_CAP))

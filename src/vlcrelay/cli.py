@@ -145,7 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    out = Path(args.out) if args.out else _default_out("trace.csv")
+    out = Path(args.out) if args.out else _default_out("trace.vlct")
 
     def trace_path(seed: int) -> Path:
         if len(seeds) == 1:
@@ -154,7 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     def one(seed: int) -> tuple[int, _sim.Summary]:
         trace = _sim.run(config, process, n, seed)
-        _sim.write_trace_csv(trace, trace_path(seed))
+        _sim.write_trace(trace, trace_path(seed))
         return seed, _sim.summarize(trace)
 
     if jobs > 1 and len(seeds) > 1:
@@ -176,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    trace = _sim.read_trace_csv(args.trace)
+    trace = _sim.read_trace(args.trace)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _clusters.InsufficientErrorsWarning)
@@ -348,7 +348,8 @@ def _add_simulate_arguments(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--seed", dest="seeds", type=int, action="append",
                      help="rng seed; repeat for a multi-seed batch")
     sim.add_argument("--jobs", type=int, help="concurrent seeds (default 1)")
-    sim.add_argument("--out", help="trace CSV path")
+    sim.add_argument("--out", help="trace path (default trace.vlct, binary; a path ending "
+                     "in .csv writes the CSV export); several seeds add _seed<s>")
     sim.add_argument("--summary", help="also write the summary to this path")
 
 
@@ -359,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a link simulation to a trace CSV")
+    sim = sub.add_parser("simulate", help="run a link simulation to a trace file")
     sim.add_argument("--config", help="flat key = value config file")
     _add_simulate_arguments(sim)
     sim.set_defaults(func=cmd_simulate, config=None)
 
     ana = sub.add_parser("analyze", help="cluster statistics and model fits for a trace")
-    ana.add_argument("trace", help="trace CSV from simulate")
+    ana.add_argument("trace", help="trace file from simulate, binary or CSV")
     ana.add_argument("--targets", help="comma-separated target probabilities")
     ana.add_argument("--clusters-out", dest="clusters_out")
     ana.add_argument("--report-out", dest="report_out")

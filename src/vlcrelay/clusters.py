@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+# scipy is imported inside the functions that use it: at module level,
+# scipy.special and scipy.optimize would slow the start-up of every command
 
 from ._tables import data_path, read_table
 from .node import LinkConfig
@@ -169,6 +170,7 @@ def nb_pmf(k, r: float, p: float) -> np.ndarray:
     if np.any(k < 0) or np.any(k != np.floor(k)):
         raise ClusterStatsError("k must be a nonnegative integer")
     k = k.astype(np.int64)
+    from scipy.special import gammaln
     logpmf = (gammaln(k + r) - gammaln(r) - gammaln(k + 1)
               + r * math.log(p) + k * math.log1p(-p))
     return np.exp(logpmf)
@@ -180,6 +182,7 @@ def poisson_pmf(k, lam: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
     if lam == 0.0:
         return (k == 0).astype(float)
+    from scipy.special import gammaln, xlogy
     return np.exp(xlogy(k, lam) - lam - gammaln(k + 1))
 
 
@@ -191,6 +194,7 @@ def binom_pmf(k, n: int, p: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
     inside = (k >= 0) & (k <= n)
     kk = np.clip(k, 0, n)
+    from scipy.special import gammaln, xlogy
     logpmf = (gammaln(n + 1) - gammaln(kk + 1) - gammaln(n - kk + 1)
               + xlogy(kk, p) + xlogy(n - kk, 1.0 - p))
     return np.where(inside, np.exp(logpmf), 0.0)
@@ -244,6 +248,8 @@ def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     mean = float((values * weights).sum() / n)
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
+    from scipy.optimize import minimize_scalar
+    from scipy.special import gammaln
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
@@ -251,10 +257,6 @@ def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
         ll = weights @ (gammaln(values + r) - gammaln(r) - gammaln(values + 1)
                         + r * math.log(p) + values * math.log1p(-p))
         return -float(ll)
-
-    # imported here: only ``analyze`` fits, and a module-level import of
-    # scipy.optimize would slow every other command's start-up
-    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(nll, bounds=(math.log(1e-8), math.log(1e8)),
                           method="bounded", options={"xatol": 1e-12})

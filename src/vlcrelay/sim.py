@@ -4,9 +4,22 @@ Each run is a pure function of (config, process, n_packets, seed): the
 channel outcomes come from a seeded PCG64 stream and the relay rule is
 deterministic, so identical arguments reproduce traces byte-for-byte.
 
-Trace CSV layout: ``# key=value`` header lines (config snapshot, seed, rng
-algorithm) followed by ``seq,tx_start_us,received,relayed,latency_us`` with
-an empty latency field for packets that were not relayed.
+A trace is its config plus the channel's ``received`` flags: ``relay``
+derives the relay flags and latencies, and the transmit times follow from
+the period.  ``run`` and both readers build a trace through one helper, so
+a derived column read from a file is only checked, never used.
+``write_trace`` picks the format by path:
+
+* binary, the default (any path not ending in ``.csv``): the line
+  ``vlcrelay-trace 1``, the ``# key=value`` lines of
+  ``PacketTrace.header()``, one empty line, then ``np.packbits(received)``,
+  exactly ceil(n/8) bytes with zero pad bits.
+* CSV export (a path ending in ``.csv``): the same ``# key=value`` lines
+  followed by ``seq,tx_start_us,received,relayed,latency_us``, with an
+  empty latency field for packets that were not relayed.  Its reader
+  checks the derived columns against the relay rule.
+
+``read_trace`` tells the two apart by the binary format's first line.
 """
 
 from __future__ import annotations
@@ -20,6 +33,9 @@ from .clusters import loss_run_lengths
 from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
 RNG_ALGORITHM = "numpy-pcg64"
+TRACE_MAGIC = b"vlcrelay-trace 1\n"
+_HEADER_KEYS = frozenset({"mode", "baud", "ipd_us", "beacon_interval_us", "t_proc_us",
+                          "guard_us", "payload", "preamble", "n_packets", "seed"})
 
 
 class TraceFormatError(ValueError):
@@ -118,12 +134,19 @@ def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
     rng = np.random.default_rng(seed)
     received = ~_channel.sample_losses(process, n_packets, rng)
+    return _build_trace(config, _channel.process_to_spec(process), seed, received)
+
+
+def _build_trace(config: LinkConfig, process_spec: str, seed: int,
+                 received: np.ndarray) -> PacketTrace:
+    """The trace of channel outcomes ``received``; every other column is
+    derived here."""
     relayed, latency_s = relay(config, received)
     return PacketTrace(
         config=config,
-        process_spec=_channel.process_to_spec(process),
+        process_spec=process_spec,
         seed=seed,
-        tx_start_s=np.arange(n_packets, dtype=np.float64) * config.period_s,
+        tx_start_s=np.arange(received.size, dtype=np.float64) * config.period_s,
         received=received,
         relayed=relayed,
         latency_s=latency_s,
@@ -156,6 +179,78 @@ def summarize(trace: PacketTrace) -> Summary:
         mean_latency_s=float(lat.mean()) if lat.size else float("nan"),
         max_cluster=int(runs.max()) if runs.size else 0,
     )
+
+
+def write_trace(trace: PacketTrace, path) -> None:
+    """Write ``trace`` as the CSV export if ``path`` ends in ``.csv``, else
+    in the binary format."""
+    if str(path).endswith(".csv"):
+        write_trace_csv(trace, path)
+        return
+    header = [f"# {key}={value}" for key, value in trace.header().items()]
+    with open(path, "wb") as fh:
+        fh.write(TRACE_MAGIC + "\n".join([*header, "", ""]).encode())
+        fh.write(np.packbits(trace.received).tobytes())
+
+
+def read_trace(path) -> PacketTrace:
+    """Read a trace in either format, checked against the relay rule."""
+    with open(path, "rb") as fh:
+        binary = fh.read(len(TRACE_MAGIC)) == TRACE_MAGIC
+        data = fh.read() if binary else b""
+    return _read_trace_binary(path, data) if binary else read_trace_csv(path)
+
+
+def _read_trace_binary(path, data: bytes) -> PacketTrace:
+    """Parse what follows the magic line: only the header and ``received``
+    are stored, so the checks are on the header and the payload's size."""
+    head, blank, payload = data.partition(b"\n\n")
+    if not blank:
+        raise TraceFormatError(path, 0, "no empty line after the header")
+    try:
+        lines = head.decode("utf-8").split("\n") if head else []
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(path, 0, f"header is not UTF-8: {exc}") from None
+    header: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=2):
+        key, eq, value = line.removeprefix("# ").partition("=")
+        if not line.startswith("# ") or not eq or key in header:
+            raise TraceFormatError(path, lineno, f"expected a new '# key=value' line, "
+                                   f"got {line!r}")
+        header[key] = value
+    try:
+        n = int(header["n_packets"])
+    except (KeyError, ValueError):
+        raise TraceFormatError(path, 0, "bad or missing header n_packets="
+                               f"{header.get('n_packets')!r}") from None
+    if n < 1:
+        raise TraceFormatError(path, 0, "no packet records")
+    size = -(-n // 8)
+    if len(payload) < size:
+        raise TraceFormatError(path, 0, f"header n_packets={n} needs {size} payload "
+                               f"bytes, got {len(payload)}")
+    if len(payload) > size:
+        raise TraceFormatError(path, 0, f"{len(payload) - size} trailing bytes after "
+                               f"the {size}-byte payload")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    if bits[n:].any():
+        raise TraceFormatError(path, 0, "pad bits after the last packet must be 0")
+    return _trace_from_header(path, header, bits[:n].astype(bool))
+
+
+def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> PacketTrace:
+    missing = _HEADER_KEYS - set(header)
+    if missing:
+        raise TraceFormatError(path, 0, f"missing header keys: {sorted(missing)}")
+    if header["n_packets"] != str(received.size):
+        raise TraceFormatError(path, 0, f"header n_packets={header['n_packets']} but "
+                               f"{received.size} packet records")
+    try:
+        config = _config_from_header(header)
+        seed = int(header["seed"])
+    except ValueError as exc:
+        raise TraceFormatError(path, 0, f"bad header: {exc}") from None
+    return _build_trace(config, header.get("process", ""), seed, received)
 
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
@@ -224,39 +319,24 @@ def read_trace_csv(path) -> PacketTrace:
         raise TraceFormatError(path, 0, "no packet records")
     if seqs != list(range(len(seqs))):
         raise TraceFormatError(path, 0, "seq must increase from 0 without gaps")
-    missing = {"mode", "baud", "ipd_us", "beacon_interval_us", "t_proc_us",
-               "guard_us", "payload", "preamble", "n_packets", "seed"} - set(header)
-    if missing:
-        raise TraceFormatError(path, 0, f"missing header keys: {sorted(missing)}")
-    if header["n_packets"] != str(len(seqs)):
-        raise TraceFormatError(path, 0, f"header n_packets={header['n_packets']} but "
-                               f"{len(seqs)} packet records")
-    try:
-        config = _config_from_header(header)
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise TraceFormatError(path, 0, f"bad header: {exc}") from None
     columns = dict(tx_start_s=np.asarray(tx_us) / 1e6,
-                   received=np.asarray(received, dtype=bool),
                    relayed=np.asarray(relayed, dtype=bool),
                    latency_s=np.asarray(latency_us) / 1e6)
-    del seqs, tx_us, received, relayed, latency_us  # keep the peak memory at the parse
-    _check_relay_rule(path, config, **columns)
-    return PacketTrace(config=config, process_spec=header.get("process", ""),
-                       seed=seed, **columns)
+    received = np.asarray(received, dtype=bool)
+    del seqs, tx_us, relayed, latency_us  # keep the peak memory at the parse
+    trace = _trace_from_header(path, header, received)
+    _check_relay_rule(path, trace, **columns)
+    return trace
 
 
-def _check_relay_rule(path, config: LinkConfig, tx_start_s, received, relayed,
-                      latency_s) -> None:
-    """Reject trace columns that are not what the header config and the
+def _check_relay_rule(path, trace: PacketTrace, tx_start_s, relayed, latency_s) -> None:
+    """Reject CSV columns that are not what the header config and the
     ``received`` column give.  Times compare to 1e-9 relative, since the
     header and the columns round-trip through microsecond text."""
-    expect_relayed, expect_latency_s = relay(config, received)
-    expect_tx_start_s = np.arange(received.size) * config.period_s
     for column, bad in (
-        ("tx_start_us", ~np.isclose(tx_start_s, expect_tx_start_s, rtol=1e-9, atol=0)),
-        ("relayed", relayed != expect_relayed),
-        ("latency_us", ~np.isclose(latency_s, expect_latency_s, rtol=1e-9, atol=0,
+        ("tx_start_us", ~np.isclose(tx_start_s, trace.tx_start_s, rtol=1e-9, atol=0)),
+        ("relayed", relayed != trace.relayed),
+        ("latency_us", ~np.isclose(latency_s, trace.latency_s, rtol=1e-9, atol=0,
                                    equal_nan=True)),
     ):
         if bad.any():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlcrelay import channel
+from vlcrelay import channel, clusters
 
 import oracles
 
@@ -21,6 +21,33 @@ def test_parameter_validation():
         channel.NbCluster(r=0.0, p=0.5, p_start=0.5)
     with pytest.raises(channel.ChannelError):
         channel.NbCluster(r=0.1, p=1.0, p_start=0.5)
+
+
+@pytest.mark.parametrize("r, p", [
+    (1.0, 1e-300),  # mean 1e300: the quantile search never ended
+    (1e-6, 1e-12),  # r(1-p)/p is 1e6, but clusters of >= 1 average 3.6e10
+    (1e-20, 0.5),   # p**r rounds to 1: no mass above zero, an infinite mean
+    (1.0, 1e-7 / 1.01),  # just past the cap
+])
+def test_nb_cluster_rejects_mean_beyond_run_cap(r, p):
+    with pytest.raises(channel.ChannelError, match="mean cluster size"):
+        channel.NbCluster(r=r, p=p, p_start=0.5)
+    with pytest.raises(channel.ChannelError, match="mean cluster size"):
+        channel.NbCluster.for_law(r, p)
+    with pytest.raises(channel.ChannelError, match="mean cluster size"):
+        channel.NbCluster.for_target_per(r, p, 0.3)
+
+
+def test_nb_cluster_accepts_bundled_laws():
+    assert channel.NbCluster(r=1.0, p=2e-7, p_start=0.5).mean_cluster == pytest.approx(5e6)
+    channel.NbCluster.for_target_per(0.1691, 0.0638, 0.3)
+    table = clusters.ModelTable.bundled()
+    laws = [(per, m.params) for per, m in zip(table.pers, table.models)
+            if m.family is clusters.Family.NEG_BINOMIAL]
+    assert len(laws) >= 4
+    for per, (r, p) in laws:
+        channel.NbCluster.for_law(r, p)
+        channel.NbCluster.for_target_per(r, p, float(per))
 
 
 @pytest.mark.parametrize("process", [

@@ -301,7 +301,7 @@ def test_default_output_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VLCRELAY_OUT", str(tmp_path / "outdir"))
     rc = run_cli("simulate", "--per", "0", "--n", "10")
     assert rc == 0
-    assert (tmp_path / "outdir" / "trace.csv").exists()
+    assert (tmp_path / "outdir" / "trace.vlct").exists()
 
 
 @pytest.mark.parametrize("spec", ["iid-packet:p=0.1,extra=5", "iid-packet:p=abc"])
@@ -405,14 +405,103 @@ def test_golden_cli_outputs(tmp_path, capsys):
     assert digests == GOLDEN_CLI_SHA256
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    # each costs every command a large share of its start-up; only the
-    # negative-binomial fit in analyze needs scipy.optimize
+def _subprocess_env():
     src = str(Path(vlcrelay.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # scipy costs every command a large share of its start-up; only the
+    # negative-binomial draws, the fits in analyze and sal load it
+    env = _subprocess_env()
     code = ("import sys, vlcrelay.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_nb_cluster_with_unbounded_mean_exits_2(tmp_path):
+    # the cluster draw's quantile search used to run forever here
+    done = subprocess.run(
+        [sys.executable, "-m", "vlcrelay.cli", "simulate", "--process",
+         "nb-cluster:r=1,p=1e-300,p_start=0.5", "--n", "10", "--out", str(tmp_path / "t.vlct")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "mean cluster size" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def _simulate_binary(tmp_path, n=13):
+    path = tmp_path / "t.vlct"
+    assert run_cli("simulate", "--per", "0.3", "--n", str(n), "--seed", "2",
+                   "--out", str(path)) == 0
+    return path
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("missing-key", lambda d: d.replace(b"# seed=2\n", b""), "missing header keys"),
+    ("bad-value", lambda d: d.replace(b"# mode=broadcast", b"# mode=sideways"), "bad header"),
+    ("bad-n-packets", lambda d: d.replace(b"# n_packets=13", b"# n_packets=1e3"),
+     "n_packets='1e3'"),
+    ("zero-n-packets", lambda d: d.replace(b"# n_packets=13", b"# n_packets=0"),
+     "no packet records"),
+    ("malformed-line", lambda d: d.replace(b"# seed=2", b"# seed 2"), ":12: expected"),
+    ("repeated-key", lambda d: d.replace(b"# seed=2\n", b"# seed=2\n# seed=3\n"),
+     "# seed=3"),
+    ("non-utf8-header", lambda d: d.replace(b"# rng=numpy-pcg64", b"# rng=\xff"),
+     "not UTF-8"),
+    ("no-blank-line", lambda d: d[:d.index(b"\n\n") + 1], "no empty line"),
+    ("n-packets-above-payload", lambda d: d.replace(b"# n_packets=13", b"# n_packets=17"),
+     "needs 3 payload bytes, got 2"),
+    ("n-packets-below-payload", lambda d: d.replace(b"# n_packets=13", b"# n_packets=8"),
+     "1 trailing bytes"),
+    ("truncated-payload", lambda d: d[:-1], "needs 2 payload bytes, got 1"),
+    ("trailing-bytes", lambda d: d + b"\x00\x00", "2 trailing bytes"),
+    ("pad-bits", lambda d: d[:-1] + bytes([d[-1] | 1]), "pad bits"),
+])
+def test_analyze_rejects_malformed_binary_trace(tmp_path, capsys, name, edit, message):
+    path = _simulate_binary(tmp_path)
+    data = path.read_bytes()
+    assert data[-1] & 0b111 == 0  # 13 packets: three pad bits
+    bad = edit(data)
+    assert bad != data
+    path.write_bytes(bad)
+    capsys.readouterr()
+    rc = run_cli("analyze", str(path), "--clusters-out", str(tmp_path / "c.csv"),
+                 "--report-out", str(tmp_path / "r.txt"))
+    assert rc == 3
+    err = run_err(capsys)
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_analyze_binary_and_csv_export_agree(tmp_path):
+    spec = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
+    outputs = []
+    for name in ("t.vlct", "t.csv"):
+        trace = tmp_path / name
+        assert run_cli("simulate", "--process", spec, "--n", "20000", "--seed", "4",
+                       "--out", str(trace)) == 0
+        clusters_out, report_out = tmp_path / f"{name}.clusters", tmp_path / f"{name}.report"
+        assert run_cli("analyze", str(trace), "--clusters-out", str(clusters_out),
+                       "--report-out", str(report_out)) == 0
+        report = report_out.read_text().splitlines()
+        assert report[0] == f"trace={trace}"
+        outputs.append((clusters_out.read_bytes(), report[1:]))
+    assert (tmp_path / "t.vlct").read_bytes().startswith(sim.TRACE_MAGIC)
+    assert (tmp_path / "t.csv").read_text().startswith("# mode=broadcast\n")
+    assert outputs[0] == outputs[1]
+
+
+def test_simulate_batch_writes_one_file_per_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VLCRELAY_OUT", str(tmp_path))
+    seeds = [11, 3, 7, 5]
+    assert run_cli("simulate", "--per", "0.2", "--n", "1000", "--jobs", "2",
+                   *(f"--seed={s}" for s in seeds)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"trace_seed{s}.vlct" for s in seeds)
+    for s in seeds:
+        trace = sim.read_trace(tmp_path / f"trace_seed{s}.vlct")
+        assert trace.seed == s and trace.n_tx == 1000

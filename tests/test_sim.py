@@ -249,3 +249,67 @@ def test_golden_trace_bytes(tmp_path, mode, spec):
     path = tmp_path / "t.csv"
     sim.write_trace_csv(trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[mode, spec]
+
+
+_SPECS = sorted({spec for _, spec in GOLDEN_TRACE_SHA256})
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+@pytest.mark.parametrize("mode", ["broadcast", "beacon"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 3000])
+def test_binary_trace_roundtrip_equals_run(tmp_path, spec, mode, n):
+    trace = sim.run(node.LinkConfig(mode=node.Mode(mode)), channel.process_from_spec(spec),
+                    n, seed=5)
+    path = tmp_path / "t.vlct"
+    sim.write_trace(trace, path)
+    data = path.read_bytes()
+    assert data.startswith(sim.TRACE_MAGIC)
+    assert data.endswith(b"\n\n" + np.packbits(trace.received).tobytes())
+    back = sim.read_trace(path)
+    assert (back.config, back.process_spec, back.seed) == (trace.config, trace.process_spec, 5)
+    for column in ("tx_start_s", "received", "relayed", "latency_s"):
+        got, want = getattr(back, column), getattr(trace, column)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), column
+
+
+def test_write_trace_csv_suffix_is_the_csv_export(tmp_path):
+    trace = sim.run(BROADCAST, channel.IidPacket(0.25), 300, seed=11)
+    sim.write_trace(trace, tmp_path / "a.csv")
+    sim.write_trace_csv(trace, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    back = sim.read_trace(tmp_path / "a.csv")
+    assert np.array_equal(back.latency_s, trace.latency_s, equal_nan=True)
+
+
+# sha256 of write_trace's binary file for the cases of GOLDEN_TRACE_SHA256,
+# recorded as the magic line, the header and np.packbits(received) of the
+# traces the earlier CSV-only code drew
+GOLDEN_BINARY_TRACE_SHA256 = {
+    ("broadcast", "iid-packet:p=0.1"):
+        "d5add41ebb1b23222ba01ea61177c49857a98b1b34dc3bc535d494cdb620098f",
+    ("broadcast", "iid-bit:p=0.005"):
+        "37031828db4666120a00a9c23e0bfc71cf09da3247bf0247df2f24225dd223cb",
+    ("broadcast", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
+        "ad27011eeb97a2693982baa9dcf92b7014d1be0b678068b29dd07759de971e6a",
+    ("broadcast", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
+        "dbd99ffa2baee34bcabd3e37824fdec852a3322a8facdc984fb86bcb4ee1736c",
+    ("beacon", "iid-packet:p=0.1"):
+        "52f0d4156104234431f2058dd4ef02600ab864e24c6e1881d6db17038897de72",
+    ("beacon", "iid-bit:p=0.005"):
+        "4a3a00dcd37d800978a7f70e69370a7098eeb05e36b23f934e04fe75fa008697",
+    ("beacon", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
+        "4c925c0fe08a17e632107f2b903e6d150b0e72c443170322169c49a623ae8404",
+    ("beacon", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
+        "a1c2d2e2a01b0967cdfd5b7614966af7e04b5b39e614ed9d84b496deb6d949fb",
+}
+
+
+@pytest.mark.parametrize("mode, spec", sorted(GOLDEN_BINARY_TRACE_SHA256))
+def test_golden_binary_trace_bytes(tmp_path, mode, spec):
+    config = node.LinkConfig(mode=node.Mode(mode))
+    trace = sim.run(config, channel.process_from_spec(spec), 3000, seed=7)
+    path = tmp_path / "t.vlct"
+    sim.write_trace(trace, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_BINARY_TRACE_SHA256[mode, spec]
