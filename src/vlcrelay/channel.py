@@ -170,6 +170,14 @@ def _nbinom_ppf():
     return _nbinom_ppf
 
 
+@functools.cache
+def _cdf_at_run_cap(r: float, p: float) -> float:
+    """CDF of the negative binomial (r, p) at ``_RUN_CAP``, computed once
+    per law: every cluster draw compares its target with it."""
+    from scipy.special._ufuncs import _nbinom_cdf
+    return float(_nbinom_cdf(_RUN_CAP, r, p))
+
+
 def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of a cluster size (>= 1).
 
@@ -177,12 +185,16 @@ def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     calls inside (0, 1), without that method's per-call argument handling
     or the ``scipy.stats`` import; ``tests/oracles.draw_cluster_size`` keeps
     the ``nbinom.ppf`` draw and ``test_draw_cluster_size_matches_scipy_stats``
-    pins the two together.
+    pins the two together.  A target above the CDF at ``_RUN_CAP`` has its
+    quantile beyond the cap, so it is capped without the search, which can
+    take seconds that far out in a heavy tail.
     """
     p0 = process.p ** process.r
     u = rng.random()
     target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
     if target == 1.0:  # nbinom.ppf gives the support end; the ufunc raises
+        return _RUN_CAP
+    if target > _cdf_at_run_cap(process.r, process.p):
         return _RUN_CAP
     k = float(_nbinom_ppf()(target, process.r, process.p))
     if not math.isfinite(k):

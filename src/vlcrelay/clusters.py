@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-# scipy is imported inside the functions that use it: at module level,
-# scipy.special and scipy.optimize would slow the start-up of every command
+# scipy.special is imported inside the functions that use it: at module
+# level it would slow the start-up of every command
 
 from ._tables import data_path, read_table
 from .node import LinkConfig
@@ -243,12 +243,108 @@ class FitResult:
         return f"binomial(n={int(self.params[0])}, p={self.params[1]:.6g})"
 
 
+_BRENT_MESSAGES = {0: "Solution found.",
+                   1: "Maximum number of function calls reached.",
+                   2: "NaN result encountered."}
+
+
+def _minimize_bounded(func, lo: float, hi: float, xatol: float,
+                      maxiter: int = 500) -> tuple[float, float, int, int]:
+    """Minimise ``func`` on the finite interval [lo, hi] by Brent's bounded
+    scalar search (Brent 1973; the Forsythe-Malcolm-Moler ``fmin``).
+
+    An operation-for-operation port of scipy's ``minimize_scalar`` with
+    ``method="bounded"`` (``_minimize_scalar_bounded``, scipy 1.17), so
+    ``func`` sees the same iterates and the result has the same bits,
+    without importing scipy's optimizers, which cost every ``analyze``
+    about a quarter second.  Returns ``(x, fun, nfev, flag)``: flag 0 is
+    convergence, 1 the ``maxiter`` evaluation limit and 2 a NaN in the
+    result, and ``_BRENT_MESSAGES[flag]`` is scipy's message for it.
+    """
+    # np.sign and np.maximum, not math.copysign or max: they carry a NaN
+    # through to the flag-2 check, as scipy's do
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    flag = 0
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            flag = 1
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        flag = 2
+    return xf, fx, num, flag
+
+
 def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     n = weights.sum()
     mean = float((values * weights).sum() / n)
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
-    from scipy.optimize import minimize_scalar
     from scipy.special import gammaln
 
     def nll(logr: float) -> float:
@@ -258,11 +354,11 @@ def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
                         + r * math.log(p) + values * math.log1p(-p))
         return -float(ll)
 
-    res = minimize_scalar(nll, bounds=(math.log(1e-8), math.log(1e8)),
-                          method="bounded", options={"xatol": 1e-12})
-    if not res.success or not math.isfinite(res.fun):
-        raise FitDiverged(f"profile likelihood failed: {res.message}")
-    r = math.exp(res.x)
+    logr, fun, _, flag = _minimize_bounded(nll, math.log(1e-8), math.log(1e8),
+                                           xatol=1e-12)
+    if flag or not math.isfinite(fun):
+        raise FitDiverged(f"profile likelihood failed: {_BRENT_MESSAGES[flag]}")
+    r = math.exp(logr)
     return r, r / (r + mean)
 
 

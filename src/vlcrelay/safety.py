@@ -9,6 +9,7 @@ delivery target) against each other over the same scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._tables import data_path, read_table
@@ -49,11 +50,12 @@ class SafetyScenario:
     g: float = G_DEFAULT
 
     def __post_init__(self):
-        if self.v_kmh < 0:
+        # each check is written so that NaN fails it
+        if not self.v_kmh >= 0:
             raise SafetyError(f"speed must be >= 0, got {self.v_kmh}")
-        if self.mu <= 0 or self.g <= 0:
+        if not (self.mu > 0 and self.g > 0):
             raise SafetyError("mu and g must be positive")
-        if self.t_reaction_s < 0:
+        if not self.t_reaction_s >= 0:
             raise SafetyError(f"t_reaction must be >= 0, got {self.t_reaction_s}")
 
     @property
@@ -63,16 +65,16 @@ class SafetyScenario:
 
 def brake_distance(v_ms: float, mu: float = MU_DEFAULT, g: float = G_DEFAULT) -> float:
     """Braking distance v^2 / (2 mu g) in meters."""
-    if mu <= 0 or g <= 0:
+    if not (mu > 0 and g > 0):  # NaN fails
         raise SafetyError("mu and g must be positive")
-    if v_ms < 0:
+    if not v_ms >= 0:
         raise SafetyError(f"speed must be >= 0, got {v_ms}")
     return v_ms * v_ms / (2.0 * mu * g)
 
 
 def reaction_distance(v_ms: float, t_reaction_s: float) -> float:
     """Distance covered before braking starts: v * t."""
-    if v_ms < 0 or t_reaction_s < 0:
+    if not (v_ms >= 0 and t_reaction_s >= 0):  # NaN fails
         raise SafetyError("speed and reaction time must be >= 0")
     return v_ms * t_reaction_s
 
@@ -85,7 +87,7 @@ def stop_distance(scenario: SafetyScenario) -> float:
 
 def vlc_reaction_latency(adr_latency_s: float, pt_s: float) -> float:
     """First correct reception lands one packet time before the relay ends."""
-    if adr_latency_s < pt_s:
+    if not adr_latency_s >= pt_s:  # NaN fails
         raise NegativeLatency(
             f"relay latency {adr_latency_s} s shorter than packet time {pt_s} s")
     return adr_latency_s - pt_s
@@ -99,6 +101,8 @@ def relay_latency_at(per: float, target: float = SAFETY_TARGET,
     PERs below the model table span carry no resolvable clustering at this
     target, so they map to the zero-extra-packet floor.
     """
+    if not 0.0 < target < 1.0:  # checked here, as PERs below the span skip the quantile
+        raise SafetyError(f"target must be in (0, 1), got {target}")
     table = table or ModelTable.bundled()
     params = LatencyParams.from_baud(baud, ipd_s=ipd_s)
     if per < table.per_min:
@@ -166,11 +170,19 @@ def bundled_scenarios() -> list[tuple[float, float, float]]:
     return read_scenarios_csv(data_path("safety_scenarios.csv"))
 
 
+def _scenario_row(row: dict[str, str]) -> tuple[float, float, float]:
+    v_kmh, distance_m, per = (float(row[k]) for k in ("v_kmh", "distance_m", "per"))
+    if not 0.0 <= v_kmh < math.inf:
+        raise ValueError(f"v_kmh must be finite and >= 0, got {v_kmh}")
+    if not 0.0 <= distance_m < math.inf:
+        raise ValueError(f"distance_m must be finite and >= 0, got {distance_m}")
+    if not 0.0 <= per <= 1.0:
+        raise ValueError(f"per must be in [0, 1], got {per}")
+    return v_kmh, distance_m, per
+
+
 def read_scenarios_csv(path) -> list[tuple[float, float, float]]:
-    rows = read_table(
-        path, ("v_kmh", "distance_m", "per"),
-        lambda row: (float(row["v_kmh"]), float(row["distance_m"]), float(row["per"])),
-        SafetyError)
+    rows = read_table(path, ("v_kmh", "distance_m", "per"), _scenario_row, SafetyError)
     if not rows:
         raise SafetyError(f"{path}: no scenario rows")
     return rows

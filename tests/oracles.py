@@ -3,8 +3,10 @@
 These are the simulator's original loop bodies and per-packet step API,
 kept verbatim as bit-exact references: ``relay_scan`` and ``rx_adr_step``
 for ``sim.relay``, ``ge_chain`` and ``sample_packet_outcome`` for
-``channel.sample_losses``, and ``draw_cluster_size`` (the cluster draw
-through ``scipy.stats.nbinom.ppf``) for ``channel._draw_cluster_size``.
+``channel.sample_losses``, ``draw_cluster_size`` (the cluster draw
+through ``scipy.stats.nbinom.ppf``) for ``channel._draw_cluster_size``,
+and ``fit_nb_mle`` (the negative-binomial fit through
+``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from vlcrelay.channel import (
     IidPacket,
     NbCluster,
 )
+from vlcrelay.clusters import FitDiverged
 from vlcrelay.node import LinkConfig
 
 
@@ -102,6 +105,29 @@ def draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     if not math.isfinite(k):
         return _RUN_CAP
     return max(1, min(int(k), _RUN_CAP))
+
+
+def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    n = weights.sum()
+    mean = float((values * weights).sum() / n)
+    if mean <= 0:
+        raise FitDiverged("negative-binomial fit needs a positive mean")
+    from scipy.optimize import minimize_scalar
+    from scipy.special import gammaln
+
+    def nll(logr: float) -> float:
+        r = math.exp(logr)
+        p = r / (r + mean)
+        ll = weights @ (gammaln(values + r) - gammaln(r) - gammaln(values + 1)
+                        + r * math.log(p) + values * math.log1p(-p))
+        return -float(ll)
+
+    res = minimize_scalar(nll, bounds=(math.log(1e-8), math.log(1e8)),
+                          method="bounded", options={"xatol": 1e-12})
+    if not res.success or not math.isfinite(res.fun):
+        raise FitDiverged(f"profile likelihood failed: {res.message}")
+    r = math.exp(res.x)
+    return r, r / (r + mean)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,32 @@ def test_draw_cluster_size_matches_scipy_stats(r, p):
     # for each pair, u = 0 rounds the target to 1.0: the support end
     assert p0 + (1.0 - p0) == 1.0
     assert channel._draw_cluster_size(process, _FixedRandom(0.0)) == channel._RUN_CAP
+
+
+@pytest.mark.parametrize("r, p", [(0.1, 1.2e-8), (1.0, 2e-7), (3.0, 5e-7), (10.0, 1e-6)])
+def test_draw_cluster_size_near_run_cap(r, p):
+    # targets within ulps of the CDF at the cap, on both sides of it
+    process = channel.NbCluster(r=r, p=p, p_start=0.5)
+    p0 = p ** r
+    cdf_cap = channel._cdf_at_run_cap(r, p)
+    u_cap = (1.0 - cdf_cap) / (1.0 - p0)
+    du = np.spacing(cdf_cap) / (1.0 - p0)
+    targets = set()
+    for k in range(-40, 41):
+        u = u_cap + k * du
+        targets.add(p0 + (1.0 - u) * (1.0 - p0))
+        got = channel._draw_cluster_size(process, _FixedRandom(u))
+        want = min(oracles.draw_cluster_size(process, _FixedRandom(u)), channel._RUN_CAP)
+        assert got == want, u
+    assert min(targets) < cdf_cap < max(targets)
+
+
+def test_draw_cluster_size_far_beyond_run_cap_is_quick():
+    # the quantile search took over ten seconds here, for 2.6e9 packets
+    process = channel.NbCluster(r=0.1, p=1.2e-8, p_start=0.5)
+    start = time.perf_counter()
+    assert channel._draw_cluster_size(process, _FixedRandom(2.0 ** -52)) == channel._RUN_CAP
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("process", [

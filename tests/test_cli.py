@@ -246,8 +246,12 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,nan\n", ["safety"]),
+    ("s.csv", "v_kmh,distance_m,per\nnan,12,1e-5\n", ["safety"]),
+    ("s.csv", "v_kmh,distance_m,per\n50,nan,1e-5\n", ["safety"]),
+    ("s.csv", "v_kmh,distance_m,per\n50,12,-1\n", ["safety"]),
 ], ids=["models-short-row", "models-extra-field", "per-table-extra-field",
-        "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan"])
+        "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
+        "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative"])
 def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):
     (tmp_path / name).write_text(text)
     out = tmp_path / "out.csv"
@@ -347,6 +351,18 @@ def test_safety_rejects_bad_baud(tmp_path, capsys, baud):
     assert "baud must be positive" in run_err(capsys)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--target", "1.5"], ["--target", "nan"], ["--mu", "nan"], ["--vlc-reaction-ms", "nan"],
+])
+def test_safety_rejects_nan_and_out_of_range_flags(tmp_path, capsys, flags):
+    # every bundled scenario PER is below the model table span, so no
+    # quantile is taken and the target has to be checked on its own
+    rc = run_cli("safety", *flags, "--out", str(tmp_path / "s.csv"))
+    assert rc == 2
+    assert "error:" in run_err(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [["--baud", "0"], ["--ipd-us", "-5"], ["--ipd-us", "nan"]])
 def test_sal_rejects_bad_timing(tmp_path, capsys, flags):
     assert run_cli("sal", *flags, "--out", str(tmp_path / "sal.csv")) == 2
@@ -412,14 +428,41 @@ def _subprocess_env():
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    # scipy costs every command a large share of its start-up; only the
-    # negative-binomial draws, the fits in analyze and sal load it
+    # scipy's imports cost more than the work of most commands, so importing
+    # the CLI loads none of it: scipy.special is loaded on first use (the
+    # negative-binomial draws, the fits of analyze, the model quantiles of
+    # sal), and no command loads scipy.stats or scipy.optimize
     env = _subprocess_env()
     code = ("import sys, vlcrelay.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _scipy_modules_after(*argv) -> set[str]:
+    """The scipy modules loaded by one CLI command in a fresh interpreter."""
+    code = ("import sys; from vlcrelay import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, *[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, *modules = done.stdout.splitlines()[-1].split()
+    assert rc == "0", done.stderr
+    return set(modules)
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path):
+    ge = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
+    for name, flags in [("iid", ["--per", "0.1"]), ("ge", ["--process", ge])]:
+        trace = tmp_path / f"{name}.vlct"
+        assert _scipy_modules_after("simulate", *flags, "--n", "5000", "--seed", "3",
+                                    "--out", str(trace)) == set()
+    analyzed = _scipy_modules_after("analyze", str(trace),
+                                    "--clusters-out", str(tmp_path / "c.csv"),
+                                    "--report-out", str(tmp_path / "r.txt"))
+    assert "scipy.special" in analyzed
+    assert not {m for m in analyzed if m.split(".")[:2] == ["scipy", "optimize"]}
+    assert _scipy_modules_after("safety", "--out", str(tmp_path / "s.csv")) == set()
 
 
 def test_nb_cluster_with_unbounded_mean_exits_2(tmp_path):

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.stats import binom as sp_binom
 from scipy.stats import nbinom as sp_nbinom
 from scipy.stats import poisson as sp_poisson
 
-from vlcrelay import channel, clusters
+from vlcrelay import channel, clusters, sim
+from vlcrelay.node import LinkConfig, Mode
+
+import oracles
 
 TABLE_II_NB = [
     # (r, p) -> quantiles at 0.9 / 0.95 / 0.99 / 0.999
@@ -156,6 +160,72 @@ def test_fit_nb_diverges_without_losses():
     dist = dist_from_window_counts(np.zeros(100, dtype=int))
     with pytest.raises(clusters.FitDiverged):
         clusters.fit(dist, clusters.Family.NEG_BINOMIAL, allow_insufficient=True)
+
+
+FIT_CORPUS_SPECS = [
+    "iid-packet:p=0.1",
+    "iid-bit:p=0.003",
+    "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5",
+    "nb-cluster:r=0.1691,p=0.0638,target_per=0.3",  # the PER-0.3 anchor
+    "nb-cluster:r=0.1719,p=0.2555,p_start=0.05",
+    "nb-cluster:r=0.028,p=0.7053,target_per=0.01",
+    "nb-cluster:r=5,p=0.5,p_start=0.02",
+]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("spec", FIT_CORPUS_SPECS)
+def test_fit_nb_matches_minimize_scalar_oracle(spec, mode):
+    process = channel.process_from_spec(spec)
+    for seed in range(5):
+        trace = sim.run(LinkConfig(mode=mode), process, 60_000, seed)
+        values, weights = clusters.extract_clusters(trace).values_weights()
+        values, weights = values.astype(float), weights.astype(float)
+        assert clusters._fit_nb_mle(values, weights) == oracles.fit_nb_mle(values, weights)
+
+
+def _same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _nan_above_one(x):
+    return (x - 1.5) ** 2 if x < 1.0 else math.nan
+
+
+@pytest.mark.parametrize("func, lo, hi, xatol, maxiter", [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-5, 500),
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-12, 500),
+    (lambda x: math.cosh(x - 7.0) + 0.1 * x, math.log(1e-8), math.log(1e8), 1e-12, 500),
+    (lambda x: abs(x - 0.7) ** 0.5, -2.0, 3.0, 1e-5, 500),
+    (lambda x: abs(x - 0.7) ** 0.5, -2.0, 3.0, 1e-12, 500),
+    (lambda x: math.floor(4.0 * x) % 3, 0.0, 2.0, 1e-12, 500),
+    (lambda x: 4.0, 0.0, 1.0, 1e-5, 500),
+    (lambda x: x, 0.0, 1.0, 1e-12, 500),  # minimum at the lower bound
+    (lambda x: -x, 0.0, 1.0, 1e-12, 500),  # minimum at the upper bound
+    (_nan_above_one, 0.0, 2.0, 1e-12, 500),
+    (lambda x: math.nan, 0.0, 1.0, 1e-5, 500),
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-12, 4),
+    (lambda x: math.exp(x) - 2.0 * x, -3.0, 3.0, 1e-12, 1),
+], ids=["parabola", "parabola-tight", "cosh", "cusp", "cusp-tight", "steps", "constant",
+        "lower-bound", "upper-bound", "nan-part-way", "nan-everywhere", "maxiter-4",
+        "maxiter-1"])
+def test_minimize_bounded_matches_scipy(func, lo, hi, xatol, maxiter):
+    seen, seen_ref = [], []
+    x, fun, nfev, flag = clusters._minimize_bounded(
+        lambda x: seen.append(x) or func(x), lo, hi, xatol=xatol, maxiter=maxiter)
+    ref = minimize_scalar(lambda x: seen_ref.append(x) or func(x), bounds=(lo, hi),
+                          method="bounded", options={"xatol": xatol, "maxiter": maxiter})
+    assert seen == seen_ref
+    assert _same(x, ref.x) and _same(fun, ref.fun)
+    assert (nfev, flag == 0, clusters._BRENT_MESSAGES[flag]) == (
+        ref.nfev, ref.success, ref.message)
+
+
+def test_minimize_bounded_flags():
+    parabola = lambda x: (x - 0.3) ** 2  # noqa: E731
+    assert clusters._minimize_bounded(parabola, -1.0, 2.0, xatol=1e-12)[3] == 0
+    assert clusters._minimize_bounded(parabola, -1.0, 2.0, xatol=1e-12, maxiter=4)[3] == 1
+    assert clusters._minimize_bounded(_nan_above_one, 0.0, 2.0, xatol=1e-12)[3] == 2
 
 
 def test_select_best_prefers_generator_family():
