@@ -1,10 +1,22 @@
-"""The package's small CSV tables: where the bundled ones live, and one
-strict reader for bundled and user-supplied tables alike."""
+"""The package's small CSV tables: where the bundled ones live, one strict
+reader for bundled and user-supplied tables alike, and the error of a
+lookup outside a table's span."""
 
 from __future__ import annotations
 
 import csv
 import importlib.resources
+
+
+class OutOfRange(ValueError):
+    """A lookup key outside the span of a table: the distance of a PER
+    table (``channel.per_at``) or the PER of a model table
+    (``clusters.ModelTable.model_at``)."""
+
+    def __init__(self, key: str, value: float, table: str, lo: float, hi: float,
+                 unit: str = ""):
+        unit = f" {unit}" if unit else ""
+        super().__init__(f"{key} {value}{unit} outside {table} span [{lo}, {hi}]{unit}")
 
 
 def data_path(name: str):

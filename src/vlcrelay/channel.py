@@ -10,27 +10,23 @@ to measured distances per baud rate.
 from __future__ import annotations
 
 import csv
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import data_path, read_table
+from ._tables import OutOfRange, data_path, read_table
 
 BITS_PER_PACKET = 32
 PER_FLOOR = 1e-5
 _RUN_CAP = 10**7  # tail guard for inverse-CDF run draws
+_BLOCK = 4096  # cluster cycles drawn per block
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 class ChannelError(ValueError):
     """Invalid channel parameter or table."""
-
-
-class OutOfRange(ChannelError):
-    def __init__(self, distance_m: float, lo: float, hi: float):
-        super().__init__(f"distance {distance_m} m outside table span [{lo}, {hi}] m")
-        self.distance_m = distance_m
 
 
 class UnknownBaud(ChannelError):
@@ -113,8 +109,8 @@ class NbCluster:
             raise ChannelError(f"r must be > 0, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ChannelError(f"p must be in (0, 1), got {self.p}")
-        # the quantile search behind a cluster draw runs out to the far
-        # tail, and for mean clusters far beyond the cap it never ends
+        # cluster sizes are capped at _RUN_CAP, so a law whose mean is
+        # beyond it cannot be sampled
         if not self.mean_cluster <= _RUN_CAP:
             raise ChannelError(f"mean cluster size {self.mean_cluster:.3g} is beyond "
                                f"{_RUN_CAP} packets (r={self.r}, p={self.p})")
@@ -162,44 +158,74 @@ def _nb_mean_cluster(r: float, p: float) -> float:
 ErrorProcess = IidPacket | IidBit | GilbertElliott | NbCluster
 
 
-@functools.cache
-def _nbinom_ppf():
-    """The negative-binomial quantile ufunc, imported on the first cluster
-    draw: ``scipy.special`` would slow every command's start-up."""
-    from scipy.special._ufuncs import _nbinom_ppf
-    return _nbinom_ppf
+class _NbClusterSizes:
+    """Inverse-CDF cluster sizes (>= 1) of the negative binomial (r, p)
+    conditioned on >= 1, from one CDF table of the law (``sample_losses``
+    makes one per call).
 
-
-@functools.cache
-def _cdf_at_run_cap(r: float, p: float) -> float:
-    """CDF of the negative binomial (r, p) at ``_RUN_CAP``, computed once
-    per law: every cluster draw compares its target with it."""
-    from scipy.special._ufuncs import _nbinom_cdf
-    return float(_nbinom_cdf(_RUN_CAP, r, p))
-
-
-def _draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of a cluster size (>= 1).
-
-    ``_nbinom_ppf`` is the Boost quantile that ``scipy.stats.nbinom.ppf``
-    calls inside (0, 1), without that method's per-call argument handling
-    or the ``scipy.stats`` import; ``tests/oracles.draw_cluster_size`` keeps
-    the ``nbinom.ppf`` draw and ``test_draw_cluster_size_matches_scipy_stats``
-    pins the two together.  A target above the CDF at ``_RUN_CAP`` has its
-    quantile beyond the cap, so it is capped without the search, which can
-    take seconds that far out in a heavy tail.
+    The table is the pmf recurrence ``pmf(0) = p**r``,
+    ``pmf(k) = pmf(k-1) * ((1-p) * (k-1+r) / k)`` summed in order
+    (``np.cumprod`` and ``np.cumsum`` accumulate sequentially, so each entry
+    is the float a plain loop gives; ``tests/oracles.nb_cdf_table`` is that
+    loop).  It grows in doubling chunks only as far as the targets need, and
+    is finished when a pmf term no longer moves the float CDF or the table
+    reaches ``_RUN_CAP``.  A target above the finished table, or of exactly
+    1.0, maps to ``_RUN_CAP``.
     """
-    p0 = process.p ** process.r
-    u = rng.random()
-    target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
-    if target == 1.0:  # nbinom.ppf gives the support end; the ufunc raises
-        return _RUN_CAP
-    if target > _cdf_at_run_cap(process.r, process.p):
-        return _RUN_CAP
-    k = float(_nbinom_ppf()(target, process.r, process.p))
-    if not math.isfinite(k):
-        return _RUN_CAP
-    return max(1, min(int(k), _RUN_CAP))
+
+    def __init__(self, r: float, p: float):
+        self.r, self.q = r, 1.0 - p
+        self.p0 = p ** r
+        k, pmf = 0, self.p0
+        if pmf < sys.float_info.min:
+            # p**r underflows (r=200, p=1e-3): step the leading terms in log
+            # space, since a zero (or subnormal) start would carry to every
+            # later term; the skipped terms count as 0.  The start is the
+            # exactly rounded sum of the steps: a running sum drifts by
+            # ~1e-12 over two thousand steps, and the whole table with it
+            logs = [r * math.log(p)]
+            log_pmf = logs[0]
+            while log_pmf < _LOG_FLOAT_MIN and k < _RUN_CAP:
+                k += 1
+                logs.append(math.log(self.q * (k - 1 + r) / k))
+                log_pmf += logs[-1]
+            pmf = math.exp(math.fsum(logs))
+        # np.empty reserves the whole span, but only the pages written count
+        self._buf = np.empty(_RUN_CAP + 1)
+        self._buf[:k] = 0.0
+        self._buf[k] = pmf
+        self._size, self._pmf = k + 1, pmf
+        self.finished = k == _RUN_CAP
+
+    @property
+    def cdf(self) -> np.ndarray:
+        return self._buf[:self._size]
+
+    def grow(self, upto: float) -> None:
+        """Extend the table until its last value is at least ``upto`` or it
+        is finished."""
+        while not self.finished and self._buf[self._size - 1] < upto:
+            lo = self._size
+            hi = min(2 * lo, _RUN_CAP + 1)
+            ks = np.arange(lo, hi, dtype=np.float64)
+            chunk = self._buf[lo:hi]
+            np.divide(self.q * (ks - 1 + self.r), ks, out=chunk)  # pmf(k) / pmf(k-1)
+            chunk[0] *= self._pmf
+            np.cumprod(chunk, out=chunk)
+            self._pmf = float(chunk[-1])
+            chunk[0] += self._buf[lo - 1]
+            np.cumsum(chunk, out=chunk)
+            stuck = np.flatnonzero(chunk == self._buf[lo - 1:hi - 1])
+            self._size = lo + int(stuck[0]) if stuck.size else hi
+            self.finished = stuck.size > 0 or hi == _RUN_CAP + 1
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Cluster sizes for uniforms ``u`` in [0, 1)."""
+        target = self.p0 + (1.0 - u) * (1.0 - self.p0)  # in (p0, 1]
+        self.grow(float(target.max()))
+        cdf = self.cdf
+        sizes = np.maximum(np.searchsorted(cdf, target), 1)
+        return np.where((target > cdf[-1]) | (target == 1.0), _RUN_CAP, sizes)
 
 
 def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float) -> np.ndarray:
@@ -238,20 +264,35 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
         bad = _ge_bad_before(u[1:-1:2], process.p_gb, process.p_bg)
         return u[0::2] < np.where(bad, process.loss_bad, process.loss_good)
     if isinstance(process, NbCluster):
-        lost = np.empty(n, dtype=bool)
-        pos = 0
-        in_loss = False  # streams start in a success run
-        while pos < n:
-            if in_loss:
-                run = _draw_cluster_size(process, rng)
-                lost[pos:pos + run] = True
-            else:
-                run = int(rng.geometric(process.p_start))
-                lost[pos:pos + run] = False
-            pos += run
-            in_loss = not in_loss
-        return lost
+        # stream 2: per block, _BLOCK geometric gaps, then _BLOCK uniforms
+        # for the cluster sizes; the runs alternate gap, cluster, starting
+        # with a gap, and the run that reaches packet n is cut there
+        sizes = _NbClusterSizes(process.r, process.p)
+        blocks, total = [], 0
+        while total < n:
+            gaps = rng.geometric(process.p_start, _BLOCK)
+            block = np.stack((gaps, sizes(rng.random(_BLOCK))), axis=1).ravel()
+            blocks.append(block)
+            total += int(block.sum())
+        runs = np.concatenate(blocks)
+        ends = np.cumsum(runs)
+        last = int(np.searchsorted(ends, n))  # the run that reaches packet n
+        runs = runs[:last + 1]
+        runs[last] -= ends[last] - n
+        return np.repeat(np.arange(last + 1) % 2 == 1, runs)
     raise ChannelError(f"unknown error process {process!r}")
+
+
+RNG_ALGORITHM = "numpy-pcg64"
+# the version of each process's random stream, bumped when sample_losses
+# draws differently from one seed; an unlisted process is on its first
+_STREAM_VERSIONS = {"nb-cluster": 2}  # 2: cluster sizes drawn in blocks
+
+
+def stream_label(process_spec: str) -> str:
+    """The trace header's ``rng=`` label for the stream of a process spec."""
+    version = _STREAM_VERSIONS.get(process_spec.partition(":")[0])
+    return f"{RNG_ALGORITHM}/{version}" if version else RNG_ALGORITHM
 
 
 def process_from_spec(spec: str) -> ErrorProcess:
@@ -373,6 +414,6 @@ def per_at(table: PerDistanceTable, distance_m: float, baud: int) -> float:
     p = np.maximum(table.pers[mask], PER_FLOOR)
     lo, hi = d.min(), d.max()
     if not lo <= distance_m <= hi:
-        raise OutOfRange(distance_m, lo, hi)
+        raise OutOfRange("distance", distance_m, "table", lo, hi, unit="m")
     logp = np.interp(distance_m, d, np.log10(p))
     return max(float(10.0 ** logp), PER_FLOOR)

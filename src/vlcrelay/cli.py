@@ -25,6 +25,7 @@ from . import channel as _channel
 from . import clusters as _clusters
 from . import safety as _safety
 from . import sim as _sim
+from ._tables import OutOfRange
 from .node import ConfigError, LinkConfig, Mode, estimate_ber_upper
 
 EXIT_OK = 0
@@ -414,7 +415,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, _channel.ChannelError, _clusters.ClusterStatsError,
-            _safety.SafetyError) as exc:
+            _safety.SafetyError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

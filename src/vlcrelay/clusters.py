@@ -20,7 +20,7 @@ import numpy as np
 # scipy.special is imported inside the functions that use it: at module
 # level it would slow the start-up of every command
 
-from ._tables import data_path, read_table
+from ._tables import OutOfRange, data_path, read_table
 from .node import LinkConfig
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
@@ -44,12 +44,6 @@ class InsufficientErrorsWarning(UserWarning):
 
 class FitDiverged(ClusterStatsError):
     pass
-
-
-class OutOfRange(ClusterStatsError):
-    def __init__(self, per: float, lo: float, hi: float):
-        super().__init__(f"per {per} outside model table span [{lo}, {hi}]")
-        self.per = per
 
 
 def loss_run_lengths(received: np.ndarray) -> np.ndarray:
@@ -508,7 +502,7 @@ class ModelTable:
             elif math.isclose(per, self.per_max, rel_tol=1e-9):
                 per = self.per_max
             else:
-                raise OutOfRange(per, self.per_min, self.per_max)
+                raise OutOfRange("per", per, "model table", self.per_min, self.per_max)
         idx = int(np.searchsorted(self.pers, per))
         if idx < self.pers.size and np.isclose(per, self.pers[idx], rtol=1e-9):
             return self.models[idx]

@@ -50,13 +50,13 @@ class SafetyScenario:
     g: float = G_DEFAULT
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.v_kmh >= 0:
-            raise SafetyError(f"speed must be >= 0, got {self.v_kmh}")
-        if not (self.mu > 0 and self.g > 0):
-            raise SafetyError("mu and g must be positive")
-        if not self.t_reaction_s >= 0:
-            raise SafetyError(f"t_reaction must be >= 0, got {self.t_reaction_s}")
+        # each check is written so that NaN and infinity fail it
+        if not 0 <= self.v_kmh < math.inf:
+            raise SafetyError(f"speed must be finite and >= 0, got {self.v_kmh}")
+        if not (0 < self.mu < math.inf and 0 < self.g < math.inf):
+            raise SafetyError("mu and g must be finite and positive")
+        if not 0 <= self.t_reaction_s < math.inf:
+            raise SafetyError(f"t_reaction must be finite and >= 0, got {self.t_reaction_s}")
 
     @property
     def v_ms(self) -> float:
@@ -65,17 +65,17 @@ class SafetyScenario:
 
 def brake_distance(v_ms: float, mu: float = MU_DEFAULT, g: float = G_DEFAULT) -> float:
     """Braking distance v^2 / (2 mu g) in meters."""
-    if not (mu > 0 and g > 0):  # NaN fails
-        raise SafetyError("mu and g must be positive")
-    if not v_ms >= 0:
-        raise SafetyError(f"speed must be >= 0, got {v_ms}")
+    if not (0 < mu < math.inf and 0 < g < math.inf):  # NaN fails
+        raise SafetyError("mu and g must be finite and positive")
+    if not 0 <= v_ms < math.inf:
+        raise SafetyError(f"speed must be finite and >= 0, got {v_ms}")
     return v_ms * v_ms / (2.0 * mu * g)
 
 
 def reaction_distance(v_ms: float, t_reaction_s: float) -> float:
     """Distance covered before braking starts: v * t."""
-    if not (v_ms >= 0 and t_reaction_s >= 0):  # NaN fails
-        raise SafetyError("speed and reaction time must be >= 0")
+    if not (0 <= v_ms < math.inf and 0 <= t_reaction_s < math.inf):  # NaN fails
+        raise SafetyError("speed and reaction time must be finite and >= 0")
     return v_ms * t_reaction_s
 
 
@@ -87,9 +87,9 @@ def stop_distance(scenario: SafetyScenario) -> float:
 
 def vlc_reaction_latency(adr_latency_s: float, pt_s: float) -> float:
     """First correct reception lands one packet time before the relay ends."""
-    if not adr_latency_s >= pt_s:  # NaN fails
-        raise NegativeLatency(
-            f"relay latency {adr_latency_s} s shorter than packet time {pt_s} s")
+    if not pt_s <= adr_latency_s < math.inf:  # NaN fails
+        raise NegativeLatency(f"relay latency {adr_latency_s} s is not finite or "
+                              f"shorter than packet time {pt_s} s")
     return adr_latency_s - pt_s
 
 

@@ -32,7 +32,6 @@ from . import channel as _channel
 from .clusters import loss_run_lengths
 from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
-RNG_ALGORITHM = "numpy-pcg64"
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
 _HEADER_KEYS = frozenset({"mode", "baud", "ipd_us", "beacon_interval_us", "t_proc_us",
                           "guard_us", "payload", "preamble", "n_packets", "seed"})
@@ -96,7 +95,7 @@ class PacketTrace:
             "process": self.process_spec,
             "n_packets": str(self.n_tx),
             "seed": str(self.seed),
-            "rng": RNG_ALGORITHM,
+            "rng": _channel.stream_label(self.process_spec),
         }
         return items
 

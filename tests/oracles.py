@@ -1,23 +1,30 @@
 """Per-packet loop oracles for the vectorized relay rule and channel chain.
 
 These are the simulator's original loop bodies and per-packet step API,
-kept verbatim as bit-exact references: ``relay_scan`` and ``rx_adr_step``
-for ``sim.relay``, ``ge_chain`` and ``sample_packet_outcome`` for
-``channel.sample_losses``, ``draw_cluster_size`` (the cluster draw
-through ``scipy.stats.nbinom.ppf``) for ``channel._draw_cluster_size``,
+kept verbatim, and plain loops of the newer fast paths, all bit-exact
+references: ``relay_scan`` and ``rx_adr_step`` for ``sim.relay``;
+``ge_chain`` and ``sample_packet_outcome`` for the iid and Gilbert-Elliott
+streams of ``channel.sample_losses``; for its negative-binomial stream,
+``nb_cdf_table`` (the CDF recurrence as a plain loop) and
+``table_cluster_size`` for ``channel._NbClusterSizes``, and
+``nb_cluster_walk``, which lays out the same blocks with every size from
+``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``);
 and ``fit_nb_mle`` (the negative-binomial fit through
 ``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import nbinom
 
 from vlcrelay.channel import (
+    _BLOCK,
     _RUN_CAP,
     BITS_PER_PACKET,
     ChannelError,
@@ -105,6 +112,71 @@ def draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     if not math.isfinite(k):
         return _RUN_CAP
     return max(1, min(int(k), _RUN_CAP))
+
+
+def nb_cdf_table(r: float, p: float, size: int = _RUN_CAP + 1) -> np.ndarray:
+    """CDF of the negative binomial (r, p) at 0, 1, ... from the pmf
+    recurrence, up to the first term that no longer moves the sum, the
+    cap, or ``size`` entries.  When ``p**r`` is below the smallest normal
+    float, the leading terms are stepped in log space and count as 0, and
+    the first term past them is ``exp`` of the exactly rounded log sum."""
+    q = 1.0 - p
+    k, pmf = 0, p ** r
+    cdf = []
+    if pmf < sys.float_info.min:
+        logs = [r * math.log(p)]
+        log_pmf = logs[0]
+        while log_pmf < math.log(sys.float_info.min) and k < _RUN_CAP:
+            k += 1
+            logs.append(math.log(q * (k - 1 + r) / k))
+            log_pmf = log_pmf + logs[-1]
+        cdf = [0.0] * k
+        pmf = math.exp(math.fsum(logs))
+    total = pmf
+    cdf.append(total)
+    while k < _RUN_CAP and len(cdf) < size:
+        k += 1
+        pmf = pmf * (q * (k - 1 + r) / k)
+        if total + pmf == total:
+            break
+        total = total + pmf
+        cdf.append(total)
+    return np.array(cdf)
+
+
+def table_cluster_size(table: np.ndarray, p0: float, u: float) -> int:
+    """Cluster size for uniform ``u`` by bisection in a finished table."""
+    target = p0 + (1.0 - u) * (1.0 - p0)
+    if target == 1.0 or target > table[-1]:
+        return _RUN_CAP
+    return max(1, bisect.bisect_left(table.tolist(), target))
+
+
+class FixedRandom:
+    """Stands in for a Generator whose next ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = float(u)
+
+    def random(self):
+        return self.u
+
+
+def nb_cluster_walk(process: NbCluster, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Loss flags for ``n`` packets of the block stream: per block,
+    ``_BLOCK`` geometric gaps, then ``_BLOCK`` uniforms, each taken to a
+    cluster size by ``draw_cluster_size``; a success run comes first."""
+    lost = []
+    while len(lost) < n:
+        gaps = rng.geometric(process.p_start, _BLOCK)
+        us = rng.random(_BLOCK)
+        for gap, u in zip(gaps, us):
+            if len(lost) >= n:
+                break
+            lost.extend([False] * int(gap))
+            if len(lost) < n:
+                lost.extend([True] * draw_cluster_size(process, FixedRandom(u)))
+    return np.array(lost[:n], dtype=bool)
 
 
 def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -209,7 +281,9 @@ def sample_packet_outcome(process: ErrorProcess, rng: np.random.Generator,
                           state=None) -> tuple[bool, object]:
     """Draw one packet outcome; thread ``state`` through successive calls.
 
-    Walks the same random stream as sample_losses, one packet at a time.
+    Walks the same random stream as sample_losses, one packet at a time,
+    for the iid and Gilbert-Elliott processes (``NbCluster`` draws in
+    blocks: see ``nb_cluster_walk``).
     """
     if isinstance(process, IidPacket):
         return bool(rng.random() < process.p_loss), None
@@ -228,17 +302,4 @@ def sample_packet_outcome(process: ErrorProcess, rng: np.random.Generator,
             if u_trans < process.p_bg:
                 ge_state = 0
         return bool(lost), ge_state
-    if isinstance(process, NbCluster):
-        if state is None:
-            in_loss, remaining = False, 0  # streams start in a success run
-        else:
-            in_loss, remaining = state
-            if remaining == 0:
-                in_loss = not in_loss
-        if remaining == 0:
-            if in_loss:
-                remaining = draw_cluster_size(process, rng)
-            else:
-                remaining = int(rng.geometric(process.p_start))
-        return bool(in_loss), (in_loss, remaining - 1)
     raise ChannelError(f"unknown error process {process!r}")

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -144,63 +145,105 @@ def oracle_walk(process, n, seed):
     channel.IidPacket(0.2),
     channel.IidBit(0.01),
     channel.GilbertElliott(p_gb=0.02, p_bg=0.1, loss_good=0.01, loss_bad=0.5),
-    channel.NbCluster(r=0.1691, p=0.0638, p_start=0.0643),
 ])
 def test_per_packet_walks_same_stream_as_batch(process):
     batch = channel.sample_losses(process, 3000, rng(9))
     assert np.array_equal(batch, oracle_walk(process, 3000, seed=9))
 
 
-class _FixedRandom:
-    """Stands in for a Generator whose next ``random()`` returns ``u``."""
+def _table(r, p):
+    """The finished CDF table the sampler builds for the law (r, p)."""
+    sizes = channel._NbClusterSizes(r, p)
+    sizes.grow(math.inf)
+    assert sizes.finished
+    return sizes
 
-    def __init__(self, u):
-        self.u = float(u)
 
-    def random(self):
-        return self.u
+@pytest.mark.parametrize("r, p", [
+    (0.1691, 0.0638), (0.1719, 0.2555), (0.1089, 0.3342), (0.028, 0.7053),  # model table
+    (5, 0.5), (0.01, 0.9),
+    (200, 1e-3),  # p**r is 0: a zero start would send every cluster to the cap
+])
+def test_nb_cdf_table_matches_loop_and_scipy_stats(r, p):
+    from scipy.stats import nbinom
+
+    sizes = _table(r, p)
+    assert np.array_equal(sizes.cdf, oracles.nb_cdf_table(r, p))
+    u = rng(2024).random(200_000)
+    target = sizes.p0 + (1.0 - u) * (1.0 - sizes.p0)
+    assert np.array_equal(sizes(u), np.maximum(nbinom.ppf(target, r, p), 1))
 
 
 @pytest.mark.parametrize("r, p", [(0.1691, 0.0638), (5, 0.5), (0.01, 0.9), (200, 1e-3)])
 def test_draw_cluster_size_matches_scipy_stats(r, p):
     process = channel.NbCluster(r=r, p=p, p_start=0.5)
+    sizes = _table(r, p)
     p0 = p ** r
     near_p0 = [np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0)]
-    near_zero = [2.0 ** -53, 2.0 ** -52, 1e-12]  # target within ulps of 1: the far tail
     near_one = [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]  # target within ulps of p0
-    grid = np.linspace(0.0, 1.0, 1000, endpoint=False)
-    for u in [0.0, *near_zero, *near_p0, *near_one, *grid]:
-        got = channel._draw_cluster_size(process, _FixedRandom(u))
-        assert got == oracles.draw_cluster_size(process, _FixedRandom(u)), u
+    grid = np.linspace(0.0, 1.0, 1000, endpoint=False)[1:]
+    for u in [*near_p0, *near_one, *grid]:
+        got = int(sizes(np.array([u]))[0])
+        assert got == oracles.draw_cluster_size(process, oracles.FixedRandom(u)), u
+    # within ~1e-12 of 1 the summed table and the Boost quantile part: a
+    # CDF summed over 3e5 terms is good to ~1e-13, while the pmf out there
+    # is ~1e-16 (at u = 1e-12 for (200, 1e-3) the table gives 316511 and
+    # Boost 315928; at u = 2^-53 for (5, 0.5), 67 and 69).  The table's
+    # answer is pinned there
+    table = oracles.nb_cdf_table(r, p)
+    for u in [0.0, 2.0 ** -53, 2.0 ** -52, 1e-12]:
+        assert sizes(np.array([u]))[0] == oracles.table_cluster_size(table, p0, u), u
     # for each pair, u = 0 rounds the target to 1.0: the support end
     assert p0 + (1.0 - p0) == 1.0
-    assert channel._draw_cluster_size(process, _FixedRandom(0.0)) == channel._RUN_CAP
+    assert sizes(np.array([0.0]))[0] == channel._RUN_CAP
 
 
 @pytest.mark.parametrize("r, p", [(0.1, 1.2e-8), (1.0, 2e-7), (3.0, 5e-7), (10.0, 1e-6)])
 def test_draw_cluster_size_near_run_cap(r, p):
-    # targets within ulps of the CDF at the cap, on both sides of it
-    process = channel.NbCluster(r=r, p=p, p_start=0.5)
+    from scipy.stats import nbinom
+
+    sizes = _table(r, p)
+    cdf = sizes.cdf
+    assert cdf.size == channel._RUN_CAP + 1
+    # a prefix against the loop, the end against scipy's CDF at the cap
+    assert np.array_equal(cdf[:10**5], oracles.nb_cdf_table(r, p, size=10**5))
+    assert cdf[-1] == pytest.approx(nbinom.cdf(channel._RUN_CAP, r, p), rel=1e-9)
+    # targets within ulps of the table's end, on both sides of it: the
+    # last pmf term spans all of them, so each one draws the cap
     p0 = p ** r
-    cdf_cap = channel._cdf_at_run_cap(r, p)
-    u_cap = (1.0 - cdf_cap) / (1.0 - p0)
-    du = np.spacing(cdf_cap) / (1.0 - p0)
-    targets = set()
-    for k in range(-40, 41):
-        u = u_cap + k * du
-        targets.add(p0 + (1.0 - u) * (1.0 - p0))
-        got = channel._draw_cluster_size(process, _FixedRandom(u))
-        want = min(oracles.draw_cluster_size(process, _FixedRandom(u)), channel._RUN_CAP)
-        assert got == want, u
-    assert min(targets) < cdf_cap < max(targets)
+    u_cap = (1.0 - cdf[-1]) / (1.0 - p0)
+    du = np.spacing(cdf[-1]) / (1.0 - p0)
+    u = u_cap + np.arange(-40, 41) * du
+    target = p0 + (1.0 - u) * (1.0 - p0)
+    assert target.min() < cdf[-1] < target.max()
+    assert cdf[-1] - cdf[-2] > target.max() - target.min()
+    assert np.all(sizes(u) == channel._RUN_CAP)
 
 
 def test_draw_cluster_size_far_beyond_run_cap_is_quick():
-    # the quantile search took over ten seconds here, for 2.6e9 packets
+    # Boost's quantile search took over ten seconds here (for 2.6e9
+    # packets); the table reaches the cap in a fraction of a second
+    start = time.perf_counter()
+    sizes = channel._NbClusterSizes(0.1, 1.2e-8)
+    assert sizes(np.array([2.0 ** -52]))[0] == channel._RUN_CAP
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nb_cluster_near_run_cap_builds_one_table_per_call(monkeypatch):
+    built = []
+
+    class Counted(channel._NbClusterSizes):
+        def __init__(self, r, p):
+            super().__init__(r, p)
+            built.append(self)
+
+    monkeypatch.setattr(channel, "_NbClusterSizes", Counted)
     process = channel.NbCluster(r=0.1, p=1.2e-8, p_start=0.5)
     start = time.perf_counter()
-    assert channel._draw_cluster_size(process, _FixedRandom(2.0 ** -52)) == channel._RUN_CAP
+    lost = channel.sample_losses(process, 10**5, rng(8))
     assert time.perf_counter() - start < 1.0
+    assert lost.size == 10**5 and lost.any()
+    assert len(built) == 1 and built[0].finished
 
 
 @pytest.mark.parametrize("process", [
@@ -211,7 +254,15 @@ def test_draw_cluster_size_far_beyond_run_cap_is_quick():
 @pytest.mark.parametrize("seed", [0, 1, 2, 77])
 def test_nb_cluster_losses_match_scipy_stats_walk(process, seed):
     batch = channel.sample_losses(process, 2000, rng(seed))
-    assert np.array_equal(batch, oracle_walk(process, 2000, seed))
+    assert np.array_equal(batch, oracles.nb_cluster_walk(process, 2000, rng(seed)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000, 200_000])
+def test_nb_cluster_stream_is_a_prefix_of_longer_runs(n):
+    # fixed-size blocks: n packets are the first n of any longer run
+    process = channel.NbCluster.for_target_per(0.1691, 0.0638, 0.3)
+    lost = channel.sample_losses(process, n, rng(4))
+    assert np.array_equal(lost, channel.sample_losses(process, 300_000, rng(4))[:n])
 
 
 @pytest.mark.parametrize("p_gb, p_bg, loss_good, loss_bad", [
@@ -271,7 +322,8 @@ def test_per_at_floor():
 
 def test_per_at_errors():
     table = channel.PerDistanceTable.bundled()
-    with pytest.raises(channel.OutOfRange):
+    with pytest.raises(channel.OutOfRange, match=r"^distance 60.0 m outside table span "
+                       r"\[\d+\.\d+, \d+\.\d+\] m$"):
         channel.per_at(table, 60.0, 230000)
     with pytest.raises(channel.UnknownBaud):
         channel.per_at(table, 30.0, 12345)

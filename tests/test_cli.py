@@ -353,6 +353,7 @@ def test_safety_rejects_bad_baud(tmp_path, capsys, baud):
 
 @pytest.mark.parametrize("flags", [
     ["--target", "1.5"], ["--target", "nan"], ["--mu", "nan"], ["--vlc-reaction-ms", "nan"],
+    ["--mu", "inf"], ["--g", "inf"], ["--vlc-reaction-ms", "inf"],
 ])
 def test_safety_rejects_nan_and_out_of_range_flags(tmp_path, capsys, flags):
     # every bundled scenario PER is below the model table span, so no
@@ -393,11 +394,13 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
 
 # sha256 of CLI outputs recorded before the CLI's error handling, config
 # merge and table reading were consolidated; report.txt without its
-# trace= line, which holds the path
+# trace= line, which holds the path.  The outputs of the nb-cluster trace
+# (summary, clusters, report) were re-recorded for the block stream
+# (rng=numpy-pcg64/2); sal.csv and safety.csv never read it
 GOLDEN_CLI_SHA256 = {
-    "summary.txt": "f8ab0b46105bd034ca85b3422c2c101979adf0d8348a6373c52f4f2806318207",
-    "clusters.csv": "b0d82e297bfafe24ce275b105d67f71a90b2cf3ab1f6ce08367033ebd14b293f",
-    "report.txt": "ea4238e7d78cb3e77e620f0ae8daf5e4f1008dc4035152780ed62b6691f5ec7c",
+    "summary.txt": "194991147ec6676672dd585764f4cc6f502667899f55d030b481c5534f92399e",
+    "clusters.csv": "11135f1c8206d0d75dbfc10b08171307884f8baefbc2dde0b20f314aede83c90",
+    "report.txt": "62b5abd317c12f78d18beb9a0284f146fcbf1d51b76d77fd350d4d6b53764d44",
     "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
     "safety.csv": "4c7219b3ff3c3fa343bd41fd11e158227a1a262a277b5fbd297e60ecb4bbb7b6",
 }
@@ -430,8 +433,8 @@ def _subprocess_env():
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     # scipy's imports cost more than the work of most commands, so importing
     # the CLI loads none of it: scipy.special is loaded on first use (the
-    # negative-binomial draws, the fits of analyze, the model quantiles of
-    # sal), and no command loads scipy.stats or scipy.optimize
+    # fits of analyze, the model quantiles of sal), and no command loads
+    # scipy.stats or scipy.optimize
     env = _subprocess_env()
     code = ("import sys, vlcrelay.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -453,7 +456,9 @@ def _scipy_modules_after(*argv) -> set[str]:
 
 def test_commands_load_only_the_scipy_they_use(tmp_path):
     ge = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
-    for name, flags in [("iid", ["--per", "0.1"]), ("ge", ["--process", ge])]:
+    nb = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
+    for name, flags in [("iid", ["--per", "0.1"]), ("nb", ["--process", nb]),
+                        ("ge", ["--process", ge])]:
         trace = tmp_path / f"{name}.vlct"
         assert _scipy_modules_after("simulate", *flags, "--n", "5000", "--seed", "3",
                                     "--out", str(trace)) == set()

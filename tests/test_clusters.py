@@ -328,7 +328,10 @@ def test_model_table_interpolation_between_rows():
 
 def test_model_table_out_of_range():
     table = clusters.ModelTable.bundled()
-    with pytest.raises(clusters.OutOfRange):
+    # one class for both tables' lookups
+    assert clusters.OutOfRange is channel.OutOfRange
+    with pytest.raises(clusters.OutOfRange,
+                       match=r"^per 0.5 outside model table span \[0.0006, 0.3\]$"):
         table.model_at(0.5)
     with pytest.raises(clusters.OutOfRange):
         table.model_at(1e-5)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,24 @@ def test_vlc_reaction_latency():
     assert safety.vlc_reaction_latency(l0, pt) * 1e6 == pytest.approx(316.76, abs=0.1)
     with pytest.raises(safety.NegativeLatency):
         safety.vlc_reaction_latency(pt / 2, pt)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: safety.SafetyScenario(v_kmh=math.inf, t_reaction_s=1.0),
+    lambda: safety.SafetyScenario(v_kmh=40, t_reaction_s=math.inf),
+    lambda: safety.SafetyScenario(v_kmh=40, t_reaction_s=1.0, mu=math.inf),
+    lambda: safety.SafetyScenario(v_kmh=40, t_reaction_s=1.0, g=math.inf),
+    lambda: safety.brake_distance(math.inf),
+    lambda: safety.brake_distance(10.0, mu=math.inf),
+    lambda: safety.brake_distance(10.0, g=math.inf),
+    lambda: safety.reaction_distance(math.inf, 1.0),
+    lambda: safety.reaction_distance(10.0, math.inf),
+    lambda: safety.vlc_reaction_latency(math.inf, 1e-3),
+])
+def test_infinite_inputs_rejected(call):
+    # an infinite mu or g gave a 0 m braking distance, an infinite time inf m
+    with pytest.raises(safety.SafetyError, match="finite"):
+        call()
 
 
 def test_vlc_latency_from_model_at_57k():

@@ -221,7 +221,8 @@ def test_read_trace_rejects_relayed_bit_flipped_on(tmp_path):
 
 # sha256 of write_trace_csv for 3000 packets at seed 7 under the default
 # LinkConfig of each mode, recorded before the relay rule and the
-# Gilbert-Elliott chain were vectorized
+# Gilbert-Elliott chain were vectorized; the nb-cluster digests were
+# re-recorded for the block stream (rng=numpy-pcg64/2)
 GOLDEN_TRACE_SHA256 = {
     ("broadcast", "iid-packet:p=0.1"):
         "81c74974810844c71483bd11dd4b2c5361048af8f959a9c6c27e10e5a481a295",
@@ -230,7 +231,7 @@ GOLDEN_TRACE_SHA256 = {
     ("broadcast", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
         "a2545ffbf7063c06b914d9e61c34bb3a1b88647653fca36fe9bf44ab8c1c55b4",
     ("broadcast", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
-        "b70ff3d690a8c2d903559b786e1029347f9da07c364793ff51d8e876ee771df5",
+        "09ef8a0565ce47871848d713667750f570c1a93d625d3425c078252e759820e5",
     ("beacon", "iid-packet:p=0.1"):
         "9cafa1684d28deafdbb81408b75d5efe7fa22bcadfb354165034530b4267ad87",
     ("beacon", "iid-bit:p=0.005"):
@@ -238,7 +239,7 @@ GOLDEN_TRACE_SHA256 = {
     ("beacon", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
         "c79a7834799212b14cc71c6e97e2a6da157e252283baad50d77ec4b0f0d75861",
     ("beacon", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
-        "0bcb4300e378e683acf49dd4c3654e87adf530a32f5bc63564b01c1fe5086b78",
+        "4a7bbd923fd6cdb7bc5665a025811642514fad70d1cb4660e6eadb4867883931",
 }
 
 
@@ -252,6 +253,14 @@ def test_golden_trace_bytes(tmp_path, mode, spec):
 
 
 _SPECS = sorted({spec for _, spec in GOLDEN_TRACE_SHA256})
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_trace_header_names_the_random_stream(spec):
+    # nb-cluster draws in blocks since stream 2; the other streams are the first
+    trace = sim.run(BROADCAST, channel.process_from_spec(spec), 10, seed=1)
+    want = "numpy-pcg64/2" if spec.startswith("nb-cluster:") else "numpy-pcg64"
+    assert trace.header()["rng"] == want
 
 
 @pytest.mark.parametrize("spec", _SPECS)
@@ -284,7 +293,8 @@ def test_write_trace_csv_suffix_is_the_csv_export(tmp_path):
 
 # sha256 of write_trace's binary file for the cases of GOLDEN_TRACE_SHA256,
 # recorded as the magic line, the header and np.packbits(received) of the
-# traces the earlier CSV-only code drew
+# traces the earlier CSV-only code drew; nb-cluster re-recorded for the
+# block stream (rng=numpy-pcg64/2)
 GOLDEN_BINARY_TRACE_SHA256 = {
     ("broadcast", "iid-packet:p=0.1"):
         "d5add41ebb1b23222ba01ea61177c49857a98b1b34dc3bc535d494cdb620098f",
@@ -293,7 +303,7 @@ GOLDEN_BINARY_TRACE_SHA256 = {
     ("broadcast", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
         "ad27011eeb97a2693982baa9dcf92b7014d1be0b678068b29dd07759de971e6a",
     ("broadcast", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
-        "dbd99ffa2baee34bcabd3e37824fdec852a3322a8facdc984fb86bcb4ee1736c",
+        "6a2c27a5380fea1c49822bba7ed5bebc1690d87caf86d47cfadca4dafe66798c",
     ("beacon", "iid-packet:p=0.1"):
         "52f0d4156104234431f2058dd4ef02600ab864e24c6e1881d6db17038897de72",
     ("beacon", "iid-bit:p=0.005"):
@@ -301,7 +311,7 @@ GOLDEN_BINARY_TRACE_SHA256 = {
     ("beacon", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"):
         "4c925c0fe08a17e632107f2b903e6d150b0e72c443170322169c49a623ae8404",
     ("beacon", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"):
-        "a1c2d2e2a01b0967cdfd5b7614966af7e04b5b39e614ed9d84b496deb6d949fb",
+        "a3eb64ff7be5558318137f35c6b327e4a25f274189c92b8e13b38d640c6985db",
 }
 
 
