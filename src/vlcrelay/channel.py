@@ -169,8 +169,8 @@ class _NbClusterSizes:
     is the float a plain loop gives; ``tests/oracles.nb_cdf_table`` is that
     loop).  It grows in doubling chunks only as far as the targets need, and
     is finished when a pmf term no longer moves the float CDF or the table
-    reaches ``_RUN_CAP``.  A target above the finished table, or of exactly
-    1.0, maps to ``_RUN_CAP``.
+    reaches ``_RUN_CAP``.  A target above the finished table maps to its
+    last index, and a target of exactly 1.0 to ``_RUN_CAP``.
     """
 
     def __init__(self, r: float, p: float):
@@ -223,9 +223,8 @@ class _NbClusterSizes:
         """Cluster sizes for uniforms ``u`` in [0, 1)."""
         target = self.p0 + (1.0 - u) * (1.0 - self.p0)  # in (p0, 1]
         self.grow(float(target.max()))
-        cdf = self.cdf
-        sizes = np.maximum(np.searchsorted(cdf, target), 1)
-        return np.where((target > cdf[-1]) | (target == 1.0), _RUN_CAP, sizes)
+        sizes = np.maximum(np.minimum(np.searchsorted(self.cdf, target), self._size - 1), 1)
+        return np.where(target == 1.0, _RUN_CAP, sizes)
 
 
 def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float) -> np.ndarray:

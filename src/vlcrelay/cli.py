@@ -187,14 +187,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     clusters_out = Path(args.clusters_out) if args.clusters_out else _default_out("clusters.csv")
     report_out = Path(args.report_out) if args.report_out else _default_out("report.txt")
 
-    grid = np.arange(dist.max_cluster + 1)
     pmf = dist.pmf_grid()
-    cdf = np.cumsum(pmf)
-    counts = [dist.n_zero] + [dist.counts.get(int(k), 0) for k in grid[1:]]
     with open(clusters_out, "w", newline="\n") as fh:
         fh.write("k,count,pmf,cdf\n")
-        for k, c, q, s in zip(grid, counts, pmf, cdf):
-            fh.write(f"{int(k)},{int(c)},{_format_float(q)},{_format_float(s)}\n")
+        for k, (c, q, s) in enumerate(zip(dist.hist, pmf, np.cumsum(pmf))):
+            fh.write(f"{k},{int(c)},{_format_float(q)},{_format_float(s)}\n")
 
     lines = [
         f"trace={args.trace}",

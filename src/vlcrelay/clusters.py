@@ -60,50 +60,50 @@ def loss_run_lengths(received: np.ndarray) -> np.ndarray:
 class ClusterDistribution:
     """Empirical run-length law over per-transmission observation windows.
 
-    ``counts`` holds cluster sizes >= 1; every received packet (plus a
-    virtual window when the trace opens with a loss) contributes one
-    observation window, so the zero-loss mass is implied by the totals.
+    ``hist[k]`` counts the windows whose loss run is ``k``, zeros included:
+    every received packet (plus a virtual window when the trace opens with
+    a loss) is one window.  The last entry is the longest run's.
     """
 
-    counts: dict[int, int]
+    hist: np.ndarray
     n_slots: int
-    n_opportunities: int
-    insufficient: bool
 
     @property
-    def n_runs(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def n_lost(self) -> int:
-        return sum(k * c for k, c in self.counts.items())
+    def n_opportunities(self) -> int:
+        return int(self.hist.sum())
 
     @property
     def n_zero(self) -> int:
-        return self.n_opportunities - self.n_runs
+        return int(self.hist[0])
+
+    @property
+    def n_runs(self) -> int:
+        return self.n_opportunities - self.n_zero
+
+    @property
+    def n_lost(self) -> int:
+        return int(np.arange(self.hist.size) @ self.hist)
 
     @property
     def max_cluster(self) -> int:
-        return max(self.counts) if self.counts else 0
+        return self.hist.size - 1
+
+    @property
+    def insufficient(self) -> bool:
+        return self.n_lost < MIN_LOSSES
 
     @property
     def mean(self) -> float:
         return self.n_lost / self.n_opportunities
 
     def values_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct run lengths (zeros included) and their multiplicities."""
-        ks = np.array([0] + sorted(self.counts), dtype=np.int64)
-        ws = np.array([self.n_zero] + [self.counts[k] for k in sorted(self.counts)],
-                      dtype=np.int64)
-        return ks, ws
+        """Run lengths seen, 0 first even at weight 0, and their counts."""
+        ks = np.concatenate(([0], np.flatnonzero(self.hist[1:]) + 1))
+        return ks, self.hist[ks]
 
     def pmf_grid(self) -> np.ndarray:
         """Per-transmission law on 0..max_cluster."""
-        grid = np.zeros(self.max_cluster + 1)
-        grid[0] = self.n_zero
-        for k, c in self.counts.items():
-            grid[k] = c
-        return grid / self.n_opportunities
+        return self.hist / self.n_opportunities
 
     def cdf(self, k) -> np.ndarray:
         cum = np.cumsum(self.pmf_grid())
@@ -125,23 +125,17 @@ def extract_clusters(trace_or_received) -> ClusterDistribution:
     if received.size == 0:
         raise ClusterStatsError("empty trace")
     runs = loss_run_lengths(received)
-    sizes, reps = (np.unique(runs, return_counts=True) if runs.size
-                   else (np.zeros(0, np.int64), np.zeros(0, np.int64)))
-    counts = {int(k): int(c) for k, c in zip(sizes, reps)}
-    n_rx = int(received.sum())
-    n_opportunities = n_rx + (0 if received[0] else 1)
-    n_lost = int((~received).sum())
-    insufficient = n_lost < MIN_LOSSES
-    if insufficient:
+    hist = np.bincount(runs, minlength=1)
+    hist[0] = int(received.sum()) + (0 if received[0] else 1) - runs.size
+    dist = ClusterDistribution(hist=hist, n_slots=int(received.size))
+    if dist.insufficient:
         warnings.warn(
-            f"only {n_lost} losses in {received.size} packets; "
+            f"only {dist.n_lost} losses in {received.size} packets; "
             f"run-length statistics are not significant",
             InsufficientErrorsWarning,
             stacklevel=2,
         )
-    return ClusterDistribution(counts=counts, n_slots=int(received.size),
-                               n_opportunities=n_opportunities,
-                               insufficient=insufficient)
+    return dist
 
 
 class Family(str, Enum):
@@ -360,7 +354,7 @@ def fit(dist: ClusterDistribution, family: Family,
         allow_insufficient: bool = False) -> FitResult:
     """Maximum-likelihood fit of one family to the per-transmission law."""
     family = Family(family)
-    if dist.n_lost < MIN_LOSSES and not allow_insufficient:
+    if dist.insufficient and not allow_insufficient:
         raise InsufficientErrors(dist.n_lost)
     values, weights = dist.values_weights()
     values = values.astype(float)

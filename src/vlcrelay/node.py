@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import CHIPS_PER_FRAME, DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
+from .codec import CHIPS_PER_FRAME
 
 
 class ConfigError(ValueError):
@@ -37,8 +37,6 @@ class LinkConfig:
     beacon_interval_s: float = 0.1
     t_proc_s: float = 10e-6
     guard_s: float = 28.5e-6
-    reference_payload: bytes = REFERENCE_PAYLOAD
-    preamble: bytes = DEFAULT_PREAMBLE
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
@@ -65,10 +63,6 @@ class LinkConfig:
             raise ConfigError(
                 f"t_proc_s + guard_s ({self.dead_time_s:.6g} s) must be shorter "
                 f"than the transmit period ({self.period_s:.6g} s)")
-        if len(self.reference_payload) != 2:
-            raise ConfigError("reference_payload must be 2 bytes")
-        if len(self.preamble) != 2:
-            raise ConfigError("preamble must be 2 bytes")
 
     @property
     def packet_time_s(self) -> float:

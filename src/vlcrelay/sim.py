@@ -19,7 +19,9 @@ a derived column read from a file is only checked, never used.
   empty latency field for packets that were not relayed.  Its reader
   checks the derived columns against the relay rule.
 
-``read_trace`` tells the two apart by the binary format's first line.
+``read_trace`` tells the two apart by the binary format's first line.  In
+both, a header line is ``# key=value`` with a key not seen before, and the
+CSV export has none after its column line.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ import numpy as np
 
 from . import channel as _channel
 from .clusters import loss_run_lengths
+from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
 from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
 _HEADER_KEYS = frozenset({"mode", "baud", "ipd_us", "beacon_interval_us", "t_proc_us",
                           "guard_us", "payload", "preamble", "n_packets", "seed"})
+_CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
 
 
 class TraceFormatError(ValueError):
@@ -50,23 +54,26 @@ class PacketTrace:
     config: LinkConfig
     process_spec: str
     seed: int
-    tx_start_s: np.ndarray
     received: np.ndarray
     relayed: np.ndarray
     latency_s: np.ndarray  # NaN where not relayed
 
     def __post_init__(self):
-        n = self.tx_start_s.size
+        n = self.received.size
         if n < 1:
             raise EmptyTrace("trace must contain at least one packet")
-        if not (self.received.size == self.relayed.size == self.latency_s.size == n):
+        if not (self.relayed.size == self.latency_s.size == n):
             raise ValueError("trace arrays must share one length")
         if np.any(self.relayed & ~self.received):
             raise ValueError("relayed packets must have been received")
 
     @property
     def n_tx(self) -> int:
-        return self.tx_start_s.size
+        return self.received.size
+
+    @property
+    def tx_start_s(self) -> np.ndarray:
+        return np.arange(self.n_tx, dtype=np.float64) * self.config.period_s
 
     @property
     def n_received(self) -> int:
@@ -90,8 +97,8 @@ class PacketTrace:
             "beacon_interval_us": repr(cfg.beacon_interval_s * 1e6),
             "t_proc_us": repr(cfg.t_proc_s * 1e6),
             "guard_us": repr(cfg.guard_s * 1e6),
-            "payload": cfg.reference_payload.hex(),
-            "preamble": cfg.preamble.hex(),
+            "payload": REFERENCE_PAYLOAD.hex(),
+            "preamble": DEFAULT_PREAMBLE.hex(),
             "process": self.process_spec,
             "n_packets": str(self.n_tx),
             "seed": str(self.seed),
@@ -145,7 +152,6 @@ def _build_trace(config: LinkConfig, process_spec: str, seed: int,
         config=config,
         process_spec=process_spec,
         seed=seed,
-        tx_start_s=np.arange(received.size, dtype=np.float64) * config.period_s,
         received=received,
         relayed=relayed,
         latency_s=latency_s,
@@ -212,11 +218,7 @@ def _read_trace_binary(path, data: bytes) -> PacketTrace:
         raise TraceFormatError(path, 0, f"header is not UTF-8: {exc}") from None
     header: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=2):
-        key, eq, value = line.removeprefix("# ").partition("=")
-        if not line.startswith("# ") or not eq or key in header:
-            raise TraceFormatError(path, lineno, f"expected a new '# key=value' line, "
-                                   f"got {line!r}")
-        header[key] = value
+        _add_header_line(path, lineno, line, header)
     try:
         n = int(header["n_packets"])
     except (KeyError, ValueError):
@@ -237,6 +239,16 @@ def _read_trace_binary(path, data: bytes) -> PacketTrace:
     return _trace_from_header(path, header, bits[:n].astype(bool))
 
 
+def _add_header_line(path, lineno: int, line: str, header: dict[str, str]) -> None:
+    """Enter a ``# key=value`` line whose key is new into ``header``; both
+    readers reject any other header line."""
+    key, eq, value = line.removeprefix("# ").partition("=")
+    if not line.startswith("# ") or not eq or key in header:
+        raise TraceFormatError(path, lineno, f"expected a new '# key=value' line, "
+                               f"got {line!r}")
+    header[key] = value
+
+
 def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> PacketTrace:
     missing = _HEADER_KEYS - set(header)
     if missing:
@@ -254,7 +266,7 @@ def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> Pa
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
     lines = [f"# {key}={value}" for key, value in trace.header().items()]
-    lines.append("seq,tx_start_us,received,relayed,latency_us")
+    lines.append(_CSV_COLUMNS)
     tx_us = trace.tx_start_s * 1e6
     lat_us = trace.latency_s * 1e6
     for k in range(trace.n_tx):
@@ -266,6 +278,9 @@ def write_trace_csv(trace: PacketTrace, path) -> None:
 
 
 def _config_from_header(header: dict[str, str]) -> LinkConfig:
+    for key, value in (("payload", REFERENCE_PAYLOAD), ("preamble", DEFAULT_PREAMBLE)):
+        if header[key] != value.hex():
+            raise ValueError(f"{key}={header[key]}, but the link's is {value.hex()}")
     return LinkConfig(
         baud=int(header["baud"]),
         mode=Mode(header["mode"]),
@@ -273,8 +288,6 @@ def _config_from_header(header: dict[str, str]) -> LinkConfig:
         beacon_interval_s=float(header["beacon_interval_us"]) / 1e6,
         t_proc_s=float(header["t_proc_us"]) / 1e6,
         guard_s=float(header["guard_us"]) / 1e6,
-        reference_payload=bytes.fromhex(header["payload"]),
-        preamble=bytes.fromhex(header["preamble"]),
     )
 
 
@@ -291,15 +304,17 @@ def read_trace_csv(path) -> PacketTrace:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                header[key.strip()] = value.strip()
-                continue
             if not saw_columns:
-                if line != "seq,tx_start_us,received,relayed,latency_us":
+                if line == _CSV_COLUMNS:
+                    saw_columns = True
+                elif line.startswith("#"):
+                    _add_header_line(path, lineno, line, header)
+                else:
                     raise TraceFormatError(path, lineno, f"bad column header {line!r}")
-                saw_columns = True
                 continue
+            if line.startswith("#"):
+                raise TraceFormatError(path, lineno, f"header line {line!r} after the "
+                                       "column header")
             parts = line.split(",")
             if len(parts) != 5:
                 raise TraceFormatError(path, lineno, f"expected 5 fields, got {len(parts)}")

@@ -9,8 +9,9 @@ streams of ``channel.sample_losses``; for its negative-binomial stream,
 ``table_cluster_size`` for ``channel._NbClusterSizes``, and
 ``nb_cluster_walk``, which lays out the same blocks with every size from
 ``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``);
-and ``fit_nb_mle`` (the negative-binomial fit through
-``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
+``window_hist`` for ``clusters.extract_clusters``; and ``fit_nb_mle`` (the
+negative-binomial fit through ``scipy.optimize.minimize_scalar``) for
+``clusters._fit_nb_mle``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from vlcrelay.channel import (
     NbCluster,
 )
 from vlcrelay.clusters import FitDiverged
+from vlcrelay.codec import REFERENCE_PAYLOAD
 from vlcrelay.node import LinkConfig
 
 
@@ -145,11 +147,12 @@ def nb_cdf_table(r: float, p: float, size: int = _RUN_CAP + 1) -> np.ndarray:
 
 
 def table_cluster_size(table: np.ndarray, p0: float, u: float) -> int:
-    """Cluster size for uniform ``u`` by bisection in a finished table."""
+    """Cluster size for uniform ``u`` by bisection in a finished table: a
+    target above its end takes its last index, and a target of 1.0 the cap."""
     target = p0 + (1.0 - u) * (1.0 - p0)
-    if target == 1.0 or target > table[-1]:
+    if target == 1.0:
         return _RUN_CAP
-    return max(1, bisect.bisect_left(table.tolist(), target))
+    return max(1, min(bisect.bisect_left(table.tolist(), target), table.size - 1))
 
 
 class FixedRandom:
@@ -177,6 +180,23 @@ def nb_cluster_walk(process: NbCluster, n: int, rng: np.random.Generator) -> np.
             if len(lost) < n:
                 lost.extend([True] * draw_cluster_size(process, FixedRandom(u)))
     return np.array(lost[:n], dtype=bool)
+
+
+def window_hist(received) -> list[int]:
+    """Run-length histogram by a walk over the observation windows: each
+    received packet opens a window, and so does the trace's start when it
+    opens with a loss; a window's run is the losses before the next
+    received packet."""
+    runs = [] if received[0] else [0]
+    for ok in received:
+        if ok:
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    hist = [0] * (max(runs) + 1)
+    for k in runs:
+        hist[k] += 1
+    return hist
 
 
 def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -235,7 +255,7 @@ def rx_adr_step(state: NodeState, tx_start_s: float, payload: bytes | None,
     """
     pt = config.packet_time_s
     rx_end = tx_start_s + pt
-    channel_ok = payload is not None and payload == config.reference_payload
+    channel_ok = payload is not None and payload == REFERENCE_PAYLOAD
 
     decision = RelayDecision(relayed=False)
     new_relay_start = state.relay_start_s

@@ -133,13 +133,8 @@ def test_criterion_5_codec_properties():
 
 def _window_distribution(draws):
     draws = np.asarray(draws, dtype=np.int64)
-    sizes, reps = np.unique(draws[draws > 0], return_counts=True)
-    return clusters.ClusterDistribution(
-        counts={int(k): int(c) for k, c in zip(sizes, reps)},
-        n_slots=int(draws.sum() + draws.size),
-        n_opportunities=int(draws.size),
-        insufficient=bool(draws.sum() < clusters.MIN_LOSSES),
-    )
+    return clusters.ClusterDistribution(hist=np.bincount(draws),
+                                        n_slots=int(draws.sum() + draws.size))
 
 
 @criterion(6, "fit recovery within 10% and generator-family selection")

@@ -198,6 +198,18 @@ def test_draw_cluster_size_matches_scipy_stats(r, p):
     assert sizes(np.array([0.0]))[0] == channel._RUN_CAP
 
 
+def test_target_above_a_table_that_stopped_short_takes_its_last_index():
+    # the (200, 1e-3) table ends where a term no longer moves the float
+    # CDF, at 1 - 3e-13, far short of the cap: targets above that end stay
+    # in the law's tail (nbinom.ppf gives 340508 and 337880 here)
+    sizes = _table(200, 1e-3)
+    last = sizes.cdf.size - 1
+    assert last < channel._RUN_CAP
+    u = np.array([2.0 ** -53, 2.0 ** -52])
+    assert np.all(sizes.p0 + (1.0 - u) * (1.0 - sizes.p0) > sizes.cdf[-1])
+    assert sizes(u).tolist() == [last, last]
+
+
 @pytest.mark.parametrize("r, p", [(0.1, 1.2e-8), (1.0, 2e-7), (3.0, 5e-7), (10.0, 1e-6)])
 def test_draw_cluster_size_near_run_cap(r, p):
     from scipy.stats import nbinom

@@ -170,6 +170,29 @@ def run_err(capsys):
     return capsys.readouterr().err
 
 
+@pytest.mark.parametrize("before_columns, line, message", [
+    (True, "# seed=999", "expected a new '# key=value' line, got '# seed=999'"),
+    (False, "# process=iid-packet:p=0.9", "after the column header"),
+])
+def test_analyze_rejects_csv_header_line_out_of_place(tmp_path, capsys, before_columns,
+                                                      line, message):
+    # a repeated key before the column line, or any '#' line among the rows
+    trace_path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(LinkConfig(), channel.IidPacket(0.3), 1000, 1), trace_path)
+    lines = trace_path.read_text().splitlines()
+    at = lines.index("seq,tx_start_us,received,relayed,latency_us")
+    at += 0 if before_columns else 501  # after row 500
+    lines.insert(at, line)
+    trace_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sim.TraceFormatError, match=message):
+        sim.read_trace(trace_path)
+    rc = run_cli("analyze", str(trace_path), "--clusters-out", str(tmp_path / "c.csv"),
+                 "--report-out", str(tmp_path / "r.txt"))
+    assert rc == 3
+    assert f":{at + 1}: " in run_err(capsys)
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_sal_bundled_matches_published_column(tmp_path, capsys):
     out = tmp_path / "sal.csv"
     rc = run_cli("sal", "--out", str(out))
@@ -491,6 +514,8 @@ def _simulate_binary(tmp_path, n=13):
 @pytest.mark.parametrize("name, edit, message", [
     ("missing-key", lambda d: d.replace(b"# seed=2\n", b""), "missing header keys"),
     ("bad-value", lambda d: d.replace(b"# mode=broadcast", b"# mode=sideways"), "bad header"),
+    ("other-payload", lambda d: d.replace(b"# payload=a5a5", b"# payload=0102"),
+     "payload=0102, but the link's is a5a5"),
     ("bad-n-packets", lambda d: d.replace(b"# n_packets=13", b"# n_packets=1e3"),
      "n_packets='1e3'"),
     ("zero-n-packets", lambda d: d.replace(b"# n_packets=13", b"# n_packets=0"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,13 +28,8 @@ TARGETS = (0.9, 0.95, 0.99, 0.999)
 def dist_from_window_counts(draws):
     """Build a ClusterDistribution as if each draw were one window."""
     draws = np.asarray(draws, dtype=np.int64)
-    sizes, reps = np.unique(draws[draws > 0], return_counts=True)
-    return clusters.ClusterDistribution(
-        counts={int(k): int(c) for k, c in zip(sizes, reps)},
-        n_slots=int(draws.sum() + draws.size),
-        n_opportunities=int(draws.size),
-        insufficient=bool(draws.sum() < clusters.MIN_LOSSES),
-    )
+    return clusters.ClusterDistribution(hist=np.bincount(draws),
+                                        n_slots=int(draws.sum() + draws.size))
 
 
 # ---------------------------------------------------------------- extraction
@@ -42,7 +38,7 @@ def test_extract_clusters_by_definition():
     received = np.array([False, False, False, True, False, True])  # L L L S L S
     with pytest.warns(clusters.InsufficientErrorsWarning):
         dist = clusters.extract_clusters(received)
-    assert dist.counts == {3: 1, 1: 1}
+    assert dist.hist.tolist() == [1, 1, 0, 1]
     assert dist.n_lost == 4
     assert dist.n_opportunities == 3  # two receptions plus the leading-run window
     assert dist.n_zero == 1
@@ -51,7 +47,7 @@ def test_extract_clusters_by_definition():
 def test_extract_clusters_no_losses_warns():
     with pytest.warns(clusters.InsufficientErrorsWarning):
         dist = clusters.extract_clusters(np.ones(50, dtype=bool))
-    assert dist.counts == {}
+    assert dist.hist.tolist() == [50]
     assert dist.insufficient
     assert dist.quantile(0.999) == 0
 
@@ -60,8 +56,37 @@ def test_extract_clusters_mass_identity():
     rng = np.random.default_rng(0)
     received = rng.random(5000) > 0.3
     dist = clusters.extract_clusters(received)
-    assert sum(k * c for k, c in dist.counts.items()) == int((~received).sum())
+    assert dist.n_lost == int((~received).sum())
     assert dist.pmf_grid().sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _check_hist_against_window_walk(received):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", clusters.InsufficientErrorsWarning)
+        dist = clusters.extract_clusters(received)
+    assert dist.hist.tolist() == oracles.window_hist(received)
+    ks, ws = dist.values_weights()
+    assert (ks[0], ws[0]) == (0, dist.hist[0])
+    assert np.array_equal(ws, dist.hist[ks]) and np.all(ws[1:] > 0)
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=200))
+def test_extract_clusters_hist_matches_window_walk(flags):
+    _check_hist_against_window_walk(np.array(flags, dtype=bool))
+
+
+@pytest.mark.parametrize("flags, hist", [
+    ("LLLL", [0, 0, 0, 0, 1]),  # all lost: the start's window holds the run
+    ("SSSS", [4]),  # none lost
+    ("LLSSLS", [2, 1, 1]),  # a leading run
+    ("SSLLL", [1, 0, 0, 1]),  # a trailing run
+    ("LSL", [0, 2]),  # n_zero == 0, and values_weights still starts at 0
+])
+def test_extract_clusters_hist_edge_cases(flags, hist):
+    dist = _check_hist_against_window_walk(np.array([c == "S" for c in flags]))
+    assert dist.hist.tolist() == hist
 
 
 def test_extract_clusters_matches_generator():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcrelay import channel, node, sim
+from vlcrelay import channel, codec, node, sim
 
 import oracles
 
@@ -21,8 +21,6 @@ def test_config_validation():
         node.LinkConfig(t_proc_s=-1.0)
     with pytest.raises(node.ConfigError):
         node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=1e-6)
-    with pytest.raises(node.ConfigError):
-        node.LinkConfig(reference_payload=b"\x01")
     # decode + turnaround must end before the next transmit starts
     with pytest.raises(node.ConfigError):
         node.LinkConfig(t_proc_s=300e-6)
@@ -103,7 +101,7 @@ def _scan_with_steps(received, cfg):
     relayed = np.zeros(received.size, dtype=bool)
     latency = np.full(received.size, np.nan)
     for k, ok in enumerate(received):
-        payload = cfg.reference_payload if ok else None
+        payload = codec.REFERENCE_PAYLOAD if ok else None
         state, decision = oracles.rx_adr_step(state, k * cfg.period_s, payload, cfg)
         relayed[k] = decision.relayed
         if decision.relayed:
