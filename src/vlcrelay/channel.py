@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._tables import OutOfRange, data_path, read_table
+from .codec import FRAME_BITS
 
-BITS_PER_PACKET = 32
+BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
 _RUN_CAP = 10**7  # tail guard for inverse-CDF run draws
 _BLOCK = 4096  # cluster cycles drawn per block
@@ -283,68 +284,61 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
 
 
 RNG_ALGORITHM = "numpy-pcg64"
-# the version of each process's random stream, bumped when sample_losses
-# draws differently from one seed; an unlisted process is on its first
-_STREAM_VERSIONS = {"nb-cluster": 2}  # 2: cluster sizes drawn in blocks
+# each spec name's process class, spec keys (one per field, in print order)
+# and random-stream version, bumped when sample_losses draws differently
+_SPECS = {
+    "iid-packet": (IidPacket, ("p",), 1),
+    "iid-bit": (IidBit, ("p",), 1),
+    "gilbert-elliott": (GilbertElliott, ("p_gb", "p_bg", "loss_good", "loss_bad"), 1),
+    "nb-cluster": (NbCluster, ("r", "p", "p_start"), 2),  # 2: sizes drawn in blocks
+}
 
 
 def stream_label(process_spec: str) -> str:
     """The trace header's ``rng=`` label for the stream of a process spec."""
-    version = _STREAM_VERSIONS.get(process_spec.partition(":")[0])
-    return f"{RNG_ALGORITHM}/{version}" if version else RNG_ALGORITHM
+    _, _, version = _SPECS.get(process_spec.partition(":")[0], (None, (), 1))
+    return f"{RNG_ALGORITHM}/{version}" if version > 1 else RNG_ALGORITHM
 
 
 def process_from_spec(spec: str) -> ErrorProcess:
     """Parse 'name:param=value,...' descriptors, e.g. 'iid-packet:p=0.1'.
 
-    Every parameter must be numeric and used by the named process.
+    Every parameter must be numeric, given once and used by the named
+    process; ``nb-cluster`` takes ``target_per`` in place of ``p_start``.
     """
     name, _, rest = spec.partition(":")
+    if name not in _SPECS:
+        raise ChannelError(f"unknown process {name!r}")
+    make, keys, _ = _SPECS[name]
     params: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            if not value:
-                raise ChannelError(f"malformed process parameter {item!r}")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise ChannelError(f"process parameter {key.strip()!r} is not a "
-                                   f"number: {value!r}") from None
-    try:
-        if name == "iid-packet":
-            process = IidPacket(p_loss=params.pop("p"))
-        elif name == "iid-bit":
-            process = IidBit(p_bit=params.pop("p"))
-        elif name == "gilbert-elliott":
-            process = GilbertElliott(p_gb=params.pop("p_gb"), p_bg=params.pop("p_bg"),
-                                     loss_good=params.pop("loss_good"),
-                                     loss_bad=params.pop("loss_bad"))
-        elif name == "nb-cluster" and "target_per" in params:
-            process = NbCluster.for_target_per(params.pop("r"), params.pop("p"),
-                                               params.pop("target_per"))
-        elif name == "nb-cluster":
-            process = NbCluster(r=params.pop("r"), p=params.pop("p"),
-                                p_start=params.pop("p_start"))
-        else:
-            raise ChannelError(f"unknown process {name!r}")
-    except KeyError as exc:
-        raise ChannelError(f"process {name!r} missing parameter {exc}") from None
-    if params:
-        raise ChannelError(f"process {name!r} has no parameter(s) {sorted(params)}")
-    return process
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if not value:
+            raise ChannelError(f"malformed process parameter {item!r}")
+        if key in params:
+            raise ChannelError(f"process parameter {key!r} given twice")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ChannelError(f"process parameter {key!r} is not a "
+                               f"number: {value!r}") from None
+    if make is NbCluster and "target_per" in params:
+        make, keys = NbCluster.for_target_per, ("r", "p", "target_per")
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise ChannelError(f"process {name!r} missing parameter {missing[0]!r}")
+    if len(params) > len(keys):
+        raise ChannelError(f"process {name!r} has no parameter(s) "
+                           f"{sorted(set(params) - set(keys))}")
+    return make(*(params[key] for key in keys))
 
 
 def process_to_spec(process: ErrorProcess) -> str:
-    if isinstance(process, IidPacket):
-        return f"iid-packet:p={process.p_loss!r}"
-    if isinstance(process, IidBit):
-        return f"iid-bit:p={process.p_bit!r}"
-    if isinstance(process, GilbertElliott):
-        return (f"gilbert-elliott:p_gb={process.p_gb!r},p_bg={process.p_bg!r},"
-                f"loss_good={process.loss_good!r},loss_bad={process.loss_bad!r}")
-    if isinstance(process, NbCluster):
-        return f"nb-cluster:r={process.r!r},p={process.p!r},p_start={process.p_start!r}"
+    for name, (cls, keys, _) in _SPECS.items():
+        if type(process) is cls:
+            values = (getattr(process, field.name) for field in fields(cls))
+            return f"{name}:" + ",".join(f"{k}={v!r}" for k, v in zip(keys, values))
     raise ChannelError(f"unknown error process {process!r}")
 
 

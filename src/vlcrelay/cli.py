@@ -89,15 +89,6 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _build_link_config(args: argparse.Namespace) -> LinkConfig:
-    """The link the flags give; ``LinkConfig``'s defaults fill the rest."""
-    fields = {name: getattr(args, name, None) for name in ("baud", "mode")}
-    for name in ("ipd", "beacon_interval", "t_proc", "guard"):
-        us = getattr(args, f"{name}_us", None)
-        fields[f"{name}_s"] = None if us is None else us / 1e6
-    return LinkConfig(**{k: v for k, v in fields.items() if v is not None})
-
-
 def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess:
     given = [name for name, val in
              (("per", args.per), ("process", args.process), ("distance_m", args.distance_m))
@@ -134,7 +125,7 @@ def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _build_link_config(args)
+    config = LinkConfig.from_text_fields(vars(args))
     process = _build_process(args, config.baud)
     n = args.n if args.n is not None else 10000
     if n < 1:
@@ -230,14 +221,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return code
 
 
+def _parse_floats(name: str, spec: str) -> list[float]:
+    """A comma-separated list of at least one number; empty items are skipped."""
+    try:
+        values = [float(x) for x in spec.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    if not values:
+        raise ConfigError(f"{name}: expected comma-separated numbers, got {spec!r}")
+    return values
+
+
 def _parse_targets(spec: str | None) -> list[float]:
     if not spec:
         return list(_clusters.DEFAULT_TARGETS)
-    try:
-        targets = [float(x) for x in spec.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"targets: {exc}") from None
-    if not targets or not all(0.0 < t < 1.0 for t in targets):
+    targets = _parse_floats("targets", spec)
+    if not all(0.0 < t < 1.0 for t in targets):
         raise ConfigError(f"targets must be probabilities in (0, 1), got {spec}")
     return targets
 
@@ -246,16 +245,10 @@ def cmd_sal(args: argparse.Namespace) -> int:
     table = (_clusters.ModelTable.from_csv(args.models) if args.models
              else _clusters.ModelTable.bundled())
     targets = _parse_targets(args.targets)
-    config = _build_link_config(args)
+    config = LinkConfig.from_text_fields(vars(args))
     params = _clusters.LatencyParams.from_baud(config.baud, ipd_s=config.ipd_s)
-
-    if args.per_grid:
-        try:
-            grid = [float(x) for x in args.per_grid.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"per-grid: {exc}") from None
-    else:
-        grid = [float(p) for p in table.pers]
+    grid = (_parse_floats("per-grid", args.per_grid) if args.per_grid
+            else [float(p) for p in table.pers])
 
     points = _clusters.sal_curve(grid, targets, table, params)
 

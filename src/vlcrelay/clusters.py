@@ -26,6 +26,7 @@ from .node import LinkConfig
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
 _QUANTILE_CAP = 10**7
+_TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
 
 
 class ClusterStatsError(ValueError):
@@ -67,6 +68,14 @@ class ClusterDistribution:
 
     hist: np.ndarray
     n_slots: int
+
+    def __post_init__(self):
+        hist = np.asarray(self.hist)
+        if not (hist.ndim == 1 and hist.size and np.issubdtype(hist.dtype, np.integer)
+                and hist.min() >= 0 and hist[-1] > 0):
+            raise ClusterStatsError("hist must be a 1-D array of counts >= 0 with a "
+                                    f"non-zero last entry, got {self.hist!r}")
+        object.__setattr__(self, "hist", hist)
 
     @property
     def n_opportunities(self) -> int:
@@ -374,13 +383,14 @@ def fit(dist: ClusterDistribution, family: Family,
     return FitResult(family=family, params=params, max_cdf_error=float(np.max(np.abs(err))))
 
 
-def select_best(fits, tie_tol: float = 1e-4) -> FitResult:
-    """Smallest worst-case CDF error wins; near-ties go to fewer parameters."""
+def select_best(fits) -> FitResult:
+    """Smallest worst-case CDF error wins; near-ties (within ``_TIE_TOL``)
+    go to fewer parameters."""
     fits = list(fits)
     if not fits:
         raise ClusterStatsError("select_best needs at least one fit")
     best_err = min(f.max_cdf_error for f in fits)
-    contenders = [f for f in fits if f.max_cdf_error <= best_err + tie_tol]
+    contenders = [f for f in fits if f.max_cdf_error <= best_err + _TIE_TOL]
     return min(contenders, key=lambda f: (f.family.n_params, f.max_cdf_error))
 
 
@@ -417,11 +427,10 @@ class LatencyParams:
             raise ClusterStatsError("latency parameters must be >= 0")
 
     @classmethod
-    def from_baud(cls, baud: int, ipd_s: float = 0.0,
-                  t_proc_s: float = LinkConfig.t_proc_s,
-                  guard_s: float = LinkConfig.guard_s) -> "LatencyParams":
-        """Timing of a broadcast link; raises ``ConfigError`` on bad input."""
-        config = LinkConfig(baud=baud, ipd_s=ipd_s, t_proc_s=t_proc_s, guard_s=guard_s)
+    def from_baud(cls, baud: int, ipd_s: float = 0.0) -> "LatencyParams":
+        """Timing of a broadcast link with the default decode and turnaround
+        times; raises ``ConfigError`` on bad input."""
+        config = LinkConfig(baud=baud, ipd_s=ipd_s)
         return cls(l0_s=config.l0_s, ipd_s=ipd_s, pt_s=config.packet_time_s)
 
 

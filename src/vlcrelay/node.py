@@ -10,10 +10,12 @@ packet-error accounting below corrects for that.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
-from .codec import CHIPS_PER_FRAME
+from .codec import CHIPS_PER_FRAME, FRAME_BITS
 
 
 class ConfigError(ValueError):
@@ -29,6 +31,11 @@ class Mode(str, Enum):
     BEACON = "beacon"
 
 
+# the text key of each time field: the same number in microseconds
+_US_KEYS = {"ipd_us": "ipd_s", "beacon_interval_us": "beacon_interval_s",
+            "t_proc_us": "t_proc_s", "guard_us": "guard_s"}
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     baud: int = 230000
@@ -40,6 +47,8 @@ class LinkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
+        if not isinstance(self.baud, Integral):
+            raise ConfigError(f"baud must be an integer, got {self.baud!r}")
         if self.baud <= 0:
             raise ConfigError(f"baud must be positive, got {self.baud}")
         for name in ("ipd_s", "beacon_interval_s", "t_proc_s", "guard_s"):
@@ -63,6 +72,22 @@ class LinkConfig:
             raise ConfigError(
                 f"t_proc_s + guard_s ({self.dead_time_s:.6g} s) must be shorter "
                 f"than the transmit period ({self.period_s:.6g} s)")
+
+    def text_fields(self) -> dict[str, str]:
+        """The fields as trace-header text, keyed as the ``simulate`` flags."""
+        return {"mode": self.mode.value, "baud": str(self.baud),
+                **{key: repr(getattr(self, name) * 1e6) for key, name in _US_KEYS.items()}}
+
+    @classmethod
+    def from_text_fields(cls, fields: Mapping) -> "LinkConfig":
+        """The config that the ``text_fields`` keys of ``fields`` spell, as
+        text or numbers; a key that is absent or None takes the default."""
+        kwargs = {key: fields[key] for key in ("mode", "baud") if fields.get(key) is not None}
+        if isinstance(kwargs.get("baud"), str):
+            kwargs["baud"] = int(kwargs["baud"])
+        kwargs.update({name: float(fields[key]) / 1e6 for key, name in _US_KEYS.items()
+                       if fields.get(key) is not None})
+        return cls(**kwargs)
 
     @property
     def packet_time_s(self) -> float:
@@ -110,8 +135,8 @@ def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:
     return min(1.0, max(0.0, per))
 
 
-def estimate_ber_upper(per: float, bits_per_packet: int = 32) -> float:
-    """Upper bit-error-rate bound assuming one flipped bit per lost packet."""
+def estimate_ber_upper(per: float) -> float:
+    """Upper bit-error-rate bound assuming one flipped bit per lost frame."""
     if not 0.0 <= per <= 1.0:
         raise ConfigError(f"per must be in [0, 1], got {per}")
-    return per / bits_per_packet
+    return per / FRAME_BITS

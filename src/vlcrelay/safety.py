@@ -93,8 +93,7 @@ def vlc_reaction_latency(adr_latency_s: float, pt_s: float) -> float:
     return adr_latency_s - pt_s
 
 
-def relay_latency_at(per: float, target: float = SAFETY_TARGET,
-                     baud: int = SAFETY_BAUD, ipd_s: float = 0.0,
+def relay_latency_at(per: float, target: float = SAFETY_TARGET, baud: int = SAFETY_BAUD,
                      table: ModelTable | None = None) -> float:
     """End-to-end relay latency at a delivery target for a given PER.
 
@@ -104,7 +103,7 @@ def relay_latency_at(per: float, target: float = SAFETY_TARGET,
     if not 0.0 < target < 1.0:  # checked here, as PERs below the span skip the quantile
         raise SafetyError(f"target must be in (0, 1), got {target}")
     table = table or ModelTable.bundled()
-    params = LatencyParams.from_baud(baud, ipd_s=ipd_s)
+    params = LatencyParams.from_baud(baud)
     if per < table.per_min:
         n = 0
     else:

@@ -20,8 +20,9 @@ a derived column read from a file is only checked, never used.
   checks the derived columns against the relay rule.
 
 ``read_trace`` tells the two apart by the binary format's first line.  In
-both, a header line is ``# key=value`` with a key not seen before, and the
-CSV export has none after its column line.
+both, a header line is ``# key=value`` with a key not seen before, every
+key but ``rng`` must be there and ``process`` must parse, and the CSV
+export has no header line after its column line.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ import numpy as np
 from . import channel as _channel
 from .clusters import loss_run_lengths
 from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
-from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
+from .node import ConfigError, EmptyTrace, LinkConfig, compute_per
 
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
-_HEADER_KEYS = frozenset({"mode", "baud", "ipd_us", "beacon_interval_us", "t_proc_us",
-                          "guard_us", "payload", "preamble", "n_packets", "seed"})
+# every header key but rng=, which the readers ignore
+_HEADER_KEYS = frozenset({*LinkConfig().text_fields(), "payload", "preamble", "process",
+                          "n_packets", "seed"})
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
 
 
@@ -89,14 +91,8 @@ class PacketTrace:
         return self.received & ~self.relayed
 
     def header(self) -> dict[str, str]:
-        cfg = self.config
-        items = {
-            "mode": cfg.mode.value,
-            "baud": str(cfg.baud),
-            "ipd_us": repr(cfg.ipd_s * 1e6),
-            "beacon_interval_us": repr(cfg.beacon_interval_s * 1e6),
-            "t_proc_us": repr(cfg.t_proc_s * 1e6),
-            "guard_us": repr(cfg.guard_s * 1e6),
+        return {
+            **self.config.text_fields(),
             "payload": REFERENCE_PAYLOAD.hex(),
             "preamble": DEFAULT_PREAMBLE.hex(),
             "process": self.process_spec,
@@ -104,7 +100,6 @@ class PacketTrace:
             "seed": str(self.seed),
             "rng": _channel.stream_label(self.process_spec),
         }
-        return items
 
 
 def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,6 +133,8 @@ def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
     """Simulate ``n_packets`` transmissions through channel and relay."""
     if n_packets < 1:
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     received = ~_channel.sample_losses(process, n_packets, rng)
     return _build_trace(config, _channel.process_to_spec(process), seed, received)
@@ -257,11 +254,15 @@ def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> Pa
         raise TraceFormatError(path, 0, f"header n_packets={header['n_packets']} but "
                                f"{received.size} packet records")
     try:
-        config = _config_from_header(header)
+        for key, value in (("payload", REFERENCE_PAYLOAD), ("preamble", DEFAULT_PREAMBLE)):
+            if header[key] != value.hex():
+                raise ValueError(f"{key}={header[key]}, but the link's is {value.hex()}")
+        config = LinkConfig.from_text_fields(header)
+        _channel.process_from_spec(header["process"])  # checked, kept as written
         seed = int(header["seed"])
     except ValueError as exc:
         raise TraceFormatError(path, 0, f"bad header: {exc}") from None
-    return _build_trace(config, header.get("process", ""), seed, received)
+    return _build_trace(config, header["process"], seed, received)
 
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
@@ -275,20 +276,6 @@ def write_trace_csv(trace: PacketTrace, path) -> None:
                      f"{int(trace.relayed[k])},{lat}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _config_from_header(header: dict[str, str]) -> LinkConfig:
-    for key, value in (("payload", REFERENCE_PAYLOAD), ("preamble", DEFAULT_PREAMBLE)):
-        if header[key] != value.hex():
-            raise ValueError(f"{key}={header[key]}, but the link's is {value.hex()}")
-    return LinkConfig(
-        baud=int(header["baud"]),
-        mode=Mode(header["mode"]),
-        ipd_s=float(header["ipd_us"]) / 1e6,
-        beacon_interval_s=float(header["beacon_interval_us"]) / 1e6,
-        t_proc_s=float(header["t_proc_us"]) / 1e6,
-        guard_s=float(header["guard_us"]) / 1e6,
-    )
 
 
 def read_trace_csv(path) -> PacketTrace:

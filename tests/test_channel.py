@@ -306,7 +306,7 @@ def test_process_spec_roundtrip():
     ]:
         assert channel.process_from_spec(channel.process_to_spec(process)) == process
     for bad in ("nonsense:p=1", "iid-packet:oops=1", "iid-packet:p=0.1,extra=5",
-                "iid-packet:p=abc", "iid-bit:p=",
+                "iid-packet:p=abc", "iid-bit:p=", "iid-packet:p=0.1,p=0.2",
                 "nb-cluster:r=0.1691,p=0.0638,target_per=0.3,p_start=0.1"):
         with pytest.raises(channel.ChannelError):
             channel.process_from_spec(bad)

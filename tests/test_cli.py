@@ -331,13 +331,22 @@ def test_default_output_dir_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "outdir" / "trace.vlct").exists()
 
 
-@pytest.mark.parametrize("spec", ["iid-packet:p=0.1,extra=5", "iid-packet:p=abc"])
+@pytest.mark.parametrize("spec", ["iid-packet:p=0.1,extra=5", "iid-packet:p=abc",
+                                  "iid-packet:p=0.1,p=0.2"])
 def test_simulate_rejects_bad_process_spec(tmp_path, capsys, spec):
     rc = run_cli("simulate", "--process", spec, "--n", "10",
                  "--out", str(tmp_path / "t.csv"))
     assert rc == 2
     assert "error:" in run_err(capsys)
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    rc = run_cli("simulate", "--per", "0.1", "--n", "10", "--seed", "-1",
+                 "--out", str(tmp_path / "t.csv"))
+    assert rc == 2
+    assert "seed must be >= 0" in run_err(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_repeated_seed(tmp_path, capsys):
@@ -393,10 +402,11 @@ def test_sal_rejects_bad_timing(tmp_path, capsys, flags):
     assert "error:" in run_err(capsys)
 
 
-@pytest.mark.parametrize("grid", ["nan", "0.01,nan"])
+@pytest.mark.parametrize("grid", ["nan", "0.01,nan", ","])
 def test_sal_rejects_nan_per_grid(tmp_path, capsys, grid):
     assert run_cli("sal", "--per-grid", grid, "--out", str(tmp_path / "sal.csv")) == 2
-    assert "outside model table span" in run_err(capsys)
+    message = "per-grid: expected" if grid == "," else "outside model table span"
+    assert message in run_err(capsys)
     assert not (tmp_path / "sal.csv").exists()
 
 
@@ -513,6 +523,10 @@ def _simulate_binary(tmp_path, n=13):
 
 @pytest.mark.parametrize("name, edit, message", [
     ("missing-key", lambda d: d.replace(b"# seed=2\n", b""), "missing header keys"),
+    ("missing-process", lambda d: d.replace(b"# process=iid-packet:p=0.3\n", b""),
+     "missing header keys: ['process']"),
+    ("bad-process", lambda d: d.replace(b"process=iid-packet:p=0.3", b"process=iid-packet:p=7"),
+     "bad header: p_loss must be in [0, 1], got 7.0"),
     ("bad-value", lambda d: d.replace(b"# mode=broadcast", b"# mode=sideways"), "bad header"),
     ("other-payload", lambda d: d.replace(b"# payload=a5a5", b"# payload=0102"),
      "payload=0102, but the link's is a5a5"),

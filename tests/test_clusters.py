@@ -89,6 +89,19 @@ def test_extract_clusters_hist_edge_cases(flags, hist):
     assert dist.hist.tolist() == hist
 
 
+@pytest.mark.parametrize("hist", [
+    [5, 1, 0],  # a trailing zero: max_cluster read 2
+    [5, -1],  # a negative count: n_lost read -1
+    [],  # no window
+    [0],
+    [[3, 1]],
+    np.array([3.0, 1.0]),
+])
+def test_cluster_distribution_rejects_bad_hist(hist):
+    with pytest.raises(clusters.ClusterStatsError, match="hist must be"):
+        clusters.ClusterDistribution(hist=hist, n_slots=10)
+
+
 def test_extract_clusters_matches_generator():
     process = channel.NbCluster.for_law(0.1691, 0.0638)
     lost = channel.sample_losses(process, 10**5, np.random.default_rng(3))

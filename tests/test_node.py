@@ -15,6 +15,9 @@ CFG = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
 def test_config_validation():
     with pytest.raises(node.ConfigError):
         node.LinkConfig(baud=0)
+    for baud in (230000.0, 57000.5):
+        with pytest.raises(node.ConfigError, match="baud must be an integer"):
+            node.LinkConfig(baud=baud)
     with pytest.raises(node.ConfigError):
         node.LinkConfig(ipd_s=-1e-6)
     with pytest.raises(node.ConfigError):
@@ -31,6 +34,30 @@ def test_config_validation():
         for value in (math.nan, math.inf):
             with pytest.raises(node.ConfigError, match=f"{name} must be finite"):
                 node.LinkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("config", [
+    CFG,
+    node.LinkConfig(baud=57000, mode=node.Mode.BEACON, ipd_s=1.3e-5,
+                    beacon_interval_s=0.0123, t_proc_s=1.1e-5, guard_s=3e-5),
+])
+def test_text_fields_round_trip(config):
+    fields = config.text_fields()
+    assert list(fields) == ["mode", "baud", "ipd_us", "beacon_interval_us",
+                            "t_proc_us", "guard_us"]
+    assert node.LinkConfig.from_text_fields(fields) == config
+    assert node.LinkConfig.from_text_fields({**fields, "seed": "3"}) == config
+
+
+def test_from_text_fields_defaults_and_errors():
+    assert node.LinkConfig.from_text_fields({}) == node.LinkConfig()
+    assert node.LinkConfig.from_text_fields(
+        {"baud": 57000, "ipd_us": 20.0, "mode": None, "guard_us": None}
+    ) == node.LinkConfig(baud=57000, ipd_s=20.0 / 1e6)
+    for bad in ({"baud": "230000.0"}, {"mode": "sideways"}, {"ipd_us": "x"},
+                {"ipd_us": "nan"}):
+        with pytest.raises(ValueError):
+            node.LinkConfig.from_text_fields(bad)
 
 
 def test_timing_properties():
