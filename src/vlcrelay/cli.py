@@ -233,7 +233,7 @@ def _parse_floats(name: str, spec: str) -> list[float]:
 
 
 def _parse_targets(spec: str | None) -> list[float]:
-    if not spec:
+    if spec is None:
         return list(_clusters.DEFAULT_TARGETS)
     targets = _parse_floats("targets", spec)
     if not all(0.0 < t < 1.0 for t in targets):
@@ -247,7 +247,7 @@ def cmd_sal(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.targets)
     config = LinkConfig.from_text_fields(vars(args))
     params = _clusters.LatencyParams.from_baud(config.baud, ipd_s=config.ipd_s)
-    grid = (_parse_floats("per-grid", args.per_grid) if args.per_grid
+    grid = (_parse_floats("per-grid", args.per_grid) if args.per_grid is not None
             else [float(p) for p in table.pers])
 
     points = _clusters.sal_curve(grid, targets, table, params)

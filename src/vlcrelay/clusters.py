@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-# scipy.special is imported inside the functions that use it: at module
-# level it would slow the start-up of every command
 
 from ._tables import OutOfRange, data_path, read_table
 from .node import LinkConfig
@@ -157,6 +155,90 @@ class Family(str, Enum):
         return 1 if self is Family.POISSON else 2
 
 
+# Cephes lgam (scipy.special.gammaln): Stirling-series polynomial A, and the
+# rational approximation B/C of log Gamma(2 + x) for x in [0, 1)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+_LGAM_CHUNK = 1 << 16  # elements per pass: bounds the temporaries of a long grid
+
+
+def _polevl(x, coefs):
+    """Horner's rule, leading coefficient first (Cephes ``polevl``)."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam_below_13(x: float) -> float:
+    """Cephes ``lgam`` for 0 < x < 13: recur into [2, 3), then B/C."""
+    if not x > 0.0:
+        raise ValueError(f"gammaln is ported for x > 0, got {x}")
+    z, p, u = 1.0, 0.0, x
+    while u >= 3.0:
+        p -= 1.0
+        u = x + p
+        z *= u
+    while u < 2.0:
+        z /= u
+        p += 1.0
+        u = x + p
+    if u == 2.0:
+        return math.log(z)
+    x = x + (p - 2.0)
+    return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+
+
+def _gammaln(x) -> np.ndarray:
+    """``scipy.special.gammaln`` bit for bit, for x > 0 and non-finite x.
+
+    An operation-for-operation port of Cephes ``lgam``, which scipy 1.17
+    calls, so the fits and quantiles keep their bytes without the 0.3 s
+    ``scipy.special`` import.  ``log`` is libm's through ``math.log``:
+    numpy's SIMD ``np.log`` can differ from it in the last bit.  The
+    Stirling branch (x >= 13) is vectorized; the few smaller elements,
+    at most 13 per integer grid, go through a scalar loop.
+    """
+    x = np.asarray(x, dtype=float)
+    out = x.flatten()  # Cephes returns a non-finite x as it is
+    for start in range(0, out.size, _LGAM_CHUNK):
+        part = out[start:start + _LGAM_CHUNK]
+        small = np.isfinite(part) & (part < 13.0)
+        huge = part > _MAXLGM
+        big = (part >= 13.0) & ~huge
+        xb = part[big]
+        q = (xb - 0.5) * np.fromiter(map(math.log, xb), float, xb.size) - xb + _LS2PI
+        series = xb <= 1e8  # Cephes stops at the leading term above 1e8
+        xs = xb[series]
+        p = 1.0 / (xs * xs)
+        q[series] += np.where(xs >= 1000.0,
+                              ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
+                               * p + 0.0833333333333333333333) / xs,
+                              _polevl(p, _LGAM_A) / xs)
+        part[big] = q
+        part[small] = [_lgam_below_13(v) for v in part[small].tolist()]
+        part[huge] = math.inf
+    return out.reshape(x.shape)[()]
+
+
+def _xlogy(x, y: float) -> np.ndarray:
+    """``scipy.special.xlogy`` for one y: 0 where x == 0 (unless y is NaN),
+    else x * log(y), with libm's ``log`` and log(0) = -inf."""
+    log_y = math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by the 0
+        return np.where((x == 0.0) & (not math.isnan(y)), 0.0, x * log_y)[()]
+
+
 def nb_pmf(k, r: float, p: float) -> np.ndarray:
     """P(K=k) = Gamma(k+r) / (k! Gamma(r)) * p^r * (1-p)^k, any real r > 0."""
     if r <= 0:
@@ -167,8 +249,7 @@ def nb_pmf(k, r: float, p: float) -> np.ndarray:
     if np.any(k < 0) or np.any(k != np.floor(k)):
         raise ClusterStatsError("k must be a nonnegative integer")
     k = k.astype(np.int64)
-    from scipy.special import gammaln
-    logpmf = (gammaln(k + r) - gammaln(r) - gammaln(k + 1)
+    logpmf = (_gammaln(k + r) - _gammaln(r) - _gammaln(k + 1)
               + r * math.log(p) + k * math.log1p(-p))
     return np.exp(logpmf)
 
@@ -179,8 +260,8 @@ def poisson_pmf(k, lam: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
     if lam == 0.0:
         return (k == 0).astype(float)
-    from scipy.special import gammaln, xlogy
-    return np.exp(xlogy(k, lam) - lam - gammaln(k + 1))
+    kk = np.maximum(k, 0)
+    return np.where(k >= 0, np.exp(_xlogy(kk, lam) - lam - _gammaln(kk + 1)), 0.0)
 
 
 def binom_pmf(k, n: int, p: float) -> np.ndarray:
@@ -191,9 +272,8 @@ def binom_pmf(k, n: int, p: float) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
     inside = (k >= 0) & (k <= n)
     kk = np.clip(k, 0, n)
-    from scipy.special import gammaln, xlogy
-    logpmf = (gammaln(n + 1) - gammaln(kk + 1) - gammaln(n - kk + 1)
-              + xlogy(kk, p) + xlogy(n - kk, 1.0 - p))
+    logpmf = (_gammaln(n + 1) - _gammaln(kk + 1) - _gammaln(n - kk + 1)
+              + _xlogy(kk, p) + _xlogy(n - kk, 1.0 - p))
     return np.where(inside, np.exp(logpmf), 0.0)
 
 
@@ -342,12 +422,11 @@ def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     mean = float((values * weights).sum() / n)
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
-    from scipy.special import gammaln
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
         p = r / (r + mean)
-        ll = weights @ (gammaln(values + r) - gammaln(r) - gammaln(values + 1)
+        ll = weights @ (_gammaln(values + r) - _gammaln(r) - _gammaln(values + 1)
                         + r * math.log(p) + values * math.log1p(-p))
         return -float(ll)
 

@@ -128,14 +128,18 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
     return relayed, latency_s
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
         seed: int) -> PacketTrace:
     """Simulate ``n_packets`` transmissions through channel and relay."""
     if n_packets < 1:
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     received = ~_channel.sample_losses(process, n_packets, rng)
     return _build_trace(config, _channel.process_to_spec(process), seed, received)
 
@@ -259,7 +263,7 @@ def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> Pa
                 raise ValueError(f"{key}={header[key]}, but the link's is {value.hex()}")
         config = LinkConfig.from_text_fields(header)
         _channel.process_from_spec(header["process"])  # checked, kept as written
-        seed = int(header["seed"])
+        seed = _check_seed(int(header["seed"]))
     except ValueError as exc:
         raise TraceFormatError(path, 0, f"bad header: {exc}") from None
     return _build_trace(config, header["process"], seed, received)

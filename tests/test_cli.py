@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -410,6 +411,22 @@ def test_sal_rejects_nan_per_grid(tmp_path, capsys, grid):
     assert not (tmp_path / "sal.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("sal", "--targets"), ("sal", "--per-grid"), ("analyze", "--targets"),
+])
+def test_empty_list_flag_exits_2(tmp_path, capsys, command, flag):
+    # an empty value is a list of no numbers, not the flag left out
+    trace = tmp_path / "t.vlct"
+    assert run_cli("simulate", "--per", "0.2", "--n", "200", "--out", str(trace)) == 0
+    args = [str(trace), "--clusters-out", str(tmp_path / "c.csv"),
+            "--report-out", str(tmp_path / "r.txt")] if command == "analyze" else [
+        "--out", str(tmp_path / "sal.csv")]
+    capsys.readouterr()
+    assert run_cli(command, *args, flag, "") == 2
+    assert f"{flag.removeprefix('--')}: expected comma-separated numbers" in run_err(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.vlct"]
+
+
 def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
     trace_path = tmp_path / "t.csv"
     assert run_cli("simulate", "--per", "0.2", "--n", "200", "--seed", "3",
@@ -464,10 +481,9 @@ def _subprocess_env():
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    # scipy's imports cost more than the work of most commands, so importing
-    # the CLI loads none of it: scipy.special is loaded on first use (the
-    # fits of analyze, the model quantiles of sal), and no command loads
-    # scipy.stats or scipy.optimize
+    # scipy's imports cost more than the work of most commands, and no
+    # command needs scipy: the fits and quantiles run on the package's own
+    # gammaln and xlogy ports
     env = _subprocess_env()
     code = ("import sys, vlcrelay.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -495,12 +511,36 @@ def test_commands_load_only_the_scipy_they_use(tmp_path):
         trace = tmp_path / f"{name}.vlct"
         assert _scipy_modules_after("simulate", *flags, "--n", "5000", "--seed", "3",
                                     "--out", str(trace)) == set()
-    analyzed = _scipy_modules_after("analyze", str(trace),
-                                    "--clusters-out", str(tmp_path / "c.csv"),
-                                    "--report-out", str(tmp_path / "r.txt"))
-    assert "scipy.special" in analyzed
-    assert not {m for m in analyzed if m.split(".")[:2] == ["scipy", "optimize"]}
+    assert _scipy_modules_after("analyze", str(trace),
+                                "--clusters-out", str(tmp_path / "c.csv"),
+                                "--report-out", str(tmp_path / "r.txt")) == set()
     assert _scipy_modules_after("safety", "--out", str(tmp_path / "s.csv")) == set()
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    scenarios = tmp_path / "scenarios.csv"
+    scenarios.write_text("v_kmh,distance_m,per\n60,20,0.05\n90,45,0.3\n")
+    ge = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
+    nb = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
+    runs = [["simulate", *flags, "--n", "20000", "--seed", "3", "--out", str(tmp_path / name)]
+            for name, flags in [("iid.vlct", ["--per", "0.1"]), ("nb.csv", ["--process", nb]),
+                                ("ge.vlct", ["--process", ge])]]
+    runs += [["analyze", str(tmp_path / name), "--clusters-out", str(tmp_path / f"{name}.c"),
+              "--report-out", str(tmp_path / f"{name}.r")] for name in ("nb.csv", "ge.vlct")]
+    runs += [["sal", "--out", str(tmp_path / "sal.csv")],
+             ["safety", str(scenarios), "--out", str(tmp_path / "safety.csv")]]
+    code = ("import json, sys; sys.modules['scipy'] = None; from vlcrelay import cli; "
+            "print(*[cli.main(argv) for argv in json.loads(sys.argv[1])])")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, json.dumps(runs)],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["0"] * len(runs), done.stderr
+    # the same outputs as a run in this process, where scipy may be loaded
+    for argv in runs[3:]:
+        out = Path(argv[-1])
+        ref = argv[:-1] + [str(out.with_suffix(".ref"))]
+        assert run_cli(*ref) == 0
+        assert out.read_bytes() == out.with_suffix(".ref").read_bytes(), argv
 
 
 def test_nb_cluster_with_unbounded_mean_exits_2(tmp_path):
@@ -535,6 +575,8 @@ def _simulate_binary(tmp_path, n=13):
     ("zero-n-packets", lambda d: d.replace(b"# n_packets=13", b"# n_packets=0"),
      "no packet records"),
     ("malformed-line", lambda d: d.replace(b"# seed=2", b"# seed 2"), ":12: expected"),
+    ("negative-seed", lambda d: d.replace(b"# seed=2", b"# seed=-4"),
+     "bad header: seed must be >= 0, got -4"),
     ("repeated-key", lambda d: d.replace(b"# seed=2\n", b"# seed=2\n# seed=3\n"),
      "# seed=3"),
     ("non-utf8-header", lambda d: d.replace(b"# rng=numpy-pcg64", b"# rng=\xff"),

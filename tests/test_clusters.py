@@ -266,6 +266,54 @@ def test_minimize_bounded_flags():
     assert clusters._minimize_bounded(_nan_above_one, 0.0, 2.0, xatol=1e-12)[3] == 2
 
 
+def _same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns (so 0.0 is not -0.0); any NaN matches NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def _gammaln_corpus():
+    rng = np.random.default_rng(20)
+    edges = np.array([2.0, 3.0, 13.0, 1000.0, 1e8])
+    yield "integers", np.arange(1, 10**5 + 1)
+    for r in 10 ** rng.uniform(-8, 8, 40):
+        yield f"k+{r:.3g}", np.arange(3000) + r
+    yield "log-uniform", 10 ** rng.uniform(-8, 12, 2 * 10**5)
+    yield "edges", np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    yield "non-finite", np.array([np.inf, np.nan, -np.inf])
+
+
+def test_gammaln_port_matches_scipy_bit_for_bit():
+    from scipy.special import gammaln
+    for name, x in _gammaln_corpus():
+        assert _same_bits(clusters._gammaln(x), gammaln(x)), name
+    for x in (1, 2.5, 12.999, 13, 7.5e3, 1e9, np.inf):
+        assert _same_bits(clusters._gammaln(x), gammaln(x)), x
+        assert np.ndim(clusters._gammaln(x)) == 0
+
+
+def test_xlogy_port_matches_scipy():
+    from scipy.special import xlogy
+    x = np.array([0.0, 1.0, 2.5, 7.0, 26.0, -3.0, np.inf, np.nan])
+    for y in (0.0, 1.0, 0.3, 1e-300, 2.0, 1e300, np.inf, -1.0, np.nan):
+        assert _same_bits(clusters._xlogy(x, y), xlogy(x, y)), y
+        assert _same_bits(clusters._xlogy(0, y), xlogy(0, y)), y
+        assert np.ndim(clusters._xlogy(0, y)) == 0
+
+
+def test_poisson_pmf_is_zero_below_the_support():
+    assert _same_bits(clusters.poisson_pmf([-40, -1, 0, 3], 0.5),
+                      sp_poisson.pmf([-40, -1, 0, 3], 0.5))
+
+
+def test_gammaln_port_rejects_x_at_or_below_zero():
+    for x in (0.0, -0.5, -3.0):
+        with pytest.raises(ValueError, match="x > 0"):
+            clusters._gammaln(np.array([1.0, x]))
+
+
 def test_select_best_prefers_generator_family():
     rng = np.random.default_rng(42)
     nb_draws = sp_nbinom.rvs(0.17, 0.06, size=10**5, random_state=rng)

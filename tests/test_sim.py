@@ -201,6 +201,16 @@ def test_read_trace_accepts_only_0_or_1_flags(tmp_path, column, value):
         "seq,tx_start_us,received,relayed,latency_us") + 4
 
 
+@pytest.mark.parametrize("name", ["t.vlct", "t.csv"])
+def test_read_trace_rejects_negative_seed(tmp_path, name):
+    # sim.run refuses the seed, so a header naming it names no run
+    path = tmp_path / name
+    sim.write_trace(sim.run(BROADCAST, channel.IidPacket(0.2), 10, seed=4), path)
+    path.write_bytes(path.read_bytes().replace(b"# seed=4\n", b"# seed=-4\n"))
+    with pytest.raises(sim.TraceFormatError, match="seed must be >= 0, got -4"):
+        sim.read_trace(path)
+
+
 def test_read_trace_rejects_truncated_trace(tmp_path):
     path = tmp_path / "t.csv"
     sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.2), 10, seed=0), path)
