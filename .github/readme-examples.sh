@@ -11,6 +11,7 @@ cli simulate --process 'gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_b
     --n 20000 --seed 1 --seed 2 --seed 3 --jobs 4
 cli analyze trace.vlct --clusters-out clusters.csv --report-out report.txt
 cli analyze trace.csv --clusters-out clusters_csv.csv --report-out report_csv.txt
-cli sal --baud 230000 --targets 0.9,0.95,0.99,0.999 --out sal.csv
+cli sal --baud 230000 --targets 0.9,0.95,0.99,0.999 \
+    --per-grid 6e-4,2e-3,3e-3,0.2,0.3 --out sal.csv
 cli safety --out safety.csv
 cli ingest-per-table "$data/per_distance.csv" --out normalized.csv --distance-m 35 --baud 230000

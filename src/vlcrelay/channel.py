@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._tables import OutOfRange, data_path, read_table
+from .clusters import _RUN_CAP, CdfTable, Family, cdf_table
 from .codec import FRAME_BITS
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
-_RUN_CAP = 10**7  # tail guard for inverse-CDF run draws
 _BLOCK = 4096  # cluster cycles drawn per block
-_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 class ChannelError(ValueError):
@@ -159,73 +157,14 @@ def _nb_mean_cluster(r: float, p: float) -> float:
 ErrorProcess = IidPacket | IidBit | GilbertElliott | NbCluster
 
 
-class _NbClusterSizes:
-    """Inverse-CDF cluster sizes (>= 1) of the negative binomial (r, p)
-    conditioned on >= 1, from one CDF table of the law (``sample_losses``
-    makes one per call).
-
-    The table is the pmf recurrence ``pmf(0) = p**r``,
-    ``pmf(k) = pmf(k-1) * ((1-p) * (k-1+r) / k)`` summed in order
-    (``np.cumprod`` and ``np.cumsum`` accumulate sequentially, so each entry
-    is the float a plain loop gives; ``tests/oracles.nb_cdf_table`` is that
-    loop).  It grows in doubling chunks only as far as the targets need, and
-    is finished when a pmf term no longer moves the float CDF or the table
-    reaches ``_RUN_CAP``.  A target above the finished table maps to its
-    last index, and a target of exactly 1.0 to ``_RUN_CAP``.
-    """
-
-    def __init__(self, r: float, p: float):
-        self.r, self.q = r, 1.0 - p
-        self.p0 = p ** r
-        k, pmf = 0, self.p0
-        if pmf < sys.float_info.min:
-            # p**r underflows (r=200, p=1e-3): step the leading terms in log
-            # space, since a zero (or subnormal) start would carry to every
-            # later term; the skipped terms count as 0.  The start is the
-            # exactly rounded sum of the steps: a running sum drifts by
-            # ~1e-12 over two thousand steps, and the whole table with it
-            logs = [r * math.log(p)]
-            log_pmf = logs[0]
-            while log_pmf < _LOG_FLOAT_MIN and k < _RUN_CAP:
-                k += 1
-                logs.append(math.log(self.q * (k - 1 + r) / k))
-                log_pmf += logs[-1]
-            pmf = math.exp(math.fsum(logs))
-        # np.empty reserves the whole span, but only the pages written count
-        self._buf = np.empty(_RUN_CAP + 1)
-        self._buf[:k] = 0.0
-        self._buf[k] = pmf
-        self._size, self._pmf = k + 1, pmf
-        self.finished = k == _RUN_CAP
-
-    @property
-    def cdf(self) -> np.ndarray:
-        return self._buf[:self._size]
-
-    def grow(self, upto: float) -> None:
-        """Extend the table until its last value is at least ``upto`` or it
-        is finished."""
-        while not self.finished and self._buf[self._size - 1] < upto:
-            lo = self._size
-            hi = min(2 * lo, _RUN_CAP + 1)
-            ks = np.arange(lo, hi, dtype=np.float64)
-            chunk = self._buf[lo:hi]
-            np.divide(self.q * (ks - 1 + self.r), ks, out=chunk)  # pmf(k) / pmf(k-1)
-            chunk[0] *= self._pmf
-            np.cumprod(chunk, out=chunk)
-            self._pmf = float(chunk[-1])
-            chunk[0] += self._buf[lo - 1]
-            np.cumsum(chunk, out=chunk)
-            stuck = np.flatnonzero(chunk == self._buf[lo - 1:hi - 1])
-            self._size = lo + int(stuck[0]) if stuck.size else hi
-            self.finished = stuck.size > 0 or hi == _RUN_CAP + 1
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        """Cluster sizes for uniforms ``u`` in [0, 1)."""
-        target = self.p0 + (1.0 - u) * (1.0 - self.p0)  # in (p0, 1]
-        self.grow(float(target.max()))
-        sizes = np.maximum(np.minimum(np.searchsorted(self.cdf, target), self._size - 1), 1)
-        return np.where(target == 1.0, _RUN_CAP, sizes)
+def _cluster_sizes(table: CdfTable, p0: float, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sizes (>= 1) of a law conditioned on >= 1, for uniforms
+    ``u`` in [0, 1): a target above the finished table takes its last index,
+    and a target of exactly 1.0 the cap."""
+    target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
+    cdf = table.grow(float(target.max()))
+    sizes = np.maximum(np.minimum(np.searchsorted(cdf, target), cdf.size - 1), 1)
+    return np.where(target == 1.0, _RUN_CAP, sizes)
 
 
 def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float) -> np.ndarray:
@@ -267,11 +206,13 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
         # stream 2: per block, _BLOCK geometric gaps, then _BLOCK uniforms
         # for the cluster sizes; the runs alternate gap, cluster, starting
         # with a gap, and the run that reaches packet n is cut there
-        sizes = _NbClusterSizes(process.r, process.p)
+        table = cdf_table(Family.NEG_BINOMIAL, (process.r, process.p))
+        p0 = process.p ** process.r
         blocks, total = [], 0
         while total < n:
             gaps = rng.geometric(process.p_start, _BLOCK)
-            block = np.stack((gaps, sizes(rng.random(_BLOCK))), axis=1).ravel()
+            sizes = _cluster_sizes(table, p0, rng.random(_BLOCK))
+            block = np.stack((gaps, sizes), axis=1).ravel()
             blocks.append(block)
             total += int(block.sum())
         runs = np.concatenate(blocks)

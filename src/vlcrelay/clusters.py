@@ -12,9 +12,11 @@ quantiles of the winner to statistically-averaged latency (SAL) figures.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .node import LinkConfig
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
-_QUANTILE_CAP = 10**7
+_RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
 _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
 
 
@@ -112,13 +114,8 @@ class ClusterDistribution:
         """Per-transmission law on 0..max_cluster."""
         return self.hist / self.n_opportunities
 
-    def cdf(self, k) -> np.ndarray:
-        cum = np.cumsum(self.pmf_grid())
-        k = np.asarray(k, dtype=np.int64)
-        return np.where(k >= cum.size - 1, 1.0, cum[np.minimum(k, cum.size - 1)])
-
     def quantile(self, target: float) -> int:
-        return _quantile_from_cdf(self.cdf, target)
+        return quantile(self, target)
 
 
 def extract_clusters(trace_or_received) -> ClusterDistribution:
@@ -285,6 +282,68 @@ def _family_pmf(family: Family, params: tuple[float, ...], k) -> np.ndarray:
     return binom_pmf(k, int(params[0]), params[1])
 
 
+class CdfTable:
+    """CDF of a count law at 0, 1, ... from its pmf recurrence
+    ``pmf(k) = pmf(k-1) * ratio(k)``, summed in order as a plain loop would.
+    It grows in doubling chunks as far as its readers ask, and is finished
+    when a term no longer moves the float CDF or it holds ``size`` entries.
+    Entries before ``start`` are 0."""
+
+    def __init__(self, pmf0: float, log_pmf0: float, ratio, size: int = _RUN_CAP + 1,
+                 start: int = 0):
+        k, pmf = start, pmf0
+        if pmf < sys.float_info.min:
+            # pmf(0) underflows (NB r=200, p=1e-3): step the leading terms in log
+            # space and count them as 0; start from the exactly rounded log sum,
+            # as a running sum drifts by ~1e-12 over two thousand steps
+            log_pmf, logs = log_pmf0, [log_pmf0]
+            while log_pmf < math.log(sys.float_info.min) and k < size - 1:
+                k += 1
+                logs.append(math.log(ratio(k)))
+                log_pmf += logs[-1]
+            pmf = math.exp(math.fsum(logs))
+        self._buf = np.zeros(size)  # only the pages written take memory
+        self._buf[k] = pmf
+        self._n, self._pmf, self._ratio = k + 1, pmf, ratio
+        self.finished = k == size - 1
+
+    def grow(self, upto: float = -math.inf, k: int = 0) -> np.ndarray:
+        """Extend the table until its last value is at least ``upto`` and it
+        holds index ``k``, or it is finished; returns the table."""
+        while not self.finished and (self._buf[self._n - 1] < upto or self._n <= k):
+            lo, hi = self._n, min(2 * self._n, self._buf.size)
+            chunk = self._buf[lo:hi]
+            chunk[:] = self._ratio(np.arange(lo, hi, dtype=np.float64))  # pmf(k) / pmf(k-1)
+            chunk[0] *= self._pmf
+            np.cumprod(chunk, out=chunk)  # cumprod and cumsum go in order, as a loop
+            self._pmf = float(chunk[-1])
+            chunk[0] += self._buf[lo - 1]
+            np.cumsum(chunk, out=chunk)
+            stuck = np.flatnonzero(chunk == self._buf[lo - 1:hi - 1])
+            self._n = lo + int(stuck[0]) if stuck.size else hi
+            self.finished = stuck.size > 0 or hi == self._buf.size
+        return self._buf[:self._n]
+
+
+def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
+    """A law's CDF table from its pmf(0), the log of that and pmf(k) / pmf(k-1)."""
+    pmf0 = float(_family_pmf(family, params, 0))  # raises outside the family's domain
+    if not np.isfinite(params).all():
+        raise ClusterStatsError(f"{family.value} parameters must be finite, got {params}")
+    if family is Family.NEG_BINOMIAL:
+        r, p = params
+        # p**r, the NB sampler's p0, rather than pmf0 = exp(r log p)
+        return CdfTable(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k)
+    if family is Family.POISSON:
+        lam = params[0]
+        return CdfTable(pmf0, -lam, lambda k: lam / k)
+    n, p = int(params[0]), params[1]
+    if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
+        return CdfTable(1.0, 0.0, None, size=n + 1, start=n)
+    return CdfTable(pmf0, n * math.log1p(-p), lambda k: (n - k + 1) * p / (k * (1.0 - p)),
+                    size=n + 1)
+
+
 @dataclass(frozen=True)
 class FitResult:
     """A fitted (or table-supplied) cluster-law model."""
@@ -296,11 +355,15 @@ class FitResult:
     def pmf(self, k) -> np.ndarray:
         return _family_pmf(self.family, self.params, k)
 
+    @cached_property
+    def _table(self) -> CdfTable:
+        return cdf_table(self.family, self.params)
+
     def cdf(self, k) -> np.ndarray:
+        """CDF at ``k`` from the law's table, flat past the table's end."""
         k = np.asarray(k, dtype=np.int64)
-        kmax = int(k.max()) if k.size else 0
-        cum = np.cumsum(self.pmf(np.arange(kmax + 1)))
-        return cum[k]
+        cdf = self._table.grow(k=int(k.max()) if k.size else 0)
+        return cdf[np.minimum(k, cdf.size - 1)]
 
     @property
     def mean(self) -> float:
@@ -473,24 +536,19 @@ def select_best(fits) -> FitResult:
     return min(contenders, key=lambda f: (f.family.n_params, f.max_cdf_error))
 
 
-def _quantile_from_cdf(cdf, target: float) -> int:
-    if not 0.0 < target < 1.0:
-        raise ClusterStatsError(f"target probability must be in (0, 1), got {target}")
-    hi = 16
-    while True:
-        grid = np.arange(hi + 1)
-        values = np.asarray(cdf(grid), dtype=float)
-        if values[-1] >= target:
-            break
-        if hi >= _QUANTILE_CAP:
-            raise ClusterStatsError(f"quantile({target}) beyond {_QUANTILE_CAP}")
-        hi *= 2
-    return int(np.searchsorted(values, target, side="left"))
-
-
 def quantile(model, target_prob: float) -> int:
-    """Smallest k with CDF(k) >= target_prob (works on fits and empirics)."""
-    return _quantile_from_cdf(model.cdf, target_prob)
+    """Smallest k with CDF(k) >= target_prob, in an empirical CDF or a model's table."""
+    if not 0.0 < target_prob < 1.0:
+        raise ClusterStatsError(f"target probability must be in (0, 1), got {target_prob}")
+    if isinstance(model, ClusterDistribution):
+        cdf = np.cumsum(model.pmf_grid())
+        cdf[-1] = 1.0  # the longest run is the support's end
+    else:
+        cdf = model._table.grow(target_prob)
+    if not cdf[-1] >= target_prob:
+        raise ClusterStatsError(f"quantile({target_prob}) of {model.describe()} is beyond "
+                                f"{cdf.size - 1}, where its CDF ends at {cdf[-1]!r}")
+    return int(np.searchsorted(cdf, target_prob))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,17 @@ These are the simulator's original loop bodies and per-packet step API,
 kept verbatim, and plain loops of the newer fast paths, all bit-exact
 references: ``relay_scan`` and ``rx_adr_step`` for ``sim.relay``;
 ``ge_chain`` and ``sample_packet_outcome`` for the iid and Gilbert-Elliott
-streams of ``channel.sample_losses``; for its negative-binomial stream,
-``nb_cdf_table`` (the CDF recurrence as a plain loop) and
-``table_cluster_size`` for ``channel._NbClusterSizes``, and
+streams of ``channel.sample_losses``; ``cdf_table`` (the pmf recurrence
+summed one term at a time) and ``law_cdf_table`` (each family's start and
+ratio) for ``clusters.CdfTable``; for the negative-binomial stream,
+``table_cluster_size`` for ``channel._cluster_sizes``, and
 ``nb_cluster_walk``, which lays out the same blocks with every size from
 ``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``);
-``window_hist`` for ``clusters.extract_clusters``; and ``fit_nb_mle`` (the
-negative-binomial fit through ``scipy.optimize.minimize_scalar``) for
-``clusters._fit_nb_mle``.
+``doubling_quantile``, the quantile path before the table (``fit_cdf`` sums
+gammaln pmfs from k = 0 and ``quantile_from_cdf`` doubles the grid), for
+``clusters.quantile``; ``window_hist`` for ``clusters.extract_clusters``;
+and ``fit_nb_mle`` (the negative-binomial fit through
+``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,15 @@ from vlcrelay.channel import (
     IidPacket,
     NbCluster,
 )
-from vlcrelay.clusters import FitDiverged
+from vlcrelay.clusters import (
+    ClusterDistribution,
+    ClusterStatsError,
+    Family,
+    FitDiverged,
+    FitResult,
+    binom_pmf,
+    poisson_pmf,
+)
 from vlcrelay.codec import REFERENCE_PAYLOAD
 from vlcrelay.node import LinkConfig
 
@@ -116,34 +127,49 @@ def draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     return max(1, min(int(k), _RUN_CAP))
 
 
-def nb_cdf_table(r: float, p: float, size: int = _RUN_CAP + 1) -> np.ndarray:
-    """CDF of the negative binomial (r, p) at 0, 1, ... from the pmf
-    recurrence, up to the first term that no longer moves the sum, the
-    cap, or ``size`` entries.  When ``p**r`` is below the smallest normal
-    float, the leading terms are stepped in log space and count as 0, and
-    the first term past them is ``exp`` of the exactly rounded log sum."""
-    q = 1.0 - p
-    k, pmf = 0, p ** r
+def cdf_table(pmf0: float, log_pmf0: float, ratio, size: int) -> np.ndarray:
+    """CDF of a count law at 0, 1, ... from its pmf recurrence
+    ``pmf(k) = pmf(k-1) * ratio(k)``, up to the first term that no longer
+    moves the sum, or ``size`` entries.  When ``pmf0`` is below the smallest
+    normal float, the leading terms are stepped in log space from
+    ``log_pmf0`` and count as 0, and the first term past them is ``exp`` of
+    the exactly rounded log sum."""
+    k, pmf = 0, pmf0
     cdf = []
     if pmf < sys.float_info.min:
-        logs = [r * math.log(p)]
+        logs = [log_pmf0]
         log_pmf = logs[0]
-        while log_pmf < math.log(sys.float_info.min) and k < _RUN_CAP:
+        while log_pmf < math.log(sys.float_info.min) and k < size - 1:
             k += 1
-            logs.append(math.log(q * (k - 1 + r) / k))
+            logs.append(math.log(ratio(k)))
             log_pmf = log_pmf + logs[-1]
         cdf = [0.0] * k
         pmf = math.exp(math.fsum(logs))
     total = pmf
     cdf.append(total)
-    while k < _RUN_CAP and len(cdf) < size:
+    while len(cdf) < size:
         k += 1
-        pmf = pmf * (q * (k - 1 + r) / k)
+        pmf = pmf * ratio(k)
         if total + pmf == total:
             break
         total = total + pmf
         cdf.append(total)
     return np.array(cdf)
+
+
+def law_cdf_table(family: Family, params, size: int = _RUN_CAP + 1) -> np.ndarray:
+    """``cdf_table`` of a negative-binomial, Poisson or binomial law (p < 1),
+    from ``p**r`` or the package's gammaln ``pmf(0)``; a binomial's table
+    ends at n."""
+    if family is Family.NEG_BINOMIAL:
+        r, p = params
+        return cdf_table(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k, size)
+    if family is Family.POISSON:
+        (lam,) = params
+        return cdf_table(float(poisson_pmf(0, lam)), -lam, lambda k: lam / k, size)
+    n, p = int(params[0]), params[1]
+    return cdf_table(float(binom_pmf(0, n, p)), n * math.log1p(-p),
+                     lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(size, n + 1))
 
 
 def table_cluster_size(table: np.ndarray, p0: float, u: float) -> int:
@@ -220,6 +246,48 @@ def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
         raise FitDiverged(f"profile likelihood failed: {res.message}")
     r = math.exp(res.x)
     return r, r / (r + mean)
+
+
+_QUANTILE_CAP = 10**7
+
+
+def fit_cdf(model: FitResult, k) -> np.ndarray:
+    """``FitResult.cdf`` before the recurrence table: cumulative sums of the
+    gammaln pmfs from k = 0."""
+    k = np.asarray(k, dtype=np.int64)
+    kmax = int(k.max()) if k.size else 0
+    cum = np.cumsum(model.pmf(np.arange(kmax + 1)))
+    return cum[k]
+
+
+def empirical_cdf(dist: ClusterDistribution, k) -> np.ndarray:
+    """``ClusterDistribution.cdf`` before the single search: 1.0 from the
+    longest run on."""
+    cum = np.cumsum(dist.pmf_grid())
+    k = np.asarray(k, dtype=np.int64)
+    return np.where(k >= cum.size - 1, 1.0, cum[np.minimum(k, cum.size - 1)])
+
+
+def quantile_from_cdf(cdf, target: float) -> int:
+    if not 0.0 < target < 1.0:
+        raise ClusterStatsError(f"target probability must be in (0, 1), got {target}")
+    hi = 16
+    while True:
+        grid = np.arange(hi + 1)
+        values = np.asarray(cdf(grid), dtype=float)
+        if values[-1] >= target:
+            break
+        if hi >= _QUANTILE_CAP:
+            raise ClusterStatsError(f"quantile({target}) beyond {_QUANTILE_CAP}")
+        hi *= 2
+    return int(np.searchsorted(values, target, side="left"))
+
+
+def doubling_quantile(model, target: float) -> int:
+    """The quantile as ``clusters.quantile`` took it before the recurrence
+    table: a search in a CDF grid that doubles from 16 entries."""
+    cdf = empirical_cdf if isinstance(model, ClusterDistribution) else fit_cdf
+    return quantile_from_cdf(lambda k: cdf(model, k), target)
 
 
 @dataclass(frozen=True)

@@ -151,12 +151,19 @@ def test_per_packet_walks_same_stream_as_batch(process):
     assert np.array_equal(batch, oracle_walk(process, 3000, seed=9))
 
 
+NB = clusters.Family.NEG_BINOMIAL
+
+
 def _table(r, p):
-    """The finished CDF table the sampler builds for the law (r, p)."""
-    sizes = channel._NbClusterSizes(r, p)
-    sizes.grow(math.inf)
-    assert sizes.finished
-    return sizes
+    """The finished CDF table the sampler reads for the law (r, p)."""
+    table = clusters.cdf_table(NB, (r, p))
+    table.grow(math.inf)
+    assert table.finished
+    return table
+
+
+def _sizes(table, r, p, u):
+    return channel._cluster_sizes(table, p ** r, np.asarray(u, dtype=float))
 
 
 @pytest.mark.parametrize("r, p", [
@@ -167,58 +174,59 @@ def _table(r, p):
 def test_nb_cdf_table_matches_loop_and_scipy_stats(r, p):
     from scipy.stats import nbinom
 
-    sizes = _table(r, p)
-    assert np.array_equal(sizes.cdf, oracles.nb_cdf_table(r, p))
+    table = _table(r, p)
+    assert np.array_equal(table.grow(), oracles.law_cdf_table(NB, (r, p)))
     u = rng(2024).random(200_000)
-    target = sizes.p0 + (1.0 - u) * (1.0 - sizes.p0)
-    assert np.array_equal(sizes(u), np.maximum(nbinom.ppf(target, r, p), 1))
+    target = p ** r + (1.0 - u) * (1.0 - p ** r)
+    assert np.array_equal(_sizes(table, r, p, u), np.maximum(nbinom.ppf(target, r, p), 1))
 
 
 @pytest.mark.parametrize("r, p", [(0.1691, 0.0638), (5, 0.5), (0.01, 0.9), (200, 1e-3)])
 def test_draw_cluster_size_matches_scipy_stats(r, p):
     process = channel.NbCluster(r=r, p=p, p_start=0.5)
-    sizes = _table(r, p)
+    table = _table(r, p)
     p0 = p ** r
     near_p0 = [np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0)]
     near_one = [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]  # target within ulps of p0
     grid = np.linspace(0.0, 1.0, 1000, endpoint=False)[1:]
     for u in [*near_p0, *near_one, *grid]:
-        got = int(sizes(np.array([u]))[0])
+        got = int(_sizes(table, r, p, [u])[0])
         assert got == oracles.draw_cluster_size(process, oracles.FixedRandom(u)), u
     # within ~1e-12 of 1 the summed table and the Boost quantile part: a
     # CDF summed over 3e5 terms is good to ~1e-13, while the pmf out there
     # is ~1e-16 (at u = 1e-12 for (200, 1e-3) the table gives 316511 and
     # Boost 315928; at u = 2^-53 for (5, 0.5), 67 and 69).  The table's
     # answer is pinned there
-    table = oracles.nb_cdf_table(r, p)
+    loop = oracles.law_cdf_table(NB, (r, p))
     for u in [0.0, 2.0 ** -53, 2.0 ** -52, 1e-12]:
-        assert sizes(np.array([u]))[0] == oracles.table_cluster_size(table, p0, u), u
+        assert _sizes(table, r, p, [u])[0] == oracles.table_cluster_size(loop, p0, u), u
     # for each pair, u = 0 rounds the target to 1.0: the support end
     assert p0 + (1.0 - p0) == 1.0
-    assert sizes(np.array([0.0]))[0] == channel._RUN_CAP
+    assert _sizes(table, r, p, [0.0])[0] == channel._RUN_CAP
 
 
 def test_target_above_a_table_that_stopped_short_takes_its_last_index():
     # the (200, 1e-3) table ends where a term no longer moves the float
     # CDF, at 1 - 3e-13, far short of the cap: targets above that end stay
     # in the law's tail (nbinom.ppf gives 340508 and 337880 here)
-    sizes = _table(200, 1e-3)
-    last = sizes.cdf.size - 1
+    table = _table(200, 1e-3)
+    last = table.grow().size - 1
     assert last < channel._RUN_CAP
     u = np.array([2.0 ** -53, 2.0 ** -52])
-    assert np.all(sizes.p0 + (1.0 - u) * (1.0 - sizes.p0) > sizes.cdf[-1])
-    assert sizes(u).tolist() == [last, last]
+    p0 = 1e-3 ** 200
+    assert np.all(p0 + (1.0 - u) * (1.0 - p0) > table.grow()[-1])
+    assert _sizes(table, 200, 1e-3, u).tolist() == [last, last]
 
 
 @pytest.mark.parametrize("r, p", [(0.1, 1.2e-8), (1.0, 2e-7), (3.0, 5e-7), (10.0, 1e-6)])
 def test_draw_cluster_size_near_run_cap(r, p):
     from scipy.stats import nbinom
 
-    sizes = _table(r, p)
-    cdf = sizes.cdf
+    table = _table(r, p)
+    cdf = table.grow()
     assert cdf.size == channel._RUN_CAP + 1
     # a prefix against the loop, the end against scipy's CDF at the cap
-    assert np.array_equal(cdf[:10**5], oracles.nb_cdf_table(r, p, size=10**5))
+    assert np.array_equal(cdf[:10**5], oracles.law_cdf_table(NB, (r, p), size=10**5))
     assert cdf[-1] == pytest.approx(nbinom.cdf(channel._RUN_CAP, r, p), rel=1e-9)
     # targets within ulps of the table's end, on both sides of it: the
     # last pmf term spans all of them, so each one draws the cap
@@ -229,27 +237,26 @@ def test_draw_cluster_size_near_run_cap(r, p):
     target = p0 + (1.0 - u) * (1.0 - p0)
     assert target.min() < cdf[-1] < target.max()
     assert cdf[-1] - cdf[-2] > target.max() - target.min()
-    assert np.all(sizes(u) == channel._RUN_CAP)
+    assert np.all(_sizes(table, r, p, u) == channel._RUN_CAP)
 
 
 def test_draw_cluster_size_far_beyond_run_cap_is_quick():
     # Boost's quantile search took over ten seconds here (for 2.6e9
     # packets); the table reaches the cap in a fraction of a second
     start = time.perf_counter()
-    sizes = channel._NbClusterSizes(0.1, 1.2e-8)
-    assert sizes(np.array([2.0 ** -52]))[0] == channel._RUN_CAP
+    table = clusters.cdf_table(NB, (0.1, 1.2e-8))
+    assert _sizes(table, 0.1, 1.2e-8, [2.0 ** -52])[0] == channel._RUN_CAP
     assert time.perf_counter() - start < 1.0
 
 
 def test_nb_cluster_near_run_cap_builds_one_table_per_call(monkeypatch):
     built = []
 
-    class Counted(channel._NbClusterSizes):
-        def __init__(self, r, p):
-            super().__init__(r, p)
-            built.append(self)
+    def counted(family, params):
+        built.append(clusters.cdf_table(family, params))
+        return built[-1]
 
-    monkeypatch.setattr(channel, "_NbClusterSizes", Counted)
+    monkeypatch.setattr(channel, "cdf_table", counted)
     process = channel.NbCluster(r=0.1, p=1.2e-8, p_start=0.5)
     start = time.perf_counter()
     lost = channel.sample_losses(process, 10**5, rng(8))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,18 @@ def test_sal_single_row_table_constant(tmp_path):
     assert packets == [59, 59, 59]
 
 
+def test_sal_model_quantile_past_the_run_cap_exits_2(tmp_path, capsys):
+    models = tmp_path / "m.csv"
+    models.write_text("per,family,param1,param2\n0.3,negbinomial,1,4e-7\n")
+    out = tmp_path / "sal.csv"
+    start = time.perf_counter()
+    rc = run_cli("sal", "--models", str(models), "--targets", "0.9,0.99", "--out", str(out))
+    assert time.perf_counter() - start < 3.0
+    assert rc == 2
+    assert "beyond 10000000" in run_err(capsys)
+    assert not out.exists()
+
+
 def test_sal_grid_monotone(tmp_path):
     out = tmp_path / "sal.csv"
     grid = ",".join(str(p) for p in np.logspace(np.log10(6e-4), np.log10(0.3), 40))
@@ -266,6 +279,7 @@ def test_safety_empty_scenarios(tmp_path, capsys):
 @pytest.mark.parametrize("name, text, argv", [
     ("m.csv", "per,family,param1,param2\n0.1,poisson\n", ["sal", "--models"]),
     ("m.csv", "per,family,param1,param2\n0.1,poisson,0.2,,9\n", ["sal", "--models"]),
+    ("m.csv", "per,family,param1,param2\n0.1,poisson,inf,\n", ["sal", "--models"]),
     ("p.csv", "distance_m,baud,per\n10,230000,0.1,99\n", ["ingest-per-table"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
@@ -273,8 +287,8 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     ("s.csv", "v_kmh,distance_m,per\nnan,12,1e-5\n", ["safety"]),
     ("s.csv", "v_kmh,distance_m,per\n50,nan,1e-5\n", ["safety"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,-1\n", ["safety"]),
-], ids=["models-short-row", "models-extra-field", "per-table-extra-field",
-        "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
+], ids=["models-short-row", "models-extra-field", "models-infinite-lambda",
+        "per-table-extra-field", "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
         "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative"])
 def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):
     (tmp_path / name).write_text(text)

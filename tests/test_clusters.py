@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -362,6 +363,91 @@ def test_quantile_rejects_bad_targets():
     model = clusters.FitResult(clusters.Family.POISSON, (0.1,))
     with pytest.raises(clusters.ClusterStatsError):
         clusters.quantile(model, 1.0)
+
+
+NB, POISSON, BINOMIAL = clusters.Family
+
+
+def _random_laws(rng, n):
+    """``n`` random laws per family, with r and lambda log-uniform and
+    binomials up to n = 3162, so some of them start below the float range."""
+    for _ in range(n):
+        yield clusters.FitResult(NB, (10 ** rng.uniform(-3, 3), rng.uniform(0.01, 0.99)))
+        yield clusters.FitResult(POISSON, (10 ** rng.uniform(-4, math.log10(5e3)),))
+        yield clusters.FitResult(BINOMIAL, (float(int(10 ** rng.uniform(0, 3.5))),
+                                            rng.uniform(0.0, 1.0)))
+
+
+def test_quantiles_equal_the_doubling_gammaln_path_on_a_corpus():
+    rng = np.random.default_rng(11)
+    table = clusters.ModelTable.bundled()
+    grid = np.logspace(math.log10(table.per_min), math.log10(table.per_max), 241)
+    models = [table.model_at(float(per)) for per in grid] + list(_random_laws(rng, 100))
+    for model in models:
+        for target in (*TARGETS, 0.99999, *rng.uniform(0.01, 0.99999, 2)):
+            expect = oracles.doubling_quantile(model, float(target))
+            assert clusters.quantile(model, float(target)) == expect, (model, target)
+
+
+def test_empirical_quantiles_equal_the_doubling_path():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        draws = rng.negative_binomial(rng.uniform(0.05, 3.0), rng.uniform(0.02, 0.9),
+                                      size=int(rng.integers(1, 3000)))
+        dist = dist_from_window_counts(draws)
+        for target in (*TARGETS, *rng.uniform(0.001, 0.99999, 4)):
+            assert dist.quantile(target) == oracles.doubling_quantile(dist, target)
+
+
+@pytest.mark.parametrize("family, params", [
+    (NB, (0.1691, 0.0638)), (NB, (200.0, 1e-3)),
+    (POISSON, (0.0042,)), (POISSON, (0.0,)), (POISSON, (37.5,)),
+    (POISSON, (800.0,)), (POISSON, (5000.0,)),  # e^-lambda underflows
+    (BINOMIAL, (59.0, 0.1)), (BINOMIAL, (3.0, 0.0)), (BINOMIAL, (40.0, 0.999)),
+    (BINOMIAL, (1844.0, 0.675)), (BINOMIAL, (3000.0, 0.9)),  # (1-p)^n underflows
+])
+def test_cdf_table_matches_the_recurrence_loop(family, params):
+    table = clusters.cdf_table(family, params)
+    assert np.array_equal(table.grow(math.inf), oracles.law_cdf_table(family, params))
+    assert table.finished
+
+
+@pytest.mark.parametrize("family, params, expect", [
+    (BINOMIAL, (3.0, 0.0), 0), (BINOMIAL, (3.0, 1.0), 3), (POISSON, (0.0,), 0),
+    (BINOMIAL, (1844.0, 0.675), None), (POISSON, (800.0,), None),  # pmf(0) underflows
+])
+def test_edge_laws_keep_their_quantiles(family, params, expect):
+    model = clusters.FitResult(family, params)
+    for target in (1e-9, *TARGETS, 1.0 - 1e-9):
+        k = clusters.quantile(model, target)
+        assert k == oracles.doubling_quantile(model, target), target
+        assert expect is None or k == expect
+    if family is BINOMIAL and params[1] == 1.0:
+        assert model.cdf(np.arange(5)).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+
+
+def test_tail_quantile_reads_the_table_quickly():
+    # the doubling gammaln path took about 9.6 s for this quantile
+    start = time.perf_counter()
+    model = clusters.FitResult(NB, (1.0, 1e-6))
+    assert clusters.quantile(model, 0.999) == 6_907_751
+    assert time.perf_counter() - start < 2.0
+
+
+def test_quantile_past_the_run_cap_raises():
+    # 11,512,923 packets; the doubling path answered up to 2^24
+    start = time.perf_counter()
+    with pytest.raises(clusters.ClusterStatsError, match="beyond 10000000,"):
+        clusters.quantile(clusters.FitResult(NB, (1.0, 4e-7)), 0.99)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_quantile_beyond_the_float_cdf_raises_at_once():
+    # the table stops where a term no longer moves the sum, at 1 - 3e-13
+    start = time.perf_counter()
+    with pytest.raises(clusters.ClusterStatsError, match="where its CDF ends"):
+        clusters.quantile(clusters.FitResult(NB, (200.0, 1e-3)), 1.0 - 1e-13)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------------- latency
