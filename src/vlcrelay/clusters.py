@@ -11,6 +11,7 @@ quantiles of the winner to statistically-averaged latency (SAL) figures.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -26,6 +27,8 @@ from .node import LinkConfig
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
 _RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
+_LOG_MIN = math.log(sys.float_info.min)
+_TABLE_CHUNK = 1 << 16  # most terms CdfTable steps at once
 _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
 
 
@@ -285,23 +288,30 @@ def _family_pmf(family: Family, params: tuple[float, ...], k) -> np.ndarray:
 class CdfTable:
     """CDF of a count law at 0, 1, ... from its pmf recurrence
     ``pmf(k) = pmf(k-1) * ratio(k)``, summed in order as a plain loop would.
-    It grows in doubling chunks as far as its readers ask, and is finished
-    when a term no longer moves the float CDF or it holds ``size`` entries.
-    Entries before ``start`` are 0."""
+    It grows in chunks, doubling up to ``_TABLE_CHUNK`` terms, as far as its
+    readers ask, and is finished when a term no longer moves the float CDF
+    or it holds ``size`` entries.  Entries before ``start`` are 0."""
 
     def __init__(self, pmf0: float, log_pmf0: float, ratio, size: int = _RUN_CAP + 1,
                  start: int = 0):
         k, pmf = start, pmf0
         if pmf < sys.float_info.min:
             # pmf(0) underflows (NB r=200, p=1e-3): step the leading terms in log
-            # space and count them as 0; start from the exactly rounded log sum,
-            # as a running sum drifts by ~1e-12 over two thousand steps
-            log_pmf, logs = log_pmf0, [log_pmf0]
-            while log_pmf < math.log(sys.float_info.min) and k < size - 1:
-                k += 1
-                logs.append(math.log(ratio(k)))
-                log_pmf += logs[-1]
-            pmf = math.exp(math.fsum(logs))
+            # space, a chunk at a time, and count them as 0; start from the
+            # exactly rounded log sum, as a running sum drifts by ~1e-12 over two
+            # thousand steps.  math.log and an in-order cumsum step as a loop.
+            log_pmf, logs = log_pmf0, [np.array([log_pmf0])]
+            while log_pmf < _LOG_MIN and k < size - 1:
+                ks = np.arange(k + 1, min(k + 1 + _TABLE_CHUNK, size), dtype=np.float64)
+                chunk = np.fromiter(map(math.log, ratio(ks).tolist()), np.float64, ks.size)
+                walk = chunk.copy()
+                walk[0] += log_pmf
+                np.cumsum(walk, out=walk)
+                up = np.flatnonzero(~(walk < _LOG_MIN))
+                steps = int(up[0]) + 1 if up.size else ks.size
+                logs.append(chunk[:steps])
+                k, log_pmf = k + steps, float(walk[steps - 1])
+            pmf = math.exp(math.fsum(itertools.chain.from_iterable(c.tolist() for c in logs)))
         self._buf = np.zeros(size)  # only the pages written take memory
         self._buf[k] = pmf
         self._n, self._pmf, self._ratio = k + 1, pmf, ratio
@@ -311,7 +321,8 @@ class CdfTable:
         """Extend the table until its last value is at least ``upto`` and it
         holds index ``k``, or it is finished; returns the table."""
         while not self.finished and (self._buf[self._n - 1] < upto or self._n <= k):
-            lo, hi = self._n, min(2 * self._n, self._buf.size)
+            lo = self._n
+            hi = min(2 * lo, lo + _TABLE_CHUNK, self._buf.size)
             chunk = self._buf[lo:hi]
             chunk[:] = self._ratio(np.arange(lo, hi, dtype=np.float64))  # pmf(k) / pmf(k-1)
             chunk[0] *= self._pmf
@@ -588,6 +599,9 @@ def _model_row(row: dict[str, str]) -> tuple[float, Family, list[float]]:
     params = [float(row["param1"])]
     if row["param2"]:
         params.append(float(row["param2"]))
+    # model_at interpolates in log space, which needs every parameter > 0
+    if not all(0 < x < math.inf for x in params):
+        raise ValueError(f"parameters must be finite and > 0, got {params}")
     return float(row["per"]), Family(row["family"].strip()), params
 
 

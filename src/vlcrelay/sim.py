@@ -7,7 +7,11 @@ deterministic, so identical arguments reproduce traces byte-for-byte.
 A trace is its config plus the channel's ``received`` flags: ``relay``
 derives the relay flags and latencies, and the transmit times follow from
 the period.  ``run`` and both readers build a trace through one helper, so
-a derived column read from a file is only checked, never used.
+a derived column read from a file is only checked, never used.  The relay
+rule is scanned in blocks of ``_BLOCK`` packets, so its temporaries stay a
+few hundred kB at any trace length, and a trace builds its latency column
+only when it is read: ``summarize`` takes the relayed packets' latencies
+without it, and ``analyze`` needs neither.
 ``write_trace`` picks the format by path:
 
 * binary, the default (any path not ending in ``.csv``): the line
@@ -28,6 +32,7 @@ export has no header line after its column line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +46,7 @@ TRACE_MAGIC = b"vlcrelay-trace 1\n"
 _HEADER_KEYS = frozenset({*LinkConfig().text_fields(), "payload", "preamble", "process",
                           "n_packets", "seed"})
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
+_BLOCK = 1 << 14  # packets per block of the relay scan
 
 
 class TraceFormatError(ValueError):
@@ -58,16 +64,20 @@ class PacketTrace:
     seed: int
     received: np.ndarray
     relayed: np.ndarray
-    latency_s: np.ndarray  # NaN where not relayed
 
     def __post_init__(self):
         n = self.received.size
         if n < 1:
             raise EmptyTrace("trace must contain at least one packet")
-        if not (self.relayed.size == self.latency_s.size == n):
+        if self.relayed.size != n:
             raise ValueError("trace arrays must share one length")
         if np.any(self.relayed & ~self.received):
             raise ValueError("relayed packets must have been received")
+
+    @cached_property
+    def latency_s(self) -> np.ndarray:
+        """Per-packet latency, NaN where not relayed."""
+        return _latency_column(self.config, self.received, self.relayed)
 
     @property
     def n_tx(self) -> int:
@@ -115,17 +125,50 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
     ``l0 + run * period``.
     """
     received = np.asarray(received, dtype=bool)
-    idx = np.arange(received.size)
+    relayed = _relay_flags(config, received)
+    return relayed, _latency_column(config, received, relayed)
+
+
+def _blocks(n: int):
+    """The relay scan's blocks: a slice of the stream and its indices."""
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        yield slice(lo, hi), np.arange(lo, hi)
+
+
+def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
+    """``relay``'s flags; the scan carries the last loss index across blocks."""
+    relayed = received.copy()
     if config.period_s < 2 * config.packet_time_s + config.dead_time_s:
-        # a received packet's offset in its run is idx - last_loss - 1
-        last_loss = np.maximum.accumulate(np.where(received, -1, idx))
-        relayed = received & ((idx - last_loss) % 2 == 1)
-    else:
-        relayed = received.copy()
-    last_rx = np.maximum.accumulate(np.where(received, idx, -1))
-    loss_run = idx - np.concatenate(([-1], last_rx[:-1])) - 1
-    latency_s = np.where(relayed, config.l0_s + loss_run * config.period_s, np.nan)
-    return relayed, latency_s
+        last_loss = -1
+        for block, idx in _blocks(received.size):
+            # a received packet's offset in its run is idx - last_loss - 1
+            losses = np.maximum.accumulate(np.where(received[block], last_loss, idx))
+            relayed[block] &= (idx - losses) % 2 == 1
+            last_loss = int(losses[-1])
+    return relayed
+
+
+def _relayed_latency_s(config: LinkConfig, received: np.ndarray,
+                       relayed: np.ndarray) -> np.ndarray:
+    """``relay``'s latencies of the ``relayed`` packets, in order; the scan
+    carries the last received index across blocks."""
+    out = np.empty(np.count_nonzero(relayed))
+    at, last_rx = 0, -1
+    for block, idx in _blocks(received.size):
+        rx = np.maximum.accumulate(np.where(received[block], idx, last_rx))
+        loss_run = (idx - np.concatenate(([last_rx], rx[:-1])) - 1)[relayed[block]]
+        out[at:at + loss_run.size] = config.l0_s + loss_run * config.period_s
+        at += loss_run.size
+        last_rx = int(rx[-1])
+    return out
+
+
+def _latency_column(config: LinkConfig, received: np.ndarray,
+                    relayed: np.ndarray) -> np.ndarray:
+    latency_s = np.full(received.size, np.nan)
+    latency_s[relayed] = _relayed_latency_s(config, received, relayed)
+    return latency_s
 
 
 def _check_seed(seed: int) -> int:
@@ -147,15 +190,13 @@ def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
 def _build_trace(config: LinkConfig, process_spec: str, seed: int,
                  received: np.ndarray) -> PacketTrace:
     """The trace of channel outcomes ``received``; every other column is
-    derived here."""
-    relayed, latency_s = relay(config, received)
+    derived here or, for the latencies, when first read."""
     return PacketTrace(
         config=config,
         process_spec=process_spec,
         seed=seed,
         received=received,
-        relayed=relayed,
-        latency_s=latency_s,
+        relayed=_relay_flags(config, received),
     )
 
 
@@ -173,7 +214,7 @@ class Summary:
 
 def summarize(trace: PacketTrace) -> Summary:
     """Aggregate a trace into the headline link metrics."""
-    lat = trace.latency_s[trace.relayed]
+    lat = _relayed_latency_s(trace.config, trace.received, trace.relayed)
     runs = loss_run_lengths(trace.received)
     return Summary(
         per=compute_per(trace.n_tx, trace.n_relayed, trace.config.mode),

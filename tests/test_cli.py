@@ -280,6 +280,10 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     ("m.csv", "per,family,param1,param2\n0.1,poisson\n", ["sal", "--models"]),
     ("m.csv", "per,family,param1,param2\n0.1,poisson,0.2,,9\n", ["sal", "--models"]),
     ("m.csv", "per,family,param1,param2\n0.1,poisson,inf,\n", ["sal", "--models"]),
+    ("m.csv", "per,family,param1,param2\n0.1,negbinomial,-1,0.5\n0.3,negbinomial,0.2,0.1\n",
+     ["sal", "--per-grid", "0.2", "--models"]),
+    ("m.csv", "per,family,param1,param2\n0.1,poisson,0,\n0.3,poisson,0.2,\n",
+     ["sal", "--per-grid", "0.2", "--models"]),
     ("p.csv", "distance_m,baud,per\n10,230000,0.1,99\n", ["ingest-per-table"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
@@ -288,6 +292,7 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     ("s.csv", "v_kmh,distance_m,per\n50,nan,1e-5\n", ["safety"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,-1\n", ["safety"]),
 ], ids=["models-short-row", "models-extra-field", "models-infinite-lambda",
+        "models-negative-r", "models-zero-lambda",
         "per-table-extra-field", "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
         "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative"])
 def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):

@@ -405,11 +405,33 @@ def test_empirical_quantiles_equal_the_doubling_path():
     (POISSON, (800.0,)), (POISSON, (5000.0,)),  # e^-lambda underflows
     (BINOMIAL, (59.0, 0.1)), (BINOMIAL, (3.0, 0.0)), (BINOMIAL, (40.0, 0.999)),
     (BINOMIAL, (1844.0, 0.675)), (BINOMIAL, (3000.0, 0.9)),  # (1-p)^n underflows
+    # log-space starts over several chunks of 2^16 terms
+    (NB, (2000.0, 0.01)), (POISSON, (2e5,)), (BINOMIAL, (3e5, 0.5)),
 ])
 def test_cdf_table_matches_the_recurrence_loop(family, params):
     table = clusters.cdf_table(family, params)
     assert np.array_equal(table.grow(math.inf), oracles.law_cdf_table(family, params))
     assert table.finished
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("family, params", [
+    (NB, (200.0, 0.02)), (POISSON, (800.0,)), (BINOMIAL, (1844.0, 0.675)),
+    (NB, (0.1691, 0.0638)),
+])
+def test_cdf_table_chunk_edges_match_the_recurrence_loop(monkeypatch, chunk, family, params):
+    # tiny chunks put a chunk edge at or next to every step of the log-space
+    # start, its crossing, and the finish
+    monkeypatch.setattr(clusters, "_TABLE_CHUNK", chunk)
+    table = clusters.cdf_table(family, params)
+    assert np.array_equal(table.grow(math.inf), oracles.law_cdf_table(family, params))
+
+
+def test_far_poisson_quantile_starts_in_chunks():
+    # e^-lambda underflows for 4,916,582 terms; the one-step loop took 5 s
+    start = time.perf_counter()
+    assert clusters.quantile(clusters.FitResult(POISSON, (5e6,)), 0.5) == 5_000_000
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("family, params, expect", [

@@ -1,9 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vlcrelay import channel, clusters, node, sim
+
+import oracles
 
 BROADCAST = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
 BEACON = node.LinkConfig(baud=230000, mode=node.Mode.BEACON, beacon_interval_s=0.1)
@@ -98,7 +101,6 @@ def test_summarize_max_cluster_by_definition():
     trace = sim.PacketTrace(
         config=BEACON, process_spec="synthetic", seed=0,
         received=received, relayed=received.copy(),
-        latency_s=np.where(received, BEACON.l0_s, np.nan),
     )
     assert sim.summarize(trace).max_cluster == 3
 
@@ -332,3 +334,94 @@ def test_golden_binary_trace_bytes(tmp_path, mode, spec):
     sim.write_trace(trace, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_BINARY_TRACE_SHA256[mode, spec]
+
+
+# the relay scan's block edges: n around multiples of the block, runs that
+# cross an edge, and a link exactly at period == 2 pt + dead, where every
+# time is a power of two so that the loop's float overlap test is exact
+B = sim._BLOCK
+EDGE_TIMES = dict(baud=65536, t_proc_s=2.0**-12, guard_s=2.0**-12)  # pt 2^-10, dead 2^-11
+EDGE_BROADCAST = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=1.5 * 2.0**-10, **EDGE_TIMES)
+EDGE_BEACON = node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=2.5 * 2.0**-10,
+                              **EDGE_TIMES)
+RELAY_LINKS = {"broadcast": BROADCAST, "beacon": BEACON,
+               "broadcast-at-edge": EDGE_BROADCAST, "beacon-at-edge": EDGE_BEACON}
+
+
+def _assert_relay_is_the_loop(config, received):
+    relayed, latency = sim.relay(config, received)
+    loop_relayed, _, loop_latency = oracles.scan(received, config)
+    assert np.array_equal(relayed, loop_relayed)
+    assert np.array_equal(latency.view(np.int64), loop_latency.view(np.int64))
+    # the summary's latencies are the column's relayed entries, bit for bit
+    trace = sim.PacketTrace(config=config, process_spec="synthetic", seed=0,
+                            received=received, relayed=relayed)
+    assert np.array_equal(sim._relayed_latency_s(config, received, relayed).view(np.int64),
+                          trace.latency_s[trace.relayed].view(np.int64))
+    assert np.array_equal(trace.latency_s.view(np.int64), latency.view(np.int64))
+
+
+def test_edge_links_sit_at_the_blocking_boundary():
+    for config in (EDGE_BROADCAST, EDGE_BEACON):
+        assert config.period_s == 2 * config.packet_time_s + config.dead_time_s
+
+
+@pytest.mark.parametrize("link", sorted(RELAY_LINKS))
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_relay_blocks_match_loop_around_block_sizes(link, n):
+    rng = np.random.default_rng(n)
+    for received in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                     rng.random(n) >= 0.1, rng.random(n) >= 0.5, rng.random(n) >= 0.9):
+        _assert_relay_is_the_loop(RELAY_LINKS[link], received)
+
+
+@pytest.mark.parametrize("link", sorted(RELAY_LINKS))
+@pytest.mark.parametrize("shift", range(-3, 4))
+def test_relay_blocks_match_loop_on_runs_across_block_edges(link, shift):
+    # a loss run ends near the first edge, so the received run after it
+    # crosses that edge at either parity; a loss run crosses the second edge
+    received = np.ones(2 * B + 1, dtype=bool)
+    received[B + shift - 5:B + shift] = False
+    received[2 * B + shift - 4:2 * B + shift + 3] = False
+    _assert_relay_is_the_loop(RELAY_LINKS[link], received)
+
+
+def test_summary_and_analyze_leave_latency_column_unbuilt(tmp_path):
+    trace = sim.run(BROADCAST, channel.IidPacket(0.2), 5000, seed=3)
+    sim.summarize(trace)
+    assert "latency_s" not in vars(trace)
+    path = tmp_path / "t.vlct"
+    sim.write_trace(trace, path)
+    back = sim.read_trace(path)
+    clusters.extract_clusters(back)
+    assert "latency_s" not in vars(back)
+    assert np.array_equal(back.latency_s, trace.latency_s, equal_nan=True)
+    assert "latency_s" in vars(back)
+
+
+def _peak_bytes(func):
+    """Peak of the memory that ``func()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        func()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "beacon"])
+def test_peak_memory_per_packet(tmp_path, mode):
+    # the relay scan holds blocks, not length-n index arrays, and neither the
+    # summary nor analyze builds the 8-byte latency column
+    n = 10**6
+    config = node.LinkConfig(mode=node.Mode(mode))
+    path = tmp_path / "t.vlct"
+
+    def simulate():
+        trace = sim.run(config, channel.IidPacket(0.1), n, seed=1)
+        sim.summarize(trace)
+        sim.write_trace(trace, path)
+
+    assert _peak_bytes(simulate) < 30 * n
+    assert _peak_bytes(lambda: clusters.extract_clusters(sim.read_trace(path))) < 15 * n
