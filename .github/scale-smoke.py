@@ -1,4 +1,5 @@
-"""Scale smoke test: ``simulate`` and then ``analyze`` on 10^7 iid packets.
+"""Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets, and
+``simulate`` on 10^7 Gilbert-Elliott packets.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
@@ -19,7 +20,8 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-BOUND_MB = {"simulate": 300.0, "analyze": 160.0}
+BOUND_MB = {"simulate": 200.0, "analyze": 160.0}
+GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
 
 
 def run_cli(args: list[str], cwd: str) -> tuple[int, float, float]:
@@ -40,15 +42,19 @@ def main() -> int:
     n = parser.parse_args().n
     ok = True
     with tempfile.TemporaryDirectory() as work:
-        for command, args in (
-            ("simulate", ["--mode", "broadcast", "--per", "0.01", "--n", str(n),
-                          "--seed", "1", "--out", "trace.vlct", "--summary", "summary.txt"]),
-            ("analyze", ["trace.vlct", "--clusters-out", "clusters.csv",
-                         "--report-out", "report.txt"]),
+        for label, command, args in (
+            ("iid", "simulate", ["--mode", "broadcast", "--per", "0.01", "--n", str(n),
+                                 "--seed", "1", "--out", "trace.vlct",
+                                 "--summary", "summary.txt"]),
+            ("iid", "analyze", ["trace.vlct", "--clusters-out", "clusters.csv",
+                                "--report-out", "report.txt"]),
+            ("gilbert-elliott", "simulate", ["--mode", "beacon", "--process", GE_SPEC,
+                                             "--n", str(n), "--seed", "1",
+                                             "--out", "ge.vlct", "--summary", "ge.txt"]),
         ):
             code, rss_mb, seconds = run_cli([command, *args], work)
             passed = code == 0 and rss_mb <= BOUND_MB[command]
-            print(f"{'PASS' if passed else 'FAIL'} {command} n={n}: exit {code}, "
+            print(f"{'PASS' if passed else 'FAIL'} {command} {label} n={n}: exit {code}, "
                   f"peak RSS {rss_mb:.1f} MB (bound {BOUND_MB[command]:.0f} MB), "
                   f"{seconds:.2f} s")
             ok = ok and passed

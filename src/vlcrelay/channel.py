@@ -21,7 +21,8 @@ from .codec import FRAME_BITS
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
-_BLOCK = 4096  # cluster cycles drawn per block
+_BLOCK = 1 << 14  # packets per block of the draws and of the relay scan
+_NB_CYCLES = 4096  # cluster cycles per block of the nb-cluster draw
 
 
 class ChannelError(ValueError):
@@ -167,51 +168,52 @@ def _cluster_sizes(table: CdfTable, p0: float, u: np.ndarray) -> np.ndarray:
     return np.where(target == 1.0, _RUN_CAP, sizes)
 
 
-def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float) -> np.ndarray:
-    """Gilbert-Elliott state (True = bad) before each packet, from the
-    transition draws of the packets before it.
+def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float,
+                   bad: bool) -> np.ndarray:
+    """Gilbert-Elliott state (True = bad) before each packet of a block and
+    after its last, from the state ``bad`` before its first packet and the
+    block's transition draws.
 
     Each draw maps the state one of four ways: stay (no transition fires),
     force bad (only ``u < p_gb``), force good (only ``u < p_bg``) or swap
     (both).  So the state is the target of the last force, flipped once per
-    swap since then.  A leading force-good stands for the chain's start.
+    swap since then.  A leading force to ``bad`` stands for the state the
+    block starts in.
     """
-    to_bad = np.concatenate(([False], u_trans < p_gb))
-    to_good = np.concatenate(([True], u_trans < p_bg))
+    to_bad = np.concatenate(([bad], u_trans < p_gb))
+    to_good = np.concatenate(([not bad], u_trans < p_bg))
     idx = np.arange(to_bad.size)
     last_force = np.maximum.accumulate(np.where(to_bad != to_good, idx, 0))
     swaps = np.logical_xor.accumulate(to_bad & to_good)  # parity so far
     return to_bad[last_force] ^ swaps ^ swaps[last_force]
 
 
+def _packet_blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive packets that cover ``n``."""
+    for lo in range(0, n, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, n))
+
+
 def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np.ndarray:
     """Loss flags for ``n`` consecutive packets (True = lost).
 
     Deterministic in the generator state: the same seed gives the same
-    flags for every process.
+    flags for every process.  The iid and Gilbert-Elliott processes draw
+    in blocks of ``_BLOCK`` packets, the same numbers in the same order as
+    one draw of all ``n``, so their temporaries stay a few hundred kB.
     """
     if n < 1:
         raise ChannelError(f"n must be >= 1, got {n}")
-    if isinstance(process, IidPacket):
-        return rng.random(n) < process.p_loss
-    if isinstance(process, IidBit):
-        return rng.binomial(BITS_PER_PACKET, process.p_bit, size=n) > 0
-    if isinstance(process, GilbertElliott):
-        # per packet: one loss draw in the current state, then one
-        # transition draw, interleaved in the stream
-        u = rng.random(2 * n)
-        bad = _ge_bad_before(u[1:-1:2], process.p_gb, process.p_bg)
-        return u[0::2] < np.where(bad, process.loss_bad, process.loss_good)
     if isinstance(process, NbCluster):
-        # stream 2: per block, _BLOCK geometric gaps, then _BLOCK uniforms
-        # for the cluster sizes; the runs alternate gap, cluster, starting
-        # with a gap, and the run that reaches packet n is cut there
+        # stream 2: per block, _NB_CYCLES geometric gaps, then _NB_CYCLES
+        # uniforms for the cluster sizes; the runs alternate gap, cluster,
+        # starting with a gap, and the run that reaches packet n is cut there
         table = cdf_table(Family.NEG_BINOMIAL, (process.r, process.p))
         p0 = process.p ** process.r
         blocks, total = [], 0
         while total < n:
-            gaps = rng.geometric(process.p_start, _BLOCK)
-            sizes = _cluster_sizes(table, p0, rng.random(_BLOCK))
+            gaps = rng.geometric(process.p_start, _NB_CYCLES)
+            sizes = _cluster_sizes(table, p0, rng.random(_NB_CYCLES))
             block = np.stack((gaps, sizes), axis=1).ravel()
             blocks.append(block)
             total += int(block.sum())
@@ -221,7 +223,27 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
         runs = runs[:last + 1]
         runs[last] -= ends[last] - n
         return np.repeat(np.arange(last + 1) % 2 == 1, runs)
-    raise ChannelError(f"unknown error process {process!r}")
+    if not isinstance(process, IidPacket | IidBit | GilbertElliott):
+        raise ChannelError(f"unknown error process {process!r}")
+    lost = np.empty(n, dtype=bool)
+    bad = False  # the Gilbert-Elliott chain starts good
+    for block in _packet_blocks(n):
+        out = lost[block]
+        if isinstance(process, IidPacket):
+            np.less(rng.random(out.size), process.p_loss, out=out)
+        elif isinstance(process, IidBit):
+            flips = rng.binomial(BITS_PER_PACKET, process.p_bit, size=out.size)
+            np.greater(flips, 0, out=out)
+        else:
+            # per packet: one loss draw in the current state, then one
+            # transition draw, interleaved in the stream; the block's last
+            # transition draw gives the state the next block starts in
+            u = rng.random(2 * out.size)
+            states = _ge_bad_before(u[1::2], process.p_gb, process.p_bg, bad)
+            np.less(u[0::2], np.where(states[:-1], process.loss_bad, process.loss_good),
+                    out=out)
+            bad = bool(states[-1])
+    return lost
 
 
 RNG_ALGORITHM = "numpy-pcg64"

@@ -8,10 +8,11 @@ A trace is its config plus the channel's ``received`` flags: ``relay``
 derives the relay flags and latencies, and the transmit times follow from
 the period.  ``run`` and both readers build a trace through one helper, so
 a derived column read from a file is only checked, never used.  The relay
-rule is scanned in blocks of ``_BLOCK`` packets, so its temporaries stay a
-few hundred kB at any trace length, and a trace builds its latency column
-only when it is read: ``summarize`` takes the relayed packets' latencies
-without it, and ``analyze`` needs neither.
+rule is scanned in the channel draw's blocks of ``channel._BLOCK`` packets,
+so its temporaries stay a few hundred kB at any trace length, and a trace
+builds its latency column only when it is read: ``summarize`` takes the
+relayed packets' latencies and the longest loss run from one scan without
+it, and ``analyze`` needs neither.
 ``write_trace`` picks the format by path:
 
 * binary, the default (any path not ending in ``.csv``): the line
@@ -37,7 +38,6 @@ from functools import cached_property
 import numpy as np
 
 from . import channel as _channel
-from .clusters import loss_run_lengths
 from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
 from .node import ConfigError, EmptyTrace, LinkConfig, compute_per
 
@@ -46,7 +46,6 @@ TRACE_MAGIC = b"vlcrelay-trace 1\n"
 _HEADER_KEYS = frozenset({*LinkConfig().text_fields(), "payload", "preamble", "process",
                           "n_packets", "seed"})
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
-_BLOCK = 1 << 14  # packets per block of the relay scan
 
 
 class TraceFormatError(ValueError):
@@ -130,10 +129,9 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _blocks(n: int):
-    """The relay scan's blocks: a slice of the stream and its indices."""
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        yield slice(lo, hi), np.arange(lo, hi)
+    """The packet blocks of the scans: a slice of the stream and its indices."""
+    for block in _channel._packet_blocks(n):
+        yield block, np.arange(block.start, block.stop)
 
 
 def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
@@ -150,24 +148,28 @@ def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
 
 
 def _relayed_latency_s(config: LinkConfig, received: np.ndarray,
-                       relayed: np.ndarray) -> np.ndarray:
-    """``relay``'s latencies of the ``relayed`` packets, in order; the scan
-    carries the last received index across blocks."""
+                       relayed: np.ndarray) -> tuple[np.ndarray, int]:
+    """``relay``'s latencies of the ``relayed`` packets, in order, and the
+    longest loss run; the scan carries the last received index across
+    blocks."""
     out = np.empty(np.count_nonzero(relayed))
-    at, last_rx = 0, -1
+    at, last_rx, max_run = 0, -1, 0
     for block, idx in _blocks(received.size):
         rx = np.maximum.accumulate(np.where(received[block], idx, last_rx))
-        loss_run = (idx - np.concatenate(([last_rx], rx[:-1])) - 1)[relayed[block]]
+        run = idx - rx  # a lost packet's place in its loss run, 0 if received
+        max_run = max(max_run, int(run.max()))
+        # a packet's latency spans the loss run that ends just before it
+        loss_run = np.concatenate(([idx[0] - 1 - last_rx], run[:-1]))[relayed[block]]
         out[at:at + loss_run.size] = config.l0_s + loss_run * config.period_s
         at += loss_run.size
         last_rx = int(rx[-1])
-    return out
+    return out, max_run
 
 
 def _latency_column(config: LinkConfig, received: np.ndarray,
                     relayed: np.ndarray) -> np.ndarray:
     latency_s = np.full(received.size, np.nan)
-    latency_s[relayed] = _relayed_latency_s(config, received, relayed)
+    latency_s[relayed] = _relayed_latency_s(config, received, relayed)[0]
     return latency_s
 
 
@@ -183,7 +185,8 @@ def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
     if n_packets < 1:
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
     rng = np.random.default_rng(_check_seed(seed))
-    received = ~_channel.sample_losses(process, n_packets, rng)
+    received = _channel.sample_losses(process, n_packets, rng)
+    np.logical_not(received, out=received)
     return _build_trace(config, _channel.process_to_spec(process), seed, received)
 
 
@@ -214,8 +217,7 @@ class Summary:
 
 def summarize(trace: PacketTrace) -> Summary:
     """Aggregate a trace into the headline link metrics."""
-    lat = _relayed_latency_s(trace.config, trace.received, trace.relayed)
-    runs = loss_run_lengths(trace.received)
+    lat, max_cluster = _relayed_latency_s(trace.config, trace.received, trace.relayed)
     return Summary(
         per=compute_per(trace.n_tx, trace.n_relayed, trace.config.mode),
         n_tx=trace.n_tx,
@@ -224,7 +226,7 @@ def summarize(trace: PacketTrace) -> Summary:
         n_blocked=int(trace.blocked.sum()),
         min_latency_s=float(lat.min()) if lat.size else float("nan"),
         mean_latency_s=float(lat.mean()) if lat.size else float("nan"),
-        max_cluster=int(runs.max()) if runs.size else 0,
+        max_cluster=max_cluster,
     )
 
 
@@ -311,16 +313,23 @@ def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> Pa
 
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
-    lines = [f"# {key}={value}" for key, value in trace.header().items()]
-    lines.append(_CSV_COLUMNS)
-    tx_us = trace.tx_start_s * 1e6
-    lat_us = trace.latency_s * 1e6
-    for k in range(trace.n_tx):
-        lat = repr(float(lat_us[k])) if trace.relayed[k] else ""
-        lines.append(f"{k},{float(tx_us[k])!r},{int(trace.received[k])},"
-                     f"{int(trace.relayed[k])},{lat}")
+    """Write the CSV export, its rows formatted a block of packets at a time."""
+    header = [f"# {key}={value}" for key, value in trace.header().items()]
+    lat_us, _ = _relayed_latency_s(trace.config, trace.received, trace.relayed)
+    lat_us *= 1e6
+    at = 0
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([*header, _CSV_COLUMNS]) + "\n")
+        for block, idx in _blocks(trace.n_tx):
+            relayed = trace.relayed[block].view(np.uint8).tolist()
+            n_relayed = sum(relayed)
+            lat = map(repr, lat_us[at:at + n_relayed].tolist())
+            at += n_relayed
+            tx_us = idx * trace.config.period_s * 1e6  # tx_start_s * 1e6, bit for bit
+            rows = map("{},{!r},{},{},{}".format, idx.tolist(), tx_us.tolist(),
+                       trace.received[block].view(np.uint8).tolist(), relayed,
+                       [next(lat) if r else "" for r in relayed])
+            fh.write("\n".join(rows) + "\n")
 
 
 def read_trace_csv(path) -> PacketTrace:

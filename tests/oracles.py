@@ -28,7 +28,7 @@ import numpy as np
 from scipy.stats import nbinom
 
 from vlcrelay.channel import (
-    _BLOCK,
+    _NB_CYCLES,
     _RUN_CAP,
     BITS_PER_PACKET,
     ChannelError,
@@ -193,12 +193,12 @@ class FixedRandom:
 
 def nb_cluster_walk(process: NbCluster, n: int, rng: np.random.Generator) -> np.ndarray:
     """Loss flags for ``n`` packets of the block stream: per block,
-    ``_BLOCK`` geometric gaps, then ``_BLOCK`` uniforms, each taken to a
-    cluster size by ``draw_cluster_size``; a success run comes first."""
+    ``_NB_CYCLES`` geometric gaps, then ``_NB_CYCLES`` uniforms, each taken
+    to a cluster size by ``draw_cluster_size``; a success run comes first."""
     lost = []
     while len(lost) < n:
-        gaps = rng.geometric(process.p_start, _BLOCK)
-        us = rng.random(_BLOCK)
+        gaps = rng.geometric(process.p_start, _NB_CYCLES)
+        us = rng.random(_NB_CYCLES)
         for gap, u in zip(gaps, us):
             if len(lost) >= n:
                 break

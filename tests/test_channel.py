@@ -276,12 +276,46 @@ def test_nb_cluster_losses_match_scipy_stats_walk(process, seed):
     assert np.array_equal(batch, oracles.nb_cluster_walk(process, 2000, rng(seed)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5000, 200_000])
+# sample_losses draws the iid and Gilbert-Elliott streams in blocks of B
+# packets: lengths around the block edges, against one whole draw or the loop
+B = channel._BLOCK
+BLOCK_EDGES = [1, 2, B - 1, B, B + 1, 3 * B + 5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000, 200_000, *BLOCK_EDGES[2:]])
 def test_nb_cluster_stream_is_a_prefix_of_longer_runs(n):
     # fixed-size blocks: n packets are the first n of any longer run
     process = channel.NbCluster.for_target_per(0.1691, 0.0638, 0.3)
     lost = channel.sample_losses(process, n, rng(4))
     assert np.array_equal(lost, channel.sample_losses(process, 300_000, rng(4))[:n])
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_iid_packet_blocks_equal_one_draw(n, p):
+    lost = channel.sample_losses(channel.IidPacket(p), n, rng(n))
+    assert np.array_equal(lost, rng(n).random(n) < p)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("p", [0.0, 0.005, 0.1, 1.0])
+def test_iid_bit_blocks_equal_one_draw(n, p):
+    lost = channel.sample_losses(channel.IidBit(p), n, rng(n))
+    assert np.array_equal(lost, rng(n).binomial(channel.BITS_PER_PACKET, p, n) > 0)
+
+
+@pytest.mark.parametrize("process", [
+    channel.IidPacket(0.2),
+    channel.IidBit(0.01),
+    channel.GilbertElliott(p_gb=0.02, p_bg=0.1, loss_good=0.01, loss_bad=0.5),
+    channel.GilbertElliott(p_gb=1.0, p_bg=0.3, loss_good=0.2, loss_bad=0.7),
+], ids=["iid-packet", "iid-bit", "gilbert-elliott", "gilbert-elliott-forced"])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_blocked_stream_is_a_prefix_of_longer_runs(process, n):
+    # with test_nb_cluster_stream_is_a_prefix_of_longer_runs, all four
+    # processes: n packets are the first n of any longer run
+    lost = channel.sample_losses(process, n, rng(4))
+    assert np.array_equal(lost, channel.sample_losses(process, 4 * B, rng(4))[:n])
 
 
 @pytest.mark.parametrize("p_gb, p_bg, loss_good, loss_bad", [
@@ -295,7 +329,7 @@ def test_nb_cluster_stream_is_a_prefix_of_longer_runs(n):
     (1.0, 0.3, 0.2, 0.7),
     (0.3, 1.0, 0.2, 0.7),
 ])
-@pytest.mark.parametrize("n", [1, 2, 3, 20000])
+@pytest.mark.parametrize("n", [1, 2, 3, 20000, *BLOCK_EDGES[2:]])
 def test_gilbert_elliott_matches_loop(p_gb, p_bg, loss_good, loss_bad, n):
     process = channel.GilbertElliott(p_gb, p_bg, loss_good, loss_bad)
     u = rng(13).random(2 * n)

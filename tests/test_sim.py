@@ -339,7 +339,7 @@ def test_golden_binary_trace_bytes(tmp_path, mode, spec):
 # the relay scan's block edges: n around multiples of the block, runs that
 # cross an edge, and a link exactly at period == 2 pt + dead, where every
 # time is a power of two so that the loop's float overlap test is exact
-B = sim._BLOCK
+B = channel._BLOCK
 EDGE_TIMES = dict(baud=65536, t_proc_s=2.0**-12, guard_s=2.0**-12)  # pt 2^-10, dead 2^-11
 EDGE_BROADCAST = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=1.5 * 2.0**-10, **EDGE_TIMES)
 EDGE_BEACON = node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=2.5 * 2.0**-10,
@@ -356,8 +356,8 @@ def _assert_relay_is_the_loop(config, received):
     # the summary's latencies are the column's relayed entries, bit for bit
     trace = sim.PacketTrace(config=config, process_spec="synthetic", seed=0,
                             received=received, relayed=relayed)
-    assert np.array_equal(sim._relayed_latency_s(config, received, relayed).view(np.int64),
-                          trace.latency_s[trace.relayed].view(np.int64))
+    lat, _ = sim._relayed_latency_s(config, received, relayed)
+    assert np.array_equal(lat.view(np.int64), trace.latency_s[trace.relayed].view(np.int64))
     assert np.array_equal(trace.latency_s.view(np.int64), latency.view(np.int64))
 
 
@@ -386,6 +386,46 @@ def test_relay_blocks_match_loop_on_runs_across_block_edges(link, shift):
     _assert_relay_is_the_loop(RELAY_LINKS[link], received)
 
 
+def _runs(n, *spans):
+    """``n`` received packets but for the loss runs ``spans`` (lo, hi)."""
+    received = np.ones(n, dtype=bool)
+    for lo, hi in spans:
+        received[lo:hi] = False
+    return received
+
+
+MAX_CLUSTER_CASES = {
+    "n=1-lost": lambda: _runs(1, (0, 1)),
+    "n=1-received": lambda: _runs(1),
+    "none-lost": lambda: _runs(2 * B + 1),
+    "all-lost": lambda: _runs(2 * B + 1, (0, 2 * B + 1)),
+    # the longest run crosses the first block edge, shorter ones after it
+    "across-edge": lambda: _runs(2 * B + 1, (5, 8), (B - 4, B + 5), (B + 9, B + 12),
+                                 (2 * B - 1, 2 * B + 1)),
+    "ends-at-edge": lambda: _runs(2 * B + 1, (B - 7, B), (B + 1, B + 3)),
+    "starts-at-edge": lambda: _runs(2 * B + 1, (3, 5), (B, B + 7)),
+    "leading": lambda: _runs(2 * B + 1, (0, B + 3), (B + 10, B + 12)),
+    "trailing": lambda: _runs(2 * B + 1, (4, 6), (B - 2, 2 * B + 1)),
+    "random": lambda: np.random.default_rng(3).random(3 * B + 5) >= 0.6,
+}
+
+
+@pytest.mark.filterwarnings("ignore::vlcrelay.clusters.InsufficientErrorsWarning")
+@pytest.mark.parametrize("case", sorted(MAX_CLUSTER_CASES))
+@pytest.mark.parametrize("config", [BROADCAST, BEACON], ids=["broadcast", "beacon"])
+def test_summary_max_cluster_is_the_longest_loss_run(config, case):
+    # summarize takes max_cluster from the latency scan, carried across
+    # block edges, not from the run lengths
+    received = MAX_CLUSTER_CASES[case]()
+    relayed, _ = sim.relay(config, received)
+    trace = sim.PacketTrace(config=config, process_spec="synthetic", seed=0,
+                            received=received, relayed=relayed)
+    runs = clusters.loss_run_lengths(received)
+    want = int(runs.max()) if runs.size else 0
+    assert sim.summarize(trace).max_cluster == want
+    assert clusters.extract_clusters(trace).max_cluster == want
+
+
 def test_summary_and_analyze_leave_latency_column_unbuilt(tmp_path):
     trace = sim.run(BROADCAST, channel.IidPacket(0.2), 5000, seed=3)
     sim.summarize(trace)
@@ -412,16 +452,22 @@ def _peak_bytes(func):
 
 @pytest.mark.parametrize("mode", ["broadcast", "beacon"])
 def test_peak_memory_per_packet(tmp_path, mode):
-    # the relay scan holds blocks, not length-n index arrays, and neither the
-    # summary nor analyze builds the 8-byte latency column
+    # the channel draw and the relay scan hold blocks, not length-n
+    # temporaries, and neither the summary nor analyze builds the 8-byte
+    # latency column.  nb-cluster is left out: tracemalloc counts its CDF
+    # table's calloc'd 80 MB buffer in full (84 B/packet here), although
+    # only the pages written are resident
     n = 10**6
     config = node.LinkConfig(mode=node.Mode(mode))
     path = tmp_path / "t.vlct"
+    for process in (channel.IidPacket(0.1), channel.IidBit(0.005),
+                    channel.GilbertElliott(p_gb=0.02, p_bg=0.1, loss_good=0.01,
+                                           loss_bad=0.5)):
 
-    def simulate():
-        trace = sim.run(config, channel.IidPacket(0.1), n, seed=1)
-        sim.summarize(trace)
-        sim.write_trace(trace, path)
+        def simulate():
+            trace = sim.run(config, process, n, seed=1)
+            sim.summarize(trace)
+            sim.write_trace(trace, path)
 
-    assert _peak_bytes(simulate) < 30 * n
-    assert _peak_bytes(lambda: clusters.extract_clusters(sim.read_trace(path))) < 15 * n
+        assert _peak_bytes(simulate) < 16 * n, process
+        assert _peak_bytes(lambda: clusters.extract_clusters(sim.read_trace(path))) < 15 * n
