@@ -1,5 +1,6 @@
-"""Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets, and
-``simulate`` on 10^7 Gilbert-Elliott packets.
+"""Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets,
+``simulate`` on 10^7 Gilbert-Elliott packets, and a CSV-export round trip
+(``simulate --out t.csv``, then ``analyze t.csv``) on a tenth as many.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
@@ -20,7 +21,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-BOUND_MB = {"simulate": 200.0, "analyze": 160.0}
+SIMULATE_MB, ANALYZE_MB, ANALYZE_CSV_MB = 200.0, 160.0, 100.0
 GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
 
 
@@ -40,23 +41,29 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=10**7, help="packets to simulate")
     n = parser.parse_args().n
+    n_csv = n // 10
     ok = True
     with tempfile.TemporaryDirectory() as work:
-        for label, command, args in (
-            ("iid", "simulate", ["--mode", "broadcast", "--per", "0.01", "--n", str(n),
-                                 "--seed", "1", "--out", "trace.vlct",
-                                 "--summary", "summary.txt"]),
-            ("iid", "analyze", ["trace.vlct", "--clusters-out", "clusters.csv",
-                                "--report-out", "report.txt"]),
-            ("gilbert-elliott", "simulate", ["--mode", "beacon", "--process", GE_SPEC,
-                                             "--n", str(n), "--seed", "1",
-                                             "--out", "ge.vlct", "--summary", "ge.txt"]),
+        for label, bound_mb, command, args in (
+            (f"iid n={n}", SIMULATE_MB, "simulate",
+             ["--mode", "broadcast", "--per", "0.01", "--n", str(n), "--seed", "1",
+              "--out", "trace.vlct", "--summary", "summary.txt"]),
+            (f"iid n={n}", ANALYZE_MB, "analyze",
+             ["trace.vlct", "--clusters-out", "clusters.csv",
+              "--report-out", "report.txt"]),
+            (f"gilbert-elliott n={n}", SIMULATE_MB, "simulate",
+             ["--mode", "beacon", "--process", GE_SPEC, "--n", str(n), "--seed", "1",
+              "--out", "ge.vlct", "--summary", "ge.txt"]),
+            (f"iid csv n={n_csv}", SIMULATE_MB, "simulate",
+             ["--mode", "broadcast", "--per", "0.1", "--n", str(n_csv), "--seed", "3",
+              "--out", "t.csv", "--summary", "t.txt"]),
+            (f"iid csv n={n_csv}", ANALYZE_CSV_MB, "analyze",
+             ["t.csv", "--clusters-out", "t-clusters.csv", "--report-out", "t-report.txt"]),
         ):
             code, rss_mb, seconds = run_cli([command, *args], work)
-            passed = code == 0 and rss_mb <= BOUND_MB[command]
-            print(f"{'PASS' if passed else 'FAIL'} {command} {label} n={n}: exit {code}, "
-                  f"peak RSS {rss_mb:.1f} MB (bound {BOUND_MB[command]:.0f} MB), "
-                  f"{seconds:.2f} s")
+            passed = code == 0 and rss_mb <= bound_mb
+            print(f"{'PASS' if passed else 'FAIL'} {command} {label}: exit {code}, "
+                  f"peak RSS {rss_mb:.1f} MB (bound {bound_mb:.0f} MB), {seconds:.2f} s")
             ok = ok and passed
     return 0 if ok else 1
 

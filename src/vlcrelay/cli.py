@@ -267,18 +267,9 @@ def cmd_safety(args: argparse.Namespace) -> int:
     rows = (_safety.read_scenarios_csv(args.scenarios) if args.scenarios
             else _safety.bundled_scenarios())
 
-    kwargs = {}
-    if args.mu is not None:
-        kwargs["mu"] = args.mu
-    if args.g is not None:
-        kwargs["g"] = args.g
-    if args.baud is not None:
-        kwargs["baud"] = args.baud
-    if args.target is not None:
-        kwargs["target"] = args.target
-    if args.vlc_reaction_ms is not None:
-        kwargs["vlc_reaction_s"] = args.vlc_reaction_ms / 1e3
-    table = _safety.comparison_table(rows, **kwargs)
+    vlc_reaction_s = None if args.vlc_reaction_ms is None else args.vlc_reaction_ms / 1e3
+    table = _safety.comparison_table(rows, mu=args.mu, g=args.g, baud=args.baud,
+                                     target=args.target, vlc_reaction_s=vlc_reaction_s)
 
     out = Path(args.out) if args.out else _default_out("safety.csv")
     header = ("v_kmh,distance_m,per,vlc_reaction_latency_ms,vlc_relay_latency_ms,"
@@ -374,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     saf = sub.add_parser("safety", help="stopping-distance actor comparison")
     saf.add_argument("scenarios", nargs="?", help="scenario CSV (default: bundled)")
-    saf.add_argument("--mu", type=float)
-    saf.add_argument("--g", type=float)
-    saf.add_argument("--baud", type=int)
-    saf.add_argument("--target", type=float)
+    saf.add_argument("--mu", type=float, default=_safety.MU_DEFAULT)
+    saf.add_argument("--g", type=float, default=_safety.G_DEFAULT)
+    saf.add_argument("--baud", type=int, default=_safety.SAFETY_BAUD)
+    saf.add_argument("--target", type=float, default=_safety.SAFETY_TARGET)
     saf.add_argument("--vlc-reaction-ms", dest="vlc_reaction_ms", type=float)
     saf.add_argument("--out")
     saf.set_defaults(func=cmd_safety)

@@ -22,7 +22,7 @@ it, and ``analyze`` needs neither.
 * CSV export (a path ending in ``.csv``): the same ``# key=value`` lines
   followed by ``seq,tx_start_us,received,relayed,latency_us``, with an
   empty latency field for packets that were not relayed.  Its reader
-  checks the derived columns against the relay rule.
+  checks the derived columns by the block rule its writer formats them by.
 
 ``read_trace`` tells the two apart by the binary format's first line.  In
 both, a header line is ``# key=value`` with a key not seen before, every
@@ -32,6 +32,7 @@ export has no header line after its column line.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -173,6 +174,20 @@ def _latency_column(config: LinkConfig, received: np.ndarray,
     return latency_s
 
 
+def _csv_columns(trace: PacketTrace):
+    """Per packet block: the block and its ``tx_start_s`` and ``latency_s``
+    values, equal to the trace's columns bit for bit without building them."""
+    lat, _ = _relayed_latency_s(trace.config, trace.received, trace.relayed)
+    at = 0
+    for block, idx in _blocks(trace.n_tx):
+        relayed = trace.relayed[block]
+        latency_s = np.full(idx.size, np.nan)
+        n_relayed = np.count_nonzero(relayed)
+        latency_s[relayed] = lat[at:at + n_relayed]
+        at += n_relayed
+        yield block, idx * trace.config.period_s, latency_s
+
+
 def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -223,7 +238,7 @@ def summarize(trace: PacketTrace) -> Summary:
         n_tx=trace.n_tx,
         n_received=trace.n_received,
         n_relayed=trace.n_relayed,
-        n_blocked=int(trace.blocked.sum()),
+        n_blocked=trace.n_received - trace.n_relayed,  # relayed implies received
         min_latency_s=float(lat.min()) if lat.size else float("nan"),
         mean_latency_s=float(lat.mean()) if lat.size else float("nan"),
         max_cluster=max_cluster,
@@ -315,30 +330,24 @@ def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> Pa
 def write_trace_csv(trace: PacketTrace, path) -> None:
     """Write the CSV export, its rows formatted a block of packets at a time."""
     header = [f"# {key}={value}" for key, value in trace.header().items()]
-    lat_us, _ = _relayed_latency_s(trace.config, trace.received, trace.relayed)
-    lat_us *= 1e6
-    at = 0
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join([*header, _CSV_COLUMNS]) + "\n")
-        for block, idx in _blocks(trace.n_tx):
+        for block, tx_start_s, latency_s in _csv_columns(trace):
             relayed = trace.relayed[block].view(np.uint8).tolist()
-            n_relayed = sum(relayed)
-            lat = map(repr, lat_us[at:at + n_relayed].tolist())
-            at += n_relayed
-            tx_us = idx * trace.config.period_s * 1e6  # tx_start_s * 1e6, bit for bit
-            rows = map("{},{!r},{},{},{}".format, idx.tolist(), tx_us.tolist(),
+            rows = map("{},{!r},{},{},{}".format, range(block.start, block.stop),
+                       (tx_start_s * 1e6).tolist(),
                        trace.received[block].view(np.uint8).tolist(), relayed,
-                       [next(lat) if r else "" for r in relayed])
+                       [repr(x) if r else "" for r, x in
+                        zip(relayed, (latency_s * 1e6).tolist())])
             fh.write("\n".join(rows) + "\n")
 
 
 def read_trace_csv(path) -> PacketTrace:
+    """Read the CSV export; its derived columns must be the relay rule's, times
+    to 1e-9 relative in seconds, as they round-trip through microsecond text."""
     header: dict[str, str] = {}
-    seqs: list[int] = []
-    tx_us: list[float] = []
-    received: list[bool] = []
-    relayed: list[bool] = []
-    latency_us: list[float] = []
+    flags = bytearray()  # received, relayed of each row
+    times = array("d")  # tx_start_us, latency_us (NaN if empty) of each row
     with open(path, newline="") as fh:
         saw_columns = False
         for lineno, raw in enumerate(fh, start=1):
@@ -363,37 +372,28 @@ def read_trace_csv(path) -> PacketTrace:
                 raise TraceFormatError(path, lineno, "received and relayed must be 0 or 1, "
                                        f"got {parts[2]!r} and {parts[3]!r}")
             try:
-                seqs.append(int(parts[0]))
-                tx_us.append(float(parts[1]))
-                received.append(parts[2] == "1")
-                relayed.append(parts[3] == "1")
-                latency_us.append(float(parts[4]) if parts[4] else float("nan"))
+                if int(parts[0]) != len(flags) // 2:
+                    raise ValueError("seq must increase from 0 without gaps")
+                times.append(float(parts[1]))
+                times.append(float(parts[4]) if parts[4] else np.nan)
             except ValueError as exc:
                 raise TraceFormatError(path, lineno, str(exc)) from None
-    if not seqs:
+            flags.append(parts[2] == "1")
+            flags.append(parts[3] == "1")
+    if not flags:
         raise TraceFormatError(path, 0, "no packet records")
-    if seqs != list(range(len(seqs))):
-        raise TraceFormatError(path, 0, "seq must increase from 0 without gaps")
-    columns = dict(tx_start_s=np.asarray(tx_us) / 1e6,
-                   relayed=np.asarray(relayed, dtype=bool),
-                   latency_s=np.asarray(latency_us) / 1e6)
-    received = np.asarray(received, dtype=bool)
-    del seqs, tx_us, relayed, latency_us  # keep the peak memory at the parse
-    trace = _trace_from_header(path, header, received)
-    _check_relay_rule(path, trace, **columns)
+    rows = np.frombuffer(flags, dtype=bool).reshape(-1, 2)
+    us = np.frombuffer(times).reshape(-1, 2)
+    trace = _trace_from_header(path, header, rows[:, 0].copy())
+    for block, tx_start_s, latency_s in _csv_columns(trace):
+        for column, bad in (
+            ("tx_start_us", ~np.isclose(us[block, 0] / 1e6, tx_start_s, rtol=1e-9, atol=0)),
+            ("relayed", rows[block, 1] != trace.relayed[block]),
+            ("latency_us", ~np.isclose(us[block, 1] / 1e6, latency_s, rtol=1e-9, atol=0,
+                                       equal_nan=True)),
+        ):
+            if bad.any():
+                raise TraceFormatError(path, 0, f"seq {block.start + int(np.argmax(bad))}: "
+                                       f"{column} disagrees with the relay rule for the "
+                                       "header config")
     return trace
-
-
-def _check_relay_rule(path, trace: PacketTrace, tx_start_s, relayed, latency_s) -> None:
-    """Reject CSV columns that are not what the header config and the
-    ``received`` column give.  Times compare to 1e-9 relative, since the
-    header and the columns round-trip through microsecond text."""
-    for column, bad in (
-        ("tx_start_us", ~np.isclose(tx_start_s, trace.tx_start_s, rtol=1e-9, atol=0)),
-        ("relayed", relayed != trace.relayed),
-        ("latency_us", ~np.isclose(latency_s, trace.latency_s, rtol=1e-9, atol=0,
-                                   equal_nan=True)),
-    ):
-        if bad.any():
-            raise TraceFormatError(path, 0, f"seq {int(np.argmax(bad))}: {column} "
-                                   "disagrees with the relay rule for the header config")

@@ -10,6 +10,7 @@ import oracles
 
 BROADCAST = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
 BEACON = node.LinkConfig(baud=230000, mode=node.Mode.BEACON, beacon_interval_s=0.1)
+B = channel._BLOCK  # the packet block of the channel draw, the relay scan and the CSV export
 
 
 def test_error_free_beacon_relays_everything():
@@ -123,19 +124,21 @@ def test_per_monotone_in_loss_parameter():
 
 
 def test_trace_csv_roundtrip(tmp_path):
-    trace = sim.run(BROADCAST, channel.IidPacket(0.25), 300, seed=11)
-    path = tmp_path / "t.csv"
-    sim.write_trace_csv(trace, path)
-    back = sim.read_trace_csv(path)
-    assert back.config == trace.config
-    assert back.seed == trace.seed
-    assert np.array_equal(back.received, trace.received)
-    assert np.array_equal(back.relayed, trace.relayed)
-    assert np.allclose(back.latency_s, trace.latency_s, equal_nan=True)
-    # a second write of the re-read trace is byte-identical
-    path2 = tmp_path / "t2.csv"
-    sim.write_trace_csv(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    for n in (300, 1, B, B + 1):
+        trace = sim.run(BROADCAST, channel.IidPacket(0.25), n, seed=11)
+        path = tmp_path / "t.csv"
+        sim.write_trace_csv(trace, path)
+        back = sim.read_trace_csv(path)
+        assert "latency_s" not in vars(back), n  # checked without building the column
+        assert back.config == trace.config
+        assert back.seed == trace.seed
+        assert np.array_equal(back.received, trace.received)
+        assert np.array_equal(back.relayed, trace.relayed)
+        assert np.allclose(back.latency_s, trace.latency_s, equal_nan=True)
+        # a second write of the re-read trace is byte-identical
+        path2 = tmp_path / "t2.csv"
+        sim.write_trace_csv(back, path2)
+        assert path.read_bytes() == path2.read_bytes(), n
 
 
 def test_trace_csv_errors(tmp_path):
@@ -178,18 +181,55 @@ def _rewrite_row(path, seq, column, value):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("column, value", [
-    (1, "1.5"),   # tx_start_us off the period grid
-    (3, "0"),     # relayed bit flipped off
-    (4, "600.0"),  # latency off the loss-run law
-])
-def test_read_trace_rejects_columns_the_relay_rule_contradicts(tmp_path, column, value):
+# (seq, column, value) of one planted fault; in a loss-free broadcast trace
+# the even packets are relayed
+CONTRADICTIONS = {
+    "1-1.5": (2, 1, "1.5"),  # tx_start_us off the period grid
+    "3-0": (2, 3, "0"),  # relayed bit flipped off
+    "4-600.0": (2, 4, "600.0"),  # latency off the loss-run law
+    # the same columns on both sides of the first block edge
+    **{f"{column}-{value}-seq{seq}": (seq, column, value)
+       for seq in (B - 1, B, B + 1)
+       for column, value in ((1, "1.5"), (3, "01"[seq % 2]), (4, "600.0"))},
+    # times off by more than the check's 1e-9 relative
+    "1-rel-1e-7": (B, 1, repr(B * BROADCAST.period_s * 1e6 * (1 + 1e-7))),
+    "4-rel-1e-7": (B, 4, repr(BROADCAST.l0_s * 1e6 * (1 - 1e-7))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTIONS))
+def test_read_trace_rejects_columns_the_relay_rule_contradicts(tmp_path, case):
+    seq, column, value = CONTRADICTIONS[case]
     path = tmp_path / "t.csv"
-    sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.0), 10, seed=0), path)
+    sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.0), max(10, seq + 2), seed=0),
+                        path)
     sim.read_trace_csv(path)
-    _rewrite_row(path, 2, column, value)
-    with pytest.raises(sim.TraceFormatError, match="seq 2"):
+    _rewrite_row(path, seq, column, value)
+    with pytest.raises(sim.TraceFormatError, match=f"seq {seq}: "):
         sim.read_trace_csv(path)
+
+
+def test_read_trace_csv_takes_times_to_1e_9_relative(tmp_path):
+    # the header's microsecond text need not give back a library-built
+    # config's times bit for bit
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(BROADCAST, channel.IidPacket(0.0), B + 2, seed=0), path)
+    _rewrite_row(path, B, 1, repr(B * BROADCAST.period_s * 1e6 * (1 + 1e-10)))
+    _rewrite_row(path, B, 4, repr(BROADCAST.l0_s * 1e6 * (1 - 1e-10)))
+    assert sim.read_trace_csv(path).n_tx == B + 2
+
+
+@pytest.mark.parametrize("edit", ["drop", "repeat"])
+def test_read_trace_csv_names_the_line_of_a_seq_gap(tmp_path, edit):
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(BEACON, channel.IidPacket(0.2), 10, seed=0), path)
+    lines = path.read_text().splitlines()
+    at = lines.index("seq,tx_start_us,received,relayed,latency_us") + 1 + 5
+    lines[at:at + 1] = [] if edit == "drop" else [lines[at], lines[at]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sim.TraceFormatError, match="seq must increase") as err:
+        sim.read_trace_csv(path)
+    assert err.value.lineno == at + 1 + (edit == "repeat")
 
 
 @pytest.mark.parametrize("column, value", [(2, "7"), (3, "2"), (2, "-0"), (3, " 1")])
@@ -339,7 +379,6 @@ def test_golden_binary_trace_bytes(tmp_path, mode, spec):
 # the relay scan's block edges: n around multiples of the block, runs that
 # cross an edge, and a link exactly at period == 2 pt + dead, where every
 # time is a power of two so that the loop's float overlap test is exact
-B = channel._BLOCK
 EDGE_TIMES = dict(baud=65536, t_proc_s=2.0**-12, guard_s=2.0**-12)  # pt 2^-10, dead 2^-11
 EDGE_BROADCAST = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=1.5 * 2.0**-10, **EDGE_TIMES)
 EDGE_BEACON = node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=2.5 * 2.0**-10,
@@ -359,6 +398,11 @@ def _assert_relay_is_the_loop(config, received):
     lat, _ = sim._relayed_latency_s(config, received, relayed)
     assert np.array_equal(lat.view(np.int64), trace.latency_s[trace.relayed].view(np.int64))
     assert np.array_equal(trace.latency_s.view(np.int64), latency.view(np.int64))
+    # and so are the CSV export's blocks of both derived columns
+    blocks = list(sim._csv_columns(trace))
+    for at, column in ((1, trace.tx_start_s), (2, trace.latency_s)):
+        derived = np.concatenate([block[at] for block in blocks])
+        assert np.array_equal(derived.view(np.int64), column.view(np.int64))
 
 
 def test_edge_links_sit_at_the_blocking_boundary():
@@ -471,3 +515,14 @@ def test_peak_memory_per_packet(tmp_path, mode):
 
         assert _peak_bytes(simulate) < 16 * n, process
         assert _peak_bytes(lambda: clusters.extract_clusters(sim.read_trace(path))) < 15 * n
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "beacon"])
+def test_read_trace_csv_peak_memory_per_packet(tmp_path, mode):
+    # the reader keeps two flag bytes and two doubles per row, and checks the
+    # derived columns a block at a time without building them
+    n = 2 * 10**5
+    path = tmp_path / "t.csv"
+    sim.write_trace_csv(sim.run(node.LinkConfig(mode=node.Mode(mode)), channel.IidPacket(0.1),
+                                n, seed=1), path)
+    assert _peak_bytes(lambda: sim.read_trace_csv(path)) <= 48 * n
