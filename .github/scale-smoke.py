@@ -1,6 +1,6 @@
-"""Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets,
-``simulate`` on 10^7 Gilbert-Elliott packets, and a CSV-export round trip
-(``simulate --out t.csv``, then ``analyze t.csv``) on a tenth as many.
+"""Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets and
+on 10^7 Gilbert-Elliott packets, and a CSV-export round trip (``simulate
+--out t.csv``, then ``analyze t.csv``) on a tenth as many.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SIMULATE_MB, ANALYZE_MB, ANALYZE_CSV_MB = 200.0, 160.0, 100.0
+SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 90.0, 90.0, 90.0, 100.0
 GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
 
 
@@ -54,6 +54,8 @@ def main() -> int:
             (f"gilbert-elliott n={n}", SIMULATE_MB, "simulate",
              ["--mode", "beacon", "--process", GE_SPEC, "--n", str(n), "--seed", "1",
               "--out", "ge.vlct", "--summary", "ge.txt"]),
+            (f"gilbert-elliott n={n}", ANALYZE_GE_MB, "analyze",
+             ["ge.vlct", "--clusters-out", "ge-clusters.csv", "--report-out", "ge-report.txt"]),
             (f"iid csv n={n_csv}", SIMULATE_MB, "simulate",
              ["--mode", "broadcast", "--per", "0.1", "--n", str(n_csv), "--seed", "3",
               "--out", "t.csv", "--summary", "t.txt"]),

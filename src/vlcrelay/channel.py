@@ -16,12 +16,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._tables import OutOfRange, data_path, read_table
-from .clusters import _RUN_CAP, CdfTable, Family, cdf_table
+from .clusters import _BLOCK, _RUN_CAP, CdfTable, Family, _packet_blocks, cdf_table
 from .codec import FRAME_BITS
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
-_BLOCK = 1 << 14  # packets per block of the draws and of the relay scan
 _NB_CYCLES = 4096  # cluster cycles per block of the nb-cluster draw
 
 
@@ -186,12 +185,6 @@ def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float,
     last_force = np.maximum.accumulate(np.where(to_bad != to_good, idx, 0))
     swaps = np.logical_xor.accumulate(to_bad & to_good)  # parity so far
     return to_bad[last_force] ^ swaps ^ swaps[last_force]
-
-
-def _packet_blocks(n: int):
-    """Slices of ``_BLOCK`` consecutive packets that cover ``n``."""
-    for lo in range(0, n, _BLOCK):
-        yield slice(lo, min(lo + _BLOCK, n))
 
 
 def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np.ndarray:

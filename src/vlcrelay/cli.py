@@ -108,18 +108,17 @@ def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess
 
 
 def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
-    lat_min = summary.min_latency_s * 1e6
-    lat_mean = summary.mean_latency_s * 1e6
     return [
         f"seed={seed}",
         f"per={_format_float(summary.per)}",
         f"ber_upper={_format_float(estimate_ber_upper(summary.per))}",
+        f"channel_per={_format_float(summary.channel_per)}",
         f"n_tx={summary.n_tx}",
         f"n_received={summary.n_received}",
         f"n_relayed={summary.n_relayed}",
         f"n_blocked={summary.n_blocked}",
-        f"min_latency_us={_format_float(lat_min)}",
-        f"mean_latency_us={_format_float(lat_mean)}",
+        f"min_latency_us={_format_float(summary.min_latency_s * 1e6)}",
+        f"mean_latency_us={_format_float(summary.mean_latency_s * 1e6)}",
         f"max_cluster={summary.max_cluster}",
     ]
 

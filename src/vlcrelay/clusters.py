@@ -26,6 +26,7 @@ from .node import LinkConfig
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
+_BLOCK = 1 << 14  # packets per block of the draws, the relay scan and the loss-run scan
 _RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
 _LOG_MIN = math.log(sys.float_info.min)
 _TABLE_CHUNK = 1 << 16  # most terms CdfTable steps at once
@@ -50,14 +51,31 @@ class FitDiverged(ClusterStatsError):
     pass
 
 
-def loss_run_lengths(received: np.ndarray) -> np.ndarray:
-    """Lengths of the maximal runs of consecutive losses."""
-    lost = ~np.asarray(received, dtype=bool)
-    if not lost.any():
-        return np.zeros(0, dtype=np.int64)
-    padded = np.concatenate(([False], lost, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    return edges[1::2] - edges[0::2]
+def _packet_blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive packets that cover ``n``."""
+    for lo in range(0, n, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, n))
+
+
+def _loss_runs(received: np.ndarray):
+    """Per packet block: the block and, for each of its packets, the losses
+    just before it, which for a received packet is the loss run it ends.
+    The scan carries the last received index across blocks."""
+    last_rx = -1
+    for block in _packet_blocks(received.size):
+        idx = np.arange(block.start, block.stop)
+        rx = np.where(received[block], idx, last_rx)
+        np.maximum.accumulate(rx, out=rx)  # the last received index so far
+        idx -= 1  # minus the last received index before each packet
+        idx[0] -= last_rx
+        idx[1:] -= rx[:-1]
+        yield block, idx
+        last_rx = int(rx[-1])
+
+
+def _trailing_run(received: np.ndarray, last_runs: np.ndarray) -> int:
+    """The losses after the last packet, from the last block's runs."""
+    return 0 if received[-1] else int(last_runs[-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -131,9 +149,18 @@ def extract_clusters(trace_or_received) -> ClusterDistribution:
                           dtype=bool)
     if received.size == 0:
         raise ClusterStatsError("empty trace")
-    runs = loss_run_lengths(received)
-    hist = np.bincount(runs, minlength=1)
-    hist[0] = int(received.sum()) + (0 if received[0] else 1) - runs.size
+    # the windows' runs: the run before each received packet and the run
+    # after the last packet, less the empty run before a received first packet
+    hist = np.zeros(1, dtype=np.int64)
+    for block, runs in _loss_runs(received):
+        counts = np.bincount(runs[received[block]])
+        if counts.size > hist.size:
+            hist, counts = counts, hist
+        hist[:counts.size] += counts
+    tail = _trailing_run(received, runs)
+    hist = np.pad(hist, (0, max(0, tail + 1 - hist.size)))
+    hist[tail] += 1
+    hist[0] -= int(received[0])
     dist = ClusterDistribution(hist=hist, n_slots=int(received.size))
     if dist.insufficient:
         warnings.warn(

@@ -8,11 +8,11 @@ A trace is its config plus the channel's ``received`` flags: ``relay``
 derives the relay flags and latencies, and the transmit times follow from
 the period.  ``run`` and both readers build a trace through one helper, so
 a derived column read from a file is only checked, never used.  The relay
-rule is scanned in the channel draw's blocks of ``channel._BLOCK`` packets,
-so its temporaries stay a few hundred kB at any trace length, and a trace
-builds its latency column only when it is read: ``summarize`` takes the
-relayed packets' latencies and the longest loss run from one scan without
-it, and ``analyze`` needs neither.
+rule and the loss run before each packet (``clusters._loss_runs``, which
+gives every latency) are scanned in blocks of ``clusters._BLOCK`` packets,
+so the temporaries stay a few hundred kB at any trace length.  A trace
+builds its latency column only when it is read: ``summarize`` keeps only
+the relayed packets' least run and run sum, and the longest run.
 ``write_trace`` picks the format by path:
 
 * binary, the default (any path not ending in ``.csv``): the line
@@ -32,6 +32,7 @@ export has no header line after its column line.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import channel as _channel
+from . import clusters as _clusters
 from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
 from .node import ConfigError, EmptyTrace, LinkConfig, compute_per
 
@@ -77,7 +79,7 @@ class PacketTrace:
     @cached_property
     def latency_s(self) -> np.ndarray:
         """Per-packet latency, NaN where not relayed."""
-        return _latency_column(self.config, self.received, self.relayed)
+        return np.concatenate([latency_s for _, _, latency_s in _csv_columns(self)])
 
     @property
     def n_tx(self) -> int:
@@ -124,15 +126,8 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
     A relayed packet's latency spans back over the loss run just before it:
     ``l0 + run * period``.
     """
-    received = np.asarray(received, dtype=bool)
-    relayed = _relay_flags(config, received)
-    return relayed, _latency_column(config, received, relayed)
-
-
-def _blocks(n: int):
-    """The packet blocks of the scans: a slice of the stream and its indices."""
-    for block in _channel._packet_blocks(n):
-        yield block, np.arange(block.start, block.stop)
+    trace = _build_trace(config, "", 0, np.asarray(received, dtype=bool))
+    return trace.relayed, trace.latency_s
 
 
 def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
@@ -140,7 +135,8 @@ def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
     relayed = received.copy()
     if config.period_s < 2 * config.packet_time_s + config.dead_time_s:
         last_loss = -1
-        for block, idx in _blocks(received.size):
+        for block in _clusters._packet_blocks(received.size):
+            idx = np.arange(block.start, block.stop)
             # a received packet's offset in its run is idx - last_loss - 1
             losses = np.maximum.accumulate(np.where(received[block], last_loss, idx))
             relayed[block] &= (idx - losses) % 2 == 1
@@ -148,44 +144,14 @@ def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
     return relayed
 
 
-def _relayed_latency_s(config: LinkConfig, received: np.ndarray,
-                       relayed: np.ndarray) -> tuple[np.ndarray, int]:
-    """``relay``'s latencies of the ``relayed`` packets, in order, and the
-    longest loss run; the scan carries the last received index across
-    blocks."""
-    out = np.empty(np.count_nonzero(relayed))
-    at, last_rx, max_run = 0, -1, 0
-    for block, idx in _blocks(received.size):
-        rx = np.maximum.accumulate(np.where(received[block], idx, last_rx))
-        run = idx - rx  # a lost packet's place in its loss run, 0 if received
-        max_run = max(max_run, int(run.max()))
-        # a packet's latency spans the loss run that ends just before it
-        loss_run = np.concatenate(([idx[0] - 1 - last_rx], run[:-1]))[relayed[block]]
-        out[at:at + loss_run.size] = config.l0_s + loss_run * config.period_s
-        at += loss_run.size
-        last_rx = int(rx[-1])
-    return out, max_run
-
-
-def _latency_column(config: LinkConfig, received: np.ndarray,
-                    relayed: np.ndarray) -> np.ndarray:
-    latency_s = np.full(received.size, np.nan)
-    latency_s[relayed] = _relayed_latency_s(config, received, relayed)[0]
-    return latency_s
-
-
 def _csv_columns(trace: PacketTrace):
     """Per packet block: the block and its ``tx_start_s`` and ``latency_s``
-    values, equal to the trace's columns bit for bit without building them."""
-    lat, _ = _relayed_latency_s(trace.config, trace.received, trace.relayed)
-    at = 0
-    for block, idx in _blocks(trace.n_tx):
-        relayed = trace.relayed[block]
-        latency_s = np.full(idx.size, np.nan)
-        n_relayed = np.count_nonzero(relayed)
-        latency_s[relayed] = lat[at:at + n_relayed]
-        at += n_relayed
-        yield block, idx * trace.config.period_s, latency_s
+    values (NaN where not relayed); a relayed packet's latency spans the
+    loss run just before it, ``l0 + run * period``."""
+    config = trace.config
+    for block, runs in _clusters._loss_runs(trace.received):
+        yield (block, np.arange(block.start, block.stop) * config.period_s,
+               np.where(trace.relayed[block], config.l0_s + runs * config.period_s, np.nan))
 
 
 def _check_seed(seed: int) -> int:
@@ -221,6 +187,7 @@ def _build_trace(config: LinkConfig, process_spec: str, seed: int,
 @dataclass(frozen=True)
 class Summary:
     per: float
+    channel_per: float
     n_tx: int
     n_received: int
     n_relayed: int
@@ -231,17 +198,29 @@ class Summary:
 
 
 def summarize(trace: PacketTrace) -> Summary:
-    """Aggregate a trace into the headline link metrics."""
-    lat, max_cluster = _relayed_latency_s(trace.config, trace.received, trace.relayed)
+    """Aggregate a trace into the headline link metrics.  A relayed packet's
+    latency ``l0 + run * period`` rises with its loss run, so the least run
+    gives the least latency, and the mean is exact, then rounded once."""
+    config, n_received, n_relayed = trace.config, trace.n_received, trace.n_relayed
+    min_run, run_sum, max_run = trace.n_tx, 0, 0
+    for block, runs in _clusters._loss_runs(trace.received):
+        max_run = max(max_run, int(runs.max()))
+        relayed_runs = runs[trace.relayed[block]]
+        min_run = int(relayed_runs.min(initial=min_run))
+        run_sum += int(relayed_runs.sum())
+    # l0 + period * run_sum / n_relayed as one int / int, which rounds once
+    (a, b), (c, d) = config.l0_s.as_integer_ratio(), config.period_s.as_integer_ratio()
     return Summary(
-        per=compute_per(trace.n_tx, trace.n_relayed, trace.config.mode),
+        per=compute_per(trace.n_tx, n_relayed, config.mode),
+        channel_per=1.0 - n_received / trace.n_tx,
         n_tx=trace.n_tx,
-        n_received=trace.n_received,
-        n_relayed=trace.n_relayed,
-        n_blocked=trace.n_received - trace.n_relayed,  # relayed implies received
-        min_latency_s=float(lat.min()) if lat.size else float("nan"),
-        mean_latency_s=float(lat.mean()) if lat.size else float("nan"),
-        max_cluster=max_cluster,
+        n_received=n_received,
+        n_relayed=n_relayed,
+        n_blocked=n_received - n_relayed,  # relayed implies received
+        min_latency_s=config.l0_s + min_run * config.period_s if n_relayed else math.nan,
+        mean_latency_s=((a * d * n_relayed + c * b * run_sum) / (b * d * n_relayed)
+                        if n_relayed else math.nan),
+        max_cluster=max(max_run, _clusters._trailing_run(trace.received, runs)),
     )
 
 
@@ -371,9 +350,11 @@ def read_trace_csv(path) -> PacketTrace:
             if parts[2] not in ("0", "1") or parts[3] not in ("0", "1"):
                 raise TraceFormatError(path, lineno, "received and relayed must be 0 or 1, "
                                        f"got {parts[2]!r} and {parts[3]!r}")
-            try:
-                if int(parts[0]) != len(flags) // 2:
-                    raise ValueError("seq must increase from 0 without gaps")
+            try:  # seq as the writer spells it; float() also takes blanks and '_'
+                if parts[0] != str(len(flags) // 2):
+                    raise ValueError(f"seq must increase from 0 without gaps, got {parts[0]!r}")
+                if "_" in line or len(line.split()) > 1:
+                    raise ValueError("blank or '_' in a time field")
                 times.append(float(parts[1]))
                 times.append(float(parts[4]) if parts[4] else np.nan)
             except ValueError as exc:

@@ -12,8 +12,9 @@ ratio) for ``clusters.CdfTable``; for the negative-binomial stream,
 ``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``);
 ``doubling_quantile``, the quantile path before the table (``fit_cdf`` sums
 gammaln pmfs from k = 0 and ``quantile_from_cdf`` doubles the grid), for
-``clusters.quantile``; ``window_hist`` for ``clusters.extract_clusters``;
-and ``fit_nb_mle`` (the negative-binomial fit through
+``clusters.quantile``; ``window_hist`` and ``loss_run_lengths`` (the run
+lengths from the edges of the padded loss flags) for
+``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the negative-binomial fit through
 ``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
 """
 
@@ -206,6 +207,16 @@ def nb_cluster_walk(process: NbCluster, n: int, rng: np.random.Generator) -> np.
             if len(lost) < n:
                 lost.extend([True] * draw_cluster_size(process, FixedRandom(u)))
     return np.array(lost[:n], dtype=bool)
+
+
+def loss_run_lengths(received: np.ndarray) -> np.ndarray:
+    """Lengths of the maximal runs of consecutive losses."""
+    lost = ~np.asarray(received, dtype=bool)
+    if not lost.any():
+        return np.zeros(0, dtype=np.int64)
+    padded = np.concatenate(([False], lost, [False]))
+    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    return edges[1::2] - edges[0::2]
 
 
 def window_hist(received) -> list[int]:

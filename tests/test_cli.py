@@ -465,9 +465,11 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
 # merge and table reading were consolidated; report.txt without its
 # trace= line, which holds the path.  The outputs of the nb-cluster trace
 # (summary, clusters, report) were re-recorded for the block stream
-# (rng=numpy-pcg64/2); sal.csv and safety.csv never read it
+# (rng=numpy-pcg64/2); sal.csv and safety.csv never read it.  summary.txt
+# was re-recorded when it gained channel_per= and mean_latency_us= became
+# the exact mean of the relayed packets' runs, rounded once
 GOLDEN_CLI_SHA256 = {
-    "summary.txt": "194991147ec6676672dd585764f4cc6f502667899f55d030b481c5534f92399e",
+    "summary.txt": "4e029757d5ac6cbf7c3822932f67e0ef790c91973cd9d9a28a52fd1081454634",
     "clusters.csv": "11135f1c8206d0d75dbfc10b08171307884f8baefbc2dde0b20f314aede83c90",
     "report.txt": "62b5abd317c12f78d18beb9a0284f146fcbf1d51b76d77fd350d4d6b53764d44",
     "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
