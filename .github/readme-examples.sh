@@ -9,6 +9,7 @@ cli simulate --baud 230000 --mode beacon --per 0.1 --n 20000 --seed 7 --out trac
 cli simulate --baud 230000 --mode beacon --per 0.1 --n 20000 --seed 7 --out trace.csv
 cli simulate --process 'gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5' \
     --n 20000 --seed 1 --seed 2 --seed 3 --jobs 4
+cli simulate --per 0.1 --ipd-us 1000 --n 100000 --seed 1 --out wide-gap.vlct
 cli analyze trace.vlct --clusters-out clusters.csv --report-out report.txt
 cli analyze trace.csv --clusters-out clusters_csv.csv --report-out report_csv.txt
 cli sal --baud 230000 --targets 0.9,0.95,0.99,0.999 \

@@ -95,6 +95,8 @@ def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess
              if val is not None]
     if len(given) > 1:
         raise ConfigError(f"give only one of per/process/distance_m, got {given}")
+    if args.tilted and args.distance_m is None:
+        raise ConfigError("--tilted needs --distance-m: it picks the distance table")
     if args.process is not None:
         return _channel.process_from_spec(args.process)
     if args.distance_m is not None:
@@ -324,7 +326,7 @@ def _add_simulate_arguments(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--distance-m", dest="distance_m", type=float,
                      help="derive PER from the bundled distance table")
     sim.add_argument("--tilted", action="store_const", const=True, default=None,
-                     help="use the tilted-lamp distance table")
+                     help="use the tilted-lamp distance table (with --distance-m)")
     sim.add_argument("--n", type=int, help="number of packets (default 10000)")
     sim.add_argument("--seed", dest="seeds", type=int, action="append",
                      help="rng seed; repeat for a multi-seed batch")

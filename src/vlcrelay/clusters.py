@@ -26,7 +26,7 @@ from .node import LinkConfig
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
-_BLOCK = 1 << 14  # packets per block of the draws, the relay scan and the loss-run scan
+_BLOCK = 1 << 14  # packets per block of the draws and the run scans
 _RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
 _LOG_MIN = math.log(sys.float_info.min)
 _TABLE_CHUNK = 1 << 16  # most terms CdfTable steps at once
@@ -57,20 +57,22 @@ def _packet_blocks(n: int):
         yield slice(lo, min(lo + _BLOCK, n))
 
 
-def _loss_runs(received: np.ndarray):
-    """Per packet block: the block and, for each of its packets, the losses
-    just before it, which for a received packet is the loss run it ends.
-    The scan carries the last received index across blocks."""
-    last_rx = -1
+def _runs_before(received: np.ndarray, value: bool):
+    """Per packet block: the block and, for each of its packets, how many
+    packets just before it have ``received == value``.  With ``value``
+    False that is the loss run a received packet ends; with True, a
+    received packet's offset in its run of receptions.  The scan carries
+    the last index of the other value across blocks."""
+    last = -1
     for block in _packet_blocks(received.size):
         idx = np.arange(block.start, block.stop)
-        rx = np.where(received[block], idx, last_rx)
-        np.maximum.accumulate(rx, out=rx)  # the last received index so far
-        idx -= 1  # minus the last received index before each packet
-        idx[0] -= last_rx
-        idx[1:] -= rx[:-1]
+        ends = np.where(received[block] != value, idx, last)
+        np.maximum.accumulate(ends, out=ends)  # the last other-value index so far
+        idx -= 1  # minus the last other-value index before each packet
+        idx[0] -= last
+        idx[1:] -= ends[:-1]
         yield block, idx
-        last_rx = int(rx[-1])
+        last = int(ends[-1])
 
 
 def _trailing_run(received: np.ndarray, last_runs: np.ndarray) -> int:
@@ -152,7 +154,7 @@ def extract_clusters(trace_or_received) -> ClusterDistribution:
     # the windows' runs: the run before each received packet and the run
     # after the last packet, less the empty run before a received first packet
     hist = np.zeros(1, dtype=np.int64)
-    for block, runs in _loss_runs(received):
+    for block, runs in _runs_before(received, False):
         counts = np.bincount(runs[received[block]])
         if counts.size > hist.size:
             hist, counts = counts, hist
@@ -676,17 +678,14 @@ class ModelTable:
         log(PER); across a family boundary the per-transmission mean is
         interpolated instead and a Poisson law carries it.
         """
-        if not self.per_min <= per <= self.per_max:  # NaN included
-            # tolerate grid endpoints reconstructed with float round-off
-            if math.isclose(per, self.per_min, rel_tol=1e-9):
-                per = self.per_min
-            elif math.isclose(per, self.per_max, rel_tol=1e-9):
-                per = self.per_max
-            else:
-                raise OutOfRange("per", per, "model table", self.per_min, self.per_max)
         idx = int(np.searchsorted(self.pers, per))
-        if idx < self.pers.size and np.isclose(per, self.pers[idx], rtol=1e-9):
-            return self.models[idx]
+        # a row within 1e-9 relative on either side is that row: grid PERs
+        # reconstructed with float round-off, the span's ends included
+        for row in (idx - 1, idx):
+            if 0 <= row < self.pers.size and math.isclose(per, self.pers[row], rel_tol=1e-9):
+                return self.models[row]
+        if not self.per_min <= per <= self.per_max:  # NaN included
+            raise OutOfRange("per", per, "model table", self.per_min, self.per_max)
         lo, hi = self.models[idx - 1], self.models[idx]
         w = ((math.log(per) - math.log(self.pers[idx - 1]))
              / (math.log(self.pers[idx]) - math.log(self.pers[idx - 1])))

@@ -2,9 +2,12 @@
 
 The receiver decodes each packet, bit-compares it against a stored
 reference, and re-transmits it on a rear lamp when it matches.  While that
-relay transmission is in flight the node cannot listen, so in continuous
-broadcast at most every second packet can be relayed (``sim.relay``); the
-packet-error accounting below corrects for that.
+relay transmission is in flight the node cannot listen.  Whether it then
+misses the next packet is a matter of timing alone,
+``LinkConfig.relay_blocks``: on such a link at most every second packet can
+be relayed (``sim.relay``), and the packet-error accounting below corrects
+for that.  The mode only sets the period; back-to-back broadcast blocks,
+and a beacon link or a broadcast link with a wide enough gap does not.
 """
 
 from __future__ import annotations
@@ -110,20 +113,28 @@ class LinkConfig:
             return self.beacon_interval_s
         return self.packet_time_s + self.ipd_s
 
+    @property
+    def relay_blocks(self) -> bool:
+        """Whether a relay transmission reaches into the next packet, which
+        the node then cannot hear: ``period < 2 pt + dead``."""
+        return self.period_s < 2 * self.packet_time_s + self.dead_time_s
+
 
 def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:
     """Packet error rate from relay counts.
 
-    Beacon mode: lost fraction directly.  Broadcast mode rescales so the
-    ideal half-relayed stream maps to 0 and none-relayed maps to 1, because
-    the relay stage can never exceed half the transmitted packets there.
+    ``Mode.BEACON``: lost fraction directly.  ``Mode.BROADCAST`` rescales so
+    the ideal half-relayed stream maps to 0 and none-relayed maps to 1,
+    because the relay stage can never exceed half the transmitted packets
+    when each relay blocks the next packet.  ``sim.summarize`` passes the
+    mode whose rescale is the link's: ``BROADCAST`` iff
+    ``LinkConfig.relay_blocks``, whatever the link's own mode.
 
-    So broadcast ``per`` is not the channel loss rate.  When each relay
-    blocks the next packet (back-to-back packets), a packet is relayed iff
-    it is received and the one before it was not relayed; with iid loss
-    ``p`` the relayed fraction tends to ``(1 - p) / (2 - p)`` and ``per``
-    to ``p / (2 - p)``: losing a packet the relay would have been deaf to
-    anyway costs no relay.
+    So a blocking link's ``per`` is not the channel loss rate.  There a
+    packet is relayed iff it is received and the one before it was not
+    relayed; with iid loss ``p`` the relayed fraction tends to
+    ``(1 - p) / (2 - p)`` and ``per`` to ``p / (2 - p)``: losing a packet
+    the relay would have been deaf to anyway costs no relay.
     """
     if n_transmitted < 1:
         raise EmptyTrace("PER needs at least one transmitted packet")

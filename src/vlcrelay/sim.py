@@ -7,12 +7,15 @@ deterministic, so identical arguments reproduce traces byte-for-byte.
 A trace is its config plus the channel's ``received`` flags: ``relay``
 derives the relay flags and latencies, and the transmit times follow from
 the period.  ``run`` and both readers build a trace through one helper, so
-a derived column read from a file is only checked, never used.  The relay
-rule and the loss run before each packet (``clusters._loss_runs``, which
-gives every latency) are scanned in blocks of ``clusters._BLOCK`` packets,
-so the temporaries stay a few hundred kB at any trace length.  A trace
-builds its latency column only when it is read: ``summarize`` keeps only
-the relayed packets' least run and run sum, and the longest run.
+a derived column read from a file is only checked, never used.  One block
+scan, ``clusters._runs_before``, gives the run of one flag value just
+before each packet: the run of receptions, whose parity is the relay rule
+on a link where ``LinkConfig.relay_blocks``, and the loss run, which gives
+every latency.  Its blocks are ``clusters._BLOCK`` packets, so the
+temporaries stay a few hundred kB at any trace length.  A trace builds its
+latency column only when it is read: ``summarize`` keeps only the relayed
+packets' least run and run sum, and the longest run, and takes ``per=``
+by the same ``relay_blocks``.
 ``write_trace`` picks the format by path:
 
 * binary, the default (any path not ending in ``.csv``): the line
@@ -42,7 +45,7 @@ import numpy as np
 from . import channel as _channel
 from . import clusters as _clusters
 from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
-from .node import ConfigError, EmptyTrace, LinkConfig, compute_per
+from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
 # every header key but rng=, which the readers ignore
@@ -73,8 +76,9 @@ class PacketTrace:
             raise EmptyTrace("trace must contain at least one packet")
         if self.relayed.size != n:
             raise ValueError("trace arrays must share one length")
-        if np.any(self.relayed & ~self.received):
-            raise ValueError("relayed packets must have been received")
+        for block in _clusters._packet_blocks(n):
+            if np.any(self.relayed[block] & ~self.received[block]):
+                raise ValueError("relayed packets must have been received")
 
     @cached_property
     def latency_s(self) -> np.ndarray:
@@ -119,9 +123,9 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A relay transmission starts ``dead_time_s`` after a packet ends and lasts
     one packet time, and the node cannot listen meanwhile.  When that window
-    reaches into the next packet (``period < 2 pt + dead``), the next packet
-    is blocked, so within a run of received packets only those at an even
-    offset are relayed; otherwise every received packet is.  The short
+    reaches into the next packet (``LinkConfig.relay_blocks``), the next
+    packet is blocked, so within a run of received packets only those at an
+    even offset are relayed; otherwise every received packet is.  The short
     spill-over into the following preamble is absorbed by the sync pattern.
     A relayed packet's latency spans back over the loss run just before it:
     ``l0 + run * period``.
@@ -131,16 +135,12 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
-    """``relay``'s flags; the scan carries the last loss index across blocks."""
+    """``relay``'s flags: on a link that blocks, a received packet is relayed
+    iff the receptions just before it, its offset in its run, are even."""
     relayed = received.copy()
-    if config.period_s < 2 * config.packet_time_s + config.dead_time_s:
-        last_loss = -1
-        for block in _clusters._packet_blocks(received.size):
-            idx = np.arange(block.start, block.stop)
-            # a received packet's offset in its run is idx - last_loss - 1
-            losses = np.maximum.accumulate(np.where(received[block], last_loss, idx))
-            relayed[block] &= (idx - losses) % 2 == 1
-            last_loss = int(losses[-1])
+    if config.relay_blocks:
+        for block, runs in _clusters._runs_before(received, True):
+            relayed[block] &= runs % 2 == 0
     return relayed
 
 
@@ -149,7 +149,7 @@ def _csv_columns(trace: PacketTrace):
     values (NaN where not relayed); a relayed packet's latency spans the
     loss run just before it, ``l0 + run * period``."""
     config = trace.config
-    for block, runs in _clusters._loss_runs(trace.received):
+    for block, runs in _clusters._runs_before(trace.received, False):
         yield (block, np.arange(block.start, block.stop) * config.period_s,
                np.where(trace.relayed[block], config.l0_s + runs * config.period_s, np.nan))
 
@@ -200,10 +200,12 @@ class Summary:
 def summarize(trace: PacketTrace) -> Summary:
     """Aggregate a trace into the headline link metrics.  A relayed packet's
     latency ``l0 + run * period`` rises with its loss run, so the least run
-    gives the least latency, and the mean is exact, then rounded once."""
+    gives the least latency, and the mean is exact, then rounded once.
+    ``per`` rescales the relay count as the link's blocking bounds it, so
+    it is taken by ``relay_blocks``, not by the mode's name."""
     config, n_received, n_relayed = trace.config, trace.n_received, trace.n_relayed
     min_run, run_sum, max_run = trace.n_tx, 0, 0
-    for block, runs in _clusters._loss_runs(trace.received):
+    for block, runs in _clusters._runs_before(trace.received, False):
         max_run = max(max_run, int(runs.max()))
         relayed_runs = runs[trace.relayed[block]]
         min_run = int(relayed_runs.min(initial=min_run))
@@ -211,7 +213,8 @@ def summarize(trace: PacketTrace) -> Summary:
     # l0 + period * run_sum / n_relayed as one int / int, which rounds once
     (a, b), (c, d) = config.l0_s.as_integer_ratio(), config.period_s.as_integer_ratio()
     return Summary(
-        per=compute_per(trace.n_tx, n_relayed, config.mode),
+        per=compute_per(trace.n_tx, n_relayed,
+                        Mode.BROADCAST if config.relay_blocks else Mode.BEACON),
         channel_per=1.0 - n_received / trace.n_tx,
         n_tx=trace.n_tx,
         n_received=n_received,
@@ -274,7 +277,7 @@ def _read_trace_binary(path, data: bytes) -> PacketTrace:
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     if bits[n:].any():
         raise TraceFormatError(path, 0, "pad bits after the last packet must be 0")
-    return _trace_from_header(path, header, bits[:n].astype(bool))
+    return _trace_from_header(path, header, bits[:n].view(bool))  # bits are 0 or 1
 
 
 def _add_header_line(path, lineno: int, line: str, header: dict[str, str]) -> None:

@@ -36,6 +36,28 @@ def test_simulate_rejects_bad_per(tmp_path, capsys):
     assert "per" in capsys.readouterr().err
 
 
+def test_simulate_wide_gap_broadcast_per_is_the_relay_loss(tmp_path, capsys):
+    # a 1 ms gap leaves the relay time to finish before the next packet, so
+    # every received packet is relayed and per= is the lost fraction
+    assert run_cli("simulate", "--per", "0.1", "--ipd-us", "1000", "--n", "100000",
+                   "--seed", "1", "--out", str(tmp_path / "t.vlct")) == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["n_blocked"] == "0"
+    assert lines["per"] == lines["channel_per"]
+    assert float(lines["per"]) == pytest.approx(0.1, abs=0.003)
+
+
+def test_simulate_refuses_tilted_without_distance(tmp_path, capsys):
+    # the tilted-lamp table is read only to turn --distance-m into a PER
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tilted = yes\nper = 0.1\n")
+    for source in (["--tilted", "--per", "0.1"], ["--config", str(cfg)], ["--tilted"]):
+        rc = run_cli("simulate", *source, "--n", "10", "--out", str(tmp_path / "t.csv"))
+        assert rc == 2
+        assert "--tilted needs --distance-m" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     args = ["simulate", "--per", "0.2", "--n", "500", "--seed", "9"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -520,6 +520,20 @@ def test_model_table_interpolation_between_rows():
     assert cross.family is clusters.Family.POISSON
 
 
+def test_model_table_snaps_to_a_row_within_1e9_relative_on_both_sides():
+    # a PER a round-off away from a row, above or below it, is that row; a
+    # PER 1e-6 below it is not (below the first row it is out of the span)
+    table = clusters.ModelTable.bundled()
+    for row, model in zip(table.pers.tolist(), table.models):
+        assert table.model_at(row * (1 - 1e-12)) == model
+        assert table.model_at(row * (1 + 1e-12)) == model
+        if row == table.per_min:
+            with pytest.raises(clusters.OutOfRange):
+                table.model_at(row * (1 - 1e-6))
+        else:
+            assert table.model_at(row * (1 - 1e-6)) != model
+
+
 def test_model_table_out_of_range():
     table = clusters.ModelTable.bundled()
     # one class for both tables' lookups

@@ -543,6 +543,35 @@ def test_summary_channel_per_is_the_channel_loss_rate():
     assert s.per == pytest.approx(0.2)  # 1 - 2 * 4/10, the relay-count PER
 
 
+# per= rescales by the link's blocking, not its mode's name: a broadcast
+# link with a wide gap blocks nothing, and a beacon link with a short
+# interval blocks every second packet of a received run
+WIDE_GAP_BROADCAST = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=400e-6)
+SHORT_BEACON = node.LinkConfig(mode=node.Mode.BEACON, beacon_interval_s=300e-6)
+PER_LINKS = {**RELAY_LINKS, "broadcast-wide-gap": WIDE_GAP_BROADCAST,
+             "beacon-short-interval": SHORT_BEACON}
+
+
+def test_per_links_cover_both_blocking_rules_in_both_modes():
+    blocks = {name: config.relay_blocks for name, config in PER_LINKS.items()}
+    assert blocks == {"broadcast": True, "beacon": False, "broadcast-at-edge": False,
+                      "beacon-at-edge": False, "broadcast-wide-gap": False,
+                      "beacon-short-interval": True}
+
+
+@pytest.mark.parametrize("link", sorted(PER_LINKS))
+def test_summary_per_follows_the_links_blocking(link):
+    config = PER_LINKS[link]
+    for n in (1, 1000, 1001):
+        assert sim.summarize(sim.run(config, channel.IidPacket(0.0), n, seed=1)).per == 0.0
+    s = sim.summarize(sim.run(config, channel.IidPacket(0.1), 10**4, seed=2))
+    if config.relay_blocks:
+        assert s.per == node.compute_per(s.n_tx, s.n_relayed, node.Mode.BROADCAST)
+    else:
+        assert s.n_relayed == s.n_received
+        assert s.per == s.channel_per
+
+
 def test_summary_and_analyze_leave_latency_column_unbuilt(tmp_path):
     trace = sim.run(BROADCAST, channel.IidPacket(0.2), 5000, seed=3)
     sim.summarize(trace)
@@ -569,10 +598,10 @@ def _peak_bytes(func):
 
 @pytest.mark.parametrize("mode", ["broadcast", "beacon"])
 def test_peak_memory_per_packet(tmp_path, mode):
-    # the channel draw, the relay scan and the loss-run scan hold blocks,
-    # not length-n temporaries, and neither the summary nor analyze builds
-    # the 8-byte latency column: simulate peaks at 3.0-3.8 B/packet and
-    # analyze at 4.3, so 6 B/packet leaves about 1.5x.  nb-cluster is left
+    # the channel draw and the run scans hold blocks, not length-n
+    # temporaries, and neither the summary nor analyze builds the 8-byte
+    # latency column: simulate peaks at 2.6-3.4 B/packet and analyze at
+    # 2.5-2.8, so 4.5 and 3.5 B/packet leave about 1.3x.  nb-cluster is left
     # out: tracemalloc counts its CDF table's calloc'd 80 MB buffer in full
     # (84 B/packet here), although only the pages written are resident
     n = 10**6
@@ -587,8 +616,20 @@ def test_peak_memory_per_packet(tmp_path, mode):
             sim.summarize(trace)
             sim.write_trace(trace, path)
 
-        assert _peak_bytes(simulate) < 6 * n, process
-        assert _peak_bytes(lambda: clusters.extract_clusters(sim.read_trace(path))) < 6 * n
+        assert _peak_bytes(simulate) < 4.5 * n, process
+        assert _peak_bytes(lambda: clusters.extract_clusters(sim.read_trace(path))) < 3.5 * n
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "beacon"])
+def test_read_trace_peak_memory_per_packet(tmp_path, mode):
+    # the file's bytes, the unpacked bits as the received column and the
+    # relayed column: 2.3-2.8 B/packet with the block scans' temporaries, so
+    # 3.5 leaves 1.25x; one more whole-trace bool temporary reaches 3.8
+    n = 10**6
+    path = tmp_path / "t.vlct"
+    sim.write_trace(sim.run(node.LinkConfig(mode=node.Mode(mode)), channel.IidPacket(0.1),
+                            n, seed=1), path)
+    assert _peak_bytes(lambda: sim.read_trace(path)) < 3.5 * n
 
 
 @pytest.mark.parametrize("mode", ["broadcast", "beacon"])
