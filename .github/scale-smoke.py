@@ -1,6 +1,7 @@
 """Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets and
-on 10^7 Gilbert-Elliott packets, and a CSV-export round trip (``simulate
---out t.csv``, then ``analyze t.csv``) on a tenth as many.
+on 10^7 Gilbert-Elliott packets, ``simulate`` on 10^7 nb-cluster packets
+(the PER-0.3 anchor), and a CSV-export round trip (``simulate --out
+t.csv``, then ``analyze t.csv``) on a tenth as many.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
@@ -21,10 +22,12 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# measured at 10^7 (2 CPUs, Python 3.11, numpy 2.4): simulate 58 MB for both
-# processes, analyze 52 MB for both; each bound is that plus about a quarter
+# measured at 10^7 (2 CPUs, Python 3.11, numpy 2.4): simulate 58 MB for all
+# three processes (nb-cluster 58.2 MB), analyze 51 MB for both; each bound is
+# that plus about a quarter
 SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 65.0, 65.0, 100.0
 GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
+NB_SPEC = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
 
 
 def run_cli(args: list[str], cwd: str) -> tuple[int, float, float]:
@@ -58,6 +61,9 @@ def main() -> int:
               "--out", "ge.vlct", "--summary", "ge.txt"]),
             (f"gilbert-elliott n={n}", ANALYZE_GE_MB, "analyze",
              ["ge.vlct", "--clusters-out", "ge-clusters.csv", "--report-out", "ge-report.txt"]),
+            (f"nb-cluster n={n}", SIMULATE_MB, "simulate",
+             ["--mode", "broadcast", "--process", NB_SPEC, "--n", str(n), "--seed", "1",
+              "--out", "nb.vlct", "--summary", "nb.txt"]),
             (f"iid csv n={n_csv}", SIMULATE_MB, "simulate",
              ["--mode", "broadcast", "--per", "0.1", "--n", str(n_csv), "--seed", "3",
               "--out", "t.csv", "--summary", "t.txt"]),

@@ -21,7 +21,7 @@ from .codec import FRAME_BITS
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
-_NB_CYCLES = 4096  # cluster cycles per block of the nb-cluster draw
+_NB_CYCLES = 4096  # (gap, cluster) cycles per batch of the nb-cluster draw
 
 
 class ChannelError(ValueError):
@@ -104,7 +104,7 @@ class NbCluster:
     p_start: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise ChannelError(f"r must be > 0, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ChannelError(f"p must be in (0, 1), got {self.p}")
@@ -128,7 +128,7 @@ class NbCluster:
     def for_law(cls, r: float, p: float) -> "NbCluster":
         """Pick p_start so the per-window run-length law (zeros included)
         is exactly the unconditional negative binomial (r, p)."""
-        if r <= 0 or not 0.0 < p < 1.0:
+        if not r > 0 or not 0.0 < p < 1.0:
             raise ChannelError(f"need r > 0 and p in (0, 1), got r={r}, p={p}")
         return cls(r=r, p=p, p_start=1.0 - p ** r)
 
@@ -191,34 +191,31 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
     """Loss flags for ``n`` consecutive packets (True = lost).
 
     Deterministic in the generator state: the same seed gives the same
-    flags for every process.  The iid and Gilbert-Elliott processes draw
-    in blocks of ``_BLOCK`` packets, the same numbers in the same order as
-    one draw of all ``n``, so their temporaries stay a few hundred kB.
+    flags for every process.  Each process fills one output buffer, the iid
+    and Gilbert-Elliott ones a block of ``_BLOCK`` packets at a time (the
+    numbers of one draw of all ``n``, in order) and ``nb-cluster`` a batch
+    of ``_NB_CYCLES`` cycles at a time, so temporaries stay per block.
     """
     if n < 1:
         raise ChannelError(f"n must be >= 1, got {n}")
-    if isinstance(process, NbCluster):
-        # stream 2: per block, _NB_CYCLES geometric gaps, then _NB_CYCLES
-        # uniforms for the cluster sizes; the runs alternate gap, cluster,
-        # starting with a gap, and the run that reaches packet n is cut there
-        table = cdf_table(Family.NEG_BINOMIAL, (process.r, process.p))
-        p0 = process.p ** process.r
-        blocks, total = [], 0
-        while total < n:
-            gaps = rng.geometric(process.p_start, _NB_CYCLES)
-            sizes = _cluster_sizes(table, p0, rng.random(_NB_CYCLES))
-            block = np.stack((gaps, sizes), axis=1).ravel()
-            blocks.append(block)
-            total += int(block.sum())
-        runs = np.concatenate(blocks)
-        ends = np.cumsum(runs)
-        last = int(np.searchsorted(ends, n))  # the run that reaches packet n
-        runs = runs[:last + 1]
-        runs[last] -= ends[last] - n
-        return np.repeat(np.arange(last + 1) % 2 == 1, runs)
-    if not isinstance(process, IidPacket | IidBit | GilbertElliott):
+    if not isinstance(process, ErrorProcess):
         raise ChannelError(f"unknown error process {process!r}")
     lost = np.empty(n, dtype=bool)
+    if isinstance(process, NbCluster):
+        # stream 2: per batch, _NB_CYCLES geometric gaps (capped at n, so their
+        # int64 sum cannot wrap), then _NB_CYCLES uniforms for the cluster sizes;
+        # runs alternate gap, cluster, from a gap, and the one reaching n is cut
+        table = cdf_table(Family.NEG_BINOMIAL, (process.r, process.p))
+        p0 = process.p ** process.r
+        flags = np.tile([False, True], _NB_CYCLES)
+        at = 0
+        while at < n:
+            gaps = np.minimum(rng.geometric(process.p_start, _NB_CYCLES), n)
+            sizes = _cluster_sizes(table, p0, rng.random(_NB_CYCLES))
+            ends = np.minimum(np.cumsum(np.stack((gaps, sizes), axis=1).ravel()), n - at)
+            lost[at:at + ends[-1]] = np.repeat(flags, np.diff(ends, prepend=0))
+            at += int(ends[-1])
+        return lost
     bad = False  # the Gilbert-Elliott chain starts good
     for block in _packet_blocks(n):
         out = lost[block]

@@ -294,8 +294,9 @@ def poisson_pmf(k, lam: float) -> np.ndarray:
 
 
 def binom_pmf(k, n: int, p: float) -> np.ndarray:
-    if n < 1:
-        raise ClusterStatsError(f"n must be >= 1, got {n}")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ClusterStatsError(f"n must be an integer >= 1, got {n}")
+    n = int(n)
     if not 0.0 <= p <= 1.0:
         raise ClusterStatsError(f"p must be in [0, 1], got {p}")
     k = np.asarray(k, dtype=np.int64)
@@ -307,11 +308,8 @@ def binom_pmf(k, n: int, p: float) -> np.ndarray:
 
 
 def _family_pmf(family: Family, params: tuple[float, ...], k) -> np.ndarray:
-    if family is Family.NEG_BINOMIAL:
-        return nb_pmf(k, *params)
-    if family is Family.POISSON:
-        return poisson_pmf(k, *params)
-    return binom_pmf(k, int(params[0]), params[1])
+    pmfs = {Family.NEG_BINOMIAL: nb_pmf, Family.POISSON: poisson_pmf, Family.BINOMIAL: binom_pmf}
+    return pmfs[family](k, *params)
 
 
 class CdfTable:
@@ -625,13 +623,17 @@ def prediction_error(model, empirical, targets=DEFAULT_TARGETS) -> np.ndarray:
 
 
 def _model_row(row: dict[str, str]) -> tuple[float, Family, list[float]]:
+    family = Family(row["family"].strip())
     params = [float(row["param1"])]
     if row["param2"]:
         params.append(float(row["param2"]))
+    if len(params) != family.n_params:
+        raise ValueError(f"{family.value} takes {family.n_params} parameter(s), got {len(params)}")
     # model_at interpolates in log space, which needs every parameter > 0
     if not all(0 < x < math.inf for x in params):
         raise ValueError(f"parameters must be finite and > 0, got {params}")
-    return float(row["per"]), Family(row["family"].strip()), params
+    _family_pmf(family, tuple(params), 0)  # raises outside the family's domain
+    return float(row["per"]), family, params
 
 
 @dataclass(frozen=True)

@@ -250,11 +250,11 @@ def read_trace(path) -> PacketTrace:
 def _read_trace_binary(path, data: bytes) -> PacketTrace:
     """Parse what follows the magic line: only the header and ``received``
     are stored, so the checks are on the header and the payload's size."""
-    head, blank, payload = data.partition(b"\n\n")
-    if not blank:
+    end = data.find(b"\n\n")
+    if end < 0:
         raise TraceFormatError(path, 0, "no empty line after the header")
     try:
-        lines = head.decode("utf-8").split("\n") if head else []
+        lines = data[:end].decode("utf-8").split("\n") if end else []
     except UnicodeDecodeError as exc:
         raise TraceFormatError(path, 0, f"header is not UTF-8: {exc}") from None
     header: dict[str, str] = {}
@@ -268,13 +268,14 @@ def _read_trace_binary(path, data: bytes) -> PacketTrace:
     if n < 1:
         raise TraceFormatError(path, 0, "no packet records")
     size = -(-n // 8)
+    payload = np.frombuffer(data, np.uint8, offset=end + 2)  # a view, not a copy
     if len(payload) < size:
         raise TraceFormatError(path, 0, f"header n_packets={n} needs {size} payload "
                                f"bytes, got {len(payload)}")
     if len(payload) > size:
         raise TraceFormatError(path, 0, f"{len(payload) - size} trailing bytes after "
                                f"the {size}-byte payload")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    bits = np.unpackbits(payload)
     if bits[n:].any():
         raise TraceFormatError(path, 0, "pad bits after the last packet must be 0")
     return _trace_from_header(path, header, bits[:n].view(bool))  # bits are 0 or 1

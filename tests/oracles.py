@@ -9,7 +9,8 @@ summed one term at a time) and ``law_cdf_table`` (each family's start and
 ratio) for ``clusters.CdfTable``; for the negative-binomial stream,
 ``table_cluster_size`` for ``channel._cluster_sizes``, and
 ``nb_cluster_walk``, which lays out the same blocks with every size from
-``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``);
+``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``),
+and ``nb_whole_trace``, the draw's first layout (every batch's runs at once);
 ``doubling_quantile``, the quantile path before the table (``fit_cdf`` sums
 gammaln pmfs from k = 0 and ``quantile_from_cdf`` doubles the grid), for
 ``clusters.quantile``; ``window_hist`` and ``loss_run_lengths`` (the run
@@ -38,6 +39,7 @@ from vlcrelay.channel import (
     IidBit,
     IidPacket,
     NbCluster,
+    _cluster_sizes,
 )
 from vlcrelay.clusters import (
     ClusterDistribution,
@@ -48,6 +50,7 @@ from vlcrelay.clusters import (
     binom_pmf,
     poisson_pmf,
 )
+from vlcrelay.clusters import cdf_table as clusters_cdf_table
 from vlcrelay.codec import REFERENCE_PAYLOAD
 from vlcrelay.node import LinkConfig
 
@@ -207,6 +210,27 @@ def nb_cluster_walk(process: NbCluster, n: int, rng: np.random.Generator) -> np.
             if len(lost) < n:
                 lost.extend([True] * draw_cluster_size(process, FixedRandom(u)))
     return np.array(lost[:n], dtype=bool)
+
+
+def nb_whole_trace(process: NbCluster, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Loss flags for ``n`` packets of stream 2, laid out as
+    ``channel.sample_losses`` first did it: the runs of every batch at
+    once, then the run that reaches packet n cut there."""
+    table = clusters_cdf_table(Family.NEG_BINOMIAL, (process.r, process.p))
+    p0 = process.p ** process.r
+    blocks, total = [], 0
+    while total < n:
+        gaps = rng.geometric(process.p_start, _NB_CYCLES)
+        sizes = _cluster_sizes(table, p0, rng.random(_NB_CYCLES))
+        block = np.stack((gaps, sizes), axis=1).ravel()
+        blocks.append(block)
+        total += int(block.sum())
+    runs = np.concatenate(blocks)
+    ends = np.cumsum(runs)
+    last = int(np.searchsorted(ends, n))  # the run that reaches packet n
+    runs = runs[:last + 1]
+    runs[last] -= ends[last] - n
+    return np.repeat(np.arange(last + 1) % 2 == 1, runs)
 
 
 def loss_run_lengths(received: np.ndarray) -> np.ndarray:

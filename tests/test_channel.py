@@ -26,6 +26,23 @@ def test_parameter_validation():
         channel.NbCluster(r=0.1, p=1.0, p_start=0.5)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: channel.NbCluster(r=math.nan, p=0.5, p_start=0.5), "r must be > 0, got nan"),
+    (lambda: channel.NbCluster.for_target_per(math.nan, 0.5, 0.3), "r must be > 0, got nan"),
+    (lambda: channel.process_from_spec("nb-cluster:r=nan,p=0.5,p_start=0.5"),
+     "r must be > 0, got nan"),
+    (lambda: channel.process_from_spec("nb-cluster:r=nan,p=0.5,target_per=0.3"),
+     "r must be > 0, got nan"),
+    (lambda: channel.NbCluster.for_law(math.nan, 0.5),
+     "need r > 0 and p in (0, 1), got r=nan, p=0.5"),
+])
+def test_nb_cluster_nan_r_is_named(make, message):
+    # not through the mean-cluster check ("mean cluster size inf ...")
+    with pytest.raises(channel.ChannelError) as err:
+        make()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("r, p", [
     (1.0, 1e-300),  # mean 1e300: the quantile search never ended
     (1e-6, 1e-12),  # r(1-p)/p is 1e6, but clusters of >= 1 average 3.6e10
@@ -274,6 +291,52 @@ def test_nb_cluster_near_run_cap_builds_one_table_per_call(monkeypatch):
 def test_nb_cluster_losses_match_scipy_stats_walk(process, seed):
     batch = channel.sample_losses(process, 2000, rng(seed))
     assert np.array_equal(batch, oracles.nb_cluster_walk(process, 2000, rng(seed)))
+
+
+def _replay_batches(process, seed, count):
+    """The (gap, cluster) runs of the first ``count`` batches of stream 2,
+    replayed from the generator's draws."""
+    table, g = clusters.cdf_table(NB, (process.r, process.p)), rng(seed)
+    batches = []
+    for _ in range(count):
+        gaps = g.geometric(process.p_start, channel._NB_CYCLES)
+        sizes = _sizes(table, process.r, process.p, g.random(channel._NB_CYCLES))
+        batches.append(np.stack((gaps, sizes), axis=1).ravel())
+    return batches
+
+
+def _nb_cut(batches, cut):
+    """A trace length at one kind of place in the replayed batches: at,
+    just before or just after the first batch's end; one packet into a gap
+    or into a cluster of the second batch; midway into the third batch."""
+    first, second, third = (int(b.sum()) for b in batches)
+    if cut in ("gap", "cluster"):
+        starts = first + np.cumsum(batches[1]) - batches[1]
+        odd = cut == "cluster"  # runs alternate gap, cluster
+        i = next(i for i in range(odd, batches[1].size, 2) if batches[1][i] >= 2)
+        return int(starts[i]) + 1
+    return {"end": first, "end-1": first - 1, "end+1": first + 1,
+            "three-batches": first + second + third // 2}[cut]
+
+
+@pytest.mark.parametrize("process", [
+    channel.NbCluster.for_target_per(0.1691, 0.0638, 0.3),
+    channel.NbCluster(r=5, p=0.5, p_start=0.3),  # short cycles: early batch edges
+], ids=["per-0.3-anchor", "r5"])
+@pytest.mark.parametrize("cut", ["end", "end-1", "end+1", "gap", "cluster", "three-batches"])
+def test_nb_cluster_batches_equal_whole_trace_layout(process, cut):
+    n = _nb_cut(_replay_batches(process, 6, 3), cut)
+    ours, theirs = rng(6), rng(6)
+    lost = channel.sample_losses(process, n, ours)
+    assert np.array_equal(lost, oracles.nb_whole_trace(process, n, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state  # the same draws
+
+
+@pytest.mark.parametrize("p_start", [1e-18, 1e-300])
+def test_nb_cluster_gap_past_the_trace_is_cut(p_start):
+    # geometric gaps near 2^63: their sum wrapped around int64
+    process = channel.NbCluster(r=1.0, p=0.5, p_start=p_start)
+    assert not channel.sample_losses(process, 10, rng(1)).any()
 
 
 # sample_losses draws the iid and Gilbert-Elliott streams in blocks of B

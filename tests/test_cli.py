@@ -298,6 +298,10 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     assert rc == 2
 
 
+GOOD_ROWS = "0.3,poisson,0.2,\n0.5,poisson,0.4,\n"
+SAL_AT_0_4 = ["sal", "--per-grid", "0.4", "--models"]
+
+
 @pytest.mark.parametrize("name, text, argv", [
     ("m.csv", "per,family,param1,param2\n0.1,poisson\n", ["sal", "--models"]),
     ("m.csv", "per,family,param1,param2\n0.1,poisson,0.2,,9\n", ["sal", "--models"]),
@@ -306,6 +310,13 @@ def test_safety_empty_scenarios(tmp_path, capsys):
      ["sal", "--per-grid", "0.2", "--models"]),
     ("m.csv", "per,family,param1,param2\n0.1,poisson,0,\n0.3,poisson,0.2,\n",
      ["sal", "--per-grid", "0.2", "--models"]),
+    # rows the lookup never reaches (0.4 lies between the good rows)
+    ("m.csv", f"per,family,param1,param2\n0.1,poisson,0.2,0.5\n{GOOD_ROWS}", SAL_AT_0_4),
+    ("m.csv", f"per,family,param1,param2\n0.1,negbinomial,0.2,\n{GOOD_ROWS}", SAL_AT_0_4),
+    ("m.csv", f"per,family,param1,param2\n0.1,binomial,2.5,0.1\n{GOOD_ROWS}", SAL_AT_0_4),
+    ("m.csv", f"per,family,param1,param2\n0.1,binomial,0.5,0.1\n{GOOD_ROWS}", SAL_AT_0_4),
+    ("m.csv", f"per,family,param1,param2\n0.1,binomial,2,1.5\n{GOOD_ROWS}", SAL_AT_0_4),
+    ("m.csv", f"per,family,param1,param2\n0.1,negbinomial,0.2,1.5\n{GOOD_ROWS}", SAL_AT_0_4),
     ("p.csv", "distance_m,baud,per\n10,230000,0.1,99\n", ["ingest-per-table"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
@@ -314,7 +325,9 @@ def test_safety_empty_scenarios(tmp_path, capsys):
     ("s.csv", "v_kmh,distance_m,per\n50,nan,1e-5\n", ["safety"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,-1\n", ["safety"]),
 ], ids=["models-short-row", "models-extra-field", "models-infinite-lambda",
-        "models-negative-r", "models-zero-lambda",
+        "models-negative-r", "models-zero-lambda", "models-poisson-two-params",
+        "models-nb-one-param", "models-binomial-fractional-n", "models-binomial-n-below-1",
+        "models-binomial-p-above-1", "models-nb-p-above-1",
         "per-table-extra-field", "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
         "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative"])
 def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):

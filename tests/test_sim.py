@@ -623,7 +623,7 @@ def test_peak_memory_per_packet(tmp_path, mode):
 @pytest.mark.parametrize("mode", ["broadcast", "beacon"])
 def test_read_trace_peak_memory_per_packet(tmp_path, mode):
     # the file's bytes, the unpacked bits as the received column and the
-    # relayed column: 2.3-2.8 B/packet with the block scans' temporaries, so
+    # relayed column: 2.2-2.7 B/packet with the block scans' temporaries, so
     # 3.5 leaves 1.25x; one more whole-trace bool temporary reaches 3.8
     n = 10**6
     path = tmp_path / "t.vlct"
