@@ -15,11 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import channel as _channel
 from . import clusters as _clusters
@@ -151,6 +147,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return seed, _sim.summarize(trace)
 
     if jobs > 1 and len(seeds) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~10 ms import, only here
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, seeds))
     else:
@@ -169,20 +167,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    trace = _sim.read_trace(args.trace)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _clusters.InsufficientErrorsWarning)
-        dist = _clusters.extract_clusters(trace)
-
+    dist = _clusters.extract_clusters(_sim.read_trace(args.trace))
     targets = _parse_targets(args.targets)
     clusters_out = Path(args.clusters_out) if args.clusters_out else _default_out("clusters.csv")
     report_out = Path(args.report_out) if args.report_out else _default_out("report.txt")
 
-    pmf = dist.pmf_grid()
     with open(clusters_out, "w", newline="\n") as fh:
         fh.write("k,count,pmf,cdf\n")
-        for k, (c, q, s) in enumerate(zip(dist.hist, pmf, np.cumsum(pmf))):
+        for k, (c, q, s) in enumerate(zip(dist.hist, dist.pmf_grid(), dist.cdf)):
             fh.write(f"{k},{int(c)},{_format_float(q)},{_format_float(s)}\n")
 
     lines = [
@@ -302,13 +294,13 @@ def cmd_safety(args: argparse.Namespace) -> int:
 
 def cmd_ingest_per_table(args: argparse.Namespace) -> int:
     table = _channel.PerDistanceTable.from_csv(args.table)
+    if args.distance_m is not None and args.baud is None:
+        raise ConfigError("--baud is required with --distance-m")
     print(f"rows={table.distances_m.size}")
     print(f"bauds={sorted(set(int(b) for b in table.bauds))}")
     if args.out:
         table.to_csv(args.out)
     if args.distance_m is not None:
-        if args.baud is None:
-            raise ConfigError("--baud is required with --distance-m")
         print(f"per={_format_float(_channel.per_at(table, args.distance_m, args.baud))}")
     return EXIT_OK
 

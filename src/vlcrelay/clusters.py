@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -35,16 +34,6 @@ _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
 
 class ClusterStatsError(ValueError):
     """Base class for statistics failures."""
-
-
-class InsufficientErrors(ClusterStatsError):
-    def __init__(self, n_lost: int):
-        super().__init__(f"only {n_lost} losses recorded; need >= {MIN_LOSSES}")
-        self.n_lost = n_lost
-
-
-class InsufficientErrorsWarning(UserWarning):
-    pass
 
 
 class FitDiverged(ClusterStatsError):
@@ -137,6 +126,11 @@ class ClusterDistribution:
         """Per-transmission law on 0..max_cluster."""
         return self.hist / self.n_opportunities
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Empirical CDF on 0..max_cluster; its last entry is 1 up to round-off."""
+        return np.cumsum(self.pmf_grid())
+
     def quantile(self, target: float) -> int:
         return quantile(self, target)
 
@@ -144,8 +138,7 @@ class ClusterDistribution:
 def extract_clusters(trace_or_received) -> ClusterDistribution:
     """Count maximal loss runs in a trace (blocked packets are not losses).
 
-    Emits InsufficientErrorsWarning when fewer than 10 losses were seen;
-    the distribution is still returned, flagged as insufficient.
+    A sample of fewer than ``MIN_LOSSES`` losses is flagged ``insufficient``.
     """
     received = np.asarray(getattr(trace_or_received, "received", trace_or_received),
                           dtype=bool)
@@ -163,15 +156,7 @@ def extract_clusters(trace_or_received) -> ClusterDistribution:
     hist = np.pad(hist, (0, max(0, tail + 1 - hist.size)))
     hist[tail] += 1
     hist[0] -= int(received[0])
-    dist = ClusterDistribution(hist=hist, n_slots=int(received.size))
-    if dist.insufficient:
-        warnings.warn(
-            f"only {dist.n_lost} losses in {received.size} packets; "
-            f"run-length statistics are not significant",
-            InsufficientErrorsWarning,
-            stacklevel=2,
-        )
-    return dist
+    return ClusterDistribution(hist=hist, n_slots=int(received.size))
 
 
 class Family(str, Enum):
@@ -539,12 +524,10 @@ def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     return r, r / (r + mean)
 
 
-def fit(dist: ClusterDistribution, family: Family,
-        allow_insufficient: bool = False) -> FitResult:
-    """Maximum-likelihood fit of one family to the per-transmission law."""
+def fit(dist: ClusterDistribution, family: Family) -> FitResult:
+    """Maximum-likelihood fit of one family to the per-transmission law,
+    thin sample or not: callers read ``dist.insufficient``."""
     family = Family(family)
-    if dist.insufficient and not allow_insufficient:
-        raise InsufficientErrors(dist.n_lost)
     values, weights = dist.values_weights()
     values = values.astype(float)
     weights = weights.astype(float)
@@ -559,7 +542,7 @@ def fit(dist: ClusterDistribution, family: Family,
         params = (float(n), mean / n)
 
     model_cdf = np.cumsum(_family_pmf(family, params, np.arange(dist.max_cluster + 1)))
-    err = np.cumsum(dist.pmf_grid()) - model_cdf
+    err = dist.cdf - model_cdf
     return FitResult(family=family, params=params, max_cdf_error=float(np.max(np.abs(err))))
 
 
@@ -578,11 +561,9 @@ def quantile(model, target_prob: float) -> int:
     """Smallest k with CDF(k) >= target_prob, in an empirical CDF or a model's table."""
     if not 0.0 < target_prob < 1.0:
         raise ClusterStatsError(f"target probability must be in (0, 1), got {target_prob}")
-    if isinstance(model, ClusterDistribution):
-        cdf = np.cumsum(model.pmf_grid())
-        cdf[-1] = 1.0  # the longest run is the support's end
-    else:
-        cdf = model._table.grow(target_prob)
+    if isinstance(model, ClusterDistribution):  # the longest run is the support's end
+        return min(int(np.searchsorted(model.cdf, target_prob)), model.max_cluster)
+    cdf = model._table.grow(target_prob)
     if not cdf[-1] >= target_prob:
         raise ClusterStatsError(f"quantile({target_prob}) of {model.describe()} is beyond "
                                 f"{cdf.size - 1}, where its CDF ends at {cdf[-1]!r}")

@@ -351,6 +351,17 @@ def test_ingest_per_table(tmp_path, capsys):
     assert out.exists()
 
 
+def test_ingest_per_table_distance_without_baud_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text("distance_m,baud,per\n10,230000,1e-4\n20,230000,1e-2\n")
+    out = tmp_path / "norm.csv"
+    assert run_cli("ingest-per-table", str(src), "--out", str(out), "--distance-m", "15") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--baud is required" in captured.err
+    assert not out.exists()
+
+
 def test_ingest_per_table_rejects_duplicates(tmp_path, capsys):
     src = tmp_path / "in.csv"
     src.write_text("distance_m,baud,per\n10,230000,1e-4\n10,230000,1e-2\n")
@@ -539,10 +550,11 @@ def _subprocess_env():
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     # scipy's imports cost more than the work of most commands, and no
     # command needs scipy: the fits and quantiles run on the package's own
-    # gammaln and xlogy ports
+    # gammaln and xlogy ports.  concurrent.futures is imported only by a
+    # several-seed simulate with --jobs
     env = _subprocess_env()
     code = ("import sys, vlcrelay.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"

@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -37,17 +36,16 @@ def dist_from_window_counts(draws):
 
 def test_extract_clusters_by_definition():
     received = np.array([False, False, False, True, False, True])  # L L L S L S
-    with pytest.warns(clusters.InsufficientErrorsWarning):
-        dist = clusters.extract_clusters(received)
+    dist = clusters.extract_clusters(received)
+    assert dist.insufficient
     assert dist.hist.tolist() == [1, 1, 0, 1]
     assert dist.n_lost == 4
     assert dist.n_opportunities == 3  # two receptions plus the leading-run window
     assert dist.n_zero == 1
 
 
-def test_extract_clusters_no_losses_warns():
-    with pytest.warns(clusters.InsufficientErrorsWarning):
-        dist = clusters.extract_clusters(np.ones(50, dtype=bool))
+def test_extract_clusters_no_losses_is_flagged():
+    dist = clusters.extract_clusters(np.ones(50, dtype=bool))
     assert dist.hist.tolist() == [50]
     assert dist.insufficient
     assert dist.quantile(0.999) == 0
@@ -62,9 +60,7 @@ def test_extract_clusters_mass_identity():
 
 
 def _check_hist_against_window_walk(received):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", clusters.InsufficientErrorsWarning)
-        dist = clusters.extract_clusters(received)
+    dist = clusters.extract_clusters(received)
     assert dist.hist.tolist() == oracles.window_hist(received)
     ks, ws = dist.values_weights()
     assert (ks[0], ws[0]) == (0, dist.hist[0])
@@ -169,8 +165,7 @@ def test_fit_recovers_negative_binomial():
 def test_fit_recovers_poisson():
     draws = sp_poisson.rvs(0.0042, size=10**5,
                            random_state=np.random.default_rng(7))
-    fit = clusters.fit(dist_from_window_counts(draws), clusters.Family.POISSON,
-                       allow_insufficient=True)
+    fit = clusters.fit(dist_from_window_counts(draws), clusters.Family.POISSON)
     assert abs(fit.params[0] - 0.0042) / 0.0042 < 0.10
 
 
@@ -185,20 +180,21 @@ def test_fit_recovers_binomial():
 
 def test_fit_degenerate_all_zero_poisson():
     dist = dist_from_window_counts(np.zeros(100, dtype=int))
-    fit = clusters.fit(dist, clusters.Family.POISSON, allow_insufficient=True)
+    fit = clusters.fit(dist, clusters.Family.POISSON)
     assert fit.params[0] == 0.0
 
 
-def test_fit_refuses_thin_samples():
+def test_fit_fits_a_flagged_thin_sample():
     dist = dist_from_window_counts([0] * 50 + [1] * 3)
-    with pytest.raises(clusters.InsufficientErrors):
-        clusters.fit(dist, clusters.Family.POISSON)
+    assert dist.insufficient
+    fit = clusters.fit(dist, clusters.Family.POISSON)
+    assert fit.params == (3 / 53,)
 
 
 def test_fit_nb_diverges_without_losses():
     dist = dist_from_window_counts(np.zeros(100, dtype=int))
     with pytest.raises(clusters.FitDiverged):
-        clusters.fit(dist, clusters.Family.NEG_BINOMIAL, allow_insufficient=True)
+        clusters.fit(dist, clusters.Family.NEG_BINOMIAL)
 
 
 FIT_CORPUS_SPECS = [
@@ -389,14 +385,31 @@ def test_quantiles_equal_the_doubling_gammaln_path_on_a_corpus():
             assert clusters.quantile(model, float(target)) == expect, (model, target)
 
 
+def _near_cdf_end(dist):
+    """The last CDF values and their float neighbours, inside (0, 1)."""
+    return [t for c in dist.cdf[-3:].tolist()
+            for t in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)) if 0.0 < t < 1.0]
+
+
 def test_empirical_quantiles_equal_the_doubling_path():
+    # the doubling path's CDF is 1.0 from the longest run on, as the search
+    # once forced it; the cached CDF can end just below 1
     rng = np.random.default_rng(12)
     for _ in range(200):
         draws = rng.negative_binomial(rng.uniform(0.05, 3.0), rng.uniform(0.02, 0.9),
                                       size=int(rng.integers(1, 3000)))
         dist = dist_from_window_counts(draws)
-        for target in (*TARGETS, *rng.uniform(0.001, 0.99999, 4)):
+        for target in (*TARGETS, *rng.uniform(0.001, 0.99999, 4), *_near_cdf_end(dist)):
             assert dist.quantile(target) == oracles.doubling_quantile(dist, target)
+
+
+def test_empirical_quantile_past_a_cdf_end_below_1_is_the_longest_run():
+    dist = clusters.ClusterDistribution(hist=np.array([18, 41, 20, 39, 15]), n_slots=133)
+    assert np.array_equal(dist.cdf, np.cumsum(dist.pmf_grid()))
+    assert dist.cdf[-1] == 0.9999999999999998
+    assert dist.quantile(0.9999999999999999) == 4
+    for target in (*TARGETS, 0.9999999999999999, *_near_cdf_end(dist)):
+        assert dist.quantile(target) == oracles.doubling_quantile(dist, target)
 
 
 @pytest.mark.parametrize("family, params", [
