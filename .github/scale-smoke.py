@@ -1,12 +1,14 @@
 """Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets and
 on 10^7 Gilbert-Elliott packets, ``simulate`` on 10^7 nb-cluster packets
-(the PER-0.3 anchor), and a CSV-export round trip (``simulate --out
-t.csv``, then ``analyze t.csv``) on a tenth as many.
+(the PER-0.3 anchor), a CSV-export round trip (``simulate --out t.csv``,
+then ``analyze t.csv``) on a tenth as many, and ``sal`` on a model table
+whose one law, binomial(n=10^12), must end at the run cap with exit 2.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
 ``os.wait4`` and its own peak RSS is checked against a bound.  Exits 1
-when a command fails or peaks above its bound:
+when a command ends with another exit code than expected or peaks above
+its bound:
 
     python3 .github/scale-smoke.py [--n 10000000]
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -26,17 +29,28 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # three processes (nb-cluster 58.2 MB), analyze 51 MB for both; each bound is
 # that plus about a quarter
 SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 65.0, 65.0, 100.0
+# a binomial table stops at the 10^7 run cap: about 110 MB, for its log-space start;
+# its address space is limited, so a table past the cap fails fast, not the machine
+SAL_CAP_MB, SAL_CAP_ADDRESS_SPACE_MB = 150.0, 1500.0
 GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
 NB_SPEC = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
 
 
-def run_cli(args: list[str], cwd: str) -> tuple[int, float, float]:
-    """Exit code, peak RSS in MB and wall seconds of one CLI command."""
+def run_cli(args: list[str], cwd: str,
+            address_space_mb: float | None = None) -> tuple[int, float, float]:
+    """Exit code, peak RSS in MB and wall seconds of one CLI command, its
+    address space limited to ``address_space_mb`` if that is given."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+
+    def limit():
+        if address_space_mb is not None:
+            size = int(address_space_mb * 2**20)
+            resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "vlcrelay.cli", *args],
-                            cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+                            cwd=cwd, env=env, stdout=subprocess.DEVNULL, preexec_fn=limit)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_maxrss / 1024.0, time.perf_counter() - t0
@@ -49,30 +63,35 @@ def main() -> int:
     n_csv = n // 10
     ok = True
     with tempfile.TemporaryDirectory() as work:
-        for label, bound_mb, command, args in (
-            (f"iid n={n}", SIMULATE_MB, "simulate",
+        Path(work, "far.csv").write_text("per,family,param1,param2\n0.1,binomial,1e12,0.5\n")
+        for label, bound_mb, expect, command, args in (
+            (f"iid n={n}", SIMULATE_MB, 0, "simulate",
              ["--mode", "broadcast", "--per", "0.01", "--n", str(n), "--seed", "1",
               "--out", "trace.vlct", "--summary", "summary.txt"]),
-            (f"iid n={n}", ANALYZE_MB, "analyze",
+            (f"iid n={n}", ANALYZE_MB, 0, "analyze",
              ["trace.vlct", "--clusters-out", "clusters.csv",
               "--report-out", "report.txt"]),
-            (f"gilbert-elliott n={n}", SIMULATE_MB, "simulate",
+            (f"gilbert-elliott n={n}", SIMULATE_MB, 0, "simulate",
              ["--mode", "beacon", "--process", GE_SPEC, "--n", str(n), "--seed", "1",
               "--out", "ge.vlct", "--summary", "ge.txt"]),
-            (f"gilbert-elliott n={n}", ANALYZE_GE_MB, "analyze",
+            (f"gilbert-elliott n={n}", ANALYZE_GE_MB, 0, "analyze",
              ["ge.vlct", "--clusters-out", "ge-clusters.csv", "--report-out", "ge-report.txt"]),
-            (f"nb-cluster n={n}", SIMULATE_MB, "simulate",
+            (f"nb-cluster n={n}", SIMULATE_MB, 0, "simulate",
              ["--mode", "broadcast", "--process", NB_SPEC, "--n", str(n), "--seed", "1",
               "--out", "nb.vlct", "--summary", "nb.txt"]),
-            (f"iid csv n={n_csv}", SIMULATE_MB, "simulate",
+            (f"iid csv n={n_csv}", SIMULATE_MB, 0, "simulate",
              ["--mode", "broadcast", "--per", "0.1", "--n", str(n_csv), "--seed", "3",
               "--out", "t.csv", "--summary", "t.txt"]),
-            (f"iid csv n={n_csv}", ANALYZE_CSV_MB, "analyze",
+            (f"iid csv n={n_csv}", ANALYZE_CSV_MB, 0, "analyze",
              ["t.csv", "--clusters-out", "t-clusters.csv", "--report-out", "t-report.txt"]),
+            ("binomial n=1e12 model table", SAL_CAP_MB, 2, "sal",
+             ["--models", "far.csv", "--out", "far-sal.csv"]),
         ):
-            code, rss_mb, seconds = run_cli([command, *args], work)
-            passed = code == 0 and rss_mb <= bound_mb
-            print(f"{'PASS' if passed else 'FAIL'} {command} {label}: exit {code}, "
+            code, rss_mb, seconds = run_cli(
+                [command, *args], work, SAL_CAP_ADDRESS_SPACE_MB if command == "sal" else None)
+            passed = code == expect and rss_mb <= bound_mb
+            print(f"{'PASS' if passed else 'FAIL'} {command} {label}: exit {code} "
+                  f"(expected {expect}), "
                   f"peak RSS {rss_mb:.1f} MB (bound {bound_mb:.0f} MB), {seconds:.2f} s")
             ok = ok and passed
     return 0 if ok else 1

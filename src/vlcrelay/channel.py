@@ -295,6 +295,14 @@ def process_to_spec(process: ErrorProcess) -> str:
     raise ChannelError(f"unknown error process {process!r}")
 
 
+def _baud_field(text: str) -> int:
+    """A PER-table baud: a finite, positive, integral number, such as 2.3e5."""
+    baud = float(text)
+    if not (baud > 0 and baud.is_integer()):
+        raise ValueError(f"baud must be a positive integer, got {text!r}")
+    return int(baud)
+
+
 @dataclass(frozen=True)
 class PerDistanceTable:
     """Measured (distance, baud) -> PER anchors with log-linear lookup."""
@@ -304,10 +312,13 @@ class PerDistanceTable:
     pers: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.distances_m <= 0):
-            raise ChannelError("distances must be positive")
-        if np.any((self.pers < 0) | (self.pers > 1)):
+        # each check is written so that NaN fails it
+        if not np.all((self.distances_m > 0) & (self.distances_m < math.inf)):
+            raise ChannelError("distances must be finite and positive")
+        if not np.all((self.pers >= 0) & (self.pers <= 1)):
             raise ChannelError("per values must be in [0, 1]")
+        if not np.all(self.bauds > 0):
+            raise ChannelError("bauds must be positive")
         keys = set(zip(self.distances_m.tolist(), self.bauds.tolist()))
         if len(keys) != self.distances_m.size:
             raise ChannelError("(distance, baud) pairs must be unique")
@@ -326,7 +337,7 @@ class PerDistanceTable:
     def from_csv(cls, path) -> "PerDistanceTable":
         return cls.from_rows(read_table(
             path, ("distance_m", "baud", "per"),
-            lambda row: (float(row["distance_m"]), int(float(row["baud"])),
+            lambda row: (float(row["distance_m"]), _baud_field(row["baud"]),
                          float(row["per"])),
             ChannelError))
 

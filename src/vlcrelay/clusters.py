@@ -255,7 +255,7 @@ def _xlogy(x, y: float) -> np.ndarray:
 
 def nb_pmf(k, r: float, p: float) -> np.ndarray:
     """P(K=k) = Gamma(k+r) / (k! Gamma(r)) * p^r * (1-p)^k, any real r > 0."""
-    if r <= 0:
+    if not r > 0:
         raise ClusterStatsError(f"r must be > 0, got {r}")
     if not 0.0 < p < 1.0:
         raise ClusterStatsError(f"p must be in (0, 1), got {p}")
@@ -269,7 +269,7 @@ def nb_pmf(k, r: float, p: float) -> np.ndarray:
 
 
 def poisson_pmf(k, lam: float) -> np.ndarray:
-    if lam < 0:
+    if not lam >= 0:
         raise ClusterStatsError(f"lambda must be >= 0, got {lam}")
     k = np.asarray(k, dtype=np.int64)
     if lam == 0.0:
@@ -329,10 +329,10 @@ class CdfTable:
         self._n, self._pmf, self._ratio = k + 1, pmf, ratio
         self.finished = k == size - 1
 
-    def grow(self, upto: float = -math.inf, k: int = 0) -> np.ndarray:
-        """Extend the table until its last value is at least ``upto`` and it
-        holds index ``k``, or it is finished; returns the table."""
-        while not self.finished and (self._buf[self._n - 1] < upto or self._n <= k):
+    def grow(self, upto: float = -math.inf) -> np.ndarray:
+        """Extend the table until its last value is at least ``upto`` or it
+        is finished; returns the table."""
+        while not self.finished and self._buf[self._n - 1] < upto:
             lo = self._n
             hi = min(2 * lo, lo + _TABLE_CHUNK, self._buf.size)
             chunk = self._buf[lo:hi]
@@ -362,9 +362,11 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
         return CdfTable(pmf0, -lam, lambda k: lam / k)
     n, p = int(params[0]), params[1]
     if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
+        if n > _RUN_CAP:
+            raise ClusterStatsError(f"binomial(n={n}, p=1) has its mass at n, beyond {_RUN_CAP}")
         return CdfTable(1.0, 0.0, None, size=n + 1, start=n)
     return CdfTable(pmf0, n * math.log1p(-p), lambda k: (n - k + 1) * p / (k * (1.0 - p)),
-                    size=n + 1)
+                    size=min(n, _RUN_CAP) + 1)
 
 
 @dataclass(frozen=True)
@@ -381,12 +383,6 @@ class FitResult:
     @cached_property
     def _table(self) -> CdfTable:
         return cdf_table(self.family, self.params)
-
-    def cdf(self, k) -> np.ndarray:
-        """CDF at ``k`` from the law's table, flat past the table's end."""
-        k = np.asarray(k, dtype=np.int64)
-        cdf = self._table.grow(k=int(k.max()) if k.size else 0)
-        return cdf[np.minimum(k, cdf.size - 1)]
 
     @property
     def mean(self) -> float:
@@ -503,16 +499,17 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
     return xf, fx, num, flag
 
 
-def _fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    n = weights.sum()
-    mean = float((values * weights).sum() / n)
+def _fit_nb_mle(dist: ClusterDistribution) -> tuple[float, float]:
+    mean = dist.mean
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
+    values, weights = (a.astype(float) for a in dist.values_weights())
+    log_k_factorial = _gammaln(values + 1)
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
         p = r / (r + mean)
-        ll = weights @ (_gammaln(values + r) - _gammaln(r) - _gammaln(values + 1)
+        ll = weights @ (_gammaln(values + r) - _gammaln(r) - log_k_factorial
                         + r * math.log(p) + values * math.log1p(-p))
         return -float(ll)
 
@@ -528,15 +525,12 @@ def fit(dist: ClusterDistribution, family: Family) -> FitResult:
     """Maximum-likelihood fit of one family to the per-transmission law,
     thin sample or not: callers read ``dist.insufficient``."""
     family = Family(family)
-    values, weights = dist.values_weights()
-    values = values.astype(float)
-    weights = weights.astype(float)
     mean = dist.mean
 
     if family is Family.POISSON:
         params: tuple[float, ...] = (mean,)
     elif family is Family.NEG_BINOMIAL:
-        params = _fit_nb_mle(values, weights)
+        params = _fit_nb_mle(dist)
     else:
         n = max(1, dist.max_cluster)
         params = (float(n), mean / n)
@@ -566,7 +560,7 @@ def quantile(model, target_prob: float) -> int:
     cdf = model._table.grow(target_prob)
     if not cdf[-1] >= target_prob:
         raise ClusterStatsError(f"quantile({target_prob}) of {model.describe()} is beyond "
-                                f"{cdf.size - 1}, where its CDF ends at {cdf[-1]!r}")
+                                f"{cdf.size - 1}, where its CDF ends at {float(cdf[-1])!r}")
     return int(np.searchsorted(cdf, target_prob))
 
 
@@ -579,7 +573,7 @@ class LatencyParams:
     pt_s: float
 
     def __post_init__(self):
-        if self.l0_s < 0 or self.ipd_s < 0 or self.pt_s < 0:
+        if not (self.l0_s >= 0 and self.ipd_s >= 0 and self.pt_s >= 0):
             raise ClusterStatsError("latency parameters must be >= 0")
 
     @classmethod
@@ -614,7 +608,10 @@ def _model_row(row: dict[str, str]) -> tuple[float, Family, list[float]]:
     if not all(0 < x < math.inf for x in params):
         raise ValueError(f"parameters must be finite and > 0, got {params}")
     _family_pmf(family, tuple(params), 0)  # raises outside the family's domain
-    return float(row["per"]), family, params
+    per = float(row["per"])
+    if not 0 < per <= 1:  # NaN included
+        raise ValueError(f"per must be in (0, 1], got {per}")
+    return per, family, params
 
 
 @dataclass(frozen=True)

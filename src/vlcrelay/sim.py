@@ -302,6 +302,10 @@ def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> Pa
         for key, value in (("payload", REFERENCE_PAYLOAD), ("preamble", DEFAULT_PREAMBLE)):
             if header[key] != value.hex():
                 raise ValueError(f"{key}={header[key]}, but the link's is {value.hex()}")
+        for key in ("seed", "baud"):  # the writer's decimal spelling, as n_packets
+            if header[key] != str(int(header[key])):
+                raise ValueError(f"{key}={header[key]} is not spelled as the writer "
+                                 f"spells {int(header[key])}")
         config = LinkConfig.from_text_fields(header)
         _channel.process_from_spec(header["process"])  # checked, kept as written
         seed = _check_seed(int(header["seed"]))

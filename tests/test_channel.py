@@ -462,6 +462,11 @@ def test_table_validation(tmp_path):
         channel.PerDistanceTable.from_rows([(-1.0, 230000, 0.1)])
     with pytest.raises(channel.ChannelError):
         channel.PerDistanceTable.from_rows([(10.0, 230000, 1.2)])
+    for row in [(math.nan, 230000, 0.1), (math.inf, 230000, 0.1), (0.0, 230000, 0.1),
+                (10.0, 230000, math.nan), (10.0, 230000, -0.1), (10.0, 0, 0.1),
+                (10.0, -5, 0.1)]:
+        with pytest.raises(channel.ChannelError):
+            channel.PerDistanceTable.from_rows([row])
     bad = tmp_path / "bad.csv"
     bad.write_text("distance_m,baud\n10,230000\n")
     with pytest.raises(channel.ChannelError):
@@ -472,3 +477,10 @@ def test_table_validation(tmp_path):
     bad.write_text("distance_m,baud,per\n\n10,230000,0.1,99\n")
     with pytest.raises(channel.ChannelError, match="bad.csv:3: expected 3 fields"):
         channel.PerDistanceTable.from_csv(bad)
+    for baud in ("inf", "nan", "230000.7", "-5", "0"):
+        bad.write_text(f"distance_m,baud,per\n10,{baud},0.1\n")
+        with pytest.raises(channel.ChannelError, match="bad.csv:2: bad row: baud must be"):
+            channel.PerDistanceTable.from_csv(bad)
+    for baud in ("230000", "230000.0", "2.3e5"):
+        bad.write_text(f"distance_m,baud,per\n10,{baud},0.1\n")
+        assert channel.PerDistanceTable.from_csv(bad).bauds.tolist() == [230000]

@@ -300,6 +300,16 @@ def test_safety_empty_scenarios(tmp_path, capsys):
 
 GOOD_ROWS = "0.3,poisson,0.2,\n0.5,poisson,0.4,\n"
 SAL_AT_0_4 = ["sal", "--per-grid", "0.4", "--models"]
+SAL_AT_0_05 = ["sal", "--per-grid", "0.05", "--models"]
+INGEST_AT_15 = ["ingest-per-table", "--distance-m", "15", "--baud", "230000"]
+# model-table rows whose PER is outside (0, 1], each on line 2
+BAD_PER_ROWS = [
+    ("0,poisson,0.2,\n0.3,poisson,0.4,\n", SAL_AT_0_05),
+    ("-0.1,poisson,0.2,\n0.3,poisson,0.4,\n", SAL_AT_0_05),
+    (f"1.5,poisson,0.2,\n{GOOD_ROWS}", SAL_AT_0_4),
+    (f"nan,poisson,0.2,\n{GOOD_ROWS}", SAL_AT_0_4),
+]
+BAD_PER_IDS = ["models-per-zero", "models-per-negative", "models-per-above-1", "models-per-nan"]
 
 
 @pytest.mark.parametrize("name, text, argv", [
@@ -324,18 +334,34 @@ SAL_AT_0_4 = ["sal", "--per-grid", "0.4", "--models"]
     ("s.csv", "v_kmh,distance_m,per\nnan,12,1e-5\n", ["safety"]),
     ("s.csv", "v_kmh,distance_m,per\n50,nan,1e-5\n", ["safety"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,-1\n", ["safety"]),
+    *(("m.csv", f"per,family,param1,param2\n{rows}", argv) for rows, argv in BAD_PER_ROWS),
+    ("p.csv", "distance_m,baud,per\n10,inf,0.1\n", ["ingest-per-table"]),
+    ("p.csv", "distance_m,baud,per\n10,230000.7,0.1\n", ["ingest-per-table"]),
+    ("p.csv", "distance_m,baud,per\n10,-5,0.1\n", ["ingest-per-table"]),
+    ("p.csv", "distance_m,baud,per\n10,230000,nan\n20,230000,1e-2\n", INGEST_AT_15),
+    ("p.csv", "distance_m,baud,per\nnan,230000,1e-4\n20,230000,1e-2\n", INGEST_AT_15),
 ], ids=["models-short-row", "models-extra-field", "models-infinite-lambda",
         "models-negative-r", "models-zero-lambda", "models-poisson-two-params",
         "models-nb-one-param", "models-binomial-fractional-n", "models-binomial-n-below-1",
         "models-binomial-p-above-1", "models-nb-p-above-1",
         "per-table-extra-field", "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
-        "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative"])
+        "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative",
+        *BAD_PER_IDS, "per-table-baud-inf", "per-table-baud-fractional",
+        "per-table-baud-negative", "per-table-per-nan", "per-table-distance-nan"])
 def test_malformed_table_input_exits_2(tmp_path, capsys, name, text, argv):
     (tmp_path / name).write_text(text)
     out = tmp_path / "out.csv"
     assert run_cli(*argv, str(tmp_path / name), "--out", str(out)) == 2
     assert "error:" in run_err(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, argv", BAD_PER_ROWS, ids=BAD_PER_IDS)
+def test_model_table_per_outside_0_1_names_its_line(tmp_path, capsys, rows, argv):
+    path = tmp_path / "m.csv"
+    path.write_text(f"per,family,param1,param2\n{rows}")
+    assert run_cli(*argv, str(path)) == 2
+    assert f"error: {path}:2: bad row: per must be in (0, 1]" in run_err(capsys)
 
 
 def test_ingest_per_table(tmp_path, capsys):

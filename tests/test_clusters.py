@@ -142,6 +142,18 @@ def test_nb_pmf_domain_errors():
         clusters.nb_pmf(-1, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: clusters.nb_pmf(0, math.nan, 0.5),
+    lambda: clusters.poisson_pmf(0, math.nan),
+    lambda: clusters.LatencyParams(math.nan, 0.0, 1e-4),
+    lambda: clusters.LatencyParams(595e-6, math.nan, 1e-4),
+    lambda: clusters.LatencyParams(595e-6, 0.0, math.nan),
+], ids=["nb-r", "poisson-lambda", "latency-l0", "latency-ipd", "latency-pt"])
+def test_range_checks_refuse_nan(call):
+    with pytest.raises(clusters.ClusterStatsError):
+        call()
+
+
 def test_poisson_and_binom_pmf_against_reference():
     ks = np.arange(40)
     assert np.allclose(clusters.poisson_pmf(ks, 0.0042), sp_poisson.pmf(ks, 0.0042),
@@ -214,9 +226,9 @@ def test_fit_nb_matches_minimize_scalar_oracle(spec, mode):
     process = channel.process_from_spec(spec)
     for seed in range(5):
         trace = sim.run(LinkConfig(mode=mode), process, 60_000, seed)
-        values, weights = clusters.extract_clusters(trace).values_weights()
-        values, weights = values.astype(float), weights.astype(float)
-        assert clusters._fit_nb_mle(values, weights) == oracles.fit_nb_mle(values, weights)
+        dist = clusters.extract_clusters(trace)
+        values, weights = (a.astype(float) for a in dist.values_weights())
+        assert clusters._fit_nb_mle(dist) == oracles.fit_nb_mle(values, weights)
 
 
 def _same(a, b) -> bool:
@@ -350,9 +362,10 @@ def test_quantiles_match_published_poisson_rows(lam):
 def test_quantile_is_generalized_inverse(r, p, target):
     model = clusters.FitResult(clusters.Family.NEG_BINOMIAL, (r, p))
     k = clusters.quantile(model, target)
-    assert model.cdf(np.array([k]))[0] >= target
+    cdf = clusters.cdf_table(model.family, model.params).grow(target)
+    assert cdf[k] >= target
     if k > 0:
-        assert model.cdf(np.array([k - 1]))[0] < target
+        assert cdf[k - 1] < target
 
 
 def test_quantile_rejects_bad_targets():
@@ -420,6 +433,7 @@ def test_empirical_quantile_past_a_cdf_end_below_1_is_the_longest_run():
     (BINOMIAL, (1844.0, 0.675)), (BINOMIAL, (3000.0, 0.9)),  # (1-p)^n underflows
     # log-space starts over several chunks of 2^16 terms
     (NB, (2000.0, 0.01)), (POISSON, (2e5,)), (BINOMIAL, (3e5, 0.5)),
+    (BINOMIAL, (float(clusters._RUN_CAP + 1), 1e-9)),  # n past the run cap
 ])
 def test_cdf_table_matches_the_recurrence_loop(family, params):
     table = clusters.cdf_table(family, params)
@@ -440,6 +454,22 @@ def test_cdf_table_chunk_edges_match_the_recurrence_loop(monkeypatch, chunk, fam
     assert np.array_equal(table.grow(math.inf), oracles.law_cdf_table(family, params))
 
 
+def test_binomial_table_ends_at_the_run_cap(monkeypatch):
+    # a cap below the mode: the table stops at the cap and the median is beyond it
+    monkeypatch.setattr(clusters, "_RUN_CAP", 10)
+    table = clusters.cdf_table(BINOMIAL, (1000.0, 0.5))
+    assert np.array_equal(table.grow(math.inf),
+                          oracles.law_cdf_table(BINOMIAL, (1000.0, 0.5), size=11))
+    with pytest.raises(clusters.ClusterStatsError, match=r"beyond 10, where its CDF ends"):
+        clusters.quantile(clusters.FitResult(BINOMIAL, (1000.0, 0.5)), 0.5)
+
+
+def test_binomial_mass_past_the_run_cap_raises():
+    model = clusters.FitResult(BINOMIAL, (float(clusters._RUN_CAP + 1), 1.0))
+    with pytest.raises(clusters.ClusterStatsError, match=f"beyond {clusters._RUN_CAP}"):
+        clusters.quantile(model, 0.5)
+
+
 def test_far_poisson_quantile_starts_in_chunks():
     # e^-lambda underflows for 4,916,582 terms; the one-step loop took 5 s
     start = time.perf_counter()
@@ -458,7 +488,7 @@ def test_edge_laws_keep_their_quantiles(family, params, expect):
         assert k == oracles.doubling_quantile(model, target), target
         assert expect is None or k == expect
     if family is BINOMIAL and params[1] == 1.0:
-        assert model.cdf(np.arange(5)).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+        assert clusters.cdf_table(family, params).grow(math.inf).tolist() == [0, 0, 0, 1]
 
 
 def test_tail_quantile_reads_the_table_quickly():

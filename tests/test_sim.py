@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -283,6 +284,23 @@ def test_read_trace_rejects_negative_seed(tmp_path, name):
     sim.write_trace(sim.run(BROADCAST, channel.IidPacket(0.2), 10, seed=4), path)
     path.write_bytes(path.read_bytes().replace(b"# seed=4\n", b"# seed=-4\n"))
     with pytest.raises(sim.TraceFormatError, match="seed must be >= 0, got -4"):
+        sim.read_trace(path)
+
+
+@pytest.mark.parametrize("line", ["seed=3_0", "seed=03", "seed=+3", "seed=\u0663",
+                                  "baud=230_000", "baud=0230000"])
+@pytest.mark.parametrize("name", ["t.vlct", "t.csv"])
+def test_read_trace_rejects_header_integers_not_spelled_as_written(tmp_path, name, line):
+    # int() takes each of these, and 3_0 as 30: a header names its run only
+    # in the writer's spelling
+    path = tmp_path / name
+    sim.write_trace(sim.run(BROADCAST, channel.IidPacket(0.2), 10, seed=3), path)
+    key = line.partition("=")[0]
+    data = path.read_bytes()
+    written = {"seed": b"# seed=3\n", "baud": b"# baud=230000\n"}[key]
+    assert data.count(written) == 1
+    path.write_bytes(data.replace(written, f"# {line}\n".encode()))
+    with pytest.raises(sim.TraceFormatError, match=re.escape(f"bad header: {line} is not")):
         sim.read_trace(path)
 
 
