@@ -1,8 +1,10 @@
 """Scale smoke test: ``simulate`` and ``analyze`` on 10^7 iid packets and
 on 10^7 Gilbert-Elliott packets, ``simulate`` on 10^7 nb-cluster packets
 (the PER-0.3 anchor), a CSV-export round trip (``simulate --out t.csv``,
-then ``analyze t.csv``) on a tenth as many, and ``sal`` on a model table
-whose one law, binomial(n=10^12), must end at the run cap with exit 2.
+then ``analyze t.csv``) on a tenth as many, ``sal`` on a model table
+whose one law, binomial(n=10^12), must end at the run cap with exit 2,
+and the bundled ``sal`` and ``safety``, whose bound is below the peak of
+an interpreter that imports numpy: they run on the standard library alone.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
@@ -29,9 +31,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # three processes (nb-cluster 58.2 MB), analyze 51 MB for both; each bound is
 # that plus about a quarter
 SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 65.0, 65.0, 100.0
-# a binomial table stops at the 10^7 run cap: about 110 MB, for its log-space start;
-# its address space is limited, so a table past the cap fails fast, not the machine
-SAL_CAP_MB, SAL_CAP_ADDRESS_SPACE_MB = 150.0, 1500.0
+# a binomial table stops at the 10^7 run cap: 34 MB, numpy's import and one
+# chunk of its log-space start; its address space is limited, so a table past
+# the cap fails fast, not the machine
+SAL_CAP_MB, SAL_CAP_ADDRESS_SPACE_MB = 42.0, 1500.0
+# the bundled sal and safety peak at 16 MB, a bare interpreter at 14 MB and one
+# that imports numpy at 27 MB
+NO_NUMPY_MB = 22.0
 GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
 NB_SPEC = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
 
@@ -86,9 +92,12 @@ def main() -> int:
              ["t.csv", "--clusters-out", "t-clusters.csv", "--report-out", "t-report.txt"]),
             ("binomial n=1e12 model table", SAL_CAP_MB, 2, "sal",
              ["--models", "far.csv", "--out", "far-sal.csv"]),
+            ("bundled model table", NO_NUMPY_MB, 0, "sal", ["--out", "sal.csv"]),
+            ("bundled scenarios", NO_NUMPY_MB, 0, "safety", ["--out", "safety.csv"]),
         ):
             code, rss_mb, seconds = run_cli(
-                [command, *args], work, SAL_CAP_ADDRESS_SPACE_MB if command == "sal" else None)
+                [command, *args], work,
+                SAL_CAP_ADDRESS_SPACE_MB if "far.csv" in args else None)
             passed = code == expect and rss_mb <= bound_mb
             print(f"{'PASS' if passed else 'FAIL'} {command} {label}: exit {code} "
                   f"(expected {expect}), "

@@ -15,17 +15,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._errors import ChannelError
 from ._tables import OutOfRange, data_path, read_table
-from .clusters import _BLOCK, _RUN_CAP, CdfTable, Family, _packet_blocks, cdf_table
-from .codec import FRAME_BITS
+from .clusters import _BLOCK, _packet_blocks
+from .laws import _RUN_CAP, CdfTable, Family, cdf_table
+from .node import FRAME_BITS
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
 _NB_CYCLES = 4096  # (gap, cluster) cycles per batch of the nb-cluster draw
-
-
-class ChannelError(ValueError):
-    """Invalid channel parameter or table."""
 
 
 class UnknownBaud(ChannelError):
@@ -161,10 +159,10 @@ def _cluster_sizes(table: CdfTable, p0: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sizes (>= 1) of a law conditioned on >= 1, for uniforms
     ``u`` in [0, 1): a target above the finished table takes its last index,
     and a target of exactly 1.0 the cap."""
-    target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1]
-    cdf = table.grow(float(target.max()))
-    sizes = np.maximum(np.minimum(np.searchsorted(cdf, target), cdf.size - 1), 1)
-    return np.where(target == 1.0, _RUN_CAP, sizes)
+    target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1], above the table's leading zeros
+    cdf = np.frombuffer(table.grow(float(target.max())))
+    sizes = table.start + np.minimum(np.searchsorted(cdf, target), cdf.size - 1)
+    return np.where(target == 1.0, _RUN_CAP, np.maximum(sizes, 1))
 
 
 def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float,
@@ -295,11 +293,11 @@ def process_to_spec(process: ErrorProcess) -> str:
     raise ChannelError(f"unknown error process {process!r}")
 
 
-def _baud_field(text: str) -> int:
-    """A PER-table baud: a finite, positive, integral number, such as 2.3e5."""
-    baud = float(text)
-    if not (baud > 0 and baud.is_integer()):
-        raise ValueError(f"baud must be a positive integer, got {text!r}")
+def _check_baud(baud: float) -> int:
+    """A PER-table baud as an int: it must be a finite, positive, integral
+    number, such as 2.3e5."""
+    if not (baud > 0 and float(baud).is_integer()):
+        raise ChannelError(f"baud must be a positive integer, got {baud!r}")
     return int(baud)
 
 
@@ -317,8 +315,8 @@ class PerDistanceTable:
             raise ChannelError("distances must be finite and positive")
         if not np.all((self.pers >= 0) & (self.pers <= 1)):
             raise ChannelError("per values must be in [0, 1]")
-        if not np.all(self.bauds > 0):
-            raise ChannelError("bauds must be positive")
+        object.__setattr__(self, "bauds", np.array(
+            [_check_baud(b) for b in np.asarray(self.bauds).tolist()], dtype=int))
         keys = set(zip(self.distances_m.tolist(), self.bauds.tolist()))
         if len(keys) != self.distances_m.size:
             raise ChannelError("(distance, baud) pairs must be unique")
@@ -329,15 +327,14 @@ class PerDistanceTable:
         if not rows:
             raise ChannelError("table needs at least one row")
         d, b, p = zip(*rows)
-        return cls(distances_m=np.asarray(d, dtype=float),
-                   bauds=np.asarray(b, dtype=int),
+        return cls(distances_m=np.asarray(d, dtype=float), bauds=np.asarray(b),
                    pers=np.asarray(p, dtype=float))
 
     @classmethod
     def from_csv(cls, path) -> "PerDistanceTable":
         return cls.from_rows(read_table(
             path, ("distance_m", "baud", "per"),
-            lambda row: (float(row["distance_m"]), _baud_field(row["baud"]),
+            lambda row: (float(row["distance_m"]), _check_baud(float(row["baud"])),
                          float(row["per"])),
             ChannelError))
 

@@ -8,6 +8,10 @@ byte-identical files.  Exit codes: 0 success, 2 configuration error,
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags override file values.  ``VLCRELAY_OUT`` names the default
 output directory for files whose path is not given explicitly.
+
+``sal`` and ``safety`` run on the standard library alone: the numpy layers
+(``channel``, ``sim``, ``clusters``) are imported inside the commands that
+use them.
 """
 
 from __future__ import annotations
@@ -16,13 +20,17 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import channel as _channel
-from . import clusters as _clusters
+from . import laws as _laws
 from . import safety as _safety
-from . import sim as _sim
+from ._errors import ChannelError, TraceFormatError
 from ._tables import OutOfRange
 from .node import ConfigError, LinkConfig, Mode, estimate_ber_upper
+
+if TYPE_CHECKING:
+    from . import channel as _channel
+    from . import sim as _sim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,6 +94,8 @@ def _format_float(x: float) -> str:
 
 
 def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess:
+    from . import channel as _channel
+
     given = [name for name, val in
              (("per", args.per), ("process", args.process), ("distance_m", args.distance_m))
              if val is not None]
@@ -122,6 +132,8 @@ def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim as _sim
+
     config = LinkConfig.from_text_fields(vars(args))
     process = _build_process(args, config.baud)
     n = args.n if args.n is not None else 10000
@@ -167,6 +179,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import clusters as _clusters
+    from . import sim as _sim
+
     dist = _clusters.extract_clusters(_sim.read_trace(args.trace))
     targets = _parse_targets(args.targets)
     clusters_out = Path(args.clusters_out) if args.clusters_out else _default_out("clusters.csv")
@@ -227,7 +242,7 @@ def _parse_floats(name: str, spec: str) -> list[float]:
 
 def _parse_targets(spec: str | None) -> list[float]:
     if spec is None:
-        return list(_clusters.DEFAULT_TARGETS)
+        return list(_laws.DEFAULT_TARGETS)
     targets = _parse_floats("targets", spec)
     if not all(0.0 < t < 1.0 for t in targets):
         raise ConfigError(f"targets must be probabilities in (0, 1), got {spec}")
@@ -235,15 +250,15 @@ def _parse_targets(spec: str | None) -> list[float]:
 
 
 def cmd_sal(args: argparse.Namespace) -> int:
-    table = (_clusters.ModelTable.from_csv(args.models) if args.models
-             else _clusters.ModelTable.bundled())
+    table = (_laws.ModelTable.from_csv(args.models) if args.models
+             else _laws.ModelTable.bundled())
     targets = _parse_targets(args.targets)
     config = LinkConfig.from_text_fields(vars(args))
-    params = _clusters.LatencyParams.from_baud(config.baud, ipd_s=config.ipd_s)
+    params = _laws.LatencyParams.from_baud(config.baud, ipd_s=config.ipd_s)
     grid = (_parse_floats("per-grid", args.per_grid) if args.per_grid is not None
             else [float(p) for p in table.pers])
 
-    points = _clusters.sal_curve(grid, targets, table, params)
+    points = _laws.sal_curve(grid, targets, table, params)
 
     out = Path(args.out) if args.out else _default_out("sal.csv")
     lines = ["per,target,packets,latency_us"]
@@ -293,6 +308,8 @@ def cmd_safety(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest_per_table(args: argparse.Namespace) -> int:
+    from . import channel as _channel
+
     table = _channel.PerDistanceTable.from_csv(args.table)
     if args.distance_m is not None and args.baud is None:
         raise ConfigError("--baud is required with --distance-m")
@@ -385,10 +402,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: usage errors and --help
         return int(exc.code) if exc.code else EXIT_OK
-    except (_sim.TraceFormatError, OSError, UnicodeDecodeError) as exc:
+    except (TraceFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, _channel.ChannelError, _clusters.ClusterStatsError,
+    except (ConfigError, ChannelError, _laws.ClusterStatsError,
             _safety.SafetyError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,33 +7,40 @@ The pipeline here extracts the per-transmission run-length law (zeros
 included), fits negative-binomial / Poisson / binomial candidates by
 maximum likelihood, picks the best by worst-case CDF error, and maps
 quantiles of the winner to statistically-averaged latency (SAL) figures.
+
+The model-law half, which needs no numpy (the families, a law's CDF table
+and quantile, the model table and the latency map), is ``laws``; its
+names are re-exported here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from ._tables import OutOfRange, data_path, read_table
-from .node import LinkConfig
+from ._tables import OutOfRange  # noqa: F401  (re-exported)
+from .laws import (  # noqa: F401  (re-exported)
+    DEFAULT_TARGETS,
+    CdfTable,
+    ClusterStatsError,
+    Family,
+    FitResult,
+    LatencyParams,
+    ModelTable,
+    SalPoint,
+    cdf_table,
+    check_params,
+    latency_from_clusters,
+    quantile,
+    sal_curve,
+)
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
-DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
 _BLOCK = 1 << 14  # packets per block of the draws and the run scans
-_RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
-_LOG_MIN = math.log(sys.float_info.min)
-_TABLE_CHUNK = 1 << 16  # most terms CdfTable steps at once
 _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
-
-
-class ClusterStatsError(ValueError):
-    """Base class for statistics failures."""
 
 
 class FitDiverged(ClusterStatsError):
@@ -159,16 +166,6 @@ def extract_clusters(trace_or_received) -> ClusterDistribution:
     return ClusterDistribution(hist=hist, n_slots=int(received.size))
 
 
-class Family(str, Enum):
-    NEG_BINOMIAL = "negbinomial"
-    POISSON = "poisson"
-    BINOMIAL = "binomial"
-
-    @property
-    def n_params(self) -> int:
-        return 1 if self is Family.POISSON else 2
-
-
 # Cephes lgam (scipy.special.gammaln): Stirling-series polynomial A, and the
 # rational approximation B/C of log Gamma(2 + x) for x in [0, 1)
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
@@ -255,10 +252,7 @@ def _xlogy(x, y: float) -> np.ndarray:
 
 def nb_pmf(k, r: float, p: float) -> np.ndarray:
     """P(K=k) = Gamma(k+r) / (k! Gamma(r)) * p^r * (1-p)^k, any real r > 0."""
-    if not r > 0:
-        raise ClusterStatsError(f"r must be > 0, got {r}")
-    if not 0.0 < p < 1.0:
-        raise ClusterStatsError(f"p must be in (0, 1), got {p}")
+    check_params(Family.NEG_BINOMIAL, (r, p))
     k = np.asarray(k)
     if np.any(k < 0) or np.any(k != np.floor(k)):
         raise ClusterStatsError("k must be a nonnegative integer")
@@ -269,8 +263,7 @@ def nb_pmf(k, r: float, p: float) -> np.ndarray:
 
 
 def poisson_pmf(k, lam: float) -> np.ndarray:
-    if not lam >= 0:
-        raise ClusterStatsError(f"lambda must be >= 0, got {lam}")
+    check_params(Family.POISSON, (lam,))
     k = np.asarray(k, dtype=np.int64)
     if lam == 0.0:
         return (k == 0).astype(float)
@@ -279,11 +272,8 @@ def poisson_pmf(k, lam: float) -> np.ndarray:
 
 
 def binom_pmf(k, n: int, p: float) -> np.ndarray:
-    if not (n >= 1 and float(n).is_integer()):
-        raise ClusterStatsError(f"n must be an integer >= 1, got {n}")
+    check_params(Family.BINOMIAL, (n, p))
     n = int(n)
-    if not 0.0 <= p <= 1.0:
-        raise ClusterStatsError(f"p must be in [0, 1], got {p}")
     k = np.asarray(k, dtype=np.int64)
     inside = (k >= 0) & (k <= n)
     kk = np.clip(k, 0, n)
@@ -295,111 +285,6 @@ def binom_pmf(k, n: int, p: float) -> np.ndarray:
 def _family_pmf(family: Family, params: tuple[float, ...], k) -> np.ndarray:
     pmfs = {Family.NEG_BINOMIAL: nb_pmf, Family.POISSON: poisson_pmf, Family.BINOMIAL: binom_pmf}
     return pmfs[family](k, *params)
-
-
-class CdfTable:
-    """CDF of a count law at 0, 1, ... from its pmf recurrence
-    ``pmf(k) = pmf(k-1) * ratio(k)``, summed in order as a plain loop would.
-    It grows in chunks, doubling up to ``_TABLE_CHUNK`` terms, as far as its
-    readers ask, and is finished when a term no longer moves the float CDF
-    or it holds ``size`` entries.  Entries before ``start`` are 0."""
-
-    def __init__(self, pmf0: float, log_pmf0: float, ratio, size: int = _RUN_CAP + 1,
-                 start: int = 0):
-        k, pmf = start, pmf0
-        if pmf < sys.float_info.min:
-            # pmf(0) underflows (NB r=200, p=1e-3): step the leading terms in log
-            # space, a chunk at a time, and count them as 0; start from the
-            # exactly rounded log sum, as a running sum drifts by ~1e-12 over two
-            # thousand steps.  math.log and an in-order cumsum step as a loop.
-            log_pmf, logs = log_pmf0, [np.array([log_pmf0])]
-            while log_pmf < _LOG_MIN and k < size - 1:
-                ks = np.arange(k + 1, min(k + 1 + _TABLE_CHUNK, size), dtype=np.float64)
-                chunk = np.fromiter(map(math.log, ratio(ks).tolist()), np.float64, ks.size)
-                walk = chunk.copy()
-                walk[0] += log_pmf
-                np.cumsum(walk, out=walk)
-                up = np.flatnonzero(~(walk < _LOG_MIN))
-                steps = int(up[0]) + 1 if up.size else ks.size
-                logs.append(chunk[:steps])
-                k, log_pmf = k + steps, float(walk[steps - 1])
-            pmf = math.exp(math.fsum(itertools.chain.from_iterable(c.tolist() for c in logs)))
-        self._buf = np.zeros(size)  # only the pages written take memory
-        self._buf[k] = pmf
-        self._n, self._pmf, self._ratio = k + 1, pmf, ratio
-        self.finished = k == size - 1
-
-    def grow(self, upto: float = -math.inf) -> np.ndarray:
-        """Extend the table until its last value is at least ``upto`` or it
-        is finished; returns the table."""
-        while not self.finished and self._buf[self._n - 1] < upto:
-            lo = self._n
-            hi = min(2 * lo, lo + _TABLE_CHUNK, self._buf.size)
-            chunk = self._buf[lo:hi]
-            chunk[:] = self._ratio(np.arange(lo, hi, dtype=np.float64))  # pmf(k) / pmf(k-1)
-            chunk[0] *= self._pmf
-            np.cumprod(chunk, out=chunk)  # cumprod and cumsum go in order, as a loop
-            self._pmf = float(chunk[-1])
-            chunk[0] += self._buf[lo - 1]
-            np.cumsum(chunk, out=chunk)
-            stuck = np.flatnonzero(chunk == self._buf[lo - 1:hi - 1])
-            self._n = lo + int(stuck[0]) if stuck.size else hi
-            self.finished = stuck.size > 0 or hi == self._buf.size
-        return self._buf[:self._n]
-
-
-def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
-    """A law's CDF table from its pmf(0), the log of that and pmf(k) / pmf(k-1)."""
-    pmf0 = float(_family_pmf(family, params, 0))  # raises outside the family's domain
-    if not np.isfinite(params).all():
-        raise ClusterStatsError(f"{family.value} parameters must be finite, got {params}")
-    if family is Family.NEG_BINOMIAL:
-        r, p = params
-        # p**r, the NB sampler's p0, rather than pmf0 = exp(r log p)
-        return CdfTable(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k)
-    if family is Family.POISSON:
-        lam = params[0]
-        return CdfTable(pmf0, -lam, lambda k: lam / k)
-    n, p = int(params[0]), params[1]
-    if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
-        if n > _RUN_CAP:
-            raise ClusterStatsError(f"binomial(n={n}, p=1) has its mass at n, beyond {_RUN_CAP}")
-        return CdfTable(1.0, 0.0, None, size=n + 1, start=n)
-    return CdfTable(pmf0, n * math.log1p(-p), lambda k: (n - k + 1) * p / (k * (1.0 - p)),
-                    size=min(n, _RUN_CAP) + 1)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """A fitted (or table-supplied) cluster-law model."""
-
-    family: Family
-    params: tuple[float, ...]
-    max_cdf_error: float = math.nan
-
-    def pmf(self, k) -> np.ndarray:
-        return _family_pmf(self.family, self.params, k)
-
-    @cached_property
-    def _table(self) -> CdfTable:
-        return cdf_table(self.family, self.params)
-
-    @property
-    def mean(self) -> float:
-        if self.family is Family.NEG_BINOMIAL:
-            r, p = self.params
-            return r * (1.0 - p) / p
-        if self.family is Family.POISSON:
-            return self.params[0]
-        n, p = self.params
-        return n * p
-
-    def describe(self) -> str:
-        if self.family is Family.NEG_BINOMIAL:
-            return f"negbinomial(r={self.params[0]:.6g}, p={self.params[1]:.6g})"
-        if self.family is Family.POISSON:
-            return f"poisson(lambda={self.params[0]:.6g})"
-        return f"binomial(n={int(self.params[0])}, p={self.params[1]:.6g})"
 
 
 _BRENT_MESSAGES = {0: "Solution found.",
@@ -551,150 +436,7 @@ def select_best(fits) -> FitResult:
     return min(contenders, key=lambda f: (f.family.n_params, f.max_cdf_error))
 
 
-def quantile(model, target_prob: float) -> int:
-    """Smallest k with CDF(k) >= target_prob, in an empirical CDF or a model's table."""
-    if not 0.0 < target_prob < 1.0:
-        raise ClusterStatsError(f"target probability must be in (0, 1), got {target_prob}")
-    if isinstance(model, ClusterDistribution):  # the longest run is the support's end
-        return min(int(np.searchsorted(model.cdf, target_prob)), model.max_cluster)
-    cdf = model._table.grow(target_prob)
-    if not cdf[-1] >= target_prob:
-        raise ClusterStatsError(f"quantile({target_prob}) of {model.describe()} is beyond "
-                                f"{cdf.size - 1}, where its CDF ends at {float(cdf[-1])!r}")
-    return int(np.searchsorted(cdf, target_prob))
-
-
-@dataclass(frozen=True)
-class LatencyParams:
-    """Timing constants for the cluster-to-latency map."""
-
-    l0_s: float
-    ipd_s: float
-    pt_s: float
-
-    def __post_init__(self):
-        if not (self.l0_s >= 0 and self.ipd_s >= 0 and self.pt_s >= 0):
-            raise ClusterStatsError("latency parameters must be >= 0")
-
-    @classmethod
-    def from_baud(cls, baud: int, ipd_s: float = 0.0) -> "LatencyParams":
-        """Timing of a broadcast link with the default decode and turnaround
-        times; raises ``ConfigError`` on bad input."""
-        config = LinkConfig(baud=baud, ipd_s=ipd_s)
-        return cls(l0_s=config.l0_s, ipd_s=ipd_s, pt_s=config.packet_time_s)
-
-
-def latency_from_clusters(n_lost: int, params: LatencyParams) -> float:
-    """Latency after a run of n_lost losses: l0 + n_lost * (ipd + pt)."""
-    if n_lost < 0:
-        raise ClusterStatsError(f"n_lost must be >= 0, got {n_lost}")
-    return params.l0_s + n_lost * (params.ipd_s + params.pt_s)
-
-
 def prediction_error(model, empirical, targets=DEFAULT_TARGETS) -> np.ndarray:
     """Per-target quantile gap, model minus empirical, in packets."""
     return np.array([quantile(model, t) - quantile(empirical, t) for t in targets],
                     dtype=np.int64)
-
-
-def _model_row(row: dict[str, str]) -> tuple[float, Family, list[float]]:
-    family = Family(row["family"].strip())
-    params = [float(row["param1"])]
-    if row["param2"]:
-        params.append(float(row["param2"]))
-    if len(params) != family.n_params:
-        raise ValueError(f"{family.value} takes {family.n_params} parameter(s), got {len(params)}")
-    # model_at interpolates in log space, which needs every parameter > 0
-    if not all(0 < x < math.inf for x in params):
-        raise ValueError(f"parameters must be finite and > 0, got {params}")
-    _family_pmf(family, tuple(params), 0)  # raises outside the family's domain
-    per = float(row["per"])
-    if not 0 < per <= 1:  # NaN included
-        raise ValueError(f"per must be in (0, 1], got {per}")
-    return per, family, params
-
-
-@dataclass(frozen=True)
-class ModelTable:
-    """PER-indexed cluster-law models with log-PER parameter interpolation."""
-
-    pers: np.ndarray
-    models: tuple[FitResult, ...]
-
-    def __post_init__(self):
-        if self.pers.size == 0:
-            raise ClusterStatsError("model table needs at least one row")
-        if np.any(np.diff(self.pers) <= 0):
-            raise ClusterStatsError("model table PERs must be strictly increasing")
-
-    @property
-    def per_min(self) -> float:
-        return float(self.pers[0])
-
-    @property
-    def per_max(self) -> float:
-        return float(self.pers[-1])
-
-    @classmethod
-    def from_rows(cls, rows) -> "ModelTable":
-        rows = sorted(rows, key=lambda r: r[0])
-        pers = np.array([r[0] for r in rows], dtype=float)
-        models = tuple(FitResult(family=Family(r[1]), params=tuple(r[2])) for r in rows)
-        return cls(pers=pers, models=models)
-
-    @classmethod
-    def from_csv(cls, path) -> "ModelTable":
-        return cls.from_rows(read_table(
-            path, ("per", "family", "param1", "param2"), _model_row, ClusterStatsError))
-
-    @classmethod
-    def bundled(cls) -> "ModelTable":
-        return cls.from_csv(data_path("cluster_models.csv"))
-
-    def model_at(self, per: float) -> FitResult:
-        """Model for a PER, interpolating parameters between bracketing rows.
-
-        Same-family brackets interpolate each parameter geometrically in
-        log(PER); across a family boundary the per-transmission mean is
-        interpolated instead and a Poisson law carries it.
-        """
-        idx = int(np.searchsorted(self.pers, per))
-        # a row within 1e-9 relative on either side is that row: grid PERs
-        # reconstructed with float round-off, the span's ends included
-        for row in (idx - 1, idx):
-            if 0 <= row < self.pers.size and math.isclose(per, self.pers[row], rel_tol=1e-9):
-                return self.models[row]
-        if not self.per_min <= per <= self.per_max:  # NaN included
-            raise OutOfRange("per", per, "model table", self.per_min, self.per_max)
-        lo, hi = self.models[idx - 1], self.models[idx]
-        w = ((math.log(per) - math.log(self.pers[idx - 1]))
-             / (math.log(self.pers[idx]) - math.log(self.pers[idx - 1])))
-
-        def geo(a: float, b: float) -> float:
-            return math.exp((1.0 - w) * math.log(a) + w * math.log(b))
-
-        if lo.family is hi.family and lo.family is not Family.BINOMIAL:
-            params = tuple(geo(a, b) for a, b in zip(lo.params, hi.params))
-            return FitResult(family=lo.family, params=params)
-        return FitResult(family=Family.POISSON, params=(geo(lo.mean, hi.mean),))
-
-
-@dataclass(frozen=True)
-class SalPoint:
-    per: float
-    target: float
-    packets: int
-    latency_s: float
-
-
-def sal_curve(per_grid, targets, table: ModelTable,
-              params: LatencyParams) -> list[SalPoint]:
-    """Statistically-averaged latency over a PER x target-probability grid."""
-    points = []
-    for per in per_grid:
-        model = table.model_at(float(per))
-        for target in targets:
-            n = quantile(model, float(target))
-            points.append(SalPoint(per=float(per), target=float(target), packets=n,
-                                   latency_s=latency_from_clusters(n, params)))
-    return points

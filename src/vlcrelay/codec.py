@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FRAME_BITS = 32
-CHIPS_PER_FRAME = 2 * FRAME_BITS
+from .node import CHIPS_PER_FRAME, FRAME_BITS
+
 DEFAULT_PREAMBLE = b"\xff\xff"
 REFERENCE_PAYLOAD = b"\xa5\xa5"
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
 
-from .codec import CHIPS_PER_FRAME, FRAME_BITS
+FRAME_BITS = 32  # a frame: 2-byte preamble + 2-byte payload (codec)
+CHIPS_PER_FRAME = 2 * FRAME_BITS  # Manchester: two chips per bit
 
 
 class ConfigError(ValueError):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ._tables import data_path, read_table
-from .clusters import LatencyParams, ModelTable, latency_from_clusters, quantile
+from .laws import LatencyParams, ModelTable, latency_from_clusters, quantile
 from .node import LinkConfig
 
 G_DEFAULT = 9.8  # m/s^2; pins braking distances to the published precision

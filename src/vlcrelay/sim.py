@@ -44,6 +44,7 @@ import numpy as np
 
 from . import channel as _channel
 from . import clusters as _clusters
+from ._errors import TraceFormatError
 from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
 from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
@@ -52,12 +53,6 @@ TRACE_MAGIC = b"vlcrelay-trace 1\n"
 _HEADER_KEYS = frozenset({*LinkConfig().text_fields(), "payload", "preamble", "process",
                           "n_packets", "seed"})
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
-
-
-class TraceFormatError(ValueError):
-    def __init__(self, path, lineno: int, message: str):
-        super().__init__(f"{path}:{lineno}: {message}")
-        self.lineno = lineno
 
 
 @dataclass(frozen=True)

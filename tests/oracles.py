@@ -47,8 +47,6 @@ from vlcrelay.clusters import (
     Family,
     FitDiverged,
     FitResult,
-    binom_pmf,
-    poisson_pmf,
 )
 from vlcrelay.clusters import cdf_table as clusters_cdf_table
 from vlcrelay.codec import REFERENCE_PAYLOAD
@@ -163,17 +161,24 @@ def cdf_table(pmf0: float, log_pmf0: float, ratio, size: int) -> np.ndarray:
 
 def law_cdf_table(family: Family, params, size: int = _RUN_CAP + 1) -> np.ndarray:
     """``cdf_table`` of a negative-binomial, Poisson or binomial law (p < 1),
-    from ``p**r`` or the package's gammaln ``pmf(0)``; a binomial's table
-    ends at n."""
+    from ``p**r``, ``exp(-lambda)`` or ``exp(n log(1 - p))``: libm's ``exp``
+    of the argument the vectorized pmf gives ``pmf(0)``; a binomial's
+    table ends at n."""
     if family is Family.NEG_BINOMIAL:
         r, p = params
         return cdf_table(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k, size)
     if family is Family.POISSON:
         (lam,) = params
-        return cdf_table(float(poisson_pmf(0, lam)), -lam, lambda k: lam / k, size)
+        return cdf_table(math.exp(-lam), -lam, lambda k: lam / k, size)
     n, p = int(params[0]), params[1]
-    return cdf_table(float(binom_pmf(0, n, p)), n * math.log1p(-p),
+    return cdf_table(math.exp(n * math.log(1.0 - p)), n * math.log1p(-p),
                      lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(size, n + 1))
+
+
+def full_table(table, upto: float = math.inf) -> np.ndarray:
+    """A ``CdfTable`` grown to ``upto``, from k = 0: the zeros before its
+    ``start``, then the entries it holds."""
+    return np.concatenate((np.zeros(table.start), np.frombuffer(table.grow(upto))))
 
 
 def table_cluster_size(table: np.ndarray, p0: float, u: float) -> int:

@@ -192,7 +192,7 @@ def test_nb_cdf_table_matches_loop_and_scipy_stats(r, p):
     from scipy.stats import nbinom
 
     table = _table(r, p)
-    assert np.array_equal(table.grow(), oracles.law_cdf_table(NB, (r, p)))
+    assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(NB, (r, p)))
     u = rng(2024).random(200_000)
     target = p ** r + (1.0 - u) * (1.0 - p ** r)
     assert np.array_equal(_sizes(table, r, p, u), np.maximum(nbinom.ppf(target, r, p), 1))
@@ -227,7 +227,7 @@ def test_target_above_a_table_that_stopped_short_takes_its_last_index():
     # CDF, at 1 - 3e-13, far short of the cap: targets above that end stay
     # in the law's tail (nbinom.ppf gives 340508 and 337880 here)
     table = _table(200, 1e-3)
-    last = table.grow().size - 1
+    last = table.start + len(table.grow()) - 1
     assert last < channel._RUN_CAP
     u = np.array([2.0 ** -53, 2.0 ** -52])
     p0 = 1e-3 ** 200
@@ -240,8 +240,8 @@ def test_draw_cluster_size_near_run_cap(r, p):
     from scipy.stats import nbinom
 
     table = _table(r, p)
-    cdf = table.grow()
-    assert cdf.size == channel._RUN_CAP + 1
+    cdf = np.frombuffer(table.grow())
+    assert table.start == 0 and cdf.size == channel._RUN_CAP + 1
     # a prefix against the loop, the end against scipy's CDF at the cap
     assert np.array_equal(cdf[:10**5], oracles.law_cdf_table(NB, (r, p), size=10**5))
     assert cdf[-1] == pytest.approx(nbinom.cdf(channel._RUN_CAP, r, p), rel=1e-9)
@@ -453,6 +453,16 @@ def test_table_csv_roundtrip(tmp_path):
     assert np.array_equal(back.distances_m, table.distances_m)
     assert np.array_equal(back.bauds, table.bauds)
     assert np.allclose(back.pers, table.pers)
+
+
+def test_table_from_rows_keeps_only_integral_bauds():
+    # the constructor used to cast 230000.7 to 230000
+    for baud in (230000.7, math.inf, math.nan, 0, -5.0):
+        with pytest.raises(channel.ChannelError, match="baud must be a positive integer"):
+            channel.PerDistanceTable.from_rows([(10.0, baud, 0.1)])
+    table = channel.PerDistanceTable.from_rows([(10.0, 2.3e5, 0.1), (20.0, 57000, 0.2)])
+    assert table.bauds.tolist() == [57000, 230000]
+    assert table.bauds.dtype == np.dtype(int)
 
 
 def test_table_validation(tmp_path):

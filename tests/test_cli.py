@@ -586,11 +586,12 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     assert done.stdout.strip() == "[]"
 
 
-def _scipy_modules_after(*argv) -> set[str]:
-    """The scipy modules loaded by one CLI command in a fresh interpreter."""
-    code = ("import sys; from vlcrelay import cli; rc = cli.main(sys.argv[1:]); "
-            "print(rc, *[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=_subprocess_env(),
+def _modules_after(top: str, *argv) -> set[str]:
+    """The modules of the package ``top`` (scipy, numpy) loaded by one CLI
+    command in a fresh interpreter."""
+    code = ("import sys; from vlcrelay import cli; rc = cli.main(sys.argv[2:]); "
+            "print(rc, *[m for m in sys.modules if m.split('.')[0] == sys.argv[1]])")
+    done = subprocess.run([sys.executable, "-c", code, top, *argv], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     rc, *modules = done.stdout.splitlines()[-1].split()
     assert rc == "0", done.stderr
@@ -603,12 +604,99 @@ def test_commands_load_only_the_scipy_they_use(tmp_path):
     for name, flags in [("iid", ["--per", "0.1"]), ("nb", ["--process", nb]),
                         ("ge", ["--process", ge])]:
         trace = tmp_path / f"{name}.vlct"
-        assert _scipy_modules_after("simulate", *flags, "--n", "5000", "--seed", "3",
+        assert _modules_after("scipy", "simulate", *flags, "--n", "5000", "--seed", "3",
                                     "--out", str(trace)) == set()
-    assert _scipy_modules_after("analyze", str(trace),
+    assert _modules_after("scipy", "analyze", str(trace),
                                 "--clusters-out", str(tmp_path / "c.csv"),
                                 "--report-out", str(tmp_path / "r.txt")) == set()
-    assert _scipy_modules_after("safety", "--out", str(tmp_path / "s.csv")) == set()
+    assert _modules_after("scipy", "safety", "--out", str(tmp_path / "s.csv")) == set()
+
+
+def test_sal_safety_and_the_cli_import_load_no_numpy(tmp_path):
+    # at the benchmark's scale a command is mostly interpreter start-up, and
+    # numpy's import was half of a sal or safety child
+    assert _modules_after("numpy", "sal", "--out", str(tmp_path / "sal.csv")) == set()
+    assert _modules_after("numpy", "safety", "--out", str(tmp_path / "safety.csv")) == set()
+    code = ("import sys, vlcrelay.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_sal_and_safety_run_as_main_with_warnings_as_errors(tmp_path):
+    # python -m vlcrelay.cli: the package import must not load vlcrelay.cli
+    # first, which runpy reports with a RuntimeWarning
+    for argv in (["sal", "--out", str(tmp_path / "sal.csv")],
+                 ["safety", "--out", str(tmp_path / "safety.csv")]):
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "vlcrelay.cli", *argv],
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+
+
+def test_sal_and_safety_run_with_numpy_unimportable(tmp_path):
+    scenarios = tmp_path / "scenarios.csv"
+    scenarios.write_text("v_kmh,distance_m,per\n60,20,0.05\n90,45,0.3\n120,60,5e-4\n")
+    models = tmp_path / "models.csv"
+    models.write_text("per,family,param1,param2\n0.01,binomial,40,0.02\n"
+                      "0.1,negbinomial,0.5,0.1\n0.2,negbinomial,5,0.2\n")
+    runs = [["sal", "--out", str(tmp_path / "sal.csv")],
+            ["sal", "--models", str(models), "--per-grid", "0.01,0.05,0.1,0.15,0.2",
+             "--targets", "0.5,0.999", "--baud", "57000", "--out", str(tmp_path / "m.csv")],
+            ["safety", "--out", str(tmp_path / "safety.csv")],
+            ["safety", str(scenarios), "--target", "0.999", "--out", str(tmp_path / "s.csv")]]
+    code = ("import json, sys; sys.modules['numpy'] = None; from vlcrelay import cli; "
+            "print(*[cli.main(argv) for argv in json.loads(sys.argv[1])])")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, json.dumps(runs)],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["0"] * len(runs), done.stderr
+    # the same outputs as a run in this process, where numpy is loaded
+    for argv in runs:
+        out = Path(argv[-1])
+        ref = argv[:-1] + [str(out.with_suffix(".ref"))]
+        assert run_cli(*ref) == 0
+        assert out.read_bytes() == out.with_suffix(".ref").read_bytes(), argv
+
+
+# the names the package exported before they loaded lazily, by the module
+# that defined them then
+_PACKAGE_NAMES = {
+    "channel": ("ErrorProcess", "GilbertElliott", "IidBit", "IidPacket", "NbCluster",
+                "PerDistanceTable", "per_at", "sample_losses"),
+    "clusters": ("ClusterDistribution", "Family", "FitResult", "LatencyParams", "ModelTable",
+                 "extract_clusters", "fit", "latency_from_clusters", "nb_pmf",
+                 "prediction_error", "quantile", "sal_curve", "select_best"),
+    "codec": ("ChipStream", "deframe", "frame", "manchester_decode", "manchester_encode",
+              "validate_preamble"),
+    "node": ("LinkConfig", "Mode", "compute_per", "estimate_ber_upper"),
+    "safety": ("SafetyScenario", "brake_distance", "comparison_table", "reaction_distance",
+               "stop_distance", "vlc_reaction_latency"),
+    "sim": ("PacketTrace", "Summary", "read_trace", "read_trace_csv", "relay", "run",
+            "summarize", "write_trace", "write_trace_csv"),
+}
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, vlcrelay; print(sorted(m for m in sys.modules if 'vlcrelay' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "['vlcrelay']"
+
+
+def test_package_names_resolve_to_the_same_objects():
+    import importlib
+
+    for module, names in _PACKAGE_NAMES.items():
+        assert getattr(vlcrelay, module) is importlib.import_module(f"vlcrelay.{module}")
+        for name in names:
+            assert getattr(vlcrelay, name) is getattr(getattr(vlcrelay, module), name), name
+            assert name in dir(vlcrelay)
+    assert vlcrelay.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        vlcrelay.no_such_name  # noqa: B018
+    assert getattr(vlcrelay, "BACKEND", "none") == "none"
 
 
 def test_every_command_runs_with_scipy_unimportable(tmp_path):

@@ -10,7 +10,7 @@ from scipy.stats import binom as sp_binom
 from scipy.stats import nbinom as sp_nbinom
 from scipy.stats import poisson as sp_poisson
 
-from vlcrelay import channel, clusters, sim
+from vlcrelay import channel, clusters, laws, sim
 from vlcrelay.node import LinkConfig, Mode
 
 import oracles
@@ -433,40 +433,56 @@ def test_empirical_quantile_past_a_cdf_end_below_1_is_the_longest_run():
     (BINOMIAL, (1844.0, 0.675)), (BINOMIAL, (3000.0, 0.9)),  # (1-p)^n underflows
     # log-space starts over several chunks of 2^16 terms
     (NB, (2000.0, 0.01)), (POISSON, (2e5,)), (BINOMIAL, (3e5, 0.5)),
-    (BINOMIAL, (float(clusters._RUN_CAP + 1), 1e-9)),  # n past the run cap
+    (BINOMIAL, (float(laws._RUN_CAP + 1), 1e-9)),  # n past the run cap
 ])
 def test_cdf_table_matches_the_recurrence_loop(family, params):
     table = clusters.cdf_table(family, params)
-    assert np.array_equal(table.grow(math.inf), oracles.law_cdf_table(family, params))
+    assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(family, params))
     assert table.finished
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, 1 << 16])
 @pytest.mark.parametrize("family, params", [
     (NB, (200.0, 0.02)), (POISSON, (800.0,)), (BINOMIAL, (1844.0, 0.675)),
-    (NB, (0.1691, 0.0638)),
+    (NB, (0.1691, 0.0638)), (POISSON, (3.7,)), (POISSON, (0.0042,)),
+    (BINOMIAL, (26.0, 0.05)), (BINOMIAL, (1e12, 1e-11)),
 ])
 def test_cdf_table_chunk_edges_match_the_recurrence_loop(monkeypatch, chunk, family, params):
     # tiny chunks put a chunk edge at or next to every step of the log-space
-    # start, its crossing, and the finish
-    monkeypatch.setattr(clusters, "_TABLE_CHUNK", chunk)
+    # start, its crossing, and the finish.  A chunk shorter than _TABLE_CHUNK
+    # is filled by itertools.accumulate and a full one by numpy, so each
+    # table but the smallest crosses from one fill to the other (the chunks
+    # double from 1: from 2 on they are full once they reach the chunk size),
+    # and at 2^16 these tables are all the itertools fill's
+    monkeypatch.setattr(laws, "_TABLE_CHUNK", chunk)
     table = clusters.cdf_table(family, params)
-    assert np.array_equal(table.grow(math.inf), oracles.law_cdf_table(family, params))
+    assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(family, params))
+
+
+def test_itertools_and_numpy_fills_give_the_same_table(monkeypatch):
+    # 2.3e5 entries: the default chunk fills the first 2^16 - 1 with
+    # itertools and the rest with numpy; a chunk that never fills, all of
+    # them with itertools
+    mixed = np.frombuffer(clusters.cdf_table(NB, (1.0, 2e-5)).grow(0.99))
+    monkeypatch.setattr(laws, "_TABLE_CHUNK", 1 << 30)
+    plain = np.frombuffer(clusters.cdf_table(NB, (1.0, 2e-5)).grow(0.99))
+    assert mixed.size > 1 << 17
+    assert np.array_equal(mixed, plain)
 
 
 def test_binomial_table_ends_at_the_run_cap(monkeypatch):
     # a cap below the mode: the table stops at the cap and the median is beyond it
-    monkeypatch.setattr(clusters, "_RUN_CAP", 10)
+    monkeypatch.setattr(laws, "_RUN_CAP", 10)
     table = clusters.cdf_table(BINOMIAL, (1000.0, 0.5))
-    assert np.array_equal(table.grow(math.inf),
+    assert np.array_equal(oracles.full_table(table),
                           oracles.law_cdf_table(BINOMIAL, (1000.0, 0.5), size=11))
     with pytest.raises(clusters.ClusterStatsError, match=r"beyond 10, where its CDF ends"):
         clusters.quantile(clusters.FitResult(BINOMIAL, (1000.0, 0.5)), 0.5)
 
 
 def test_binomial_mass_past_the_run_cap_raises():
-    model = clusters.FitResult(BINOMIAL, (float(clusters._RUN_CAP + 1), 1.0))
-    with pytest.raises(clusters.ClusterStatsError, match=f"beyond {clusters._RUN_CAP}"):
+    model = clusters.FitResult(BINOMIAL, (float(laws._RUN_CAP + 1), 1.0))
+    with pytest.raises(clusters.ClusterStatsError, match=f"beyond {laws._RUN_CAP}"):
         clusters.quantile(model, 0.5)
 
 
@@ -488,7 +504,7 @@ def test_edge_laws_keep_their_quantiles(family, params, expect):
         assert k == oracles.doubling_quantile(model, target), target
         assert expect is None or k == expect
     if family is BINOMIAL and params[1] == 1.0:
-        assert clusters.cdf_table(family, params).grow(math.inf).tolist() == [0, 0, 0, 1]
+        assert oracles.full_table(clusters.cdf_table(family, params)).tolist() == [0, 0, 0, 1]
 
 
 def test_tail_quantile_reads_the_table_quickly():
@@ -544,7 +560,7 @@ def test_latency_params_from_baud():
 
 def test_bundled_table_rows():
     table = clusters.ModelTable.bundled()
-    assert table.pers.size == 6
+    assert len(table.pers) == 6
     model = table.model_at(0.3)
     assert model.family is clusters.Family.NEG_BINOMIAL
     assert model.params == (0.1691, 0.0638)
@@ -567,7 +583,7 @@ def test_model_table_snaps_to_a_row_within_1e9_relative_on_both_sides():
     # a PER a round-off away from a row, above or below it, is that row; a
     # PER 1e-6 below it is not (below the first row it is out of the span)
     table = clusters.ModelTable.bundled()
-    for row, model in zip(table.pers.tolist(), table.models):
+    for row, model in zip(table.pers, table.models):
         assert table.model_at(row * (1 - 1e-12)) == model
         assert table.model_at(row * (1 + 1e-12)) == model
         if row == table.per_min:
@@ -588,6 +604,30 @@ def test_model_table_out_of_range():
         table.model_at(1e-5)
     with pytest.raises(clusters.OutOfRange):
         table.model_at(math.nan)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.0, "poisson", [0.2]), (0.3, "poisson", [0.4])],  # model_at took log(0)
+    [(-0.1, "poisson", [0.2])], [(1.5, "poisson", [0.2])], [(math.nan, "poisson", [0.2])],
+    [(0.1, "negbinomial", [0.2, 1.0])], [(0.1, "negbinomial", [-1.0, 0.5])],
+    [(0.1, "poisson", [0.2, 0.3])], [(0.1, "negbinomial", [0.2])],
+    [(0.1, "poisson", [math.inf])], [(0.1, "poisson", [0.0])],
+    [(0.1, "binomial", [2.5, 0.3])], [(0.1, "binomial", [3.0, 0.0])],
+    [(0.1, "poisson", [0.2]), (0.1, "poisson", [0.3])],  # PERs not increasing
+], ids=["per-0", "per-negative", "per-above-1", "per-nan", "nb-p-1", "nb-negative-r",
+        "poisson-two-params", "nb-one-param", "infinite-lambda", "zero-lambda",
+        "binomial-fractional-n", "binomial-p-0", "per-twice"])
+def test_model_table_from_rows_checks_each_row(rows):
+    # the library constructor makes the CSV reader's row checks
+    with pytest.raises(clusters.ClusterStatsError):
+        clusters.ModelTable.from_rows(rows)
+
+
+def test_model_table_pers_are_a_tuple_of_floats():
+    table = clusters.ModelTable.bundled()
+    assert table.pers == (6e-4, 1e-3, 3e-3, 5e-2, 1e-1, 3e-1)
+    assert all(type(per) is float for per in table.pers)
+    assert clusters.ModelTable.from_rows([(np.float64(0.2), "poisson", [0.1])]).pers == (0.2,)
 
 
 def test_model_table_csv_errors(tmp_path):
