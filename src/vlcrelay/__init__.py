@@ -22,8 +22,8 @@ _EXPORTS = {
     "laws": ("Family", "FitResult", "LatencyParams", "ModelTable", "latency_from_clusters",
              "quantile", "sal_curve"),
     "node": ("LinkConfig", "Mode", "compute_per", "estimate_ber_upper"),
-    "safety": ("SafetyScenario", "brake_distance", "comparison_table", "reaction_distance",
-               "stop_distance", "vlc_reaction_latency"),
+    "safety": ("brake_distance", "comparison_table", "reaction_distance",
+               "vlc_reaction_latency"),
     "sim": ("PacketTrace", "Summary", "read_trace", "read_trace_csv", "relay", "run",
             "summarize", "write_trace", "write_trace_csv"),
 }

@@ -5,6 +5,10 @@ scope; the channel is whatever marks a packet lost.  Four interchangeable
 processes cover the regimes of interest, from memoryless checks to the
 bursty clustering seen on a real link, and an ingested table anchors PER
 to measured distances per baud rate.
+
+Only the ``nb-cluster`` process needs a count law, so ``laws`` is imported
+where that law is checked or drawn: an iid or Gilbert-Elliott ``simulate``
+does not load (and, with no bytecode cache, compile) it.
 """
 
 from __future__ import annotations
@@ -12,14 +16,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import ChannelError
+from ._errors import ChannelError, ClusterStatsError
+from ._scan import _BLOCK, _packet_blocks
 from ._tables import OutOfRange, data_path, read_table
-from .clusters import _BLOCK, _packet_blocks
-from .laws import _RUN_CAP, CdfTable, Family, cdf_table
 from .node import FRAME_BITS
+
+if TYPE_CHECKING:
+    from .laws import CdfTable
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
@@ -102,10 +109,9 @@ class NbCluster:
     p_start: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ChannelError(f"r must be > 0, got {self.r}")
-        if not 0.0 < self.p < 1.0:
-            raise ChannelError(f"p must be in (0, 1), got {self.p}")
+        from .laws import _RUN_CAP
+
+        _check_nb_law(self.r, self.p)
         # cluster sizes are capped at _RUN_CAP, so a law whose mean is
         # beyond it cannot be sampled
         if not self.mean_cluster <= _RUN_CAP:
@@ -126,8 +132,7 @@ class NbCluster:
     def for_law(cls, r: float, p: float) -> "NbCluster":
         """Pick p_start so the per-window run-length law (zeros included)
         is exactly the unconditional negative binomial (r, p)."""
-        if not r > 0 or not 0.0 < p < 1.0:
-            raise ChannelError(f"need r > 0 and p in (0, 1), got r={r}, p={p}")
+        _check_nb_law(r, p)
         return cls(r=r, p=p, p_start=1.0 - p ** r)
 
     @classmethod
@@ -145,6 +150,17 @@ class NbCluster:
         return cls(r=r, p=p, p_start=p_start)
 
 
+def _check_nb_law(r: float, p: float) -> None:
+    """The negative binomial's domain rule, ``laws.check_params``, raising
+    ``ChannelError``."""
+    from .laws import Family, check_params
+
+    try:
+        check_params(Family.NEG_BINOMIAL, (r, p))
+    except ClusterStatsError as exc:
+        raise ChannelError(str(exc)) from None
+
+
 def _nb_mean_cluster(r: float, p: float) -> float:
     """Mean of the negative binomial (r, p) conditioned on >= 1; infinite
     when no mass is left above zero."""
@@ -159,6 +175,8 @@ def _cluster_sizes(table: CdfTable, p0: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sizes (>= 1) of a law conditioned on >= 1, for uniforms
     ``u`` in [0, 1): a target above the finished table takes its last index,
     and a target of exactly 1.0 the cap."""
+    from .laws import _RUN_CAP
+
     target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1], above the table's leading zeros
     cdf = np.frombuffer(table.grow(float(target.max())))
     sizes = table.start + np.minimum(np.searchsorted(cdf, target), cdf.size - 1)
@@ -203,6 +221,8 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
         # stream 2: per batch, _NB_CYCLES geometric gaps (capped at n, so their
         # int64 sum cannot wrap), then _NB_CYCLES uniforms for the cluster sizes;
         # runs alternate gap, cluster, from a gap, and the one reaching n is cut
+        from .laws import Family, cdf_table
+
         table = cdf_table(Family.NEG_BINOMIAL, (process.r, process.p))
         p0 = process.p ** process.r
         flags = np.tile([False, True], _NB_CYCLES)

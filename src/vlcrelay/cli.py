@@ -9,9 +9,15 @@ Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags override file values.  ``VLCRELAY_OUT`` names the default
 output directory for files whose path is not given explicitly.
 
-``sal`` and ``safety`` run on the standard library alone: the numpy layers
-(``channel``, ``sim``, ``clusters``) are imported inside the commands that
-use them.
+Each command imports only the layers it runs, inside its ``cmd_*``
+function; the import of this module loads ``node``, ``_tables`` and
+``_errors`` alone.  With no bytecode cache, every module a child imports
+is compiled from source, so an unused layer costs every command.  So
+``simulate`` loads ``channel``, ``sim`` and the run scan (and ``laws`` for
+an ``nb-cluster`` process), ``analyze`` adds ``clusters`` and ``laws``,
+``sal`` loads ``laws``, and ``safety`` ``laws`` and ``safety``.  ``sal``
+and ``safety`` run on the standard library alone; no command loads
+``codec``.
 """
 
 from __future__ import annotations
@@ -22,9 +28,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import laws as _laws
-from . import safety as _safety
-from ._errors import ChannelError, TraceFormatError
+from ._errors import ChannelError, ClusterStatsError, SafetyError, TraceFormatError
 from ._tables import OutOfRange
 from .node import ConfigError, LinkConfig, Mode, estimate_ber_upper
 
@@ -241,6 +245,8 @@ def _parse_floats(name: str, spec: str) -> list[float]:
 
 
 def _parse_targets(spec: str | None) -> list[float]:
+    from . import laws as _laws
+
     if spec is None:
         return list(_laws.DEFAULT_TARGETS)
     targets = _parse_floats("targets", spec)
@@ -250,6 +256,8 @@ def _parse_targets(spec: str | None) -> list[float]:
 
 
 def cmd_sal(args: argparse.Namespace) -> int:
+    from . import laws as _laws
+
     table = (_laws.ModelTable.from_csv(args.models) if args.models
              else _laws.ModelTable.bundled())
     targets = _parse_targets(args.targets)
@@ -272,12 +280,17 @@ def cmd_sal(args: argparse.Namespace) -> int:
 
 
 def cmd_safety(args: argparse.Namespace) -> int:
+    from . import safety as _safety
+
     rows = (_safety.read_scenarios_csv(args.scenarios) if args.scenarios
             else _safety.bundled_scenarios())
 
-    vlc_reaction_s = None if args.vlc_reaction_ms is None else args.vlc_reaction_ms / 1e3
-    table = _safety.comparison_table(rows, mu=args.mu, g=args.g, baud=args.baud,
-                                     target=args.target, vlc_reaction_s=vlc_reaction_s)
+    # the flags given; comparison_table's signature holds the defaults
+    given = {name: getattr(args, name) for name in ("mu", "g", "baud", "target")
+             if getattr(args, name) is not None}
+    if args.vlc_reaction_ms is not None:
+        given["vlc_reaction_s"] = args.vlc_reaction_ms / 1e3
+    table = _safety.comparison_table(rows, **given)
 
     out = Path(args.out) if args.out else _default_out("safety.csv")
     header = ("v_kmh,distance_m,per,vlc_reaction_latency_ms,vlc_relay_latency_ms,"
@@ -375,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     saf = sub.add_parser("safety", help="stopping-distance actor comparison")
     saf.add_argument("scenarios", nargs="?", help="scenario CSV (default: bundled)")
-    saf.add_argument("--mu", type=float, default=_safety.MU_DEFAULT)
-    saf.add_argument("--g", type=float, default=_safety.G_DEFAULT)
-    saf.add_argument("--baud", type=int, default=_safety.SAFETY_BAUD)
-    saf.add_argument("--target", type=float, default=_safety.SAFETY_TARGET)
+    saf.add_argument("--mu", type=float)
+    saf.add_argument("--g", type=float)
+    saf.add_argument("--baud", type=int)
+    saf.add_argument("--target", type=float)
     saf.add_argument("--vlc-reaction-ms", dest="vlc_reaction_ms", type=float)
     saf.add_argument("--out")
     saf.set_defaults(func=cmd_safety)
@@ -405,8 +418,7 @@ def main(argv=None) -> int:
     except (TraceFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ChannelError, _laws.ClusterStatsError,
-            _safety.SafetyError, OutOfRange) as exc:
+    except (ConfigError, ChannelError, ClusterStatsError, SafetyError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .node import CHIPS_PER_FRAME, FRAME_BITS
-
-DEFAULT_PREAMBLE = b"\xff\xff"
-REFERENCE_PAYLOAD = b"\xa5\xa5"
+from .node import CHIPS_PER_FRAME, DEFAULT_PREAMBLE, FRAME_BITS
+from .node import REFERENCE_PAYLOAD  # noqa: F401  (re-exported)
 
 
 class CodecError(ValueError):

@@ -21,17 +21,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from ._errors import ClusterStatsError
 from ._tables import OutOfRange, data_path, read_table
 from .node import LinkConfig
 
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
 _RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
 _LOG_MIN = math.log(sys.float_info.min)
+_LOG_ZERO = -1075 * math.log(2.0)  # below half the least subnormal, exp rounds to 0.0
 _TABLE_CHUNK = 1 << 16  # most terms CdfTable steps at once
-
-
-class ClusterStatsError(ValueError):
-    """Base class for statistics failures."""
 
 
 class Family(str, Enum):
@@ -100,6 +98,42 @@ def _log_start(log_pmf0: float, ratio, size: int) -> tuple[int, float]:
     return k, pmf
 
 
+def _log_pmf_terms(family: Family, params, k: int) -> tuple[float, ...]:
+    """The terms whose sum is a law's log pmf(k), by ``math.lgamma``."""
+    if family is Family.NEG_BINOMIAL:
+        r, p = params
+        return (math.lgamma(k + r), -math.lgamma(r), -math.lgamma(k + 1.0),
+                r * math.log(p), k * math.log1p(-p))
+    if family is Family.POISSON:
+        (lam,) = params
+        return k * math.log(lam), -lam, -math.lgamma(k + 1.0)
+    n, p = params
+    return (math.lgamma(n + 1.0), -math.lgamma(k + 1.0), -math.lgamma(n - k + 1.0),
+            k * math.log(p), (n - k) * math.log1p(-p))
+
+
+def _never_in_float_range(family: Family, params, log_pmf0: float, size: int) -> bool:
+    """Whether no pmf(k) below ``size`` reaches the float range, so that
+    ``_log_start`` would step all the way to ``size - 1`` and find pmf 0.
+
+    Each law's pmf is unimodal, so its log at the mode, clipped to the
+    table, bounds the walk; it must lie below ``_LOG_ZERO`` by more than
+    lgamma's rounding and the walk's drift, which grows with the number of
+    steps and the size of the logs summed (at most the larger end, as the
+    log pmf is concave or monotone)."""
+    if family is Family.NEG_BINOMIAL:
+        r, p = params
+        mode = max(0.0, (r - 1.0) * (1.0 - p) / p)
+    elif family is Family.POISSON:
+        mode = params[0]
+    else:
+        mode = (params[0] + 1.0) * params[1]
+    peak = _log_pmf_terms(family, params, math.floor(min(mode, size - 1)))
+    end = _log_pmf_terms(family, params, size - 1)
+    scale = abs(log_pmf0) + sum(map(abs, peak)) + sum(map(abs, end)) + 750.0  # 750: any log term
+    return math.fsum(peak) + 1.0 + (size + 4) * sys.float_info.epsilon * scale < _LOG_ZERO
+
+
 class CdfTable:
     """CDF of a count law at 0, 1, ... from its pmf recurrence
     ``pmf(k) = pmf(k-1) * ratio(k)``, summed in order as a plain loop would.
@@ -107,21 +141,16 @@ class CdfTable:
     readers ask, and is finished when a term no longer moves the float CDF
     or it reaches ``size`` entries.
 
-    It holds the entries from ``start`` on, in an ``array('d')``; the ones
-    before are 0.  ``start`` is the given one, or, when ``pmf0`` underflows
-    (NB r=200, p=1e-3), the first k whose pmf is back in the float range:
-    the leading terms are stepped in log space and count as 0.
+    It holds the entries from ``start`` on, in an ``array('d')``, from
+    ``pmf``, the pmf at ``start``; the ones before are 0 (``cdf_table``
+    starts where the pmf is back in the float range).
 
     ``ratio`` takes a float k, or an array of them: a chunk shorter than
     ``_TABLE_CHUNK`` is filled by ``itertools.accumulate`` over float k, a
     full one by numpy's in-order ``cumprod`` and ``cumsum`` over an array,
     and both give the loop's bits."""
 
-    def __init__(self, pmf0: float, log_pmf0: float, ratio, size: int = _RUN_CAP + 1,
-                 start: int = 0):
-        pmf = pmf0
-        if pmf < sys.float_info.min:
-            start, pmf = _log_start(log_pmf0, ratio, size)
+    def __init__(self, pmf: float, ratio, size: int, start: int = 0):
         self.start, self._size, self._pmf, self._ratio = start, size, pmf, ratio
         self._cdf = array("d", [pmf])
         self.finished = start == size - 1
@@ -161,22 +190,37 @@ class CdfTable:
 
 
 def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
-    """A law's CDF table from its pmf(0), the log of that and pmf(k) / pmf(k-1)."""
+    """A law's CDF table from its pmf(0), the log of that and pmf(k) / pmf(k-1).
+
+    When pmf(0) underflows (NB r=200, p=1e-3), the table starts at the
+    first k whose pmf is back in the float range: the leading terms are
+    stepped in log space and count as 0.  A law that never gets there
+    below the run cap starts at the cap at once, with pmf 0, where that
+    walk would end."""
     family = Family(family)
     check_params(family, params)
+    size = _RUN_CAP + 1
     if family is Family.NEG_BINOMIAL:
         r, p = params
-        return CdfTable(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k)
-    if family is Family.POISSON:
+        pmf0, log_pmf0, ratio = p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k
+    elif family is Family.POISSON:
         (lam,) = params
-        return CdfTable(math.exp(-lam), -lam, lambda k: lam / k)
-    n, p = int(params[0]), params[1]
-    if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
-        if n > _RUN_CAP:
-            raise ClusterStatsError(f"binomial(n={n}, p=1) has its mass at n, beyond {_RUN_CAP}")
-        return CdfTable(1.0, 0.0, None, size=n + 1, start=n)
-    return CdfTable(math.exp(n * math.log(1.0 - p)), n * math.log1p(-p),
-                    lambda k: (n - k + 1) * p / (k * (1.0 - p)), size=min(n, _RUN_CAP) + 1)
+        pmf0, log_pmf0, ratio = math.exp(-lam), -lam, lambda k: lam / k
+    else:
+        n, p = int(params[0]), params[1]
+        if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
+            if n > _RUN_CAP:
+                raise ClusterStatsError(
+                    f"binomial(n={n}, p=1) has its mass at n, beyond {_RUN_CAP}")
+            return CdfTable(1.0, None, size=n + 1, start=n)
+        pmf0, log_pmf0 = math.exp(n * math.log(1.0 - p)), n * math.log1p(-p)
+        ratio, size = lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(n, _RUN_CAP) + 1
+    if not pmf0 < sys.float_info.min:
+        return CdfTable(pmf0, ratio, size)
+    if _never_in_float_range(family, params, log_pmf0, size):
+        return CdfTable(0.0, ratio, size, start=size - 1)
+    start, pmf = _log_start(log_pmf0, ratio, size)
+    return CdfTable(pmf, ratio, size, start=start)
 
 
 @dataclass(frozen=True)

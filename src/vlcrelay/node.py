@@ -20,6 +20,8 @@ from numbers import Integral
 
 FRAME_BITS = 32  # a frame: 2-byte preamble + 2-byte payload (codec)
 CHIPS_PER_FRAME = 2 * FRAME_BITS  # Manchester: two chips per bit
+DEFAULT_PREAMBLE = b"\xff\xff"
+REFERENCE_PAYLOAD = b"\xa5\xa5"
 
 
 class ConfigError(ValueError):

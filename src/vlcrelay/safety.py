@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._errors import SafetyError
 from ._tables import data_path, read_table
 from .laws import LatencyParams, ModelTable, latency_from_clusters, quantile
 from .node import LinkConfig
@@ -24,43 +25,12 @@ SAFETY_BAUD = 57000  # long-range delivery favors the slower, reliable rate
 SAFETY_TARGET = 0.99
 
 
-class SafetyError(ValueError):
-    """Invalid safety-scenario input."""
-
-
 class NegativeLatency(SafetyError):
     pass
 
 
 def kmh_to_ms(v_kmh: float) -> float:
     return v_kmh / 3.6
-
-
-def ms_to_kmh(v_ms: float) -> float:
-    return v_ms * 3.6
-
-
-@dataclass(frozen=True)
-class SafetyScenario:
-    """One actor approaching a braking point."""
-
-    v_kmh: float
-    t_reaction_s: float
-    mu: float = MU_DEFAULT
-    g: float = G_DEFAULT
-
-    def __post_init__(self):
-        # each check is written so that NaN and infinity fail it
-        if not 0 <= self.v_kmh < math.inf:
-            raise SafetyError(f"speed must be finite and >= 0, got {self.v_kmh}")
-        if not (0 < self.mu < math.inf and 0 < self.g < math.inf):
-            raise SafetyError("mu and g must be finite and positive")
-        if not 0 <= self.t_reaction_s < math.inf:
-            raise SafetyError(f"t_reaction must be finite and >= 0, got {self.t_reaction_s}")
-
-    @property
-    def v_ms(self) -> float:
-        return kmh_to_ms(self.v_kmh)
 
 
 def brake_distance(v_ms: float, mu: float = MU_DEFAULT, g: float = G_DEFAULT) -> float:
@@ -77,12 +47,6 @@ def reaction_distance(v_ms: float, t_reaction_s: float) -> float:
     if not (0 <= v_ms < math.inf and 0 <= t_reaction_s < math.inf):  # NaN fails
         raise SafetyError("speed and reaction time must be finite and >= 0")
     return v_ms * t_reaction_s
-
-
-def stop_distance(scenario: SafetyScenario) -> float:
-    """Total stopping distance: reaction plus braking."""
-    return (reaction_distance(scenario.v_ms, scenario.t_reaction_s)
-            + brake_distance(scenario.v_ms, scenario.mu, scenario.g))
 
 
 def vlc_reaction_latency(adr_latency_s: float, pt_s: float) -> float:

@@ -8,14 +8,17 @@ A trace is its config plus the channel's ``received`` flags: ``relay``
 derives the relay flags and latencies, and the transmit times follow from
 the period.  ``run`` and both readers build a trace through one helper, so
 a derived column read from a file is only checked, never used.  One block
-scan, ``clusters._runs_before``, gives the run of one flag value just
+scan, ``_scan._runs_before``, gives the run of one flag value just
 before each packet: the run of receptions, whose parity is the relay rule
 on a link where ``LinkConfig.relay_blocks``, and the loss run, which gives
-every latency.  Its blocks are ``clusters._BLOCK`` packets, so the
-temporaries stay a few hundred kB at any trace length.  A trace builds its
-latency column only when it is read: ``summarize`` keeps only the relayed
-packets' least run and run sum, and the longest run, and takes ``per=``
-by the same ``relay_blocks``.
+every latency.  Its blocks are ``_scan._BLOCK`` packets, so the
+temporaries stay a few hundred kB at any trace length.  The scan has a
+module of its own, not ``clusters``, and the frame constants come from
+``node``, not ``codec``: with no bytecode cache a child compiles every
+module it imports, and ``simulate`` runs neither the fits nor the codec.
+A trace builds its latency column only when it is read: ``summarize``
+keeps only the relayed packets' least run and run sum, and the longest
+run, and takes ``per=`` by the same ``relay_blocks``.
 ``write_trace`` picks the format by path:
 
 * binary, the default (any path not ending in ``.csv``): the line
@@ -43,10 +46,17 @@ from functools import cached_property
 import numpy as np
 
 from . import channel as _channel
-from . import clusters as _clusters
 from ._errors import TraceFormatError
-from .codec import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD
-from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
+from ._scan import _packet_blocks, _runs_before, _trailing_run
+from .node import (
+    DEFAULT_PREAMBLE,
+    REFERENCE_PAYLOAD,
+    ConfigError,
+    EmptyTrace,
+    LinkConfig,
+    Mode,
+    compute_per,
+)
 
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
 # every header key but rng=, which the readers ignore
@@ -71,7 +81,7 @@ class PacketTrace:
             raise EmptyTrace("trace must contain at least one packet")
         if self.relayed.size != n:
             raise ValueError("trace arrays must share one length")
-        for block in _clusters._packet_blocks(n):
+        for block in _packet_blocks(n):
             if np.any(self.relayed[block] & ~self.received[block]):
                 raise ValueError("relayed packets must have been received")
 
@@ -134,7 +144,7 @@ def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
     iff the receptions just before it, its offset in its run, are even."""
     relayed = received.copy()
     if config.relay_blocks:
-        for block, runs in _clusters._runs_before(received, True):
+        for block, runs in _runs_before(received, True):
             relayed[block] &= runs % 2 == 0
     return relayed
 
@@ -144,7 +154,7 @@ def _csv_columns(trace: PacketTrace):
     values (NaN where not relayed); a relayed packet's latency spans the
     loss run just before it, ``l0 + run * period``."""
     config = trace.config
-    for block, runs in _clusters._runs_before(trace.received, False):
+    for block, runs in _runs_before(trace.received, False):
         yield (block, np.arange(block.start, block.stop) * config.period_s,
                np.where(trace.relayed[block], config.l0_s + runs * config.period_s, np.nan))
 
@@ -200,7 +210,7 @@ def summarize(trace: PacketTrace) -> Summary:
     it is taken by ``relay_blocks``, not by the mode's name."""
     config, n_received, n_relayed = trace.config, trace.n_received, trace.n_relayed
     min_run, run_sum, max_run = trace.n_tx, 0, 0
-    for block, runs in _clusters._runs_before(trace.received, False):
+    for block, runs in _runs_before(trace.received, False):
         max_run = max(max_run, int(runs.max()))
         relayed_runs = runs[trace.relayed[block]]
         min_run = int(relayed_runs.min(initial=min_run))
@@ -218,7 +228,7 @@ def summarize(trace: PacketTrace) -> Summary:
         min_latency_s=config.l0_s + min_run * config.period_s if n_relayed else math.nan,
         mean_latency_s=((a * d * n_relayed + c * b * run_sum) / (b * d * n_relayed)
                         if n_relayed else math.nan),
-        max_cluster=max(max_run, _clusters._trailing_run(trace.received, runs)),
+        max_cluster=max(max_run, _trailing_run(trace.received, runs)),
     )
 
 

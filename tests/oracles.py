@@ -31,7 +31,6 @@ from scipy.stats import nbinom
 
 from vlcrelay.channel import (
     _NB_CYCLES,
-    _RUN_CAP,
     BITS_PER_PACKET,
     ChannelError,
     ErrorProcess,
@@ -50,6 +49,7 @@ from vlcrelay.clusters import (
 )
 from vlcrelay.clusters import cdf_table as clusters_cdf_table
 from vlcrelay.codec import REFERENCE_PAYLOAD
+from vlcrelay.laws import _RUN_CAP
 from vlcrelay.node import LinkConfig
 
 

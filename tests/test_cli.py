@@ -586,15 +586,17 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     assert done.stdout.strip() == "[]"
 
 
-def _modules_after(top: str, *argv) -> set[str]:
-    """The modules of the package ``top`` (scipy, numpy) loaded by one CLI
-    command in a fresh interpreter."""
-    code = ("import sys; from vlcrelay import cli; rc = cli.main(sys.argv[2:]); "
-            "print(rc, *[m for m in sys.modules if m.split('.')[0] == sys.argv[1]])")
-    done = subprocess.run([sys.executable, "-c", code, top, *argv], env=_subprocess_env(),
+def _modules_after(top: str, *argv, code: int = cli.EXIT_OK) -> set[str]:
+    """The modules of the package ``top`` (scipy, numpy, vlcrelay) loaded by
+    one CLI command in a fresh interpreter, which must exit with ``code``;
+    with no command, those that ``import vlcrelay.cli`` loads."""
+    script = ("import sys; from vlcrelay import cli; "
+              "rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
+              "print(rc, *[m for m in sys.modules if m.split('.')[0] == sys.argv[1]])")
+    done = subprocess.run([sys.executable, "-c", script, top, *argv], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     rc, *modules = done.stdout.splitlines()[-1].split()
-    assert rc == "0", done.stderr
+    assert rc == str(code), done.stderr
     return set(modules)
 
 
@@ -617,11 +619,47 @@ def test_sal_safety_and_the_cli_import_load_no_numpy(tmp_path):
     # numpy's import was half of a sal or safety child
     assert _modules_after("numpy", "sal", "--out", str(tmp_path / "sal.csv")) == set()
     assert _modules_after("numpy", "safety", "--out", str(tmp_path / "safety.csv")) == set()
-    code = ("import sys, vlcrelay.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
-    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _modules_after("numpy") == set()
+
+
+_CLI_IMPORT = {"vlcrelay", "vlcrelay.cli", "vlcrelay.node", "vlcrelay._errors",
+               "vlcrelay._tables"}
+_SIMULATE = _CLI_IMPORT | {"vlcrelay.channel", "vlcrelay.sim", "vlcrelay._scan"}
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    # with no bytecode cache every module a child imports is compiled from
+    # source, so a layer a command does not run still costs it start-up time
+    assert _modules_after("vlcrelay") == _CLI_IMPORT
+    ge = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
+    nb = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
+    for name, flags, law in [("iid", ["--per", "0.1"], set()), ("ge", ["--process", ge], set()),
+                             ("nb", ["--process", nb], {"vlcrelay.laws"})]:
+        trace = tmp_path / f"{name}.vlct"
+        assert _modules_after("vlcrelay", "simulate", *flags, "--n", "5000", "--seed", "3",
+                              "--out", str(trace)) == _SIMULATE | law, name
+    assert _modules_after("vlcrelay", "analyze", str(tmp_path / "ge.vlct"),
+                          "--clusters-out", str(tmp_path / "c.csv"),
+                          "--report-out", str(tmp_path / "r.txt")) == (
+        _SIMULATE | {"vlcrelay.clusters", "vlcrelay.laws"})
+    assert _modules_after("vlcrelay", "sal", "--out", str(tmp_path / "sal.csv")) == (
+        _CLI_IMPORT | {"vlcrelay.laws"})
+    assert _modules_after("vlcrelay", "safety", "--out", str(tmp_path / "safety.csv")) == (
+        _CLI_IMPORT | {"vlcrelay.laws", "vlcrelay.safety"})
+
+
+def test_sal_law_far_past_the_run_cap_exits_2_without_numpy(tmp_path, capsys):
+    # binomial(10^12, 0.5) has no pmf in the float range below the cap: the
+    # table starts there at once, where a 10^7-step log-space walk ended
+    models = tmp_path / "far.csv"
+    models.write_text("per,family,param1,param2\n0.1,binomial,1e12,0.5\n")
+    out = tmp_path / "sal.csv"
+    assert run_cli("sal", "--models", str(models), "--out", str(out)) == cli.EXIT_CONFIG
+    assert run_err(capsys) == ("error: quantile(0.9) of binomial(n=1000000000000, p=0.5) is "
+                               "beyond 10000000, where its CDF ends at 0.0\n")
+    assert _modules_after("numpy", "sal", "--models", str(models), "--out", str(out),
+                          code=cli.EXIT_CONFIG) == set()
+    assert not out.exists()
 
 
 def test_sal_and_safety_run_as_main_with_warnings_as_errors(tmp_path):
@@ -671,8 +709,8 @@ _PACKAGE_NAMES = {
     "codec": ("ChipStream", "deframe", "frame", "manchester_decode", "manchester_encode",
               "validate_preamble"),
     "node": ("LinkConfig", "Mode", "compute_per", "estimate_ber_upper"),
-    "safety": ("SafetyScenario", "brake_distance", "comparison_table", "reaction_distance",
-               "stop_distance", "vlc_reaction_latency"),
+    "safety": ("brake_distance", "comparison_table", "reaction_distance",
+               "vlc_reaction_latency"),
     "sim": ("PacketTrace", "Summary", "read_trace", "read_trace_csv", "relay", "run",
             "summarize", "write_trace", "write_trace_csv"),
 }

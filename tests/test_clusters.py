@@ -480,6 +480,24 @@ def test_binomial_table_ends_at_the_run_cap(monkeypatch):
         clusters.quantile(clusters.FitResult(BINOMIAL, (1000.0, 0.5)), 0.5)
 
 
+@pytest.mark.parametrize("family, params, start_at_cap", [
+    (POISSON, (4198.4,), False),  # pmf(cap) 2e-313: subnormal, so the walk is kept
+    (POISSON, (4245.9,), False),  # pmf(cap) 5e-324
+    (POISSON, (4251.6,), True),   # log pmf(cap) -748: exp gives 0
+    (POISSON, (1e5,), True),
+    (BINOMIAL, (1e12, 0.5), True),
+])
+def test_law_never_in_float_range_starts_at_the_cap(monkeypatch, family, params, start_at_cap):
+    # a cap short of the mode: the log pmf peaks at the cap, and a law
+    # whose peak lies clearly below what exp can return starts there
+    # without the log-space walk, with the walk's table
+    monkeypatch.setattr(laws, "_RUN_CAP", 2000)
+    table = clusters.cdf_table(family, params)
+    assert (table.start == 2000 and table.grow()[0] == 0.0) is start_at_cap
+    assert np.array_equal(oracles.full_table(table),
+                          oracles.law_cdf_table(family, params, size=2001))
+
+
 def test_binomial_mass_past_the_run_cap_raises():
     model = clusters.FitResult(BINOMIAL, (float(laws._RUN_CAP + 1), 1.0))
     with pytest.raises(clusters.ClusterStatsError, match=f"beyond {laws._RUN_CAP}"):

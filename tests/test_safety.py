@@ -35,12 +35,17 @@ def test_reaction_distance_reference_points():
     assert safety.reaction_distance(safety.kmh_to_ms(60), 1.2e-3) == pytest.approx(0.02, abs=TOL)
 
 
+def _stop_distance(v_kmh, t_reaction_s, mu=safety.MU_DEFAULT):
+    v = safety.kmh_to_ms(v_kmh)
+    return safety.reaction_distance(v, t_reaction_s) + safety.brake_distance(v, mu)
+
+
 def test_stop_distance_reference_points():
-    human40 = safety.SafetyScenario(v_kmh=40, t_reaction_s=1.37)
-    assert safety.stop_distance(human40) == pytest.approx(24.22, abs=TOL)
-    vlc90 = safety.SafetyScenario(v_kmh=90, t_reaction_s=1.2e-3)
-    assert safety.stop_distance(vlc90) == pytest.approx(45.58, abs=TOL)
-    assert safety.stop_distance(safety.SafetyScenario(v_kmh=0, t_reaction_s=1.0)) == 0.0
+    assert _stop_distance(40, 1.37) == pytest.approx(24.22, abs=TOL)
+    assert _stop_distance(90, 1.2e-3) == pytest.approx(45.58, abs=TOL)
+    assert _stop_distance(0, 1.0) == 0.0
+    row, = safety.comparison_table([(90.0, 45.0, 1e-5)], vlc_reaction_s=1.2e-3)
+    assert row.stop_vlc_m == pytest.approx(45.58, abs=TOL)
 
 
 def test_vlc_reaction_latency():
@@ -53,10 +58,10 @@ def test_vlc_reaction_latency():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: safety.SafetyScenario(v_kmh=math.inf, t_reaction_s=1.0),
-    lambda: safety.SafetyScenario(v_kmh=40, t_reaction_s=math.inf),
-    lambda: safety.SafetyScenario(v_kmh=40, t_reaction_s=1.0, mu=math.inf),
-    lambda: safety.SafetyScenario(v_kmh=40, t_reaction_s=1.0, g=math.inf),
+    lambda: safety.comparison_table([(math.inf, 10.0, 1e-5)]),
+    lambda: safety.comparison_table([(40.0, 10.0, 1e-5)], vlc_reaction_s=math.inf),
+    lambda: safety.comparison_table([(40.0, 10.0, 1e-5)], mu=math.inf),
+    lambda: safety.comparison_table([(40.0, 10.0, 1e-5)], g=math.inf),
     lambda: safety.brake_distance(math.inf),
     lambda: safety.brake_distance(10.0, mu=math.inf),
     lambda: safety.brake_distance(10.0, g=math.inf),
@@ -131,32 +136,31 @@ def test_comparison_table_rejects_empty():
        st.floats(min_value=0.001, max_value=3.0),
        st.floats(min_value=0.1, max_value=1.2))
 def test_stop_distance_monotonicity(v_kmh, t_reaction, mu):
-    base = safety.stop_distance(
-        safety.SafetyScenario(v_kmh=v_kmh, t_reaction_s=t_reaction, mu=mu))
-    faster = safety.stop_distance(
-        safety.SafetyScenario(v_kmh=v_kmh * 1.1, t_reaction_s=t_reaction, mu=mu))
-    slower_brain = safety.stop_distance(
-        safety.SafetyScenario(v_kmh=v_kmh, t_reaction_s=t_reaction * 1.1, mu=mu))
-    slicker_road = safety.stop_distance(
-        safety.SafetyScenario(v_kmh=v_kmh, t_reaction_s=t_reaction, mu=mu * 0.9))
+    base = _stop_distance(v_kmh, t_reaction, mu)
+    faster = _stop_distance(v_kmh * 1.1, t_reaction, mu)
+    slower_brain = _stop_distance(v_kmh, t_reaction * 1.1, mu)
+    slicker_road = _stop_distance(v_kmh, t_reaction, mu * 0.9)
     assert faster > base
     assert slower_brain > base
     assert slicker_road > base
 
 
-@settings(max_examples=100)
-@given(st.floats(min_value=1e-6, max_value=1e4))
-def test_speed_unit_roundtrip(v_kmh):
-    assert safety.ms_to_kmh(safety.kmh_to_ms(v_kmh)) == pytest.approx(v_kmh, rel=1e-12)
-
-
 def test_scenario_validation():
-    with pytest.raises(safety.SafetyError):
-        safety.SafetyScenario(v_kmh=-1.0, t_reaction_s=1.0)
-    with pytest.raises(safety.SafetyError):
-        safety.SafetyScenario(v_kmh=10.0, t_reaction_s=1.0, mu=0.0)
-    with pytest.raises(safety.SafetyError):
-        safety.brake_distance(10.0, mu=-0.5)
+    # negative and NaN inputs fail each check, through the table too
+    for call in (lambda: safety.brake_distance(-1.0),
+                 lambda: safety.brake_distance(math.nan),
+                 lambda: safety.brake_distance(10.0, mu=0.0),
+                 lambda: safety.brake_distance(10.0, mu=-0.5),
+                 lambda: safety.brake_distance(10.0, g=math.nan),
+                 lambda: safety.reaction_distance(-1.0, 1.0),
+                 lambda: safety.reaction_distance(10.0, -1.0),
+                 lambda: safety.reaction_distance(10.0, math.nan),
+                 lambda: safety.comparison_table([(40.0, 10.0, 1e-5)], mu=0.0),
+                 lambda: safety.comparison_table([(40.0, 10.0, 1e-5)], vlc_reaction_s=-1e-3),
+                 lambda: safety.comparison_table([(40.0, 10.0, 1e-5)],
+                                                 vlc_reaction_s=math.nan)):
+        with pytest.raises(safety.SafetyError):
+            call()
 
 
 def test_scenarios_csv_errors(tmp_path):
