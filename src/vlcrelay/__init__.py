@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "channel": ("ErrorProcess", "GilbertElliott", "IidBit", "IidPacket", "NbCluster",
                 "PerDistanceTable", "per_at", "sample_losses"),
-    "clusters": ("ClusterDistribution", "extract_clusters", "fit", "nb_pmf",
-                 "prediction_error", "select_best"),
+    "clusters": ("ClusterDistribution", "extract_clusters", "fit", "select_best"),
     "codec": ("ChipStream", "deframe", "frame", "manchester_decode", "manchester_encode",
               "validate_preamble"),
     "laws": ("Family", "FitResult", "LatencyParams", "ModelTable", "latency_from_clusters",
              "quantile", "sal_curve"),
-    "node": ("LinkConfig", "Mode", "compute_per", "estimate_ber_upper"),
+    "node": ("LinkConfig", "Mode", "compute_per"),
     "safety": ("brake_distance", "comparison_table", "reaction_distance",
                "vlc_reaction_latency"),
     "sim": ("PacketTrace", "Summary", "read_trace", "read_trace_csv", "relay", "run",

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ._errors import ChannelError, ClusterStatsError, SafetyError, TraceFormatError
 from ._tables import OutOfRange
-from .node import ConfigError, LinkConfig, Mode, estimate_ber_upper
+from .node import ConfigError, LinkConfig, Mode
 
 if TYPE_CHECKING:
     from . import channel as _channel
@@ -123,7 +123,6 @@ def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
     return [
         f"seed={seed}",
         f"per={_format_float(summary.per)}",
-        f"ber_upper={_format_float(estimate_ber_upper(summary.per))}",
         f"channel_per={_format_float(summary.channel_per)}",
         f"n_tx={summary.n_tx}",
         f"n_received={summary.n_received}",

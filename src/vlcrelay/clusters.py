@@ -184,7 +184,7 @@ def _gammaln(x) -> np.ndarray:
     """``scipy.special.gammaln`` bit for bit, for x > 0 and non-finite x.
 
     An operation-for-operation port of Cephes ``lgam``, which scipy 1.17
-    calls, so the fits and quantiles keep their bytes without the 0.3 s
+    calls, so the negative-binomial fit keeps its bytes without the 0.3 s
     ``scipy.special`` import.  ``log`` is libm's through ``math.log``:
     numpy's SIMD ``np.log`` can differ from it in the last bit.  The
     Stirling branch (x >= 13) is vectorized; the few smaller elements,
@@ -210,52 +210,6 @@ def _gammaln(x) -> np.ndarray:
         part[small] = [_lgam_below_13(v) for v in part[small].tolist()]
         part[huge] = math.inf
     return out.reshape(x.shape)[()]
-
-
-def _xlogy(x, y: float) -> np.ndarray:
-    """``scipy.special.xlogy`` for one y: 0 where x == 0 (unless y is NaN),
-    else x * log(y), with libm's ``log`` and log(0) = -inf."""
-    log_y = math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan
-    x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by the 0
-        return np.where((x == 0.0) & (not math.isnan(y)), 0.0, x * log_y)[()]
-
-
-def nb_pmf(k, r: float, p: float) -> np.ndarray:
-    """P(K=k) = Gamma(k+r) / (k! Gamma(r)) * p^r * (1-p)^k, any real r > 0."""
-    check_params(Family.NEG_BINOMIAL, (r, p))
-    k = np.asarray(k)
-    if np.any(k < 0) or np.any(k != np.floor(k)):
-        raise ClusterStatsError("k must be a nonnegative integer")
-    k = k.astype(np.int64)
-    logpmf = (_gammaln(k + r) - _gammaln(r) - _gammaln(k + 1)
-              + r * math.log(p) + k * math.log1p(-p))
-    return np.exp(logpmf)
-
-
-def poisson_pmf(k, lam: float) -> np.ndarray:
-    check_params(Family.POISSON, (lam,))
-    k = np.asarray(k, dtype=np.int64)
-    if lam == 0.0:
-        return (k == 0).astype(float)
-    kk = np.maximum(k, 0)
-    return np.where(k >= 0, np.exp(_xlogy(kk, lam) - lam - _gammaln(kk + 1)), 0.0)
-
-
-def binom_pmf(k, n: int, p: float) -> np.ndarray:
-    check_params(Family.BINOMIAL, (n, p))
-    n = int(n)
-    k = np.asarray(k, dtype=np.int64)
-    inside = (k >= 0) & (k <= n)
-    kk = np.clip(k, 0, n)
-    logpmf = (_gammaln(n + 1) - _gammaln(kk + 1) - _gammaln(n - kk + 1)
-              + _xlogy(kk, p) + _xlogy(n - kk, 1.0 - p))
-    return np.where(inside, np.exp(logpmf), 0.0)
-
-
-def _family_pmf(family: Family, params: tuple[float, ...], k) -> np.ndarray:
-    pmfs = {Family.NEG_BINOMIAL: nb_pmf, Family.POISSON: poisson_pmf, Family.BINOMIAL: binom_pmf}
-    return pmfs[family](k, *params)
 
 
 _BRENT_MESSAGES = {0: "Solution found.",
@@ -391,9 +345,18 @@ def fit(dist: ClusterDistribution, family: Family) -> FitResult:
         n = max(1, dist.max_cluster)
         params = (float(n), mean / n)
 
-    model_cdf = np.cumsum(_family_pmf(family, params, np.arange(dist.max_cluster + 1)))
-    err = dist.cdf - model_cdf
-    return FitResult(family=family, params=params, max_cdf_error=float(np.max(np.abs(err))))
+    # the law's CDF on 0..max_cluster from the table its quantiles read: 0
+    # before the table's start, then its entries, then its last value past
+    # its end, where it finished or reached the run cap
+    model = np.zeros(dist.max_cluster + 1)
+    table = cdf_table(family, params)
+    if table.start < model.size:
+        held = np.frombuffer(table.grow(k=dist.max_cluster))[:model.size - table.start]
+        model[table.start:] = held[-1]
+        model[table.start:table.start + held.size] = held
+    np.subtract(dist.cdf, model, out=model)
+    err = float(np.max(np.abs(model, out=model)))
+    return FitResult(family=family, params=params, max_cdf_error=err)
 
 
 def select_best(fits) -> FitResult:
@@ -406,8 +369,3 @@ def select_best(fits) -> FitResult:
     contenders = [f for f in fits if f.max_cdf_error <= best_err + _TIE_TOL]
     return min(contenders, key=lambda f: (f.family.n_params, f.max_cdf_error))
 
-
-def prediction_error(model, empirical, targets=DEFAULT_TARGETS) -> np.ndarray:
-    """Per-target quantile gap, model minus empirical, in packets."""
-    return np.array([quantile(model, t) - quantile(empirical, t) for t in targets],
-                    dtype=np.int64)

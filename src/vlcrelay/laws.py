@@ -155,11 +155,12 @@ class CdfTable:
         self._cdf = array("d", [pmf])
         self.finished = start == size - 1
 
-    def grow(self, upto: float = -math.inf) -> array:
-        """Extend the table until its last value is at least ``upto`` or it
-        is finished; returns its entries from ``start`` on."""
+    def grow(self, upto: float = -math.inf, k: int = 0) -> array:
+        """Extend the table until its last value is at least ``upto`` and it
+        holds index ``k``, or it is finished; returns its entries from
+        ``start`` on."""
         cdf = self._cdf
-        while not self.finished and cdf[-1] < upto:
+        while not self.finished and (cdf[-1] < upto or self.start + len(cdf) <= k):
             lo = self.start + len(cdf)
             hi = min(2 * lo, lo + _TABLE_CHUNK, self._size)
             # the terms lo..hi-1 join the table up to the first that no longer
@@ -195,8 +196,8 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
     When pmf(0) underflows (NB r=200, p=1e-3), the table starts at the
     first k whose pmf is back in the float range: the leading terms are
     stepped in log space and count as 0.  A law that never gets there
-    below the run cap starts at the cap at once, with pmf 0, where that
-    walk would end."""
+    below the run cap, or a p = 1 binomial whose mass lies past it, starts
+    at the cap at once, with pmf 0, where that walk would end."""
     family = Family(family)
     check_params(family, params)
     size = _RUN_CAP + 1
@@ -209,9 +210,8 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
     else:
         n, p = int(params[0]), params[1]
         if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
-            if n > _RUN_CAP:
-                raise ClusterStatsError(
-                    f"binomial(n={n}, p=1) has its mass at n, beyond {_RUN_CAP}")
+            if n > _RUN_CAP:  # no mass below the cap
+                return CdfTable(0.0, None, size, start=size - 1)
             return CdfTable(1.0, None, size=n + 1, start=n)
         pmf0, log_pmf0 = math.exp(n * math.log(1.0 - p)), n * math.log1p(-p)
         ratio, size = lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(n, _RUN_CAP) + 1
@@ -231,12 +231,6 @@ class FitResult:
     params: tuple[float, ...]
     max_cdf_error: float = math.nan
 
-    def pmf(self, k):
-        """The law's pmf at ``k``, vectorized (loads numpy)."""
-        from .clusters import _family_pmf
-
-        return _family_pmf(self.family, self.params, k)
-
     @cached_property
     def _table(self) -> CdfTable:
         return cdf_table(self.family, self.params)
@@ -252,11 +246,14 @@ class FitResult:
         return n * p
 
     def describe(self) -> str:
+        """The law with each parameter's ``repr``, which reads back as the
+        same float, so it can be entered as a model-table row."""
+        x = [float(v) for v in self.params]
         if self.family is Family.NEG_BINOMIAL:
-            return f"negbinomial(r={self.params[0]:.6g}, p={self.params[1]:.6g})"
+            return f"negbinomial(r={x[0]!r}, p={x[1]!r})"
         if self.family is Family.POISSON:
-            return f"poisson(lambda={self.params[0]:.6g})"
-        return f"binomial(n={int(self.params[0])}, p={self.params[1]:.6g})"
+            return f"poisson(lambda={x[0]!r})"
+        return f"binomial(n={int(x[0])}, p={x[1]!r})"
 
 
 def quantile(model, target_prob: float) -> int:

@@ -148,9 +148,3 @@ def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:
         per = 1.0 - 2.0 * ratio
     return min(1.0, max(0.0, per))
 
-
-def estimate_ber_upper(per: float) -> float:
-    """Upper bit-error-rate bound assuming one flipped bit per lost frame."""
-    if not 0.0 <= per <= 1.0:
-        raise ConfigError(f"per must be in [0, 1], got {per}")
-    return per / FRAME_BITS

@@ -12,8 +12,10 @@ ratio) for ``clusters.CdfTable``; for the negative-binomial stream,
 ``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``),
 and ``nb_whole_trace``, the draw's first layout (every batch's runs at once);
 ``doubling_quantile``, the quantile path before the table (``fit_cdf`` sums
-gammaln pmfs from k = 0 and ``quantile_from_cdf`` doubles the grid), for
-``clusters.quantile``; ``window_hist`` and ``loss_run_lengths`` (the run
+``gammaln_pmf`` from k = 0 and ``quantile_from_cdf`` doubles the grid), for
+``clusters.quantile``; ``table_cdf_error`` (the recurrence loop) and
+``gammaln_cdf_error`` (the gammaln sums the fits once scored) for
+``clusters.fit``'s CDF error; ``window_hist`` and ``loss_run_lengths`` (the run
 lengths from the edges of the padded loss flags) for
 ``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the negative-binomial fit through
 ``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
@@ -27,6 +29,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 from scipy.stats import nbinom
 
 from vlcrelay.channel import (
@@ -271,7 +274,6 @@ def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
     from scipy.optimize import minimize_scalar
-    from scipy.special import gammaln
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
@@ -291,13 +293,49 @@ def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
 _QUANTILE_CAP = 10**7
 
 
+def gammaln_pmf(family: Family, params, k) -> np.ndarray:
+    """A law's pmf at the integers ``k`` >= 0, ``exp`` of its log pmf by
+    ``gammaln`` and ``xlogy``: the pmfs the package computed before the
+    recurrence table."""
+    k = np.asarray(k, dtype=np.int64)
+    if family is Family.NEG_BINOMIAL:
+        r, p = params
+        return np.exp(gammaln(k + r) - gammaln(r) - gammaln(k + 1)
+                      + r * math.log(p) + k * math.log1p(-p))
+    if family is Family.POISSON:
+        (lam,) = params
+        if lam == 0.0:
+            return (k == 0).astype(float)
+        return np.exp(xlogy(k, lam) - lam - gammaln(k + 1))
+    n, p = int(params[0]), params[1]
+    kk = np.minimum(k, n)
+    logpmf = (gammaln(n + 1) - gammaln(kk + 1) - gammaln(n - kk + 1)
+              + xlogy(kk, p) + xlogy(n - kk, 1.0 - p))
+    return np.where(k <= n, np.exp(logpmf), 0.0)
+
+
 def fit_cdf(model: FitResult, k) -> np.ndarray:
-    """``FitResult.cdf`` before the recurrence table: cumulative sums of the
-    gammaln pmfs from k = 0."""
+    """A law's CDF before the recurrence table: cumulative sums of
+    ``gammaln_pmf`` from k = 0."""
     k = np.asarray(k, dtype=np.int64)
     kmax = int(k.max()) if k.size else 0
-    cum = np.cumsum(model.pmf(np.arange(kmax + 1)))
+    cum = np.cumsum(gammaln_pmf(model.family, model.params, np.arange(kmax + 1)))
     return cum[k]
+
+
+def table_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
+    """Largest |empirical - model| CDF gap on 0..max_cluster, the model's
+    CDF by the recurrence loop, held at its last value past its end."""
+    table = law_cdf_table(model.family, model.params)
+    size = dist.max_cluster + 1
+    held = np.concatenate((table, np.full(max(0, size - table.size), table[-1])))
+    return float(np.max(np.abs(dist.cdf - held[:size])))
+
+
+def gammaln_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
+    """The CDF gap as the fits took it before the table: against the
+    cumulative sums of ``gammaln_pmf``."""
+    return float(np.max(np.abs(dist.cdf - fit_cdf(model, np.arange(dist.max_cluster + 1)))))
 
 
 def empirical_cdf(dist: ClusterDistribution, k) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import vlcrelay
-from vlcrelay import channel, cli, sim
+from vlcrelay import channel, cli, clusters, sim
 from vlcrelay.node import LinkConfig, Mode
 
 
@@ -539,11 +540,13 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
 # (summary, clusters, report) were re-recorded for the block stream
 # (rng=numpy-pcg64/2); sal.csv and safety.csv never read it.  summary.txt
 # was re-recorded when it gained channel_per= and mean_latency_us= became
-# the exact mean of the relayed packets' runs, rounded once
+# the exact mean of the relayed packets' runs, rounded once, and again when
+# it lost ber_upper=; report.txt when each fit_ line printed its law's
+# parameters by repr, so that they read back
 GOLDEN_CLI_SHA256 = {
-    "summary.txt": "4e029757d5ac6cbf7c3822932f67e0ef790c91973cd9d9a28a52fd1081454634",
+    "summary.txt": "01a0c0056fbffb3314dc807c963500bb698099d64aa2446465eb34f23be717a7",
     "clusters.csv": "11135f1c8206d0d75dbfc10b08171307884f8baefbc2dde0b20f314aede83c90",
-    "report.txt": "62b5abd317c12f78d18beb9a0284f146fcbf1d51b76d77fd350d4d6b53764d44",
+    "report.txt": "71edd585bca33a2a902d4d99150343156ece881aa1e33bd04b3ffa9d0e3f0525",
     "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
     "safety.csv": "4c7219b3ff3c3fa343bd41fd11e158227a1a262a277b5fbd297e60ecb4bbb7b6",
 }
@@ -565,6 +568,40 @@ def test_golden_cli_outputs(tmp_path, capsys):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in out.items()}
     assert digests == GOLDEN_CLI_SHA256
+
+
+@pytest.mark.parametrize("simulate_args", [
+    ("--per", "0.01", "--n", "2000", "--seed", "5"),  # NB p within 4e-9 of 1
+    ("--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3", "--n", "20000",
+     "--seed", "7"),
+    ("--mode", "beacon", "--per", "0.1", "--n", "20000", "--seed", "1"),
+], ids=["nb-p-near-1", "nb-anchor", "iid"])
+def test_printed_laws_read_back_as_model_rows(tmp_path, simulate_args):
+    # each fit_ line prints its law's parameters exactly, so every printed
+    # law is a valid model-table row, and the best one gives sal the
+    # report's model quantiles
+    trace, report = tmp_path / "t.vlct", tmp_path / "r.txt"
+    assert run_cli("simulate", *simulate_args, "--out", str(trace),
+                   "--summary", str(tmp_path / "s.txt")) == 0
+    assert run_cli("analyze", str(trace), "--clusters-out", str(tmp_path / "c.csv"),
+                   "--report-out", str(report)) == 0
+    lines = dict(line.split("=", 1) for line in report.read_text().splitlines())
+    dist = clusters.extract_clusters(sim.read_trace(trace))
+    rows = []
+    for family in sorted(clusters.Family, key=lambda f: f.value != lines["best"]):
+        law = lines[f"fit_{family.value}"].split(" max_cdf_error=")[0]
+        name, params = re.fullmatch(r"(\w+)\((.*)\)", law).groups()
+        values = [value for _, value in (item.split("=") for item in params.split(", "))]
+        assert name == family.value
+        assert [float(v) for v in values] == list(clusters.fit(dist, family).params)
+        rows.append(f"0.{len(rows) + 1},{name},{','.join(values)}{',' * (2 - len(values))}")
+    models = tmp_path / "m.csv"
+    models.write_text("per,family,param1,param2\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "sal.csv"
+    assert run_cli("sal", "--models", str(models), "--per-grid", "0.1", "--out", str(out)) == 0
+    packets = {row.split(",")[1]: row.split(",")[2]
+               for row in out.read_text().splitlines()[1:]}
+    assert packets == {t: lines[f"model_quantile_{t}"] for t in ("0.9", "0.95", "0.99", "0.999")}
 
 
 def _subprocess_env():
@@ -704,11 +741,11 @@ _PACKAGE_NAMES = {
     "channel": ("ErrorProcess", "GilbertElliott", "IidBit", "IidPacket", "NbCluster",
                 "PerDistanceTable", "per_at", "sample_losses"),
     "clusters": ("ClusterDistribution", "Family", "FitResult", "LatencyParams", "ModelTable",
-                 "extract_clusters", "fit", "latency_from_clusters", "nb_pmf",
-                 "prediction_error", "quantile", "sal_curve", "select_best"),
+                 "extract_clusters", "fit", "latency_from_clusters", "quantile", "sal_curve",
+                 "select_best"),
     "codec": ("ChipStream", "deframe", "frame", "manchester_decode", "manchester_encode",
               "validate_preamble"),
-    "node": ("LinkConfig", "Mode", "compute_per", "estimate_ber_upper"),
+    "node": ("LinkConfig", "Mode", "compute_per"),
     "safety": ("brake_distance", "comparison_table", "reaction_distance",
                "vlc_reaction_latency"),
     "sim": ("PacketTrace", "Summary", "read_trace", "read_trace_csv", "relay", "run",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -23,6 +24,7 @@ TABLE_II_NB = [
     ((0.028, 0.7053), (0, 0, 0, 2)),
 ]
 TARGETS = (0.9, 0.95, 0.99, 0.999)
+NB, POISSON, BINOMIAL = clusters.Family
 
 
 def dist_from_window_counts(draws):
@@ -103,48 +105,54 @@ def test_extract_clusters_matches_generator():
     process = channel.NbCluster.for_law(0.1691, 0.0638)
     lost = channel.sample_losses(process, 10**5, np.random.default_rng(3))
     dist = clusters.extract_clusters(~lost)
-    ks = np.arange(dist.max_cluster + 1)
-    model = np.cumsum(clusters.nb_pmf(ks, 0.1691, 0.0638))
-    assert np.max(np.abs(np.cumsum(dist.pmf_grid()) - model)) < 0.02
+    law = clusters.FitResult(NB, (0.1691, 0.0638))
+    assert oracles.table_cdf_error(dist, law) < 0.02
 
 
-# ----------------------------------------------------------------------- pmf
+# --------------------------------------------------- a law's pmf, by its table
 
 def test_nb_pmf_table_ii_zero_mass():
-    assert clusters.nb_pmf(0, 0.1691, 0.0638) == pytest.approx(0.628, abs=5e-4)
+    # a law's table opens with its pmf(0)
+    assert clusters.cdf_table(NB, (0.1691, 0.0638)).grow()[0] == pytest.approx(0.628, abs=5e-4)
 
 
 @pytest.mark.parametrize("r,p", [(0.1691, 0.0638), (0.5, 0.3), (2.7, 0.9), (1.0, 0.05)])
 def test_nb_pmf_normalizes(r, p):
-    total = clusters.nb_pmf(np.arange(10**5), r, p).sum()
-    assert abs(total - 1.0) < 1e-10
+    table = clusters.cdf_table(NB, (r, p))
+    assert abs(table.grow(math.inf)[-1] - 1.0) < 1e-10
+    assert table.finished
 
 
 def test_nb_pmf_geometric_special_case():
+    # NB(1, p) is the geometric law, whose CDF is 1 - (1 - p)^(k + 1)
     ks = np.arange(50)
     p = 0.37
-    assert np.allclose(clusters.nb_pmf(ks, 1.0, p), p * (1 - p) ** ks, rtol=1e-12)
+    cdf = np.frombuffer(clusters.cdf_table(NB, (1.0, p)).grow(k=49))[:50]
+    assert np.allclose(cdf, 1 - (1 - p) ** (ks + 1), rtol=1e-12, atol=0)
+
+
+def _assert_table_matches_scipy(family, params, scipy_law):
+    table = clusters.cdf_table(family, params)
+    cdf = oracles.full_table(table)
+    ks = np.arange(cdf.size)
+    assert np.allclose(cdf, scipy_law.cdf(ks, *params), rtol=1e-10, atol=0)
+    assert cdf[0] == pytest.approx(scipy_law.pmf(0, *params), rel=1e-12)
 
 
 def test_nb_pmf_against_reference():
-    ks = np.arange(200)
-    for r, p in [(0.1691, 0.0638), (3.2, 0.55)]:
-        assert np.allclose(clusters.nb_pmf(ks, r, p), sp_nbinom.pmf(ks, r, p),
-                           rtol=1e-10, atol=1e-300)
+    for params in [(0.1691, 0.0638), (3.2, 0.55)]:
+        _assert_table_matches_scipy(NB, params, sp_nbinom)
 
 
 def test_nb_pmf_domain_errors():
-    with pytest.raises(clusters.ClusterStatsError):
-        clusters.nb_pmf(0, -1.0, 0.5)
-    with pytest.raises(clusters.ClusterStatsError):
-        clusters.nb_pmf(0, 1.0, 1.0)
-    with pytest.raises(clusters.ClusterStatsError):
-        clusters.nb_pmf(-1, 1.0, 0.5)
+    for params in [(-1.0, 0.5), (1.0, 1.0), (1.0, 0.0), (1.0,)]:
+        with pytest.raises(clusters.ClusterStatsError):
+            clusters.cdf_table(NB, params)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: clusters.nb_pmf(0, math.nan, 0.5),
-    lambda: clusters.poisson_pmf(0, math.nan),
+    lambda: clusters.check_params(NB, (math.nan, 0.5)),
+    lambda: clusters.check_params(POISSON, (math.nan,)),
     lambda: clusters.LatencyParams(math.nan, 0.0, 1e-4),
     lambda: clusters.LatencyParams(595e-6, math.nan, 1e-4),
     lambda: clusters.LatencyParams(595e-6, 0.0, math.nan),
@@ -155,12 +163,9 @@ def test_range_checks_refuse_nan(call):
 
 
 def test_poisson_and_binom_pmf_against_reference():
-    ks = np.arange(40)
-    assert np.allclose(clusters.poisson_pmf(ks, 0.0042), sp_poisson.pmf(ks, 0.0042),
-                       rtol=1e-10, atol=1e-300)
-    assert np.allclose(clusters.poisson_pmf(ks, 0.0), sp_poisson.pmf(ks, 0.0))
-    assert np.allclose(clusters.binom_pmf(ks, 26, 0.05), sp_binom.pmf(ks, 26, 0.05),
-                       rtol=1e-10, atol=1e-300)
+    _assert_table_matches_scipy(POISSON, (0.0042,), sp_poisson)
+    _assert_table_matches_scipy(POISSON, (0.0,), sp_poisson)
+    _assert_table_matches_scipy(BINOMIAL, (26.0, 0.05), sp_binom)
 
 
 # ---------------------------------------------------------------------- fits
@@ -229,6 +234,53 @@ def test_fit_nb_matches_minimize_scalar_oracle(spec, mode):
         dist = clusters.extract_clusters(trace)
         values, weights = (a.astype(float) for a in dist.values_weights())
         assert clusters._fit_nb_mle(dist) == oracles.fit_nb_mle(values, weights)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("spec", FIT_CORPUS_SPECS)
+def test_fit_scores_the_table_its_quantiles_read(spec, mode):
+    # max_cdf_error is the gap to the recurrence loop's CDF; the best law
+    # and its quantiles are those of the gammaln sums the fits once scored
+    process = channel.process_from_spec(spec)
+    for seed in range(3):
+        trace = sim.run(LinkConfig(mode=mode), process, 60_000, seed)
+        dist = clusters.extract_clusters(trace)
+        fits = [clusters.fit(dist, family) for family in clusters.Family]
+        for f in fits:
+            assert f.max_cdf_error == oracles.table_cdf_error(dist, f), f
+        best = clusters.select_best(fits)
+        old_best = clusters.select_best(
+            dataclasses.replace(f, max_cdf_error=oracles.gammaln_cdf_error(dist, f))
+            for f in fits)
+        assert (best.family, best.params) == (old_best.family, old_best.params)
+        for target in TARGETS:
+            assert clusters.quantile(best, target) == oracles.doubling_quantile(old_best, target)
+
+
+def test_fit_holds_a_law_at_its_run_cap_value_past_the_cap(monkeypatch):
+    # a run longer than the cap: a law's table ends at the cap, and past it
+    # the fit reads the law's CDF as its value there.  On an all-lost trace
+    # the Poisson table runs to the cap, and the p = 1 binomial, all of
+    # whose mass lies past it, holds 0 there
+    monkeypatch.setattr(laws, "_RUN_CAP", 50)
+    dist = clusters.ClusterDistribution(hist=np.array([0] * 80 + [1]), n_slots=80)
+    table = oracles.law_cdf_table(POISSON, (80.0,), size=51)
+    assert table.size == 51
+    assert clusters.fit(dist, POISSON).max_cdf_error == 1.0 - table[-1]
+    binomial = clusters.fit(dist, BINOMIAL)
+    assert binomial.params == (80.0, 1.0) and binomial.max_cdf_error == 1.0
+    with pytest.raises(clusters.ClusterStatsError, match=r"beyond 50, where its CDF ends at 0.0"):
+        clusters.quantile(binomial, 0.5)
+
+
+def test_fit_reads_a_table_that_starts_past_zero():
+    # Poisson(800): e^-800 underflows, so the table starts near 500; the
+    # entries before its start are 0
+    draws = np.random.default_rng(5).poisson(800.0, 2000)
+    dist = dist_from_window_counts(draws)
+    fit = clusters.fit(dist, POISSON)
+    assert clusters.cdf_table(POISSON, fit.params).start > 0
+    assert fit.max_cdf_error == oracles.table_cdf_error(dist, fit)
 
 
 def _same(a, b) -> bool:
@@ -303,20 +355,6 @@ def test_gammaln_port_matches_scipy_bit_for_bit():
         assert np.ndim(clusters._gammaln(x)) == 0
 
 
-def test_xlogy_port_matches_scipy():
-    from scipy.special import xlogy
-    x = np.array([0.0, 1.0, 2.5, 7.0, 26.0, -3.0, np.inf, np.nan])
-    for y in (0.0, 1.0, 0.3, 1e-300, 2.0, 1e300, np.inf, -1.0, np.nan):
-        assert _same_bits(clusters._xlogy(x, y), xlogy(x, y)), y
-        assert _same_bits(clusters._xlogy(0, y), xlogy(0, y)), y
-        assert np.ndim(clusters._xlogy(0, y)) == 0
-
-
-def test_poisson_pmf_is_zero_below_the_support():
-    assert _same_bits(clusters.poisson_pmf([-40, -1, 0, 3], 0.5),
-                      sp_poisson.pmf([-40, -1, 0, 3], 0.5))
-
-
 def test_gammaln_port_rejects_x_at_or_below_zero():
     for x in (0.0, -0.5, -3.0):
         with pytest.raises(ValueError, match="x > 0"):
@@ -373,8 +411,6 @@ def test_quantile_rejects_bad_targets():
     with pytest.raises(clusters.ClusterStatsError):
         clusters.quantile(model, 1.0)
 
-
-NB, POISSON, BINOMIAL = clusters.Family
 
 
 def _random_laws(rng, n):
@@ -439,6 +475,20 @@ def test_cdf_table_matches_the_recurrence_loop(family, params):
     table = clusters.cdf_table(family, params)
     assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(family, params))
     assert table.finished
+
+
+def test_cdf_table_grows_to_an_index():
+    # a fit reads a law's table up to the longest run, not to a CDF value:
+    # a slowly decaying law grows only as far as that index
+    table = clusters.cdf_table(NB, (1.0, 1e-6))
+    cdf = table.grow(k=1000)
+    assert 1000 < len(cdf) <= 2048 and not table.finished
+    assert np.array_equal(np.frombuffer(cdf),
+                          oracles.law_cdf_table(NB, (1.0, 1e-6), size=len(cdf)))
+    late = clusters.cdf_table(POISSON, (800.0,))
+    assert late.start + len(late.grow(k=late.start + 5)) > late.start + 5
+    short = clusters.cdf_table(POISSON, (0.1,))
+    assert len(short.grow(k=1000)) < 30 and short.finished
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, 1 << 16])
@@ -568,6 +618,19 @@ def test_latency_linearity():
         assert gap == pytest.approx(b * (params.ipd_s + params.pt_s), rel=1e-12)
 
 
+@pytest.mark.parametrize("baud", [57000, 115200, 230000])
+@pytest.mark.parametrize("ipd_s", [0.0, 5e-6, 1e-3])
+def test_sal_latency_is_the_trace_latency_after_a_loss_run(baud, ipd_s):
+    # one latency law: the SAL for n packets is the latency the relay
+    # records for a packet relayed after a run of n losses, on the same link
+    params = clusters.LatencyParams.from_baud(baud, ipd_s=ipd_s)
+    for n in (1, 2, 7, 59, 1000):
+        received = np.array([True] + [False] * n + [True])
+        relayed, latency_s = sim.relay(LinkConfig(baud=baud, ipd_s=ipd_s), received)
+        assert relayed[-1]
+        assert latency_s[-1] == clusters.latency_from_clusters(n, params), n
+
+
 def test_latency_params_from_baud():
     params = clusters.LatencyParams.from_baud(230000)
     assert params.pt_s == 64 / 230000
@@ -685,13 +748,7 @@ def test_sal_nondecreasing_along_grid():
         assert all(a <= b for a, b in zip(packets, packets[1:]))
 
 
-# ---------------------------------------------------------- prediction error
-
-def test_prediction_error_zero_against_self():
-    model = clusters.FitResult(clusters.Family.NEG_BINOMIAL, (0.1691, 0.0638))
-    assert np.array_equal(clusters.prediction_error(model, model, TARGETS),
-                          np.zeros(4, dtype=np.int64))
-
+# ------------------------------------------------- model against data
 
 def test_prediction_error_synthetic_within_paper_band():
     # the fitted model stays within 5 packets of the data below the 95% target
@@ -699,16 +756,5 @@ def test_prediction_error_synthetic_within_paper_band():
     lost = channel.sample_losses(process, 10**5, np.random.default_rng(17))
     dist = clusters.extract_clusters(~lost)
     best = clusters.select_best([clusters.fit(dist, f) for f in clusters.Family])
-    errors = clusters.prediction_error(best, dist, targets=(0.5, 0.75, 0.9, 0.94))
-    assert np.all(np.abs(errors) <= 5)
-
-
-def test_prediction_error_sign_convention():
-    # tail mass exactly at the target: the empirical quantile collapses to 0
-    # while the mean-matched Poisson still needs extra packets
-    draws = np.zeros(100000, dtype=np.int64)
-    draws[:100] = 50
-    empirical = dist_from_window_counts(draws)
-    model = clusters.fit(empirical, clusters.Family.POISSON)
-    err = clusters.prediction_error(model, empirical, targets=(0.999,))
-    assert err[0] > 0
+    for target in (0.5, 0.75, 0.9, 0.94):
+        assert abs(clusters.quantile(best, target) - clusters.quantile(dist, target)) <= 5

@@ -206,11 +206,3 @@ def test_compute_per_beacon():
     with pytest.raises(node.EmptyTrace):
         node.compute_per(0, 0, node.Mode.BEACON)
 
-
-def test_estimate_ber_upper():
-    assert node.estimate_ber_upper(1e-5) == pytest.approx(3.125e-7)
-    assert node.estimate_ber_upper(1e-5) == pytest.approx(3e-7, rel=0.1)
-    assert node.estimate_ber_upper(0.0) == 0.0
-    assert node.estimate_ber_upper(0.32) == pytest.approx(0.01)
-    with pytest.raises(node.ConfigError):
-        node.estimate_ber_upper(1.5)
