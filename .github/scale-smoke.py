@@ -5,9 +5,9 @@ then ``analyze t.csv``) on a tenth as many, ``simulate`` and ``analyze``
 of an all-lost trace (``--per 1.0``) as long, whose fits read each law's
 CDF table out to its one loss run, ``sal`` on a model table whose one
 law, binomial(n=10^12), must end at the run cap with exit 2, and the
-bundled ``sal`` and ``safety``.  The last three have a bound below
-the peak of an interpreter that imports numpy: they run on the standard
-library alone.
+bundled ``sal`` and ``safety``.  The last three, and ``analyze`` of a
+binary trace, have a bound below the peak of an interpreter that imports
+numpy: they run on the standard library alone.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
@@ -31,9 +31,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # measured at 10^7 (2 CPUs, Python 3.11, numpy 2.4): simulate 58 MB for all
-# three processes (nb-cluster 58.2 MB), analyze 51 MB for both; each bound is
-# that plus about a quarter
-SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 65.0, 65.0, 100.0
+# three processes (nb-cluster 58.2 MB); analyze of a binary trace 19.3 MB for
+# both, as it loads no numpy and counts the runs from the packed payload a
+# block at a time (51 MB when it unpacked the flags with numpy); each bound
+# is that plus about a quarter.  The CSV analyze at 10^6 peaks at 50 MB
+SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 24.0, 24.0, 100.0
 # the all-lost analyze at 10^6 peaks at 61 MB, the fits scoring each law on
 # its CDF table (101 MB when they summed gammaln pmfs over every run length);
 # its bound is that plus about a quarter

@@ -1,9 +1,10 @@
 """The packet blocks of the channel draw and the one run scan over them.
 
 ``channel`` draws its flags a block at a time, and ``sim`` (the relay
-parity, the latency column, ``summarize``) and ``clusters``
-(``extract_clusters``) read every run from ``_runs_before``.  It is a
-module of its own so that ``simulate`` loads none of the fits.
+parity, the latency column, ``summarize``) reads every run from
+``_runs_before``.  It is a module of its own so that ``simulate`` loads
+none of the fits.  ``clusters`` counts its loss runs without it, from
+Python ints, so that ``analyze`` of a binary trace loads no numpy.
 """
 
 from __future__ import annotations

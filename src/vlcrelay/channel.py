@@ -8,7 +8,11 @@ to measured distances per baud rate.
 
 Only the ``nb-cluster`` process needs a count law, so ``laws`` is imported
 where that law is checked or drawn: an iid or Gilbert-Elliott ``simulate``
-does not load (and, with no bytecode cache, compile) it.
+does not load (and, with no bytecode cache, compile) it.  In the same way
+numpy and the packet blocks of ``_scan`` are imported by the samplers and
+the PER-table code alone, so ``process_from_spec``, which checks a trace
+header's process, runs on the standard library: ``analyze`` of a binary
+trace loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +22,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ._errors import ChannelError, ClusterStatsError
-from ._scan import _BLOCK, _packet_blocks
 from ._tables import OutOfRange, data_path, read_table
 from .node import FRAME_BITS
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .laws import CdfTable
 
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
@@ -175,6 +178,8 @@ def _cluster_sizes(table: CdfTable, p0: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF sizes (>= 1) of a law conditioned on >= 1, for uniforms
     ``u`` in [0, 1): a target above the finished table takes its last index,
     and a target of exactly 1.0 the cap."""
+    import numpy as np
+
     from .laws import _RUN_CAP
 
     target = p0 + (1.0 - u) * (1.0 - p0)  # in (p0, 1], above the table's leading zeros
@@ -195,6 +200,8 @@ def _ge_bad_before(u_trans: np.ndarray, p_gb: float, p_bg: float,
     swap since then.  A leading force to ``bad`` stands for the state the
     block starts in.
     """
+    import numpy as np
+
     to_bad = np.concatenate(([bad], u_trans < p_gb))
     to_good = np.concatenate(([not bad], u_trans < p_bg))
     idx = np.arange(to_bad.size)
@@ -208,7 +215,7 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
 
     Deterministic in the generator state: the same seed gives the same
     flags for every process.  Each process fills one output buffer, the iid
-    and Gilbert-Elliott ones a block of ``_BLOCK`` packets at a time (the
+    and Gilbert-Elliott ones a block of ``_scan._BLOCK`` packets at a time (the
     numbers of one draw of all ``n``, in order) and ``nb-cluster`` a batch
     of ``_NB_CYCLES`` cycles at a time, so temporaries stay per block.
     """
@@ -216,6 +223,10 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
         raise ChannelError(f"n must be >= 1, got {n}")
     if not isinstance(process, ErrorProcess):
         raise ChannelError(f"unknown error process {process!r}")
+    import numpy as np
+
+    from ._scan import _packet_blocks
+
     lost = np.empty(n, dtype=bool)
     if isinstance(process, NbCluster):
         # stream 2: per batch, _NB_CYCLES geometric gaps (capped at n, so their
@@ -330,6 +341,8 @@ class PerDistanceTable:
     pers: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         # each check is written so that NaN fails it
         if not np.all((self.distances_m > 0) & (self.distances_m < math.inf)):
             raise ChannelError("distances must be finite and positive")
@@ -343,6 +356,8 @@ class PerDistanceTable:
 
     @classmethod
     def from_rows(cls, rows) -> "PerDistanceTable":
+        import numpy as np
+
         rows = sorted(rows, key=lambda r: (r[1], r[0]))
         if not rows:
             raise ChannelError("table needs at least one row")
@@ -381,6 +396,8 @@ def per_at(table: PerDistanceTable, distance_m: float, baud: int) -> float:
     Interpolated values are floored at PER_FLOOR, the smallest rate the
     underlying measurements could resolve.
     """
+    import numpy as np
+
     mask = table.bauds == baud
     if not mask.any():
         raise UnknownBaud(baud, set(table.bauds.tolist()))

@@ -13,10 +13,13 @@ Each command imports only the layers it runs, inside its ``cmd_*``
 function; the import of this module loads ``node``, ``_tables`` and
 ``_errors`` alone.  With no bytecode cache, every module a child imports
 is compiled from source, so an unused layer costs every command.  So
-``simulate`` loads ``channel``, ``sim`` and the run scan (and ``laws`` for
-an ``nb-cluster`` process), ``analyze`` adds ``clusters`` and ``laws``,
-``sal`` loads ``laws``, and ``safety`` ``laws`` and ``safety``.  ``sal``
-and ``safety`` run on the standard library alone; no command loads
+``simulate`` loads ``channel``, ``sim``, ``_trace`` and the run scan (and
+``laws`` for an ``nb-cluster`` process).  ``analyze`` of a binary trace
+loads ``_trace``, ``channel`` (to check the header's process), ``clusters``
+and ``laws``, and counts the loss runs from the packed payload; only a CSV
+export goes through ``sim`` and the run scan.  ``sal`` loads ``laws``, and
+``safety`` ``laws`` and ``safety``.  ``sal``, ``safety`` and ``analyze`` of
+a binary trace run on the standard library alone; no command loads
 ``codec``.
 """
 
@@ -182,10 +185,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import _trace
     from . import clusters as _clusters
-    from . import sim as _sim
 
-    dist = _clusters.extract_clusters(_sim.read_trace(args.trace))
+    trace = _trace.read_binary(args.trace)
+    if trace is None:  # a CSV export
+        from . import sim as _sim
+
+        trace = _sim.read_trace_csv(args.trace)
+    dist = _clusters.extract_clusters(trace)
     targets = _parse_targets(args.targets)
     clusters_out = Path(args.clusters_out) if args.clusters_out else _default_out("clusters.csv")
     report_out = Path(args.report_out) if args.report_out else _default_out("report.txt")

@@ -8,21 +8,28 @@ included), fits negative-binomial / Poisson / binomial candidates by
 maximum likelihood, picks the best by worst-case CDF error, and maps
 quantiles of the winner to statistically-averaged latency (SAL) figures.
 
-The model-law half, which needs no numpy (the families, a law's CDF table
-and quantile, the model table and the latency map), is ``laws``; its
-names are re-exported here.
+The model-law half (the families, a law's CDF table and quantile, the
+model table and the latency map) is ``laws``; its names are re-exported
+here.  This module imports no numpy: the run histogram is counted from a
+binary trace's packed payload, or from a trace's ``received`` flags, a
+block at a time as Python ints, and the fits are scalar ports of scipy's
+``gammaln`` and bounded Brent search, scored on ``array`` CDFs.  So
+``analyze`` of a binary trace runs on the standard library alone, but for
+a law whose CDF table ``laws`` grows past one chunk of 2^16 entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from ._scan import _runs_before, _trailing_run
 from ._tables import OutOfRange  # noqa: F401  (re-exported)
+from ._trace import BinaryTrace
 from .laws import (  # noqa: F401  (re-exported)
     DEFAULT_TARGETS,
     CdfTable,
@@ -41,6 +48,9 @@ from .laws import (  # noqa: F401  (re-exported)
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
+_RUN_BLOCK = 1 << 16  # packets per block of the run count: 2^13 payload bytes
+_LADDER = 16  # runs shorter than this are counted by popcounts, longer ones one by one
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # flags one byte each, as binary digits
 
 
 class FitDiverged(ClusterStatsError):
@@ -53,39 +63,42 @@ class ClusterDistribution:
 
     ``hist[k]`` counts the windows whose loss run is ``k``, zeros included:
     every received packet (plus a virtual window when the trace opens with
-    a loss) is one window.  The last entry is the longest run's.
+    a loss) is one window.  The last entry is the longest run's.  It is
+    held as an ``array('q')``, and the law's CDF as an ``array('d')``.
     """
 
-    hist: np.ndarray
+    hist: array
     n_slots: int
 
     def __post_init__(self):
-        hist = np.asarray(self.hist)
-        if not (hist.ndim == 1 and hist.size and np.issubdtype(hist.dtype, np.integer)
-                and hist.min() >= 0 and hist[-1] > 0):
-            raise ClusterStatsError("hist must be a 1-D array of counts >= 0 with a "
-                                    f"non-zero last entry, got {self.hist!r}")
+        try:
+            hist = array("q", self.hist)
+        except (TypeError, OverflowError):  # floats, nested lists, ...
+            hist = array("q")
+        if not (hist and min(hist) >= 0 and hist[-1] > 0):
+            raise ClusterStatsError("hist must be a 1-D sequence of integer counts >= 0 with "
+                                    f"a non-zero last entry, got {self.hist!r}")
         object.__setattr__(self, "hist", hist)
 
-    @property
+    @cached_property
     def n_opportunities(self) -> int:
-        return int(self.hist.sum())
+        return sum(self.hist)
 
     @property
     def n_zero(self) -> int:
-        return int(self.hist[0])
+        return self.hist[0]
 
     @property
     def n_runs(self) -> int:
         return self.n_opportunities - self.n_zero
 
-    @property
+    @cached_property
     def n_lost(self) -> int:
-        return int(np.arange(self.hist.size) @ self.hist)
+        return sum(map(operator.mul, range(len(self.hist)), self.hist))
 
     @property
     def max_cluster(self) -> int:
-        return self.hist.size - 1
+        return len(self.hist) - 1
 
     @property
     def insufficient(self) -> bool:
@@ -95,46 +108,117 @@ class ClusterDistribution:
     def mean(self) -> float:
         return self.n_lost / self.n_opportunities
 
-    def values_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def values_weights(self) -> tuple[list[int], list[int]]:
         """Run lengths seen, 0 first even at weight 0, and their counts."""
-        ks = np.concatenate(([0], np.flatnonzero(self.hist[1:]) + 1))
-        return ks, self.hist[ks]
+        ks = [0, *itertools.compress(range(1, len(self.hist)), self.hist[1:])]
+        return ks, [self.hist[k] for k in ks]
 
-    def pmf_grid(self) -> np.ndarray:
+    def pmf_grid(self) -> array:
         """Per-transmission law on 0..max_cluster."""
-        return self.hist / self.n_opportunities
+        return array("d", map(operator.truediv, self.hist,
+                              itertools.repeat(self.n_opportunities)))
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        """Empirical CDF on 0..max_cluster; its last entry is 1 up to round-off."""
-        return np.cumsum(self.pmf_grid())
+    def cdf(self) -> array:
+        """Empirical CDF on 0..max_cluster, summed in order; its last entry
+        is 1 up to round-off."""
+        return array("d", itertools.accumulate(self.pmf_grid()))
 
     def quantile(self, target: float) -> int:
         return quantile(self, target)
 
 
-def extract_clusters(trace_or_received) -> ClusterDistribution:
+def extract_clusters(trace) -> ClusterDistribution:
     """Count maximal loss runs in a trace (blocked packets are not losses).
 
-    A sample of fewer than ``MIN_LOSSES`` losses is flagged ``insufficient``.
+    ``trace`` is a ``PacketTrace``, its ``received`` flags, or a binary
+    trace as ``_trace.read_binary`` checked it, whose packed payload is
+    counted as stored.  A sample of fewer than ``MIN_LOSSES`` losses is
+    flagged ``insufficient``.
     """
-    received = np.asarray(getattr(trace_or_received, "received", trace_or_received),
-                          dtype=bool)
-    if received.size == 0:
+    if isinstance(trace, BinaryTrace):
+        n, blocks = trace.n_packets, _payload_blocks(trace.payload, trace.n_packets)
+    else:
+        received = getattr(trace, "received", trace)
+        if getattr(received, "dtype", bool) != bool:  # an array of other flags
+            received = received.astype(bool)
+        n, blocks = len(received), _flag_blocks(received)
+    if n == 0:
         raise ClusterStatsError("empty trace")
-    # the windows' runs: the run before each received packet and the run
-    # after the last packet, less the empty run before a received first packet
-    hist = np.zeros(1, dtype=np.int64)
-    for block, runs in _runs_before(received, False):
-        counts = np.bincount(runs[received[block]])
-        if counts.size > hist.size:
-            hist, counts = counts, hist
-        hist[:counts.size] += counts
-    tail = _trailing_run(received, runs)
-    hist = np.pad(hist, (0, max(0, tail + 1 - hist.size)))
-    hist[tail] += 1
-    hist[0] -= int(received[0])
-    return ClusterDistribution(hist=hist, n_slots=int(received.size))
+    return ClusterDistribution(hist=_window_hist(blocks), n_slots=n)
+
+
+def _payload_blocks(payload, n: int):
+    """Blocks of ``_RUN_BLOCK`` packets of a packed payload, each as
+    ``(bits, size)``: its ``size`` flags as an int, first packet in the
+    high bit, set where received."""
+    step = _RUN_BLOCK // 8
+    for lo in range(0, len(payload), step):
+        chunk = payload[lo:lo + step]
+        size = min(8 * len(chunk), n - 8 * lo)
+        yield int.from_bytes(chunk, "big") >> (8 * len(chunk) - size), size  # no pad bits
+
+
+def _flag_blocks(received):
+    """The same blocks from flags one byte each: ``bytes(received)`` read
+    as binary digits."""
+    for lo in range(0, len(received), _RUN_BLOCK):
+        digits = bytes(received[lo:lo + _RUN_BLOCK]).translate(_DIGITS)
+        yield int(digits, 2), len(digits)
+
+
+def _window_hist(blocks) -> array:
+    """The window histogram of a trace from its consecutive ``(bits, size)``
+    blocks.  Each block adds the run its first reception ends (with the
+    losses carried from the blocks before) and the runs between its
+    receptions, and carries the losses after its last reception on."""
+    runs: Counter[int] = Counter()  # maximal loss runs by length
+    open_run = n_received = 0
+    opens_lost = None
+    for bits, size in blocks:
+        if opens_lost is None:
+            opens_lost = not bits >> (size - 1)
+        if not bits:
+            open_run += size
+            continue
+        top = bits.bit_length()  # size - top losses open the block
+        last = (bits & -bits).bit_length() - 1  # losses after its last reception
+        if open_run + size - top:
+            runs[open_run + size - top] += 1
+        n_received += bits.bit_count()
+        _add_runs((((1 << top) - 1) ^ bits) >> last, runs)
+        open_run = last
+    if open_run:
+        runs[open_run] += 1
+    hist = array("q", [0]) * (max(runs, default=0) + 1)
+    for k, count in runs.items():
+        hist[k] = count
+    # a window per reception, and one more when the trace opens with a loss;
+    # those that end no run are the zeros
+    hist[0] = n_received + opens_lost - sum(runs.values())
+    return hist
+
+
+def _add_runs(lost: int, runs: Counter) -> None:
+    """Add the maximal runs of set bits of ``lost`` to ``runs``, by length.
+
+    After ``lost &= lost << 1`` a set bit ends one more set bit in a row,
+    so each step keeps a run but one bit shorter, and the popcount falls by
+    the number of runs at least as long as the steps so far.  A run still
+    there after ``_LADDER - 1`` steps is taken from the digits of the bits
+    left, which by then are few."""
+    at_least: list[int] = []  # at_least[k - 1]: the runs of k or more
+    count = lost.bit_count()
+    while lost and len(at_least) < _LADDER - 1:
+        lost &= lost << 1
+        count, before = lost.bit_count(), count
+        at_least.append(before - count)
+    long_runs = format(lost, "b").replace("0", " ").split() if lost else []
+    runs.update(len(digits) + len(at_least) for digits in long_runs)
+    at_least.append(len(long_runs))
+    for k in range(1, len(at_least)):
+        if at_least[k - 1] > at_least[k]:
+            runs[k] += at_least[k - 1] - at_least[k]
 
 
 # Cephes lgam (scipy.special.gammaln): Stirling-series polynomial A, and the
@@ -150,7 +234,6 @@ _LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
            -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _MAXLGM = 2.556348e305
-_LGAM_CHUNK = 1 << 16  # elements per pass: bounds the temporaries of a long grid
 
 
 def _polevl(x, coefs):
@@ -180,36 +263,37 @@ def _lgam_below_13(x: float) -> float:
     return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
 
 
-def _gammaln(x) -> np.ndarray:
+def _gammaln(x: float) -> float:
     """``scipy.special.gammaln`` bit for bit, for x > 0 and non-finite x.
 
     An operation-for-operation port of Cephes ``lgam``, which scipy 1.17
     calls, so the negative-binomial fit keeps its bytes without the 0.3 s
-    ``scipy.special`` import.  ``log`` is libm's through ``math.log``:
-    numpy's SIMD ``np.log`` can differ from it in the last bit.  The
-    Stirling branch (x >= 13) is vectorized; the few smaller elements,
-    at most 13 per integer grid, go through a scalar loop.
+    ``scipy.special`` import.  ``log`` is libm's, through ``math.log``.
     """
-    x = np.asarray(x, dtype=float)
-    out = x.flatten()  # Cephes returns a non-finite x as it is
-    for start in range(0, out.size, _LGAM_CHUNK):
-        part = out[start:start + _LGAM_CHUNK]
-        small = np.isfinite(part) & (part < 13.0)
-        huge = part > _MAXLGM
-        big = (part >= 13.0) & ~huge
-        xb = part[big]
-        q = (xb - 0.5) * np.fromiter(map(math.log, xb), float, xb.size) - xb + _LS2PI
-        series = xb <= 1e8  # Cephes stops at the leading term above 1e8
-        xs = xb[series]
-        p = 1.0 / (xs * xs)
-        q[series] += np.where(xs >= 1000.0,
-                              ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
-                               * p + 0.0833333333333333333333) / xs,
-                              _polevl(p, _LGAM_A) / xs)
-        part[big] = q
-        part[small] = [_lgam_below_13(v) for v in part[small].tolist()]
-        part[huge] = math.inf
-    return out.reshape(x.shape)[()]
+    if not math.isfinite(x):  # Cephes returns a non-finite x as it is
+        return x
+    if x < 13.0:
+        return _lgam_below_13(x)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:  # Cephes stops at the leading term
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
+                    * p + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def _sign(x: float) -> float:
+    """``np.sign``: -1.0, 0.0 or 1.0, and NaN for NaN."""
+    return x if x != x else float((x > 0) - (x < 0))
+
+
+def _maximum(a: float, b: float) -> float:
+    """``np.maximum``: the larger, and NaN if either is NaN."""
+    return a if a >= b or a != a else b
 
 
 _BRENT_MESSAGES = {0: "Solution found.",
@@ -230,10 +314,10 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
     convergence, 1 the ``maxiter`` evaluation limit and 2 a NaN in the
     result, and ``_BRENT_MESSAGES[flag]`` is scipy's message for it.
     """
-    # np.sign and np.maximum, not math.copysign or max: they carry a NaN
-    # through to the flag-2 check, as scipy's do
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    # _sign and _maximum, not math.copysign or max: they carry a NaN
+    # through to the flag-2 check, as scipy's np.sign and np.maximum do
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
@@ -241,15 +325,15 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
     x = xf
     fx = func(x)
     num = 1
-    fu = np.inf
+    fu = math.inf
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
     flag = 0
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = True
-        if np.abs(e) > tol1:  # try a parabola through the three best points
+        if abs(e) > tol1:  # try a parabola through the three best points
             golden = False
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
@@ -257,15 +341,15 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r = e
             e = rat
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+            if ((abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf))
                     and (p < q * (b - xf))):
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    si = _sign(xm - xf) + ((xm - xf) == 0)
                     rat = tol1 * si
             else:
                 golden = True
@@ -273,8 +357,8 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
             e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
 
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
+        si = _sign(rat) + (rat == 0)
+        x = xf + si * _maximum(abs(rat), tol1)
         fu = func(x)
         num += 1
 
@@ -298,13 +382,13 @@ def _minimize_bounded(func, lo: float, hi: float, xatol: float,
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if num >= maxiter:
             flag = 1
             break
 
-    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
         flag = 2
     return xf, fx, num, flag
 
@@ -313,15 +397,18 @@ def _fit_nb_mle(dist: ClusterDistribution) -> tuple[float, float]:
     mean = dist.mean
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
-    values, weights = (a.astype(float) for a in dist.values_weights())
-    log_k_factorial = _gammaln(values + 1)
+    values, weights = ([float(x) for x in seq] for seq in dist.values_weights())
+    terms = list(zip(values, weights, [_gammaln(k + 1) for k in values]))
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
         p = r / (r + mean)
-        ll = weights @ (_gammaln(values + r) - _gammaln(r) - log_k_factorial
-                        + r * math.log(p) + values * math.log1p(-p))
-        return -float(ll)
+        gammaln_r, log_p, log_q = _gammaln(r), math.log(p), math.log1p(-p)
+        # each run length's weighted term, summed correctly rounded: the
+        # same bits on every host, which no BLAS dot product promises
+        return -math.fsum(w * (_gammaln(k + r) - gammaln_r - log_k_factorial
+                               + r * log_p + k * log_q)
+                          for k, w, log_k_factorial in terms)
 
     logr, fun, _, flag = _minimize_bounded(nll, math.log(1e-8), math.log(1e8),
                                            xatol=1e-12)
@@ -348,14 +435,12 @@ def fit(dist: ClusterDistribution, family: Family) -> FitResult:
     # the law's CDF on 0..max_cluster from the table its quantiles read: 0
     # before the table's start, then its entries, then its last value past
     # its end, where it finished or reached the run cap
-    model = np.zeros(dist.max_cluster + 1)
     table = cdf_table(family, params)
-    if table.start < model.size:
-        held = np.frombuffer(table.grow(k=dist.max_cluster))[:model.size - table.start]
-        model[table.start:] = held[-1]
-        model[table.start:table.start + held.size] = held
-    np.subtract(dist.cdf, model, out=model)
-    err = float(np.max(np.abs(model, out=model)))
+    model = itertools.repeat(0.0, table.start)
+    if table.start <= dist.max_cluster:
+        held = table.grow(k=dist.max_cluster)
+        model = itertools.chain(model, held, itertools.repeat(held[-1]))
+    err = max(map(abs, map(operator.sub, dist.cdf, model)))
     return FitResult(family=family, params=params, max_cdf_error=err)
 
 

@@ -33,7 +33,11 @@ run, and takes ``per=`` by the same ``relay_blocks``.
 ``read_trace`` tells the two apart by the binary format's first line.  In
 both, a header line is ``# key=value`` with a key not seen before, every
 key but ``rng`` must be there and ``process`` must parse, and the CSV
-export has no header line after its column line.
+export has no header line after its column line.  The header rules and
+the binary format's parse and checks are ``_trace``'s, which needs no
+numpy: ``read_trace`` unpacks the payload that ``_trace.read_binary``
+checked, and ``analyze`` of a binary trace counts its runs from that
+payload without building a ``PacketTrace``.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _trace
 from . import channel as _channel
 from ._errors import TraceFormatError
 from ._scan import _packet_blocks, _runs_before, _trailing_run
+from ._trace import TRACE_MAGIC
 from .node import (
     DEFAULT_PREAMBLE,
     REFERENCE_PAYLOAD,
@@ -58,10 +64,6 @@ from .node import (
     compute_per,
 )
 
-TRACE_MAGIC = b"vlcrelay-trace 1\n"
-# every header key but rng=, which the readers ignore
-_HEADER_KEYS = frozenset({*LinkConfig().text_fields(), "payload", "preamble", "process",
-                          "n_packets", "seed"})
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
 
 
@@ -159,18 +161,12 @@ def _csv_columns(trace: PacketTrace):
                np.where(trace.relayed[block], config.l0_s + runs * config.period_s, np.nan))
 
 
-def _check_seed(seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
         seed: int) -> PacketTrace:
     """Simulate ``n_packets`` transmissions through channel and relay."""
     if n_packets < 1:
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_trace.check_seed(seed))
     received = _channel.sample_losses(process, n_packets, rng)
     np.logical_not(received, out=received)
     return _build_trace(config, _channel.process_to_spec(process), seed, received)
@@ -246,77 +242,12 @@ def write_trace(trace: PacketTrace, path) -> None:
 
 def read_trace(path) -> PacketTrace:
     """Read a trace in either format, checked against the relay rule."""
-    with open(path, "rb") as fh:
-        binary = fh.read(len(TRACE_MAGIC)) == TRACE_MAGIC
-        data = fh.read() if binary else b""
-    return _read_trace_binary(path, data) if binary else read_trace_csv(path)
-
-
-def _read_trace_binary(path, data: bytes) -> PacketTrace:
-    """Parse what follows the magic line: only the header and ``received``
-    are stored, so the checks are on the header and the payload's size."""
-    end = data.find(b"\n\n")
-    if end < 0:
-        raise TraceFormatError(path, 0, "no empty line after the header")
-    try:
-        lines = data[:end].decode("utf-8").split("\n") if end else []
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(path, 0, f"header is not UTF-8: {exc}") from None
-    header: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=2):
-        _add_header_line(path, lineno, line, header)
-    try:
-        n = int(header["n_packets"])
-    except (KeyError, ValueError):
-        raise TraceFormatError(path, 0, "bad or missing header n_packets="
-                               f"{header.get('n_packets')!r}") from None
-    if n < 1:
-        raise TraceFormatError(path, 0, "no packet records")
-    size = -(-n // 8)
-    payload = np.frombuffer(data, np.uint8, offset=end + 2)  # a view, not a copy
-    if len(payload) < size:
-        raise TraceFormatError(path, 0, f"header n_packets={n} needs {size} payload "
-                               f"bytes, got {len(payload)}")
-    if len(payload) > size:
-        raise TraceFormatError(path, 0, f"{len(payload) - size} trailing bytes after "
-                               f"the {size}-byte payload")
-    bits = np.unpackbits(payload)
-    if bits[n:].any():
-        raise TraceFormatError(path, 0, "pad bits after the last packet must be 0")
-    return _trace_from_header(path, header, bits[:n].view(bool))  # bits are 0 or 1
-
-
-def _add_header_line(path, lineno: int, line: str, header: dict[str, str]) -> None:
-    """Enter a ``# key=value`` line whose key is new into ``header``; both
-    readers reject any other header line."""
-    key, eq, value = line.removeprefix("# ").partition("=")
-    if not line.startswith("# ") or not eq or key in header:
-        raise TraceFormatError(path, lineno, f"expected a new '# key=value' line, "
-                               f"got {line!r}")
-    header[key] = value
-
-
-def _trace_from_header(path, header: dict[str, str], received: np.ndarray) -> PacketTrace:
-    missing = _HEADER_KEYS - set(header)
-    if missing:
-        raise TraceFormatError(path, 0, f"missing header keys: {sorted(missing)}")
-    if header["n_packets"] != str(received.size):
-        raise TraceFormatError(path, 0, f"header n_packets={header['n_packets']} but "
-                               f"{received.size} packet records")
-    try:
-        for key, value in (("payload", REFERENCE_PAYLOAD), ("preamble", DEFAULT_PREAMBLE)):
-            if header[key] != value.hex():
-                raise ValueError(f"{key}={header[key]}, but the link's is {value.hex()}")
-        for key in ("seed", "baud"):  # the writer's decimal spelling, as n_packets
-            if header[key] != str(int(header[key])):
-                raise ValueError(f"{key}={header[key]} is not spelled as the writer "
-                                 f"spells {int(header[key])}")
-        config = LinkConfig.from_text_fields(header)
-        _channel.process_from_spec(header["process"])  # checked, kept as written
-        seed = _check_seed(int(header["seed"]))
-    except ValueError as exc:
-        raise TraceFormatError(path, 0, f"bad header: {exc}") from None
-    return _build_trace(config, header["process"], seed, received)
+    stored = _trace.read_binary(path)
+    if stored is None:
+        return read_trace_csv(path)
+    bits = np.unpackbits(np.frombuffer(stored.payload, np.uint8), count=stored.n_packets)
+    return _build_trace(stored.config, stored.process_spec, stored.seed,
+                        bits.view(bool))  # bits are 0 or 1
 
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
@@ -350,7 +281,7 @@ def read_trace_csv(path) -> PacketTrace:
                 if line == _CSV_COLUMNS:
                     saw_columns = True
                 elif line.startswith("#"):
-                    _add_header_line(path, lineno, line, header)
+                    _trace.add_header_line(path, lineno, line, header)
                 else:
                     raise TraceFormatError(path, lineno, f"bad column header {line!r}")
                 continue
@@ -378,7 +309,7 @@ def read_trace_csv(path) -> PacketTrace:
         raise TraceFormatError(path, 0, "no packet records")
     rows = np.frombuffer(flags, dtype=bool).reshape(-1, 2)
     us = np.frombuffer(times).reshape(-1, 2)
-    trace = _trace_from_header(path, header, rows[:, 0].copy())
+    trace = _build_trace(*_trace.check_header(path, header, len(rows)), rows[:, 0].copy())
     for block, tx_start_s, latency_s in _csv_columns(trace):
         for column, bad in (
             ("tx_start_us", ~np.isclose(us[block, 0] / 1e6, tx_start_s, rtol=1e-9, atol=0)),

@@ -17,8 +17,9 @@ and ``nb_whole_trace``, the draw's first layout (every batch's runs at once);
 ``gammaln_cdf_error`` (the gammaln sums the fits once scored) for
 ``clusters.fit``'s CDF error; ``window_hist`` and ``loss_run_lengths`` (the run
 lengths from the edges of the padded loss flags) for
-``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the negative-binomial fit through
-``scipy.optimize.minimize_scalar``) for ``clusters._fit_nb_mle``.
+``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the
+negative-binomial fit through ``scipy.optimize.minimize_scalar`` and scipy's
+``gammaln``, its likelihood the same ``math.fsum``) for ``clusters._fit_nb_mle``.
 """
 
 from __future__ import annotations
@@ -278,9 +279,9 @@ def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     def nll(logr: float) -> float:
         r = math.exp(logr)
         p = r / (r + mean)
-        ll = weights @ (gammaln(values + r) - gammaln(r) - gammaln(values + 1)
-                        + r * math.log(p) + values * math.log1p(-p))
-        return -float(ll)
+        terms = weights * (gammaln(values + r) - gammaln(r) - gammaln(values + 1)
+                           + r * math.log(p) + values * math.log1p(-p))
+        return -math.fsum(terms.tolist())  # correctly rounded, as no BLAS dot is
 
     res = minimize_scalar(nll, bounds=(math.log(1e-8), math.log(1e8)),
                           method="bounded", options={"xatol": 1e-12})

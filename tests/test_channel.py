@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from vlcrelay import channel, clusters, laws
+from vlcrelay import _scan, channel, clusters, laws
 
 import oracles
 
@@ -340,7 +340,7 @@ def test_nb_cluster_gap_past_the_trace_is_cut(p_start):
 
 # sample_losses draws the iid and Gilbert-Elliott streams in blocks of B
 # packets: lengths around the block edges, against one whole draw or the loop
-B = channel._BLOCK
+B = _scan._BLOCK
 BLOCK_EDGES = [1, 2, B - 1, B, B + 1, 3 * B + 5]
 
 

@@ -542,17 +542,19 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
 # was re-recorded when it gained channel_per= and mean_latency_us= became
 # the exact mean of the relayed packets' runs, rounded once, and again when
 # it lost ber_upper=; report.txt when each fit_ line printed its law's
-# parameters by repr, so that they read back
+# parameters by repr, so that they read back, and again, for its
+# fit_negbinomial= line alone, when the NB fit's likelihood became an fsum
 GOLDEN_CLI_SHA256 = {
     "summary.txt": "01a0c0056fbffb3314dc807c963500bb698099d64aa2446465eb34f23be717a7",
     "clusters.csv": "11135f1c8206d0d75dbfc10b08171307884f8baefbc2dde0b20f314aede83c90",
-    "report.txt": "71edd585bca33a2a902d4d99150343156ece881aa1e33bd04b3ffa9d0e3f0525",
+    "report.txt": "66af9f13eac9844d463f40545cc93b5c75fe5b12e4e48cc80a450b97a1a99b7a",
     "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
     "safety.csv": "4c7219b3ff3c3fa343bd41fd11e158227a1a262a277b5fbd297e60ecb4bbb7b6",
 }
 
 
-def test_golden_cli_outputs(tmp_path, capsys):
+def golden_cli_digests(tmp_path: Path) -> dict[str, str]:
+    """The sha256 of each output of the golden chain, run in ``tmp_path``."""
     out = {name: tmp_path / name for name in GOLDEN_CLI_SHA256}
     trace = tmp_path / "t.csv"
     assert run_cli("simulate", "--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3",
@@ -565,9 +567,25 @@ def test_golden_cli_outputs(tmp_path, capsys):
     report = out["report.txt"].read_text().splitlines(keepends=True)
     out["report.txt"].write_text("".join(line for line in report
                                          if not line.startswith("trace=")))
-    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for name, path in out.items()}
-    assert digests == GOLDEN_CLI_SHA256
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in out.items()}
+
+
+def test_golden_cli_outputs(tmp_path, capsys):
+    assert golden_cli_digests(tmp_path) == GOLDEN_CLI_SHA256
+
+
+def test_golden_cli_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its dot kernel by CPU, and a dot product's rounding
+    # follows the kernel; the NB likelihood is an fsum, correctly rounded, so
+    # a child forced onto OpenBLAS's oldest x86-64 kernel writes the same bytes
+    code = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+            "import test_cli; print(json.dumps(test_cli.golden_cli_digests(Path(sys.argv[2]))))")
+    env = {**_subprocess_env(), "OPENBLAS_CORETYPE": "Prescott"}
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN_CLI_SHA256
 
 
 @pytest.mark.parametrize("simulate_args", [
@@ -661,7 +679,8 @@ def test_sal_safety_and_the_cli_import_load_no_numpy(tmp_path):
 
 _CLI_IMPORT = {"vlcrelay", "vlcrelay.cli", "vlcrelay.node", "vlcrelay._errors",
                "vlcrelay._tables"}
-_SIMULATE = _CLI_IMPORT | {"vlcrelay.channel", "vlcrelay.sim", "vlcrelay._scan"}
+_SIMULATE = _CLI_IMPORT | {"vlcrelay.channel", "vlcrelay.sim", "vlcrelay._scan",
+                           "vlcrelay._trace"}
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
@@ -675,9 +694,16 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         trace = tmp_path / f"{name}.vlct"
         assert _modules_after("vlcrelay", "simulate", *flags, "--n", "5000", "--seed", "3",
                               "--out", str(trace)) == _SIMULATE | law, name
-    assert _modules_after("vlcrelay", "analyze", str(tmp_path / "ge.vlct"),
-                          "--clusters-out", str(tmp_path / "c.csv"),
-                          "--report-out", str(tmp_path / "r.txt")) == (
+    # a binary trace is read and counted without sim, the run scan or numpy
+    analyze = ["--clusters-out", str(tmp_path / "c.csv"), "--report-out", str(tmp_path / "r.txt")]
+    assert _modules_after("vlcrelay", "analyze", str(tmp_path / "ge.vlct"), *analyze) == (
+        _CLI_IMPORT | {"vlcrelay._trace", "vlcrelay.channel", "vlcrelay.clusters",
+                       "vlcrelay.laws"})
+    assert _modules_after("numpy", "analyze", str(tmp_path / "ge.vlct"), *analyze) == set()
+    # a CSV export is read, and its derived columns checked, by sim
+    assert _modules_after("vlcrelay", "simulate", "--process", ge, "--n", "5000", "--seed", "3",
+                          "--out", str(tmp_path / "ge.csv")) == _SIMULATE
+    assert _modules_after("vlcrelay", "analyze", str(tmp_path / "ge.csv"), *analyze) == (
         _SIMULATE | {"vlcrelay.clusters", "vlcrelay.laws"})
     assert _modules_after("vlcrelay", "sal", "--out", str(tmp_path / "sal.csv")) == (
         _CLI_IMPORT | {"vlcrelay.laws"})

@@ -11,7 +11,7 @@ from scipy.stats import binom as sp_binom
 from scipy.stats import nbinom as sp_nbinom
 from scipy.stats import poisson as sp_poisson
 
-from vlcrelay import channel, clusters, laws, sim
+from vlcrelay import _trace, channel, clusters, laws, sim
 from vlcrelay.node import LinkConfig, Mode
 
 import oracles
@@ -58,15 +58,19 @@ def test_extract_clusters_mass_identity():
     received = rng.random(5000) > 0.3
     dist = clusters.extract_clusters(received)
     assert dist.n_lost == int((~received).sum())
-    assert dist.pmf_grid().sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(dist.pmf_grid()) == pytest.approx(1.0, abs=1e-12)
 
 
 def _check_hist_against_window_walk(received):
     dist = clusters.extract_clusters(received)
     assert dist.hist.tolist() == oracles.window_hist(received)
+    # and from the flags packed as a binary trace stores them
+    payload = memoryview(np.packbits(received).tobytes())
+    stored = _trace.BinaryTrace(LinkConfig(), "iid-packet:p=0.5", 0, received.size, payload)
+    assert clusters.extract_clusters(stored).hist == dist.hist
     ks, ws = dist.values_weights()
     assert (ks[0], ws[0]) == (0, dist.hist[0])
-    assert np.array_equal(ws, dist.hist[ks]) and np.all(ws[1:] > 0)
+    assert ws == [dist.hist[k] for k in ks] and all(w > 0 for w in ws[1:])
     return dist
 
 
@@ -86,6 +90,65 @@ def test_extract_clusters_hist_matches_window_walk(flags):
 def test_extract_clusters_hist_edge_cases(flags, hist):
     dist = _check_hist_against_window_walk(np.array([c == "S" for c in flags]))
     assert dist.hist.tolist() == hist
+
+
+# the run count takes a trace a block of R packets at a time, and runs of
+# at least clusters._LADDER losses one by one: lengths around a payload byte
+# and a block, runs across block edges and runs around the ladder's top
+R = clusters._RUN_BLOCK
+LADDER = clusters._LADDER
+
+
+def _flags_with_runs(n: int, *runs) -> np.ndarray:
+    received = np.ones(n, dtype=bool)
+    for lo, hi in runs:
+        received[lo:hi] = False
+    return received
+
+
+def _ladder(n: int) -> np.ndarray:
+    """Loss runs of every length from 1 to 3 * LADDER, a reception apart."""
+    received = np.ones(n, dtype=bool)
+    at = 1
+    for length in range(1, 3 * LADDER + 1):
+        received[at:at + length] = False
+        at += length + 1
+    return received
+
+
+RUN_COUNT_CASES = {
+    **{f"random-{n}": (lambda n=n: np.random.default_rng(n).random(n) >= 0.5)
+       for n in (1, 7, 8, 9, R - 1, R, R + 1)},
+    **{f"opens-and-ends-lost-{n}": (lambda n=n: _flags_with_runs(n, (0, 1), (n - 1, n)))
+       for n in (1, 7, 8, 9, R - 1, R, R + 1)},
+    **{f"all-lost-{n}": (lambda n=n: np.zeros(n, dtype=bool)) for n in (1, 9, R, R + 1)},
+    **{f"all-received-{n}": (lambda n=n: np.ones(n, dtype=bool)) for n in (1, 9, R, R + 1)},
+    "run-across-one-edge": lambda: _flags_with_runs(2 * R + 3, (R - 5, R + 7)),
+    "run-across-two-edges": lambda: _flags_with_runs(3 * R + 5, (3, 9), (R - 3, 2 * R + 4)),
+    "runs-across-blocks-to-the-end": lambda: _flags_with_runs(3 * R + 1, (R - 1, 3 * R + 1)),
+    "run-from-the-start": lambda: _flags_with_runs(2 * R + 2, (0, R + 2)),
+    "ladder": lambda: _ladder(2000),
+    "ladder-across-an-edge": lambda: np.roll(_ladder(R + 900), R - 450),
+    "bursty": lambda: np.repeat(np.random.default_rng(4).random(3 * R // 8 + 3) >= 0.3,
+                                np.random.default_rng(5).integers(1, 40, 3 * R // 8 + 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_COUNT_CASES))
+def test_run_count_matches_the_window_walk_from_flags_and_payload(tmp_path, case):
+    # the histogram of a received array and that of the binary trace's
+    # packed payload, as analyze reads it, are both the loop oracle's
+    received = RUN_COUNT_CASES[case]()
+    want = oracles.window_hist(received.tolist())
+    assert clusters.extract_clusters(received).hist.tolist() == want
+    config = LinkConfig(mode=Mode.BEACON)
+    trace = sim.PacketTrace(config=config, process_spec="iid-packet:p=0.5", seed=0,
+                            received=received, relayed=received.copy())
+    path = tmp_path / "t.vlct"
+    sim.write_trace(trace, path)
+    dist = clusters.extract_clusters(_trace.read_binary(path))
+    assert dist.hist.tolist() == want
+    assert dist.n_slots == received.size
 
 
 @pytest.mark.parametrize("hist", [
@@ -232,7 +295,7 @@ def test_fit_nb_matches_minimize_scalar_oracle(spec, mode):
     for seed in range(5):
         trace = sim.run(LinkConfig(mode=mode), process, 60_000, seed)
         dist = clusters.extract_clusters(trace)
-        values, weights = (a.astype(float) for a in dist.values_weights())
+        values, weights = (np.array(a, dtype=float) for a in dist.values_weights())
         assert clusters._fit_nb_mle(dist) == oracles.fit_nb_mle(values, weights)
 
 
@@ -349,7 +412,7 @@ def _gammaln_corpus():
 def test_gammaln_port_matches_scipy_bit_for_bit():
     from scipy.special import gammaln
     for name, x in _gammaln_corpus():
-        assert _same_bits(clusters._gammaln(x), gammaln(x)), name
+        assert _same_bits([clusters._gammaln(v) for v in x.tolist()], gammaln(x)), name
     for x in (1, 2.5, 12.999, 13, 7.5e3, 1e9, np.inf):
         assert _same_bits(clusters._gammaln(x), gammaln(x)), x
         assert np.ndim(clusters._gammaln(x)) == 0
@@ -358,7 +421,7 @@ def test_gammaln_port_matches_scipy_bit_for_bit():
 def test_gammaln_port_rejects_x_at_or_below_zero():
     for x in (0.0, -0.5, -3.0):
         with pytest.raises(ValueError, match="x > 0"):
-            clusters._gammaln(np.array([1.0, x]))
+            clusters._gammaln(x)
 
 
 def test_select_best_prefers_generator_family():

@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vlcrelay import channel, cli, clusters, node, sim
+from vlcrelay import _scan, channel, cli, clusters, node, sim
 
 import oracles
 
 BROADCAST = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
 BEACON = node.LinkConfig(baud=230000, mode=node.Mode.BEACON, beacon_interval_s=0.1)
-B = channel._BLOCK  # the packet block of the channel draw, the relay scan and the CSV export
+B = _scan._BLOCK  # the packet block of the channel draw, the relay scan and the CSV export
 
 
 def test_error_free_beacon_relays_everything():
