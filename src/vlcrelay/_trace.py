@@ -1,11 +1,15 @@
-"""The trace file's header and the binary format's payload, without numpy.
+"""A trace's stored form and the trace file's layout, without numpy.
 
-``sim`` writes both formats and builds a ``PacketTrace`` from either;
-``analyze`` of a binary trace reads it here alone and counts its loss runs
-from the packed payload (``clusters.extract_clusters``), so it loads
-neither numpy nor ``sim``.  Both readers take a header line by
-``add_header_line`` and check the header by ``check_header``; the binary
-reader, ``read_binary``, also checks the payload's size and pad bits.
+``BinaryTrace`` is a trace as stored.  ``write_binary`` writes it in the
+binary format and ``read_binary`` reads and checks it: the line
+``vlcrelay-trace 1``, the ``# key=value`` lines of ``BinaryTrace.header()``,
+one empty line, then the payload.  ``sim`` turns a ``PacketTrace`` into
+this form (``PacketTrace.stored``) and back, and writes the same header
+lines atop its CSV export; ``analyze`` of a binary trace reads it here
+alone and counts its loss runs from the payload
+(``clusters.extract_clusters``), so it loads neither numpy nor ``sim``.
+Both readers take a header line by ``add_header_line`` and check the
+header by ``check_header``.
 """
 
 from __future__ import annotations
@@ -17,23 +21,46 @@ from ._errors import TraceFormatError
 from .node import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD, ConfigError, LinkConfig
 
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
-# every header key but rng=, which the readers ignore
-HEADER_KEYS = frozenset({*LinkConfig().text_fields(), "payload", "preamble", "process",
-                         "n_packets", "seed"})
 
 
 @dataclass(frozen=True)
 class BinaryTrace:
-    """A binary trace as stored, checked: its header's link, process spec
-    and seed, and ``payload``, the ``received`` flags packed eight to a
-    byte, first packet in the high bit, ceil(n_packets / 8) bytes with
-    zero pad bits."""
+    """A trace as stored: its header's link, process spec and seed, and
+    ``payload``, the ``received`` flags packed eight to a byte, first
+    packet in the high bit, ceil(n_packets / 8) bytes with zero pad bits."""
 
     config: LinkConfig
     process_spec: str
     seed: int
     n_packets: int
-    payload: memoryview
+    payload: bytes | memoryview
+
+    def header(self) -> dict[str, str]:
+        """The header's fields in the order written; the readers require
+        every key but ``rng``, which names the random stream."""
+        return {
+            **self.config.text_fields(),
+            "payload": REFERENCE_PAYLOAD.hex(),
+            "preamble": DEFAULT_PREAMBLE.hex(),
+            "process": self.process_spec,
+            "n_packets": str(self.n_packets),
+            "seed": str(self.seed),
+            "rng": _channel.stream_label(self.process_spec),
+        }
+
+    def header_lines(self) -> list[str]:
+        return [f"# {key}={value}" for key, value in self.header().items()]
+
+
+# every header key but rng=, which the readers ignore
+HEADER_KEYS = frozenset(BinaryTrace(LinkConfig(), "", 0, 0, b"").header()) - {"rng"}
+
+
+def write_binary(stored: BinaryTrace, path) -> None:
+    """Write ``stored`` in the binary format, which ``read_binary`` reads."""
+    with open(path, "wb") as fh:
+        fh.write(TRACE_MAGIC + "\n".join([*stored.header_lines(), "", ""]).encode())
+        fh.write(stored.payload)
 
 
 def check_seed(seed: int) -> int:

@@ -9,10 +9,11 @@ to measured distances per baud rate.
 Only the ``nb-cluster`` process needs a count law, so ``laws`` is imported
 where that law is checked or drawn: an iid or Gilbert-Elliott ``simulate``
 does not load (and, with no bytecode cache, compile) it.  In the same way
-numpy and the packet blocks of ``_scan`` are imported by the samplers and
-the PER-table code alone, so ``process_from_spec``, which checks a trace
-header's process, runs on the standard library: ``analyze`` of a binary
-trace loads no numpy.
+numpy is imported by the samplers and the PER-table code alone, so
+``process_from_spec``, which checks a trace header's process, runs on the
+standard library: ``analyze`` of a binary trace loads no numpy.  The draws
+fill a block of ``_BLOCK`` packets at a time; ``sim`` scans its runs over
+the same blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ if TYPE_CHECKING:
 BITS_PER_PACKET = FRAME_BITS  # a packet is one frame
 PER_FLOOR = 1e-5
 _NB_CYCLES = 4096  # (gap, cluster) cycles per batch of the nb-cluster draw
+_BLOCK = 1 << 14  # packets per block of the draws and of sim's run scans
+
+
+def _packet_blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive packets that cover ``n``."""
+    for lo in range(0, n, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, n))
 
 
 class UnknownBaud(ChannelError):
@@ -215,7 +223,7 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
 
     Deterministic in the generator state: the same seed gives the same
     flags for every process.  Each process fills one output buffer, the iid
-    and Gilbert-Elliott ones a block of ``_scan._BLOCK`` packets at a time (the
+    and Gilbert-Elliott ones a block of ``_BLOCK`` packets at a time (the
     numbers of one draw of all ``n``, in order) and ``nb-cluster`` a batch
     of ``_NB_CYCLES`` cycles at a time, so temporaries stay per block.
     """
@@ -224,8 +232,6 @@ def sample_losses(process: ErrorProcess, n: int, rng: np.random.Generator) -> np
     if not isinstance(process, ErrorProcess):
         raise ChannelError(f"unknown error process {process!r}")
     import numpy as np
-
-    from ._scan import _packet_blocks
 
     lost = np.empty(n, dtype=bool)
     if isinstance(process, NbCluster):

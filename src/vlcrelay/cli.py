@@ -13,14 +13,14 @@ Each command imports only the layers it runs, inside its ``cmd_*``
 function; the import of this module loads ``node``, ``_tables`` and
 ``_errors`` alone.  With no bytecode cache, every module a child imports
 is compiled from source, so an unused layer costs every command.  So
-``simulate`` loads ``channel``, ``sim``, ``_trace`` and the run scan (and
-``laws`` for an ``nb-cluster`` process).  ``analyze`` of a binary trace
-loads ``_trace``, ``channel`` (to check the header's process), ``clusters``
-and ``laws``, and counts the loss runs from the packed payload; only a CSV
-export goes through ``sim`` and the run scan.  ``sal`` loads ``laws``, and
-``safety`` ``laws`` and ``safety``.  ``sal``, ``safety`` and ``analyze`` of
-a binary trace run on the standard library alone; no command loads
-``codec``.
+``simulate`` loads ``channel``, ``sim`` and ``_trace`` (and ``laws`` for
+an ``nb-cluster`` process).  ``analyze`` of a binary trace loads
+``_trace``, ``channel`` (to check the header's process), ``clusters`` and
+``laws``, and counts the loss runs from the packed payload; only a CSV
+export goes through ``sim``, which packs its flags into that same stored
+form to count them.  ``sal`` loads ``laws``, and ``safety`` ``laws`` and
+``safety``.  ``sal``, ``safety`` and ``analyze`` of a binary trace run on
+the standard library alone; no command loads ``codec``.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     with open(clusters_out, "w", newline="\n") as fh:
         fh.write("k,count,pmf,cdf\n")
-        for k, (c, q, s) in enumerate(zip(dist.hist, dist.pmf_grid(), dist.cdf)):
-            fh.write(f"{k},{int(c)},{_format_float(q)},{_format_float(s)}\n")
+        fh.writelines(map("{},{},{!r},{!r}\n".format, range(len(dist.hist)), dist.hist,
+                          dist.pmf_grid(), dist.cdf))
 
     lines = [
         f"trace={args.trace}",

@@ -11,8 +11,8 @@ quantiles of the winner to statistically-averaged latency (SAL) figures.
 The model-law half (the families, a law's CDF table and quantile, the
 model table and the latency map) is ``laws``; its names are re-exported
 here.  This module imports no numpy: the run histogram is counted from a
-binary trace's packed payload, or from a trace's ``received`` flags, a
-block at a time as Python ints, and the fits are scalar ports of scipy's
+trace's stored form, its packed payload (``_trace.BinaryTrace``), a block
+at a time as Python ints, and the fits are scalar ports of scipy's
 ``gammaln`` and bounded Brent search, scored on ``array`` CDFs.  So
 ``analyze`` of a binary trace runs on the standard library alone, but for
 a law whose CDF table ``laws`` grows past one chunk of 2^16 entries.
@@ -50,7 +50,6 @@ MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
 _RUN_BLOCK = 1 << 16  # packets per block of the run count: 2^13 payload bytes
 _LADDER = 16  # runs shorter than this are counted by popcounts, longer ones one by one
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # flags one byte each, as binary digits
 
 
 class FitDiverged(ClusterStatsError):
@@ -131,53 +130,31 @@ class ClusterDistribution:
 def extract_clusters(trace) -> ClusterDistribution:
     """Count maximal loss runs in a trace (blocked packets are not losses).
 
-    ``trace`` is a ``PacketTrace``, its ``received`` flags, or a binary
-    trace as ``_trace.read_binary`` checked it, whose packed payload is
-    counted as stored.  A sample of fewer than ``MIN_LOSSES`` losses is
-    flagged ``insufficient``.
+    ``trace`` is a stored trace, as ``_trace.read_binary`` checked it, or
+    a ``PacketTrace``, counted through its stored form ``trace.stored``:
+    the runs are counted from the packed payload.  A sample of fewer than
+    ``MIN_LOSSES`` losses is flagged ``insufficient``.
     """
-    if isinstance(trace, BinaryTrace):
-        n, blocks = trace.n_packets, _payload_blocks(trace.payload, trace.n_packets)
-    else:
-        received = getattr(trace, "received", trace)
-        if getattr(received, "dtype", bool) != bool:  # an array of other flags
-            received = received.astype(bool)
-        n, blocks = len(received), _flag_blocks(received)
-    if n == 0:
-        raise ClusterStatsError("empty trace")
-    return ClusterDistribution(hist=_window_hist(blocks), n_slots=n)
+    stored = trace if isinstance(trace, BinaryTrace) else trace.stored
+    return ClusterDistribution(hist=_window_hist(stored.payload, stored.n_packets),
+                               n_slots=stored.n_packets)
 
 
-def _payload_blocks(payload, n: int):
-    """Blocks of ``_RUN_BLOCK`` packets of a packed payload, each as
-    ``(bits, size)``: its ``size`` flags as an int, first packet in the
-    high bit, set where received."""
+def _window_hist(payload, n: int) -> array:
+    """The window histogram of the ``n`` packets of a packed payload, read
+    a block of ``_RUN_BLOCK`` packets at a time as an int, first packet in
+    the high bit, set where received.  Each block adds the run its first
+    reception ends (with the losses carried from the blocks before) and the
+    runs between its receptions, and carries the losses after its last
+    reception on."""
+    runs: Counter[int] = Counter()  # maximal loss runs by length
+    open_run = n_received = 0
+    opens_lost = not payload[0] >> 7
     step = _RUN_BLOCK // 8
     for lo in range(0, len(payload), step):
         chunk = payload[lo:lo + step]
         size = min(8 * len(chunk), n - 8 * lo)
-        yield int.from_bytes(chunk, "big") >> (8 * len(chunk) - size), size  # no pad bits
-
-
-def _flag_blocks(received):
-    """The same blocks from flags one byte each: ``bytes(received)`` read
-    as binary digits."""
-    for lo in range(0, len(received), _RUN_BLOCK):
-        digits = bytes(received[lo:lo + _RUN_BLOCK]).translate(_DIGITS)
-        yield int(digits, 2), len(digits)
-
-
-def _window_hist(blocks) -> array:
-    """The window histogram of a trace from its consecutive ``(bits, size)``
-    blocks.  Each block adds the run its first reception ends (with the
-    losses carried from the blocks before) and the runs between its
-    receptions, and carries the losses after its last reception on."""
-    runs: Counter[int] = Counter()  # maximal loss runs by length
-    open_run = n_received = 0
-    opens_lost = None
-    for bits, size in blocks:
-        if opens_lost is None:
-            opens_lost = not bits >> (size - 1)
+        bits = int.from_bytes(chunk, "big") >> (8 * len(chunk) - size)  # no pad bits
         if not bits:
             open_run += size
             continue

@@ -8,23 +8,21 @@ A trace is its config plus the channel's ``received`` flags: ``relay``
 derives the relay flags and latencies, and the transmit times follow from
 the period.  ``run`` and both readers build a trace through one helper, so
 a derived column read from a file is only checked, never used.  One block
-scan, ``_scan._runs_before``, gives the run of one flag value just
-before each packet: the run of receptions, whose parity is the relay rule
-on a link where ``LinkConfig.relay_blocks``, and the loss run, which gives
-every latency.  Its blocks are ``_scan._BLOCK`` packets, so the
-temporaries stay a few hundred kB at any trace length.  The scan has a
-module of its own, not ``clusters``, and the frame constants come from
-``node``, not ``codec``: with no bytecode cache a child compiles every
-module it imports, and ``simulate`` runs neither the fits nor the codec.
-A trace builds its latency column only when it is read: ``summarize``
-keeps only the relayed packets' least run and run sum, and the longest
-run, and takes ``per=`` by the same ``relay_blocks``.
+scan, ``_runs_before``, gives the run of one flag value just before each
+packet: the run of receptions, whose parity is the relay rule on a link
+where ``LinkConfig.relay_blocks``, and the loss run, which gives every
+latency.  Its blocks are the channel draw's, ``channel._BLOCK`` packets,
+so the temporaries stay a few hundred kB at any trace length.  The frame
+constants come from ``node``, not ``codec``: with no bytecode cache a
+child compiles every module it imports, and ``simulate`` runs neither the
+fits nor the codec.  A trace builds its latency column only when it is
+read: ``summarize`` keeps only the relayed packets' least run and run sum,
+and the longest run, and takes ``per=`` by the same ``relay_blocks``.
 ``write_trace`` picks the format by path:
 
-* binary, the default (any path not ending in ``.csv``): the line
-  ``vlcrelay-trace 1``, the ``# key=value`` lines of
-  ``PacketTrace.header()``, one empty line, then ``np.packbits(received)``,
-  exactly ceil(n/8) bytes with zero pad bits.
+* binary, the default (any path not ending in ``.csv``): the trace's
+  stored form, ``PacketTrace.stored``, as ``_trace.write_binary`` writes
+  it: a header, then ``received`` packed eight to a byte.
 * CSV export (a path ending in ``.csv``): the same ``# key=value`` lines
   followed by ``seq,tx_start_us,received,relayed,latency_us``, with an
   empty latency field for packets that were not relayed.  Its reader
@@ -34,10 +32,10 @@ run, and takes ``per=`` by the same ``relay_blocks``.
 both, a header line is ``# key=value`` with a key not seen before, every
 key but ``rng`` must be there and ``process`` must parse, and the CSV
 export has no header line after its column line.  The header rules and
-the binary format's parse and checks are ``_trace``'s, which needs no
-numpy: ``read_trace`` unpacks the payload that ``_trace.read_binary``
-checked, and ``analyze`` of a binary trace counts its runs from that
-payload without building a ``PacketTrace``.
+the binary format are ``_trace``'s, which needs no numpy: ``read_trace``
+unpacks the payload that ``_trace.read_binary`` checked, and ``analyze``
+of a binary trace counts its runs from that payload without building a
+``PacketTrace``.
 """
 
 from __future__ import annotations
@@ -52,17 +50,8 @@ import numpy as np
 from . import _trace
 from . import channel as _channel
 from ._errors import TraceFormatError
-from ._scan import _packet_blocks, _runs_before, _trailing_run
-from ._trace import TRACE_MAGIC
-from .node import (
-    DEFAULT_PREAMBLE,
-    REFERENCE_PAYLOAD,
-    ConfigError,
-    EmptyTrace,
-    LinkConfig,
-    Mode,
-    compute_per,
-)
+from .channel import _packet_blocks
+from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
 
@@ -113,16 +102,30 @@ class PacketTrace:
         """Packets the channel delivered but the relay stage ignored."""
         return self.received & ~self.relayed
 
-    def header(self) -> dict[str, str]:
-        return {
-            **self.config.text_fields(),
-            "payload": REFERENCE_PAYLOAD.hex(),
-            "preamble": DEFAULT_PREAMBLE.hex(),
-            "process": self.process_spec,
-            "n_packets": str(self.n_tx),
-            "seed": str(self.seed),
-            "rng": _channel.stream_label(self.process_spec),
-        }
+    @cached_property
+    def stored(self) -> _trace.BinaryTrace:
+        """The trace as stored: ``received`` packed, the bytes that
+        ``write_trace`` writes and ``extract_clusters`` counts."""
+        return _trace.BinaryTrace(self.config, self.process_spec, self.seed, self.n_tx,
+                                  np.packbits(self.received).tobytes())
+
+
+def _runs_before(received: np.ndarray, value: bool):
+    """Per packet block: the block and, for each of its packets, how many
+    packets just before it have ``received == value``.  With ``value``
+    False that is the loss run a received packet ends; with True, a
+    received packet's offset in its run of receptions.  The scan carries
+    the last index of the other value across blocks."""
+    last = -1
+    for block in _packet_blocks(received.size):
+        idx = np.arange(block.start, block.stop)
+        ends = np.where(received[block] != value, idx, last)
+        np.maximum.accumulate(ends, out=ends)  # the last other-value index so far
+        idx -= 1  # minus the last other-value index before each packet
+        idx[0] -= last
+        idx[1:] -= ends[:-1]
+        yield block, idx
+        last = int(ends[-1])
 
 
 def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +227,8 @@ def summarize(trace: PacketTrace) -> Summary:
         min_latency_s=config.l0_s + min_run * config.period_s if n_relayed else math.nan,
         mean_latency_s=((a * d * n_relayed + c * b * run_sum) / (b * d * n_relayed)
                         if n_relayed else math.nan),
-        max_cluster=max(max_run, _trailing_run(trace.received, runs)),
+        # and the losses after the last packet, from the last block's runs
+        max_cluster=max(max_run, 0 if trace.received[-1] else int(runs[-1]) + 1),
     )
 
 
@@ -234,10 +238,7 @@ def write_trace(trace: PacketTrace, path) -> None:
     if str(path).endswith(".csv"):
         write_trace_csv(trace, path)
         return
-    header = [f"# {key}={value}" for key, value in trace.header().items()]
-    with open(path, "wb") as fh:
-        fh.write(TRACE_MAGIC + "\n".join([*header, "", ""]).encode())
-        fh.write(np.packbits(trace.received).tobytes())
+    _trace.write_binary(trace.stored, path)
 
 
 def read_trace(path) -> PacketTrace:
@@ -252,9 +253,8 @@ def read_trace(path) -> PacketTrace:
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
     """Write the CSV export, its rows formatted a block of packets at a time."""
-    header = [f"# {key}={value}" for key, value in trace.header().items()]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([*header, _CSV_COLUMNS]) + "\n")
+        fh.write("\n".join([*trace.stored.header_lines(), _CSV_COLUMNS]) + "\n")
         for block, tx_start_s, latency_s in _csv_columns(trace):
             relayed = trace.relayed[block].view(np.uint8).tolist()
             rows = map("{},{!r},{},{},{}".format, range(block.start, block.stop),

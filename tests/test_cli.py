@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vlcrelay
-from vlcrelay import channel, cli, clusters, sim
+from vlcrelay import _trace, channel, cli, clusters, sim
 from vlcrelay.node import LinkConfig, Mode
 
 
@@ -679,8 +679,7 @@ def test_sal_safety_and_the_cli_import_load_no_numpy(tmp_path):
 
 _CLI_IMPORT = {"vlcrelay", "vlcrelay.cli", "vlcrelay.node", "vlcrelay._errors",
                "vlcrelay._tables"}
-_SIMULATE = _CLI_IMPORT | {"vlcrelay.channel", "vlcrelay.sim", "vlcrelay._scan",
-                           "vlcrelay._trace"}
+_SIMULATE = _CLI_IMPORT | {"vlcrelay.channel", "vlcrelay.sim", "vlcrelay._trace"}
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
@@ -694,7 +693,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         trace = tmp_path / f"{name}.vlct"
         assert _modules_after("vlcrelay", "simulate", *flags, "--n", "5000", "--seed", "3",
                               "--out", str(trace)) == _SIMULATE | law, name
-    # a binary trace is read and counted without sim, the run scan or numpy
+    # a binary trace is read and counted without sim or numpy
     analyze = ["--clusters-out", str(tmp_path / "c.csv"), "--report-out", str(tmp_path / "r.txt")]
     assert _modules_after("vlcrelay", "analyze", str(tmp_path / "ge.vlct"), *analyze) == (
         _CLI_IMPORT | {"vlcrelay._trace", "vlcrelay.channel", "vlcrelay.clusters",
@@ -902,7 +901,7 @@ def test_analyze_binary_and_csv_export_agree(tmp_path):
         report = report_out.read_text().splitlines()
         assert report[0] == f"trace={trace}"
         outputs.append((clusters_out.read_bytes(), report[1:]))
-    assert (tmp_path / "t.vlct").read_bytes().startswith(sim.TRACE_MAGIC)
+    assert (tmp_path / "t.vlct").read_bytes().startswith(_trace.TRACE_MAGIC)
     assert (tmp_path / "t.csv").read_text().startswith("# mode=broadcast\n")
     assert outputs[0] == outputs[1]
 

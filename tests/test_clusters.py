@@ -36,9 +36,17 @@ def dist_from_window_counts(draws):
 
 # ---------------------------------------------------------------- extraction
 
+def _trace_of(received) -> sim.PacketTrace:
+    """The trace of ``received`` on a beacon link, which relays every
+    received packet; ``extract_clusters`` counts it through ``stored``."""
+    received = np.asarray(received, dtype=bool)
+    return sim.PacketTrace(config=LinkConfig(mode=Mode.BEACON), process_spec="iid-packet:p=0.5",
+                           seed=0, received=received, relayed=received.copy())
+
+
 def test_extract_clusters_by_definition():
     received = np.array([False, False, False, True, False, True])  # L L L S L S
-    dist = clusters.extract_clusters(received)
+    dist = clusters.extract_clusters(_trace_of(received))
     assert dist.insufficient
     assert dist.hist.tolist() == [1, 1, 0, 1]
     assert dist.n_lost == 4
@@ -47,7 +55,7 @@ def test_extract_clusters_by_definition():
 
 
 def test_extract_clusters_no_losses_is_flagged():
-    dist = clusters.extract_clusters(np.ones(50, dtype=bool))
+    dist = clusters.extract_clusters(_trace_of(np.ones(50, dtype=bool)))
     assert dist.hist.tolist() == [50]
     assert dist.insufficient
     assert dist.quantile(0.999) == 0
@@ -56,15 +64,15 @@ def test_extract_clusters_no_losses_is_flagged():
 def test_extract_clusters_mass_identity():
     rng = np.random.default_rng(0)
     received = rng.random(5000) > 0.3
-    dist = clusters.extract_clusters(received)
+    dist = clusters.extract_clusters(_trace_of(received))
     assert dist.n_lost == int((~received).sum())
     assert sum(dist.pmf_grid()) == pytest.approx(1.0, abs=1e-12)
 
 
 def _check_hist_against_window_walk(received):
-    dist = clusters.extract_clusters(received)
+    dist = clusters.extract_clusters(_trace_of(received))
     assert dist.hist.tolist() == oracles.window_hist(received)
-    # and from the flags packed as a binary trace stores them
+    # and from a stored form packed here, as a binary trace stores the flags
     payload = memoryview(np.packbits(received).tobytes())
     stored = _trace.BinaryTrace(LinkConfig(), "iid-packet:p=0.5", 0, received.size, payload)
     assert clusters.extract_clusters(stored).hist == dist.hist
@@ -136,16 +144,18 @@ RUN_COUNT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RUN_COUNT_CASES))
 def test_run_count_matches_the_window_walk_from_flags_and_payload(tmp_path, case):
-    # the histogram of a received array and that of the binary trace's
-    # packed payload, as analyze reads it, are both the loop oracle's
+    # the histogram of a trace's received flags, packed as trace.stored, and
+    # that of the binary trace's payload, as analyze reads it, are both the
+    # loop oracle's
     received = RUN_COUNT_CASES[case]()
     want = oracles.window_hist(received.tolist())
-    assert clusters.extract_clusters(received).hist.tolist() == want
-    config = LinkConfig(mode=Mode.BEACON)
-    trace = sim.PacketTrace(config=config, process_spec="iid-packet:p=0.5", seed=0,
-                            received=received, relayed=received.copy())
+    trace = _trace_of(received)
+    assert clusters.extract_clusters(trace).hist.tolist() == want
     path = tmp_path / "t.vlct"
     sim.write_trace(trace, path)
+    data = path.read_bytes()
+    # one packing rule: the stored form's payload is the written payload
+    assert trace.stored.payload == data[data.index(b"\n\n") + 2:]
     dist = clusters.extract_clusters(_trace.read_binary(path))
     assert dist.hist.tolist() == want
     assert dist.n_slots == received.size
@@ -167,7 +177,7 @@ def test_cluster_distribution_rejects_bad_hist(hist):
 def test_extract_clusters_matches_generator():
     process = channel.NbCluster.for_law(0.1691, 0.0638)
     lost = channel.sample_losses(process, 10**5, np.random.default_rng(3))
-    dist = clusters.extract_clusters(~lost)
+    dist = clusters.extract_clusters(_trace_of(~lost))
     law = clusters.FitResult(NB, (0.1691, 0.0638))
     assert oracles.table_cdf_error(dist, law) < 0.02
 
@@ -817,7 +827,7 @@ def test_prediction_error_synthetic_within_paper_band():
     # the fitted model stays within 5 packets of the data below the 95% target
     process = channel.NbCluster.for_law(0.1691, 0.0638)
     lost = channel.sample_losses(process, 10**5, np.random.default_rng(17))
-    dist = clusters.extract_clusters(~lost)
+    dist = clusters.extract_clusters(_trace_of(~lost))
     best = clusters.select_best([clusters.fit(dist, f) for f in clusters.Family])
     for target in (0.5, 0.75, 0.9, 0.94):
         assert abs(clusters.quantile(best, target) - clusters.quantile(dist, target)) <= 5

@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vlcrelay import _scan, channel, cli, clusters, node, sim
+from vlcrelay import _trace, channel, cli, clusters, node, sim
 
 import oracles
 
 BROADCAST = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
 BEACON = node.LinkConfig(baud=230000, mode=node.Mode.BEACON, beacon_interval_s=0.1)
-B = _scan._BLOCK  # the packet block of the channel draw, the relay scan and the CSV export
+B = channel._BLOCK  # the packet block of the channel draw, the relay scan and the CSV export
 
 
 def test_error_free_beacon_relays_everything():
@@ -362,7 +362,7 @@ def test_trace_header_names_the_random_stream(spec):
     # nb-cluster draws in blocks since stream 2; the other streams are the first
     trace = sim.run(BROADCAST, channel.process_from_spec(spec), 10, seed=1)
     want = "numpy-pcg64/2" if spec.startswith("nb-cluster:") else "numpy-pcg64"
-    assert trace.header()["rng"] == want
+    assert trace.stored.header()["rng"] == want
 
 
 @pytest.mark.parametrize("spec", _SPECS)
@@ -374,7 +374,7 @@ def test_binary_trace_roundtrip_equals_run(tmp_path, spec, mode, n):
     path = tmp_path / "t.vlct"
     sim.write_trace(trace, path)
     data = path.read_bytes()
-    assert data.startswith(sim.TRACE_MAGIC)
+    assert data.startswith(_trace.TRACE_MAGIC)
     assert data.endswith(b"\n\n" + np.packbits(trace.received).tobytes())
     back = sim.read_trace(path)
     assert (back.config, back.process_spec, back.seed) == (trace.config, trace.process_spec, 5)
