@@ -2,8 +2,8 @@
 on 10^7 Gilbert-Elliott packets, ``simulate`` on 10^7 nb-cluster packets
 (the PER-0.3 anchor), a CSV-export round trip (``simulate --out t.csv``,
 then ``analyze t.csv``) on a tenth as many, ``simulate`` and ``analyze``
-of an all-lost trace (``--per 1.0``) as long, whose fits read each law's
-CDF table out to its one loss run, ``sal`` on a model table whose one
+of an all-lost trace (``--per 1.0``) of 10^7 packets, one loss run whose
+fits read each law's CDF table out to it, ``sal`` on a model table whose one
 law, binomial(n=10^12), must end at the run cap with exit 2, and the
 bundled ``sal`` and ``safety``.  The last three, and ``analyze`` of a
 binary trace, have a bound below the peak of an interpreter that imports
@@ -36,10 +36,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # block at a time (51 MB when it unpacked the flags with numpy); each bound
 # is that plus about a quarter.  The CSV analyze at 10^6 peaks at 50 MB
 SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 24.0, 24.0, 100.0
-# the all-lost analyze at 10^6 peaks at 61 MB, the fits scoring each law on
-# its CDF table (101 MB when they summed gammaln pmfs over every run length);
-# its bound is that plus about a quarter
-ANALYZE_ALL_LOST_MB = 76.0
+# the all-lost analyze at 10^7 peaks at 38 MB, as the run-length law holds
+# only the lengths seen (324 MB when it held every length up to the longest
+# run, and wrote a clusters.csv row for each); its bound is that plus about
+# a quarter
+ANALYZE_ALL_LOST_MB = 48.0
 # the binomial(10^12) table starts at the 10^7 run cap at once, as no pmf below
 # it is in the float range, so it too runs without numpy; its address space is
 # limited, so a table past the cap fails fast, not the machine
@@ -99,10 +100,10 @@ def main() -> int:
               "--out", "t.csv", "--summary", "t.txt"]),
             (f"iid csv n={n_csv}", ANALYZE_CSV_MB, 0, "analyze",
              ["t.csv", "--clusters-out", "t-clusters.csv", "--report-out", "t-report.txt"]),
-            (f"all-lost n={n_csv}", SIMULATE_MB, 0, "simulate",
-             ["--per", "1.0", "--n", str(n_csv), "--seed", "1",
+            (f"all-lost n={n}", SIMULATE_MB, 0, "simulate",
+             ["--per", "1.0", "--n", str(n), "--seed", "1",
               "--out", "lost.vlct", "--summary", "lost.txt"]),
-            (f"all-lost n={n_csv}", ANALYZE_ALL_LOST_MB, 0, "analyze",
+            (f"all-lost n={n}", ANALYZE_ALL_LOST_MB, 0, "analyze",
              ["lost.vlct", "--clusters-out", "lost-clusters.csv",
               "--report-out", "lost-report.txt"]),
             ("binomial n=1e12 model table", NO_NUMPY_MB, 2, "sal",

@@ -185,6 +185,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Fit a trace's loss-run law and report it; ``clusters.csv`` holds the
+    law as ``k,count,pmf,cdf``, a row per run length seen and ``k = 0``."""
     from . import _trace
     from . import clusters as _clusters
 
@@ -200,12 +202,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     with open(clusters_out, "w", newline="\n") as fh:
         fh.write("k,count,pmf,cdf\n")
-        fh.writelines(map("{},{},{!r},{!r}\n".format, range(len(dist.hist)), dist.hist,
-                          dist.pmf_grid(), dist.cdf))
+        fh.writelines(map("{},{},{!r},{!r}\n".format, dist.lengths, dist.counts,
+                          dist.pmf(), dist.cdf))
 
     lines = [
         f"trace={args.trace}",
-        f"n_packets={dist.n_slots}",
+        f"n_packets={dist.n_packets}",
         f"n_lost={dist.n_lost}",
         f"n_runs={dist.n_runs}",
         f"max_cluster={dist.max_cluster}",

@@ -7,6 +7,8 @@ The pipeline here extracts the per-transmission run-length law (zeros
 included), fits negative-binomial / Poisson / binomial candidates by
 maximum likelihood, picks the best by worst-case CDF error, and maps
 quantiles of the winner to statistically-averaged latency (SAL) figures.
+The law is held as the run lengths seen and their counts, so its cost
+follows the number of distinct lengths, not the longest run.
 
 The model-law half (the families, a law's CDF table and quantile, the
 model table and the latency map) is ``laws``; its names are re-exported
@@ -20,6 +22,7 @@ a law whose CDF table ``laws`` grows past one chunk of 2^16 entries.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -60,44 +63,44 @@ class FitDiverged(ClusterStatsError):
 class ClusterDistribution:
     """Empirical run-length law over per-transmission observation windows.
 
-    ``hist[k]`` counts the windows whose loss run is ``k``, zeros included:
+    ``counts[i]`` counts the windows whose loss run is ``lengths[i]``:
     every received packet (plus a virtual window when the trace opens with
-    a loss) is one window.  The last entry is the longest run's.  It is
-    held as an ``array('q')``, and the law's CDF as an ``array('d')``.
+    a loss) is one window.  ``lengths`` are the run lengths seen,
+    ascending, 0 first even at count 0; both are ``array('q')``s.
     """
 
-    hist: array
-    n_slots: int
+    lengths: array
+    counts: array
+    n_packets: int
 
     def __post_init__(self):
         try:
-            hist = array("q", self.hist)
+            lengths, counts = array("q", self.lengths), array("q", self.counts)
         except (TypeError, OverflowError):  # floats, nested lists, ...
-            hist = array("q")
-        if not (hist and min(hist) >= 0 and hist[-1] > 0):
-            raise ClusterStatsError("hist must be a 1-D sequence of integer counts >= 0 with "
-                                    f"a non-zero last entry, got {self.hist!r}")
-        object.__setattr__(self, "hist", hist)
+            lengths = counts = array("q")
+        if not (len(lengths) == len(counts) > 0 == lengths[0] <= counts[0]
+                and all(map(operator.lt, lengths, lengths[1:]))
+                and min(counts[1:], default=counts[0]) > 0):
+            raise ClusterStatsError("hist must be ascending run lengths from 0 and their counts, "
+                                    f"> 0 but at 0, got {self.lengths!r}, {self.counts!r}")
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "counts", counts)
 
     @cached_property
     def n_opportunities(self) -> int:
-        return sum(self.hist)
-
-    @property
-    def n_zero(self) -> int:
-        return self.hist[0]
+        return sum(self.counts)
 
     @property
     def n_runs(self) -> int:
-        return self.n_opportunities - self.n_zero
+        return self.n_opportunities - self.counts[0]
 
     @cached_property
     def n_lost(self) -> int:
-        return sum(map(operator.mul, range(len(self.hist)), self.hist))
+        return sum(map(operator.mul, self.lengths, self.counts))
 
     @property
     def max_cluster(self) -> int:
-        return len(self.hist) - 1
+        return self.lengths[-1]
 
     @property
     def insufficient(self) -> bool:
@@ -107,24 +110,22 @@ class ClusterDistribution:
     def mean(self) -> float:
         return self.n_lost / self.n_opportunities
 
-    def values_weights(self) -> tuple[list[int], list[int]]:
-        """Run lengths seen, 0 first even at weight 0, and their counts."""
-        ks = [0, *itertools.compress(range(1, len(self.hist)), self.hist[1:])]
-        return ks, [self.hist[k] for k in ks]
-
-    def pmf_grid(self) -> array:
-        """Per-transmission law on 0..max_cluster."""
-        return array("d", map(operator.truediv, self.hist,
-                              itertools.repeat(self.n_opportunities)))
+    def pmf(self) -> list[float]:
+        """Share of the windows at each of ``lengths``."""
+        n = self.n_opportunities
+        return [count / n for count in self.counts]
 
     @cached_property
     def cdf(self) -> array:
-        """Empirical CDF on 0..max_cluster, summed in order; its last entry
-        is 1 up to round-off."""
-        return array("d", itertools.accumulate(self.pmf_grid()))
+        """Empirical CDF at ``lengths``, summed in order, and flat up to the
+        next length; its last entry is 1 up to round-off."""
+        return array("d", itertools.accumulate(self.pmf()))
 
     def quantile(self, target: float) -> int:
-        return quantile(self, target)
+        """Smallest run length whose CDF reaches ``target``, else the longest."""
+        if not 0.0 < target < 1.0:
+            raise ClusterStatsError(f"target probability must be in (0, 1), got {target}")
+        return self.lengths[min(bisect.bisect_left(self.cdf, target), len(self.lengths) - 1)]
 
 
 def extract_clusters(trace) -> ClusterDistribution:
@@ -136,17 +137,17 @@ def extract_clusters(trace) -> ClusterDistribution:
     ``MIN_LOSSES`` losses is flagged ``insufficient``.
     """
     stored = trace if isinstance(trace, BinaryTrace) else trace.stored
-    return ClusterDistribution(hist=_window_hist(stored.payload, stored.n_packets),
-                               n_slots=stored.n_packets)
+    return ClusterDistribution(*_window_hist(stored.payload, stored.n_packets),
+                               n_packets=stored.n_packets)
 
 
-def _window_hist(payload, n: int) -> array:
+def _window_hist(payload, n: int) -> tuple[list[int], list[int]]:
     """The window histogram of the ``n`` packets of a packed payload, read
     a block of ``_RUN_BLOCK`` packets at a time as an int, first packet in
     the high bit, set where received.  Each block adds the run its first
     reception ends (with the losses carried from the blocks before) and the
     runs between its receptions, and carries the losses after its last
-    reception on."""
+    reception on.  Returns the run lengths seen, 0 first, and their counts."""
     runs: Counter[int] = Counter()  # maximal loss runs by length
     open_run = n_received = 0
     opens_lost = not payload[0] >> 7
@@ -167,13 +168,11 @@ def _window_hist(payload, n: int) -> array:
         open_run = last
     if open_run:
         runs[open_run] += 1
-    hist = array("q", [0]) * (max(runs, default=0) + 1)
-    for k, count in runs.items():
-        hist[k] = count
     # a window per reception, and one more when the trace opens with a loss;
     # those that end no run are the zeros
-    hist[0] = n_received + opens_lost - sum(runs.values())
-    return hist
+    lengths = sorted(runs)
+    return ([0, *lengths],
+            [n_received + opens_lost - sum(runs.values()), *map(runs.__getitem__, lengths)])
 
 
 def _add_runs(lost: int, runs: Counter) -> None:
@@ -374,8 +373,7 @@ def _fit_nb_mle(dist: ClusterDistribution) -> tuple[float, float]:
     mean = dist.mean
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
-    values, weights = ([float(x) for x in seq] for seq in dist.values_weights())
-    terms = list(zip(values, weights, [_gammaln(k + 1) for k in values]))
+    terms = [(float(k), float(w), _gammaln(k + 1.0)) for k, w in zip(dist.lengths, dist.counts)]
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
@@ -411,13 +409,14 @@ def fit(dist: ClusterDistribution, family: Family) -> FitResult:
 
     # the law's CDF on 0..max_cluster from the table its quantiles read: 0
     # before the table's start, then its entries, then its last value past
-    # its end, where it finished or reached the run cap
+    # its end, where it finished or reached the run cap.  It does not fall,
+    # and the empirical CDF is flat from a seen length to just before the
+    # next, so the largest gap on 0..max_cluster is at one end of a stretch
     table = cdf_table(family, params)
-    model = itertools.repeat(0.0, table.start)
-    if table.start <= dist.max_cluster:
-        held = table.grow(k=dist.max_cluster)
-        model = itertools.chain(model, held, itertools.repeat(held[-1]))
-    err = max(map(abs, map(operator.sub, dist.cdf, model)))
+    start, held = table.start, table.grow(k=dist.max_cluster)
+    ends = [k - 1 for k in dist.lengths[1:]] + [dist.max_cluster]
+    err = max(abs(c - (held[min(k - start, len(held) - 1)] if k >= start else 0.0))
+              for k, c in zip([*dist.lengths, *ends], [*dist.cdf, *dist.cdf]))
     return FitResult(family=family, params=params, max_cdf_error=err)
 
 

@@ -1,9 +1,9 @@
 """Cluster-size laws and the latency they give, without numpy.
 
 The model-law half of the pipeline: the three count-law families and
-their domains, a law's CDF table from its pmf recurrence, quantiles of a
-law or of an empirical CDF, the PER-indexed model table, and the map from
-a quantile to statistically-averaged latency (SAL).  ``sal`` and
+their domains, a law's CDF table from its pmf recurrence and its
+quantiles, the PER-indexed model table, and the map from a quantile to
+statistically-averaged latency (SAL).  ``sal`` and
 ``safety`` need nothing else, so they run on the standard library alone;
 ``clusters`` re-exports every name here next to the trace statistics and
 the fits.
@@ -256,13 +256,11 @@ class FitResult:
         return f"binomial(n={int(x[0])}, p={x[1]!r})"
 
 
-def quantile(model, target_prob: float) -> int:
-    """Smallest k with CDF(k) >= target_prob, in a ``FitResult``'s table or
-    in the empirical CDF of a ``ClusterDistribution``."""
+def quantile(model: FitResult, target_prob: float) -> int:
+    """Smallest k with CDF(k) >= target_prob in the law's CDF table;
+    ``ClusterDistribution.quantile`` is the empirical law's."""
     if not 0.0 < target_prob < 1.0:
         raise ClusterStatsError(f"target probability must be in (0, 1), got {target_prob}")
-    if not isinstance(model, FitResult):  # the longest run is the support's end
-        return min(bisect.bisect_left(model.cdf, target_prob), model.max_cluster)
     table = model._table
     cdf = table.grow(target_prob)
     if not cdf[-1] >= target_prob:

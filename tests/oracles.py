@@ -13,9 +13,12 @@ ratio) for ``clusters.CdfTable``; for the negative-binomial stream,
 and ``nb_whole_trace``, the draw's first layout (every batch's runs at once);
 ``doubling_quantile``, the quantile path before the table (``fit_cdf`` sums
 ``gammaln_pmf`` from k = 0 and ``quantile_from_cdf`` doubles the grid), for
-``clusters.quantile``; ``table_cdf_error`` (the recurrence loop) and
-``gammaln_cdf_error`` (the gammaln sums the fits once scored) for
-``clusters.fit``'s CDF error; ``window_hist`` and ``loss_run_lengths`` (the run
+``clusters.quantile``; ``table_cdf_error`` (the recurrence loop),
+``gammaln_cdf_error`` (the gammaln sums the fits once scored) and
+``dense_cdf_error`` (a loop over every run length up to the longest, on
+the package's table) for ``clusters.fit``'s CDF error, with
+``dist_from_hist``, ``dense_hist`` and ``dense_cdf`` between the sparse
+run-length law and a dense one; ``window_hist`` and ``loss_run_lengths`` (the run
 lengths from the edges of the padded loss flags) for
 ``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the
 negative-binomial fit through ``scipy.optimize.minimize_scalar`` and scipy's
@@ -324,25 +327,61 @@ def fit_cdf(model: FitResult, k) -> np.ndarray:
     return cum[k]
 
 
+def dist_from_hist(hist, n_packets: int) -> ClusterDistribution:
+    """A ``ClusterDistribution`` from a dense histogram, ``hist[k]`` the
+    windows whose run is ``k`` (an ``np.bincount``): its non-zero entries,
+    and ``k = 0`` whatever its count."""
+    hist = np.asarray(hist).tolist()
+    lengths = [0] + [k for k in range(1, len(hist)) if hist[k]]
+    return ClusterDistribution(lengths, [hist[k] for k in lengths], n_packets)
+
+
+def dense_hist(dist: ClusterDistribution) -> list[int]:
+    """The histogram on every run length 0..max_cluster."""
+    hist = [0] * (dist.max_cluster + 1)
+    for k, count in zip(dist.lengths, dist.counts):
+        hist[k] = count
+    return hist
+
+
+def dense_cdf(dist: ClusterDistribution) -> np.ndarray:
+    """The empirical CDF on 0..max_cluster, cumulative sums in order."""
+    return np.cumsum(np.array(dense_hist(dist)) / dist.n_opportunities)
+
+
+def dense_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
+    """Largest |empirical - model| CDF gap, a loop over every k in
+    0..max_cluster: the model's CDF is its table, 0 before its start and
+    its last value past its end."""
+    table = clusters_cdf_table(model.family, model.params)
+    held = table.grow(k=dist.max_cluster)
+    err = 0.0
+    for k, c in enumerate(dense_cdf(dist).tolist()):
+        m = 0.0 if k < table.start else held[min(k - table.start, len(held) - 1)]
+        err = max(err, abs(c - m))
+    return err
+
+
 def table_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
     """Largest |empirical - model| CDF gap on 0..max_cluster, the model's
     CDF by the recurrence loop, held at its last value past its end."""
     table = law_cdf_table(model.family, model.params)
     size = dist.max_cluster + 1
     held = np.concatenate((table, np.full(max(0, size - table.size), table[-1])))
-    return float(np.max(np.abs(dist.cdf - held[:size])))
+    return float(np.max(np.abs(dense_cdf(dist) - held[:size])))
 
 
 def gammaln_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
     """The CDF gap as the fits took it before the table: against the
     cumulative sums of ``gammaln_pmf``."""
-    return float(np.max(np.abs(dist.cdf - fit_cdf(model, np.arange(dist.max_cluster + 1)))))
+    return float(np.max(np.abs(dense_cdf(dist)
+                               - fit_cdf(model, np.arange(dist.max_cluster + 1)))))
 
 
 def empirical_cdf(dist: ClusterDistribution, k) -> np.ndarray:
-    """``ClusterDistribution.cdf`` before the single search: 1.0 from the
-    longest run on."""
-    cum = np.cumsum(dist.pmf_grid())
+    """The empirical CDF before the single search: 1.0 from the longest run
+    on."""
+    cum = dense_cdf(dist)
     k = np.asarray(k, dtype=np.int64)
     return np.where(k >= cum.size - 1, 1.0, cum[np.minimum(k, cum.size - 1)])
 

@@ -16,6 +16,8 @@ from scipy.stats import poisson as sp_poisson
 
 from vlcrelay import channel, cli, clusters, codec, node, safety, sim
 
+import oracles
+
 TARGETS = (0.9, 0.95, 0.99, 0.999)
 
 
@@ -133,8 +135,7 @@ def test_criterion_5_codec_properties():
 
 def _window_distribution(draws):
     draws = np.asarray(draws, dtype=np.int64)
-    return clusters.ClusterDistribution(hist=np.bincount(draws),
-                                        n_slots=int(draws.sum() + draws.size))
+    return oracles.dist_from_hist(np.bincount(draws), n_packets=int(draws.sum() + draws.size))
 
 
 @criterion(6, "fit recovery within 10% and generator-family selection")

@@ -14,6 +14,8 @@ import vlcrelay
 from vlcrelay import _trace, channel, cli, clusters, sim
 from vlcrelay.node import LinkConfig, Mode
 
+import oracles
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -164,6 +166,26 @@ def test_analyze_rerun_is_byte_identical(tmp_path):
         outs.append(((tmp_path / f"c{tag}.csv").read_bytes(),
                      (tmp_path / f"r{tag}.txt").read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("nb-cluster:r=0.1691,p=0.0638,target_per=0.3", 20000),
+    ("iid-packet:p=1.0", 500),  # one run: the k = 0 row at count 0 and the run's
+    ("iid-packet:p=0.0", 500),  # no run: the k = 0 row alone
+], ids=["nb-anchor", "all-lost", "none-lost"])
+def test_analyze_clusters_csv_has_a_row_per_seen_run_length(tmp_path, spec, n):
+    trace = sim.run(LinkConfig(mode=Mode.BEACON), channel.process_from_spec(spec), n, 7)
+    sim.write_trace(trace, tmp_path / "t.vlct")
+    run_cli("analyze", str(tmp_path / "t.vlct"), "--clusters-out", str(tmp_path / "c.csv"),
+            "--report-out", str(tmp_path / "r.txt"))
+    header, *rows = (tmp_path / "c.csv").read_text().splitlines()
+    assert header == "k,count,pmf,cdf"
+    hist = oracles.window_hist(trace.received.tolist())
+    n_windows = sum(hist)
+    cdf = np.cumsum(np.array(hist) / n_windows)
+    ks = [int(row.split(",")[0]) for row in rows]
+    assert ks == [k for k, count in enumerate(hist) if k == 0 or count]
+    assert rows == [f"{k},{hist[k]},{hist[k] / n_windows!r},{float(cdf[k])!r}" for k in ks]
 
 
 def test_analyze_loss_free_trace_warns(tmp_path, capsys):
@@ -543,10 +565,12 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
 # the exact mean of the relayed packets' runs, rounded once, and again when
 # it lost ber_upper=; report.txt when each fit_ line printed its law's
 # parameters by repr, so that they read back, and again, for its
-# fit_negbinomial= line alone, when the NB fit's likelihood became an fsum
+# fit_negbinomial= line alone, when the NB fit's likelihood became an fsum.
+# clusters.csv was re-recorded when it dropped the run lengths never seen:
+# its rows are the old file's rows of non-zero count and the k = 0 row
 GOLDEN_CLI_SHA256 = {
     "summary.txt": "01a0c0056fbffb3314dc807c963500bb698099d64aa2446465eb34f23be717a7",
-    "clusters.csv": "11135f1c8206d0d75dbfc10b08171307884f8baefbc2dde0b20f314aede83c90",
+    "clusters.csv": "6a90ddc34f06cb4e12be24ecd1944e86c1efc5ebd2f1bcf65bbf71acaf4daac7",
     "report.txt": "66af9f13eac9844d463f40545cc93b5c75fe5b12e4e48cc80a450b97a1a99b7a",
     "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
     "safety.csv": "4c7219b3ff3c3fa343bd41fd11e158227a1a262a277b5fbd297e60ecb4bbb7b6",

@@ -30,8 +30,7 @@ NB, POISSON, BINOMIAL = clusters.Family
 def dist_from_window_counts(draws):
     """Build a ClusterDistribution as if each draw were one window."""
     draws = np.asarray(draws, dtype=np.int64)
-    return clusters.ClusterDistribution(hist=np.bincount(draws),
-                                        n_slots=int(draws.sum() + draws.size))
+    return oracles.dist_from_hist(np.bincount(draws), n_packets=int(draws.sum() + draws.size))
 
 
 # ---------------------------------------------------------------- extraction
@@ -48,15 +47,15 @@ def test_extract_clusters_by_definition():
     received = np.array([False, False, False, True, False, True])  # L L L S L S
     dist = clusters.extract_clusters(_trace_of(received))
     assert dist.insufficient
-    assert dist.hist.tolist() == [1, 1, 0, 1]
+    assert oracles.dense_hist(dist) == [1, 1, 0, 1]
     assert dist.n_lost == 4
     assert dist.n_opportunities == 3  # two receptions plus the leading-run window
-    assert dist.n_zero == 1
+    assert dist.counts[0] == 1
 
 
 def test_extract_clusters_no_losses_is_flagged():
     dist = clusters.extract_clusters(_trace_of(np.ones(50, dtype=bool)))
-    assert dist.hist.tolist() == [50]
+    assert oracles.dense_hist(dist) == [50]
     assert dist.insufficient
     assert dist.quantile(0.999) == 0
 
@@ -66,19 +65,20 @@ def test_extract_clusters_mass_identity():
     received = rng.random(5000) > 0.3
     dist = clusters.extract_clusters(_trace_of(received))
     assert dist.n_lost == int((~received).sum())
-    assert sum(dist.pmf_grid()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(dist.pmf()) == pytest.approx(1.0, abs=1e-12)
 
 
 def _check_hist_against_window_walk(received):
     dist = clusters.extract_clusters(_trace_of(received))
-    assert dist.hist.tolist() == oracles.window_hist(received)
+    hist = oracles.window_hist(received)
+    assert oracles.dense_hist(dist) == hist
     # and from a stored form packed here, as a binary trace stores the flags
     payload = memoryview(np.packbits(received).tobytes())
     stored = _trace.BinaryTrace(LinkConfig(), "iid-packet:p=0.5", 0, received.size, payload)
-    assert clusters.extract_clusters(stored).hist == dist.hist
-    ks, ws = dist.values_weights()
-    assert (ks[0], ws[0]) == (0, dist.hist[0])
-    assert ws == [dist.hist[k] for k in ks] and all(w > 0 for w in ws[1:])
+    assert clusters.extract_clusters(stored) == dist
+    ks, ws = dist.lengths.tolist(), dist.counts.tolist()
+    assert (ks[0], ws[0]) == (0, hist[0])
+    assert ws == [hist[k] for k in ks] and all(w > 0 for w in ws[1:])
     return dist
 
 
@@ -93,11 +93,11 @@ def test_extract_clusters_hist_matches_window_walk(flags):
     ("SSSS", [4]),  # none lost
     ("LLSSLS", [2, 1, 1]),  # a leading run
     ("SSLLL", [1, 0, 0, 1]),  # a trailing run
-    ("LSL", [0, 2]),  # n_zero == 0, and values_weights still starts at 0
+    ("LSL", [0, 2]),  # no zero-length window, and lengths still starts at 0
 ])
 def test_extract_clusters_hist_edge_cases(flags, hist):
     dist = _check_hist_against_window_walk(np.array([c == "S" for c in flags]))
-    assert dist.hist.tolist() == hist
+    assert oracles.dense_hist(dist) == hist
 
 
 # the run count takes a trace a block of R packets at a time, and runs of
@@ -150,28 +150,32 @@ def test_run_count_matches_the_window_walk_from_flags_and_payload(tmp_path, case
     received = RUN_COUNT_CASES[case]()
     want = oracles.window_hist(received.tolist())
     trace = _trace_of(received)
-    assert clusters.extract_clusters(trace).hist.tolist() == want
+    assert oracles.dense_hist(clusters.extract_clusters(trace)) == want
     path = tmp_path / "t.vlct"
     sim.write_trace(trace, path)
     data = path.read_bytes()
     # one packing rule: the stored form's payload is the written payload
     assert trace.stored.payload == data[data.index(b"\n\n") + 2:]
     dist = clusters.extract_clusters(_trace.read_binary(path))
-    assert dist.hist.tolist() == want
-    assert dist.n_slots == received.size
+    assert oracles.dense_hist(dist) == want
+    assert dist.n_packets == received.size
 
 
 @pytest.mark.parametrize("hist", [
-    [5, 1, 0],  # a trailing zero: max_cluster read 2
-    [5, -1],  # a negative count: n_lost read -1
-    [],  # no window
-    [0],
-    [[3, 1]],
-    np.array([3.0, 1.0]),
+    ([0, 1, 2], [5, 1, 0]),  # a length seen at count 0: max_cluster read 2
+    ([0, 1], [5, -1]),  # a negative count: n_lost read -1
+    ([], []),  # no window
+    ([0], [0]),
+    ([[0, 1]], [[3, 1]]),
+    ([0, 1], np.array([3.0, 1.0])),
+    ([1, 2], [3, 1]),  # no 0 first
+    ([0, 2, 1], [3, 1, 1]),  # not ascending
+    ([0, 1, 1], [3, 1, 1]),  # a length twice
+    ([0, 1], [3]),  # a length without its count
 ])
 def test_cluster_distribution_rejects_bad_hist(hist):
     with pytest.raises(clusters.ClusterStatsError, match="hist must be"):
-        clusters.ClusterDistribution(hist=hist, n_slots=10)
+        clusters.ClusterDistribution(*hist, n_packets=10)
 
 
 def test_extract_clusters_matches_generator():
@@ -305,7 +309,7 @@ def test_fit_nb_matches_minimize_scalar_oracle(spec, mode):
     for seed in range(5):
         trace = sim.run(LinkConfig(mode=mode), process, 60_000, seed)
         dist = clusters.extract_clusters(trace)
-        values, weights = (np.array(a, dtype=float) for a in dist.values_weights())
+        values, weights = (np.array(a, dtype=float) for a in (dist.lengths, dist.counts))
         assert clusters._fit_nb_mle(dist) == oracles.fit_nb_mle(values, weights)
 
 
@@ -330,13 +334,31 @@ def test_fit_scores_the_table_its_quantiles_read(spec, mode):
             assert clusters.quantile(best, target) == oracles.doubling_quantile(old_best, target)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 60),
+       st.dictionaries(st.integers(1, 3000), st.integers(1, 60), min_size=1, max_size=12),
+       st.lists(st.floats(0.001, 0.999999), min_size=1, max_size=4))
+def test_fit_scores_the_dense_cdf_error_at_the_seen_lengths(zeros, runs, targets):
+    # the sparse law's error and quantiles are those of the dense law, whose
+    # CDF is held flat across every run length never seen
+    lengths = sorted(runs)
+    counts = [zeros, *map(runs.get, lengths)]
+    dist = clusters.ClusterDistribution([0, *lengths], counts,
+                                        n_packets=sum(k * runs[k] for k in lengths) + sum(counts))
+    for family in clusters.Family:
+        f = clusters.fit(dist, family)
+        assert f.max_cdf_error == oracles.dense_cdf_error(dist, f), f
+    for target in targets:
+        assert dist.quantile(target) == oracles.doubling_quantile(dist, target)
+
+
 def test_fit_holds_a_law_at_its_run_cap_value_past_the_cap(monkeypatch):
     # a run longer than the cap: a law's table ends at the cap, and past it
     # the fit reads the law's CDF as its value there.  On an all-lost trace
     # the Poisson table runs to the cap, and the p = 1 binomial, all of
     # whose mass lies past it, holds 0 there
     monkeypatch.setattr(laws, "_RUN_CAP", 50)
-    dist = clusters.ClusterDistribution(hist=np.array([0] * 80 + [1]), n_slots=80)
+    dist = clusters.ClusterDistribution([0, 80], [0, 1], n_packets=80)
     table = oracles.law_cdf_table(POISSON, (80.0,), size=51)
     assert table.size == 51
     assert clusters.fit(dist, POISSON).max_cdf_error == 1.0 - table[-1]
@@ -526,8 +548,8 @@ def test_empirical_quantiles_equal_the_doubling_path():
 
 
 def test_empirical_quantile_past_a_cdf_end_below_1_is_the_longest_run():
-    dist = clusters.ClusterDistribution(hist=np.array([18, 41, 20, 39, 15]), n_slots=133)
-    assert np.array_equal(dist.cdf, np.cumsum(dist.pmf_grid()))
+    dist = clusters.ClusterDistribution(range(5), [18, 41, 20, 39, 15], n_packets=133)
+    assert np.array_equal(dist.cdf, oracles.dense_cdf(dist))
     assert dist.cdf[-1] == 0.9999999999999998
     assert dist.quantile(0.9999999999999999) == 4
     for target in (*TARGETS, 0.9999999999999999, *_near_cdf_end(dist)):
@@ -830,4 +852,4 @@ def test_prediction_error_synthetic_within_paper_band():
     dist = clusters.extract_clusters(_trace_of(~lost))
     best = clusters.select_best([clusters.fit(dist, f) for f in clusters.Family])
     for target in (0.5, 0.75, 0.9, 0.94):
-        assert abs(clusters.quantile(best, target) - clusters.quantile(dist, target)) <= 5
+        assert abs(clusters.quantile(best, target) - dist.quantile(target)) <= 5
