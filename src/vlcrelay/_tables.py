@@ -5,7 +5,6 @@ lookup outside a table's span."""
 from __future__ import annotations
 
 import csv
-import importlib.resources
 
 
 class OutOfRange(ValueError):
@@ -20,7 +19,11 @@ class OutOfRange(ValueError):
 
 
 def data_path(name: str):
-    """Path of a table shipped in the package's ``data`` directory."""
+    """Path of a table shipped in the package's ``data`` directory; the
+    resources API is imported here, so a command that reads no bundled
+    table does not load it."""
+    import importlib.resources
+
     return importlib.resources.files("vlcrelay") / "data" / name
 
 

@@ -14,17 +14,15 @@ header by ``check_header``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import channel as _channel
 from ._errors import TraceFormatError
+from ._record import Record
 from .node import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD, ConfigError, LinkConfig
 
 TRACE_MAGIC = b"vlcrelay-trace 1\n"
 
 
-@dataclass(frozen=True)
-class BinaryTrace:
+class BinaryTrace(Record):
     """A trace as stored: its header's link, process spec and seed, and
     ``payload``, the ``received`` flags packed eight to a byte, first
     packet in the high bit, ceil(n_packets / 8) bytes with zero pad bits."""

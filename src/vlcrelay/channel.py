@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from ._errors import ChannelError, ClusterStatsError
+from ._record import Record
 from ._tables import OutOfRange, data_path, read_table
 from .node import FRAME_BITS
 
@@ -55,8 +55,7 @@ def _check_prob(name: str, value: float):
         raise ChannelError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class IidPacket:
+class IidPacket(Record):
     """Each packet lost independently with probability p_loss."""
 
     p_loss: float
@@ -69,8 +68,7 @@ class IidPacket:
         return self.p_loss
 
 
-@dataclass(frozen=True)
-class IidBit:
+class IidBit(Record):
     """Independent bit flips; a packet is lost as soon as one bit flips."""
 
     p_bit: float
@@ -83,8 +81,7 @@ class IidBit:
         return 1.0 - (1.0 - self.p_bit) ** BITS_PER_PACKET
 
 
-@dataclass(frozen=True)
-class GilbertElliott:
+class GilbertElliott(Record):
     """Two-state burst model: good/bad states with per-state loss rates."""
 
     p_gb: float
@@ -106,8 +103,7 @@ class GilbertElliott:
         return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
 
 
-@dataclass(frozen=True)
-class NbCluster:
+class NbCluster(Record):
     """Loss runs drawn from an over-dispersed count law.
 
     Cluster sizes follow the negative binomial (r, p) conditioned on >= 1;
@@ -325,7 +321,7 @@ def process_from_spec(spec: str) -> ErrorProcess:
 def process_to_spec(process: ErrorProcess) -> str:
     for name, (cls, keys, _) in _SPECS.items():
         if type(process) is cls:
-            values = (getattr(process, field.name) for field in fields(cls))
+            values = (getattr(process, field) for field in cls._fields)
             return f"{name}:" + ",".join(f"{k}={v!r}" for k, v in zip(keys, values))
     raise ChannelError(f"unknown error process {process!r}")
 
@@ -338,8 +334,7 @@ def _check_baud(baud: float) -> int:
     return int(baud)
 
 
-@dataclass(frozen=True)
-class PerDistanceTable:
+class PerDistanceTable(Record):
     """Measured (distance, baud) -> PER anchors with log-linear lookup."""
 
     distances_m: np.ndarray

@@ -28,9 +28,9 @@ import math
 import operator
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from ._tables import OutOfRange  # noqa: F401  (re-exported)
 from ._trace import BinaryTrace
 from .laws import (  # noqa: F401  (re-exported)
@@ -59,8 +59,7 @@ class FitDiverged(ClusterStatsError):
     pass
 
 
-@dataclass(frozen=True)
-class ClusterDistribution:
+class ClusterDistribution(Record):
     """Empirical run-length law over per-transmission observation windows.
 
     ``counts[i]`` counts the windows whose loss run is ``lengths[i]``:

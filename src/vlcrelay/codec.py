@@ -8,10 +8,9 @@ encoded stream always averages exactly half optical level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .node import CHIPS_PER_FRAME, DEFAULT_PREAMBLE, FRAME_BITS
 from .node import REFERENCE_PAYLOAD  # noqa: F401  (re-exported)
 
@@ -80,8 +79,7 @@ def validate_preamble(frame_bits: np.ndarray, pattern: bytes = DEFAULT_PREAMBLE)
     return bits_to_bytes(bits[16:])
 
 
-@dataclass(frozen=True)
-class ChipStream:
+class ChipStream(Record):
     """Binary optical levels plus their on-air timing."""
 
     chips: np.ndarray

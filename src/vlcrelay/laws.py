@@ -17,11 +17,11 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from ._errors import ClusterStatsError
+from ._record import Record
 from ._tables import OutOfRange, data_path, read_table
 from .node import LinkConfig
 
@@ -223,8 +223,7 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
     return CdfTable(pmf, ratio, size, start=start)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """A fitted (or table-supplied) cluster-law model."""
 
     family: Family
@@ -270,8 +269,7 @@ def quantile(model: FitResult, target_prob: float) -> int:
     return table.start + bisect.bisect_left(cdf, target_prob)
 
 
-@dataclass(frozen=True)
-class LatencyParams:
+class LatencyParams(Record):
     """Timing constants for the cluster-to-latency map."""
 
     l0_s: float
@@ -317,8 +315,7 @@ def _model_row(row: dict[str, str]) -> tuple[float, Family, list[float]]:
     return per, family, params
 
 
-@dataclass(frozen=True)
-class ModelTable:
+class ModelTable(Record):
     """PER-indexed cluster-law models with log-PER parameter interpolation."""
 
     pers: tuple[float, ...]
@@ -388,8 +385,7 @@ class ModelTable:
         return FitResult(family=Family.POISSON, params=(geo(lo.mean, hi.mean),))
 
 
-@dataclass(frozen=True)
-class SalPoint:
+class SalPoint(Record):
     per: float
     target: float
     packets: int

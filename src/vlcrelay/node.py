@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+
+from ._record import Record
 
 FRAME_BITS = 32  # a frame: 2-byte preamble + 2-byte payload (codec)
 CHIPS_PER_FRAME = 2 * FRAME_BITS  # Manchester: two chips per bit
@@ -42,8 +43,7 @@ _US_KEYS = {"ipd_us": "ipd_s", "beacon_interval_us": "beacon_interval_s",
             "t_proc_us": "t_proc_s", "guard_us": "guard_s"}
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(Record):
     baud: int = 230000
     mode: Mode = Mode.BROADCAST
     ipd_s: float = 0.0

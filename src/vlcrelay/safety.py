@@ -10,9 +10,9 @@ delivery target) against each other over the same scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._errors import SafetyError
+from ._record import Record
 from ._tables import data_path, read_table
 from .laws import LatencyParams, ModelTable, latency_from_clusters, quantile
 from .node import LinkConfig
@@ -75,8 +75,7 @@ def relay_latency_at(per: float, target: float = SAFETY_TARGET, baud: int = SAFE
     return latency_from_clusters(n, params)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     v_kmh: float
     distance_m: float
     per: float

@@ -50,12 +50,14 @@ import numpy as np
 from . import _trace
 from . import channel as _channel
 from ._errors import TraceFormatError
+from ._record import Record
 from .channel import _packet_blocks
 from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
 
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
 
 
+# a dataclass still: perfbench/selftest.py plants its fault with dataclasses.replace
 @dataclass(frozen=True)
 class PacketTrace:
     """Per-packet outcome record of one simulated run."""
@@ -188,8 +190,7 @@ def _build_trace(config: LinkConfig, process_spec: str, seed: int,
     )
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(Record):
     per: float
     channel_per: float
     n_tx: int

@@ -22,7 +22,9 @@ run-length law and a dense one; ``window_hist`` and ``loss_run_lengths`` (the ru
 lengths from the edges of the padded loss flags) for
 ``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the
 negative-binomial fit through ``scipy.optimize.minimize_scalar`` and scipy's
-``gammaln``, its likelihood the same ``math.fsum``) for ``clusters._fit_nb_mle``.
+``gammaln``, its likelihood the same ``math.fsum``) for ``clusters._fit_nb_mle``;
+and ``dataclass_twin``, a record class as the ``@dataclass(frozen=True)`` it
+stands in for, for ``_record.Record``.
 """
 
 from __future__ import annotations
@@ -509,3 +511,13 @@ def sample_packet_outcome(process: ErrorProcess, rng: np.random.Generator,
                 ge_state = 0
         return bool(lost), ge_state
     raise ChannelError(f"unknown error process {process!r}")
+
+
+def dataclass_twin(cls: type) -> type:
+    """The ``_record.Record`` subclass ``cls`` as ``@dataclass(frozen=True)``
+    builds it: a class of the same name, fields, defaults and methods, but
+    with the dataclass's generated ``__init__``, ``repr``, ``==``, ``hash``
+    and frozen ``__setattr__``/``__delattr__`` in place of ``Record``'s."""
+    namespace = {key: value for key, value in vars(cls).items()
+                 if key not in ("__dict__", "__weakref__", "_fields", "_defaults")}
+    return dataclass(frozen=True)(type(cls.__name__, (), namespace))

@@ -702,7 +702,7 @@ def test_sal_safety_and_the_cli_import_load_no_numpy(tmp_path):
 
 
 _CLI_IMPORT = {"vlcrelay", "vlcrelay.cli", "vlcrelay.node", "vlcrelay._errors",
-               "vlcrelay._tables"}
+               "vlcrelay._record", "vlcrelay._tables"}
 _SIMULATE = _CLI_IMPORT | {"vlcrelay.channel", "vlcrelay.sim", "vlcrelay._trace"}
 
 
@@ -733,6 +733,22 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert _modules_after("vlcrelay", "safety", "--out", str(tmp_path / "safety.csv")) == (
         _CLI_IMPORT | {"vlcrelay.laws", "vlcrelay.safety"})
 
+
+
+def test_numpy_free_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses imports inspect and compiles six methods for each class it
+    # builds, which was a tenth of an analyze child of a small binary trace
+    trace = tmp_path / "ge.vlct"
+    assert run_cli("simulate", "--process",
+                   "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5",
+                   "--n", "5000", "--seed", "3", "--out", str(trace)) == cli.EXIT_OK
+    commands = [(), ("analyze", str(trace), "--clusters-out", str(tmp_path / "c.csv"),
+                     "--report-out", str(tmp_path / "r.txt")),
+                ("sal", "--out", str(tmp_path / "sal.csv")),
+                ("safety", "--out", str(tmp_path / "safety.csv"))]
+    for argv in commands:
+        for top in ("dataclasses", "inspect"):
+            assert _modules_after(top, *argv) == set(), (top, argv)
 
 def test_sal_law_far_past_the_run_cap_exits_2_without_numpy(tmp_path, capsys):
     # binomial(10^12, 0.5) has no pmf in the float range below the cap: the

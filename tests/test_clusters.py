@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -327,7 +326,7 @@ def test_fit_scores_the_table_its_quantiles_read(spec, mode):
             assert f.max_cdf_error == oracles.table_cdf_error(dist, f), f
         best = clusters.select_best(fits)
         old_best = clusters.select_best(
-            dataclasses.replace(f, max_cdf_error=oracles.gammaln_cdf_error(dist, f))
+            laws.FitResult(f.family, f.params, max_cdf_error=oracles.gammaln_cdf_error(dist, f))
             for f in fits)
         assert (best.family, best.params) == (old_best.family, old_best.params)
         for target in TARGETS:
