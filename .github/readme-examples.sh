@@ -14,5 +14,7 @@ cli analyze trace.vlct --clusters-out clusters.csv --report-out report.txt
 cli analyze trace.csv --clusters-out clusters_csv.csv --report-out report_csv.txt
 cli sal --baud 230000 --targets 0.9,0.95,0.99,0.999 \
     --per-grid 6e-4,2e-3,3e-3,0.2,0.3 --out sal.csv
+cli sal --baud 230000 --targets 0.9,0.95,0.99,0.999 \
+    --per-grid 5e-4,6e-4 --out sal-edge.csv
 cli safety --out safety.csv
 cli ingest-per-table "$data/per_distance.csv" --out normalized.csv --distance-m 35 --baud 230000

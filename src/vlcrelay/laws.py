@@ -362,7 +362,9 @@ class ModelTable(Record):
 
         Same-family brackets interpolate each parameter geometrically in
         log(PER); across a family boundary the per-transmission mean is
-        interpolated instead and a Poisson law carries it.
+        interpolated instead and a Poisson law carries it.  A PER in
+        [0, ``per_min``) takes the lowest row's law, so no quantile steps
+        down as the PER falls below the span.
         """
         idx = bisect.bisect_left(self.pers, per)
         # a row within 1e-9 relative on either side is that row: grid PERs
@@ -370,8 +372,10 @@ class ModelTable(Record):
         for row in (idx - 1, idx):
             if 0 <= row < len(self.pers) and math.isclose(per, self.pers[row], rel_tol=1e-9):
                 return self.models[row]
-        if not self.per_min <= per <= self.per_max:  # NaN included
+        if not 0.0 <= per <= self.per_max:  # NaN included
             raise OutOfRange("per", per, "model table", self.per_min, self.per_max)
+        if idx == 0:
+            return self.models[0]
         lo, hi = self.models[idx - 1], self.models[idx]
         w = ((math.log(per) - math.log(self.pers[idx - 1]))
              / (math.log(self.pers[idx]) - math.log(self.pers[idx - 1])))

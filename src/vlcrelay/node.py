@@ -123,15 +123,14 @@ class LinkConfig(Record):
         return self.period_s < 2 * self.packet_time_s + self.dead_time_s
 
 
-def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:
-    """Packet error rate from relay counts.
+def compute_per(n_transmitted: int, n_relayed: int, config: LinkConfig) -> float:
+    """Packet error rate from the relay counts of a link.
 
-    ``Mode.BEACON``: lost fraction directly.  ``Mode.BROADCAST`` rescales so
-    the ideal half-relayed stream maps to 0 and none-relayed maps to 1,
-    because the relay stage can never exceed half the transmitted packets
-    when each relay blocks the next packet.  ``sim.summarize`` passes the
-    mode whose rescale is the link's: ``BROADCAST`` iff
-    ``LinkConfig.relay_blocks``, whatever the link's own mode.
+    A link whose relay does not block (``LinkConfig.relay_blocks`` false)
+    reports the lost fraction directly.  A blocking one rescales so the
+    ideal half-relayed stream maps to 0 and none-relayed maps to 1, because
+    the relay stage can never exceed half the transmitted packets when each
+    relay blocks the next packet.
 
     So a blocking link's ``per`` is not the channel loss rate.  There a
     packet is relayed iff it is received and the one before it was not
@@ -142,9 +141,9 @@ def compute_per(n_transmitted: int, n_relayed: int, mode: Mode) -> float:
     if n_transmitted < 1:
         raise EmptyTrace("PER needs at least one transmitted packet")
     ratio = n_relayed / n_transmitted
-    if Mode(mode) is Mode.BEACON:
-        per = 1.0 - ratio
-    else:
+    if config.relay_blocks:
         per = 1.0 - 2.0 * ratio
+    else:
+        per = 1.0 - ratio
     return min(1.0, max(0.0, per))
 

@@ -14,8 +14,7 @@ import math
 from ._errors import SafetyError
 from ._record import Record
 from ._tables import data_path, read_table
-from .laws import LatencyParams, ModelTable, latency_from_clusters, quantile
-from .node import LinkConfig
+from .laws import LatencyParams, ModelTable, sal_curve
 
 G_DEFAULT = 9.8  # m/s^2; pins braking distances to the published precision
 MU_DEFAULT = 0.7  # dry asphalt, good tires
@@ -57,24 +56,6 @@ def vlc_reaction_latency(adr_latency_s: float, pt_s: float) -> float:
     return adr_latency_s - pt_s
 
 
-def relay_latency_at(per: float, target: float = SAFETY_TARGET, baud: int = SAFETY_BAUD,
-                     table: ModelTable | None = None) -> float:
-    """End-to-end relay latency at a delivery target for a given PER.
-
-    PERs below the model table span carry no resolvable clustering at this
-    target, so they map to the zero-extra-packet floor.
-    """
-    if not 0.0 < target < 1.0:  # checked here, as PERs below the span skip the quantile
-        raise SafetyError(f"target must be in (0, 1), got {target}")
-    table = table or ModelTable.bundled()
-    params = LatencyParams.from_baud(baud)
-    if per < table.per_min:
-        n = 0
-    else:
-        n = quantile(table.model_at(per), target)
-    return latency_from_clusters(n, params)
-
-
 class ComparisonRow(Record):
     v_kmh: float
     distance_m: float
@@ -98,19 +79,20 @@ def comparison_table(rows, mu: float = MU_DEFAULT, g: float = G_DEFAULT,
                      vlc_reaction_s: float | None = None) -> list[ComparisonRow]:
     """Actor comparison over (speed km/h, distance m, per) scenarios.
 
-    The optical actor's reaction time comes from the latency model unless
-    ``vlc_reaction_s`` overrides it.
+    Each row's relay latency is ``laws.sal_curve``'s at its PER and
+    ``target``; the optical actor's reaction time is that less one packet
+    time, unless ``vlc_reaction_s`` overrides it.
     """
     rows = list(rows)
     if not rows:
         raise SafetyError("comparison_table needs at least one scenario row")
-    pt_s = LinkConfig(baud=baud).packet_time_s
-    table = table or ModelTable.bundled()
+    params = LatencyParams.from_baud(baud)
+    points = sal_curve([per for _, _, per in rows], [target], table or ModelTable.bundled(),
+                       params)
     out = []
-    for v_kmh, distance_m, per in rows:
-        relay_s = relay_latency_at(per, target=target, baud=baud, table=table)
+    for (v_kmh, distance_m, per), point in zip(rows, points):
         reaction_s = (vlc_reaction_s if vlc_reaction_s is not None
-                      else vlc_reaction_latency(relay_s, pt_s))
+                      else vlc_reaction_latency(point.latency_s, params.pt_s))
         v = kmh_to_ms(v_kmh)
         brake = brake_distance(v, mu, g)
         r_vlc = reaction_distance(v, reaction_s)
@@ -118,7 +100,7 @@ def comparison_table(rows, mu: float = MU_DEFAULT, g: float = G_DEFAULT,
         r_human = reaction_distance(v, t_human_s)
         out.append(ComparisonRow(
             v_kmh=float(v_kmh), distance_m=float(distance_m), per=float(per),
-            vlc_reaction_latency_s=reaction_s, vlc_relay_latency_s=relay_s,
+            vlc_reaction_latency_s=reaction_s, vlc_relay_latency_s=point.latency_s,
             brake_m=brake,
             reaction_vlc_m=r_vlc, reaction_rf_m=r_rf, reaction_human_m=r_human,
             stop_vlc_m=brake + r_vlc, stop_rf_m=brake + r_rf,

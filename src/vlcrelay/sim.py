@@ -52,7 +52,7 @@ from . import channel as _channel
 from ._errors import TraceFormatError
 from ._record import Record
 from .channel import _packet_blocks
-from .node import ConfigError, EmptyTrace, LinkConfig, Mode, compute_per
+from .node import ConfigError, EmptyTrace, LinkConfig, compute_per
 
 _CSV_COLUMNS = "seq,tx_start_us,received,relayed,latency_us"
 
@@ -206,8 +206,8 @@ def summarize(trace: PacketTrace) -> Summary:
     """Aggregate a trace into the headline link metrics.  A relayed packet's
     latency ``l0 + run * period`` rises with its loss run, so the least run
     gives the least latency, and the mean is exact, then rounded once.
-    ``per`` rescales the relay count as the link's blocking bounds it, so
-    it is taken by ``relay_blocks``, not by the mode's name."""
+    ``per`` rescales the relay count as the link's blocking bounds it
+    (``compute_per``)."""
     config, n_received, n_relayed = trace.config, trace.n_received, trace.n_relayed
     min_run, run_sum, max_run = trace.n_tx, 0, 0
     for block, runs in _runs_before(trace.received, False):
@@ -218,8 +218,7 @@ def summarize(trace: PacketTrace) -> Summary:
     # l0 + period * run_sum / n_relayed as one int / int, which rounds once
     (a, b), (c, d) = config.l0_s.as_integer_ratio(), config.period_s.as_integer_ratio()
     return Summary(
-        per=compute_per(trace.n_tx, n_relayed,
-                        Mode.BROADCAST if config.relay_blocks else Mode.BEACON),
+        per=compute_per(trace.n_tx, n_relayed, config),
         channel_per=1.0 - n_received / trace.n_tx,
         n_tx=trace.n_tx,
         n_received=n_received,

@@ -167,7 +167,7 @@ def test_criterion_7_monte_carlo_per():
     beacon = node.LinkConfig(baud=230000, mode=node.Mode.BEACON)
     for i, p in enumerate((0.3, 0.1, 0.05)):
         trace = sim.run(beacon, channel.IidPacket(p), 10**5, seed=100 + i)
-        per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config.mode)
+        per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config)
         assert abs(per - p) <= 0.01, (p, per)
 
     broadcast = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)

@@ -503,8 +503,7 @@ def test_safety_rejects_bad_baud(tmp_path, capsys, baud):
     ["--mu", "inf"], ["--g", "inf"], ["--vlc-reaction-ms", "inf"],
 ])
 def test_safety_rejects_nan_and_out_of_range_flags(tmp_path, capsys, flags):
-    # every bundled scenario PER is below the model table span, so no
-    # quantile is taken and the target has to be checked on its own
+    # the target is checked where each scenario's quantile is taken
     rc = run_cli("safety", *flags, "--out", str(tmp_path / "s.csv"))
     assert rc == 2
     assert "error:" in run_err(capsys)
@@ -517,12 +516,27 @@ def test_sal_rejects_bad_timing(tmp_path, capsys, flags):
     assert "error:" in run_err(capsys)
 
 
-@pytest.mark.parametrize("grid", ["nan", "0.01,nan", ","])
+@pytest.mark.parametrize("grid", ["nan", "0.01,nan", ",", "-1", "0.5"])
 def test_sal_rejects_nan_per_grid(tmp_path, capsys, grid):
+    # below the span is the lowest row's law, but not below 0
     assert run_cli("sal", "--per-grid", grid, "--out", str(tmp_path / "sal.csv")) == 2
-    message = "per-grid: expected" if grid == "," else "outside model table span"
+    message = ("per-grid: expected" if grid == ","
+               else f"per {float(grid.split(',')[-1])} outside model table span [0.0006, 0.3]")
     assert message in run_err(capsys)
     assert not (tmp_path / "sal.csv").exists()
+
+
+def test_sal_takes_the_lowest_rows_law_below_the_span(tmp_path):
+    # PER 0 and 5e-4 lie below the bundled span [6e-4, 0.3] and get its
+    # lowest row's quantiles, Poisson(0.0023)'s [0, 0, 0, 1]
+    out = tmp_path / "sal.csv"
+    assert run_cli("sal", "--per-grid", "0,5e-4,6e-4", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(per, packets) for per, _, packets, _ in rows] == [
+        (per, packets) for per in ("0.0", "0.0005", "0.0006") for packets in "0001"]
+    assert len({tuple(row[1:]) for row in rows}) == 4
+    latencies = [float(row[3]) for row in rows[:4]]
+    assert latencies == pytest.approx([595.02, 595.02, 595.02, 873.28], abs=0.01)
 
 
 @pytest.mark.parametrize("command, flag", [

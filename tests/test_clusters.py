@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.stats import binom as sp_binom
@@ -756,16 +756,29 @@ def test_model_table_interpolation_between_rows():
 
 def test_model_table_snaps_to_a_row_within_1e9_relative_on_both_sides():
     # a PER a round-off away from a row, above or below it, is that row; a
-    # PER 1e-6 below it is not (below the first row it is out of the span)
+    # PER 1e-6 below it is not (below the first row it takes that row's law)
     table = clusters.ModelTable.bundled()
     for row, model in zip(table.pers, table.models):
         assert table.model_at(row * (1 - 1e-12)) == model
         assert table.model_at(row * (1 + 1e-12)) == model
         if row == table.per_min:
-            with pytest.raises(clusters.OutOfRange):
-                table.model_at(row * (1 - 1e-6))
+            assert table.model_at(row * (1 - 1e-6)) == model
         else:
             assert table.model_at(row * (1 - 1e-6)) != model
+
+
+@settings(max_examples=40)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@example(0.0)
+@example(math.nextafter(1.0, 0.0))
+def test_below_the_span_every_quantile_is_the_lowest_rows(fraction):
+    # no quantile steps down as the PER falls below the span: [0, per_min)
+    # takes the lowest row's law at every default target
+    table = clusters.ModelTable.bundled()
+    targets, params = clusters.DEFAULT_TARGETS, clusters.LatencyParams.from_baud(230000)
+    below = clusters.sal_curve([table.per_min * fraction], targets, table, params)
+    edge = clusters.sal_curve([table.per_min], targets, table, params)
+    assert [p.packets for p in below] == [p.packets for p in edge]
 
 
 def test_model_table_out_of_range():
@@ -776,7 +789,7 @@ def test_model_table_out_of_range():
                        match=r"^per 0.5 outside model table span \[0.0006, 0.3\]$"):
         table.model_at(0.5)
     with pytest.raises(clusters.OutOfRange):
-        table.model_at(1e-5)
+        table.model_at(-1e-5)
     with pytest.raises(clusters.OutOfRange):
         table.model_at(math.nan)
 

@@ -10,6 +10,7 @@ from vlcrelay import channel, codec, node, sim
 import oracles
 
 CFG = node.LinkConfig(baud=230000, mode=node.Mode.BROADCAST, ipd_s=0.0)
+BEACON = node.LinkConfig(mode=node.Mode.BEACON)
 
 
 def test_config_validation():
@@ -195,14 +196,23 @@ def test_relay_blocking_bound(pattern, ipd_s):
 
 
 def test_compute_per_broadcast_ideal_and_dead():
-    assert node.compute_per(1000, 500, node.Mode.BROADCAST) == 0.0
-    assert node.compute_per(1000, 0, node.Mode.BROADCAST) == 1.0
+    assert node.compute_per(1000, 500, CFG) == 0.0
+    assert node.compute_per(1000, 0, CFG) == 1.0
     # odd counts cannot push PER below zero
-    assert node.compute_per(1001, 501, node.Mode.BROADCAST) == 0.0
+    assert node.compute_per(1001, 501, CFG) == 0.0
 
 
 def test_compute_per_beacon():
-    assert node.compute_per(1000, 900, node.Mode.BEACON) == pytest.approx(0.1)
+    assert node.compute_per(1000, 900, BEACON) == pytest.approx(0.1)
     with pytest.raises(node.EmptyTrace):
-        node.compute_per(0, 0, node.Mode.BEACON)
+        node.compute_per(0, 0, BEACON)
+
+
+def test_compute_per_rescales_by_the_links_blocking_not_its_mode():
+    # a 1 ms gap ends each relay before the next packet, so this broadcast
+    # link blocks nothing and its PER is the lost fraction, as a beacon's
+    wide_gap = node.LinkConfig(mode=node.Mode.BROADCAST, ipd_s=1e-3)
+    assert not wide_gap.relay_blocks
+    assert node.compute_per(1000, 900, wide_gap) == node.compute_per(1000, 900, BEACON)
+    assert node.compute_per(1000, 900, wide_gap) == 1.0 - 900 / 1000
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcrelay import safety
+from vlcrelay import laws, safety
 
 # Published comparison-table cells (reaction / stop distances in meters) for
 # the three reference scenarios.  The 60 km/h human cells in the source are
@@ -76,16 +76,39 @@ def test_infinite_inputs_rejected(call):
 
 
 def test_vlc_latency_from_model_at_57k():
-    # low-PER long-range regime: no extra packets at the 99% target, so the
-    # relay latency is the 57 kBd floor and the reaction time sits near the
-    # published ~1.2 ms / ~2.4 ms figures
-    relay_s = safety.relay_latency_at(1e-5)
-    pt = 64 / 57000
-    reaction_s = safety.vlc_reaction_latency(relay_s, pt)
+    # low-PER long-range regime: the lowest row's law gives no extra packets
+    # at the 99% target, so the relay latency is the 57 kBd floor and the
+    # reaction time sits near the published ~1.2 ms / ~2.4 ms figures
+    row, = safety.comparison_table([(90.0, 45.0, 1e-5)])
+    relay_s, reaction_s = row.vlc_relay_latency_s, row.vlc_reaction_latency_s
     assert relay_s * 1e3 == pytest.approx(2.284, abs=0.001)
     assert relay_s * 1e3 == pytest.approx(2.4, abs=0.15)
     assert reaction_s * 1e3 == pytest.approx(1.161, abs=0.001)
     assert reaction_s * 1e3 == pytest.approx(1.2, abs=0.05)
+
+
+@pytest.mark.parametrize("baud", [57000, 230000])
+@pytest.mark.parametrize("target", laws.DEFAULT_TARGETS)
+def test_comparison_table_takes_each_relay_latency_from_sal_curve(baud, target):
+    # one PER -> latency path: below the span, at each row a round-off either
+    # side, between rows, and at the snap just below the lowest row
+    table = laws.ModelTable.bundled()
+    grid = [0.0, 1e-5, 5e-4, 5.9999999999e-4]
+    grid += [row * f for row in table.pers for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    grid += [math.sqrt(a * b) for a, b in zip(table.pers, table.pers[1:])]
+    rows = safety.comparison_table([(90.0, 45.0, per) for per in grid],
+                                   baud=baud, target=target, table=table)
+    points = laws.sal_curve(grid, [target], table, laws.LatencyParams.from_baud(baud))
+    assert [r.vlc_relay_latency_s for r in rows] == [p.latency_s for p in points]
+
+
+def test_reaction_latency_does_not_step_down_below_the_span():
+    # at 0.999 the lowest row's law needs one extra packet, 2.28 ms of
+    # reaction at 57 kBd, below the span as at its edge
+    rows = safety.comparison_table([(90.0, 45.0, per) for per in (0.0, 5e-4, 5.9999999999e-4,
+                                                                  6e-4)], target=0.999)
+    assert len({r.vlc_reaction_latency_s for r in rows}) == 1
+    assert rows[0].vlc_reaction_latency_s * 1e3 == pytest.approx(2.284, abs=0.001)
 
 
 def test_comparison_table_reproduces_reference_cells():

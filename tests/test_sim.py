@@ -38,7 +38,7 @@ def test_single_packet_latency_both_modes():
 
 def test_monte_carlo_per_beacon():
     trace = sim.run(BEACON, channel.IidPacket(0.3), 10**4, seed=2)
-    per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config.mode)
+    per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config)
     assert per == pytest.approx(0.30, abs=0.01)
 
 
@@ -47,7 +47,7 @@ def test_broadcast_per_is_p_over_two_minus_p(p):
     # a loss the relay would have been deaf to anyway costs no relay, so
     # back-to-back broadcast reports p / (2 - p), not the channel rate p
     trace = sim.run(BROADCAST, channel.IidPacket(p), 2 * 10**5, seed=0)
-    per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config.mode)
+    per = node.compute_per(trace.n_tx, trace.n_relayed, trace.config)
     assert per == pytest.approx(p / (2 - p), rel=0.03)
 
 
@@ -122,7 +122,7 @@ def test_per_monotone_in_loss_parameter():
     pers = []
     for p in (0.001, 0.01, 0.05, 0.1, 0.3, 0.6):
         trace = sim.run(BEACON, channel.IidPacket(p), 20000, seed=9)
-        pers.append(node.compute_per(trace.n_tx, trace.n_relayed, node.Mode.BEACON))
+        pers.append(node.compute_per(trace.n_tx, trace.n_relayed, BEACON))
     assert all(a <= b for a, b in zip(pers, pers[1:]))
 
 
@@ -583,7 +583,7 @@ def test_summary_per_follows_the_links_blocking(link):
         assert sim.summarize(sim.run(config, channel.IidPacket(0.0), n, seed=1)).per == 0.0
     s = sim.summarize(sim.run(config, channel.IidPacket(0.1), 10**4, seed=2))
     if config.relay_blocks:
-        assert s.per == node.compute_per(s.n_tx, s.n_relayed, node.Mode.BROADCAST)
+        assert s.per == node.compute_per(s.n_tx, s.n_relayed, config)
     else:
         assert s.n_relayed == s.n_received
         assert s.per == s.channel_per
