@@ -7,13 +7,15 @@ fits read each law's CDF table out to it, ``sal`` on a model table whose one
 law, binomial(n=10^12), must end at the run cap with exit 2, and the
 bundled ``sal`` and ``safety``.  The last three, and ``analyze`` of a
 binary trace, have a bound below the peak of an interpreter that imports
-numpy: they run on the standard library alone.
+numpy: they run on the standard library alone.  Each binary trace's size
+is printed in bytes per packet, and its payload stream, the file after
+its header, is checked against a bound per packet.
 
 Each command runs in a fresh ``python -W error -m vlcrelay.cli`` child
 against this checkout's ``src`` tree; the child is reaped with
 ``os.wait4`` and its own peak RSS is checked against a bound.  Exits 1
-when a command ends with another exit code than expected or peaks above
-its bound:
+when a command ends with another exit code than expected, peaks above
+its bound or writes a trace above its bound:
 
     python3 .github/scale-smoke.py [--n 10000000]
 """
@@ -48,6 +50,12 @@ SAL_CAP_ADDRESS_SPACE_MB = 1500.0
 # the bundled sal and safety and the binomial(10^12) sal peak at 16 MB, a bare
 # interpreter at 14 MB and one that imports numpy at 27 MB
 NO_NUMPY_MB = 22.0
+# the payload stream of each 10^7 binary trace, in bytes per packet (the
+# header adds about 230 bytes): iid at PER 0.01 0.0149, Gilbert-Elliott
+# 0.0496, nb-cluster 0.0620 and all-lost 0.00012 (each 0.125 when the
+# packed bits were stored raw); each bound is that plus about a quarter
+TRACE_B_PER_PACKET = {"trace.vlct": 0.019, "ge.vlct": 0.062, "nb.vlct": 0.078,
+                      "lost.vlct": 0.00015}
 GE_SPEC = "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"
 NB_SPEC = "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"
 
@@ -115,9 +123,17 @@ def main() -> int:
                 [command, *args], work,
                 SAL_CAP_ADDRESS_SPACE_MB if "far.csv" in args else None)
             passed = code == expect and rss_mb <= bound_mb
+            size = ""
+            name = args[args.index("--out") + 1] if "--out" in args else None
+            if name in TRACE_B_PER_PACKET and code == 0:
+                data = Path(work, name).read_bytes()
+                stream = (len(data) - data.index(b"\n\n") - 2) / n
+                passed = passed and stream <= TRACE_B_PER_PACKET[name]
+                size = (f", trace {len(data) / n:.5f} B/packet (payload stream {stream:.5f}, "
+                        f"bound {TRACE_B_PER_PACKET[name]})")
             print(f"{'PASS' if passed else 'FAIL'} {command} {label}: exit {code} "
                   f"(expected {expect}), "
-                  f"peak RSS {rss_mb:.1f} MB (bound {bound_mb:.0f} MB), {seconds:.2f} s")
+                  f"peak RSS {rss_mb:.1f} MB (bound {bound_mb:.0f} MB), {seconds:.2f} s{size}")
             ok = ok and passed
     return 0 if ok else 1
 

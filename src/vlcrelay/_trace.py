@@ -2,8 +2,15 @@
 
 ``BinaryTrace`` is a trace as stored.  ``write_binary`` writes it in the
 binary format and ``read_binary`` reads and checks it: the line
-``vlcrelay-trace 1``, the ``# key=value`` lines of ``BinaryTrace.header()``,
-one empty line, then the payload.  ``sim`` turns a ``PacketTrace`` into
+``vlcrelay-trace 2``, the ``# key=value`` lines of ``BinaryTrace.header()``,
+one empty line, then the packed payload as one zlib stream (RFC 1950),
+deflated with the run-length strategy.  At a realistic PER the payload is
+nearly all 1-bits, so the stream is about half its size or less, and its
+Adler-32 checksum makes a damaged payload a format error rather than other
+losses.  The reader inflates the stream into the packed bytes that
+``BinaryTrace.payload`` holds in memory; it asks for one byte more than
+the header's packet count allows, so a stream that inflates further fails
+without allocating the rest.  ``sim`` turns a ``PacketTrace`` into
 this form (``PacketTrace.stored``) and back, and writes the same header
 lines atop its CSV export; ``analyze`` of a binary trace reads it here
 alone and counts its loss runs from the payload
@@ -14,12 +21,16 @@ header by ``check_header``.
 
 from __future__ import annotations
 
+import zlib
+
 from . import channel as _channel
 from ._errors import TraceFormatError
 from ._record import Record
 from .node import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD, ConfigError, LinkConfig
 
-TRACE_MAGIC = b"vlcrelay-trace 1\n"
+TRACE_MAGIC = b"vlcrelay-trace 2\n"
+# the format that stored the packed payload raw; it has no reader
+_FORMAT_1_MAGIC = b"vlcrelay-trace 1\n"
 
 
 class BinaryTrace(Record):
@@ -56,9 +67,11 @@ HEADER_KEYS = frozenset(BinaryTrace(LinkConfig(), "", 0, 0, b"").header()) - {"r
 
 def write_binary(stored: BinaryTrace, path) -> None:
     """Write ``stored`` in the binary format, which ``read_binary`` reads."""
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
     with open(path, "wb") as fh:
         fh.write(TRACE_MAGIC + "\n".join([*stored.header_lines(), "", ""]).encode())
-        fh.write(stored.payload)
+        fh.write(deflate.compress(stored.payload))
+        fh.write(deflate.flush())
 
 
 def check_seed(seed: int) -> int:
@@ -68,14 +81,20 @@ def check_seed(seed: int) -> int:
 
 
 def read_binary(path) -> BinaryTrace | None:
-    """Read and check a binary trace; None when the file does not open with
-    its magic line, as a CSV export does not."""
+    """Read and check a binary trace, inflating its payload; None when the
+    file opens with neither format's first line, as a CSV export does not.
+    A file of format 1, whose payload is stored raw, is a format error."""
     with open(path, "rb") as fh:
-        if fh.read(len(TRACE_MAGIC)) != TRACE_MAGIC:
+        magic = fh.read(len(TRACE_MAGIC))
+        if magic == _FORMAT_1_MAGIC:
+            raise TraceFormatError(path, 1, "trace format 1 (a raw payload) is no longer "
+                                   "read; rerun simulate with the header's seed= to "
+                                   "write format 2")
+        if magic != TRACE_MAGIC:
             return None
         data = fh.read()
     # only the header and received are stored, so the checks are on the
-    # header and the payload's size
+    # header, the payload's stream and the payload's size
     end = data.find(b"\n\n")
     if end < 0:
         raise TraceFormatError(path, 0, "no empty line after the header")
@@ -94,13 +113,21 @@ def read_binary(path) -> BinaryTrace | None:
     if n < 1:
         raise TraceFormatError(path, 0, "no packet records")
     size = -(-n // 8)
-    payload = memoryview(data)[end + 2:]  # a view, not a copy
-    if len(payload) < size:
-        raise TraceFormatError(path, 0, f"header n_packets={n} needs {size} payload "
-                               f"bytes, got {len(payload)}")
+    inflate = zlib.decompressobj()
+    try:
+        payload = inflate.decompress(memoryview(data)[end + 2:], size + 1)
+    except zlib.error as exc:
+        raise TraceFormatError(path, 0, f"payload stream: {exc}") from None
+    needs = f"header n_packets={n} needs {size} payload bytes, got"
     if len(payload) > size:
-        raise TraceFormatError(path, 0, f"{len(payload) - size} trailing bytes after "
-                               f"the {size}-byte payload")
+        raise TraceFormatError(path, 0, f"{needs} more than {size}")
+    if not inflate.eof:
+        raise TraceFormatError(path, 0, "payload stream is cut short before its end")
+    if inflate.unused_data:
+        raise TraceFormatError(path, 0, f"{len(inflate.unused_data)} trailing bytes "
+                               "after the payload stream")
+    if len(payload) < size:
+        raise TraceFormatError(path, 0, f"{needs} {len(payload)}")
     if payload[-1] & ((1 << (8 * size - n)) - 1):
         raise TraceFormatError(path, 0, "pad bits after the last packet must be 0")
     return BinaryTrace(*check_header(path, header, n), n_packets=n, payload=payload)

@@ -373,7 +373,7 @@ class ModelTable(Record):
             if 0 <= row < len(self.pers) and math.isclose(per, self.pers[row], rel_tol=1e-9):
                 return self.models[row]
         if not 0.0 <= per <= self.per_max:  # NaN included
-            raise OutOfRange("per", per, "model table", self.per_min, self.per_max)
+            raise OutOfRange("per", per, "model table", 0.0, self.per_max)
         if idx == 0:
             return self.models[0]
         lo, hi = self.models[idx - 1], self.models[idx]

@@ -22,7 +22,8 @@ and the longest run, and takes ``per=`` by the same ``relay_blocks``.
 
 * binary, the default (any path not ending in ``.csv``): the trace's
   stored form, ``PacketTrace.stored``, as ``_trace.write_binary`` writes
-  it: a header, then ``received`` packed eight to a byte.
+  it: a header, then ``received`` packed eight to a byte and deflated as
+  one zlib stream.
 * CSV export (a path ending in ``.csv``): the same ``# key=value`` lines
   followed by ``seq,tx_start_us,received,relayed,latency_us``, with an
   empty latency field for packets that were not relayed.  Its reader
@@ -33,9 +34,9 @@ both, a header line is ``# key=value`` with a key not seen before, every
 key but ``rng`` must be there and ``process`` must parse, and the CSV
 export has no header line after its column line.  The header rules and
 the binary format are ``_trace``'s, which needs no numpy: ``read_trace``
-unpacks the payload that ``_trace.read_binary`` checked, and ``analyze``
-of a binary trace counts its runs from that payload without building a
-``PacketTrace``.
+unpacks the payload that ``_trace.read_binary`` inflated and checked, and
+``analyze`` of a binary trace counts its runs from that payload without
+building a ``PacketTrace``.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class PacketTrace:
     @cached_property
     def stored(self) -> _trace.BinaryTrace:
         """The trace as stored: ``received`` packed, the bytes that
-        ``write_trace`` writes and ``extract_clusters`` counts."""
+        ``write_trace`` deflates and writes and ``extract_clusters`` counts."""
         return _trace.BinaryTrace(self.config, self.process_spec, self.seed, self.n_tx,
                                   np.packbits(self.received).tobytes())
 

@@ -23,8 +23,10 @@ lengths from the edges of the padded loss flags) for
 ``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the
 negative-binomial fit through ``scipy.optimize.minimize_scalar`` and scipy's
 ``gammaln``, its likelihood the same ``math.fsum``) for ``clusters._fit_nb_mle``;
-and ``dataclass_twin``, a record class as the ``@dataclass(frozen=True)`` it
-stands in for, for ``_record.Record``.
+``dataclass_twin``, a record class as the ``@dataclass(frozen=True)`` it
+stands in for, for ``_record.Record``; and ``split_binary_trace``, a
+``.vlct`` file's header and its payload stream inflated by plain ``zlib``,
+for ``_trace.read_binary``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -521,3 +524,11 @@ def dataclass_twin(cls: type) -> type:
     namespace = {key: value for key, value in vars(cls).items()
                  if key not in ("__dict__", "__weakref__", "_fields", "_defaults")}
     return dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def split_binary_trace(data: bytes) -> tuple[bytes, bytes]:
+    """A ``.vlct`` file's header lines through the empty line after them,
+    without the first line, and its payload: the stream after that empty
+    line, inflated."""
+    end = data.index(b"\n\n") + 2
+    return data[data.index(b"\n") + 1:end], zlib.decompress(data[end:])

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -521,7 +523,7 @@ def test_sal_rejects_nan_per_grid(tmp_path, capsys, grid):
     # below the span is the lowest row's law, but not below 0
     assert run_cli("sal", "--per-grid", grid, "--out", str(tmp_path / "sal.csv")) == 2
     message = ("per-grid: expected" if grid == ","
-               else f"per {float(grid.split(',')[-1])} outside model table span [0.0006, 0.3]")
+               else f"per {float(grid.split(',')[-1])} outside model table span [0.0, 0.3]")
     assert message in run_err(capsys)
     assert not (tmp_path / "sal.csv").exists()
 
@@ -897,6 +899,31 @@ def _simulate_binary(tmp_path, n=13):
     return path
 
 
+def _in_payload(edit):
+    """A binary trace's edit of its inflated payload, deflated again."""
+    return lambda data: (data[:data.index(b"\n\n") + 2]
+                         + zlib.compress(edit(oracles.split_binary_trace(data)[1])))
+
+
+def _flip_mid_stream(data):
+    """A binary trace with the middle byte of its payload stream inverted."""
+    mid = (data.index(b"\n\n") + 2 + len(data)) // 2
+    return data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1:]
+
+
+def _analyze_exits_3(tmp_path, capsys) -> str:
+    """Run analyze on tmp_path/t.vlct, which must exit 3 before writing any
+    output; return its error message."""
+    capsys.readouterr()
+    rc = run_cli("analyze", str(tmp_path / "t.vlct"), "--clusters-out",
+                 str(tmp_path / "c.csv"), "--report-out", str(tmp_path / "r.txt"))
+    assert rc == 3
+    err = run_err(capsys)
+    assert err.startswith("error: ")
+    assert not (tmp_path / "c.csv").exists()
+    return err
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("missing-key", lambda d: d.replace(b"# seed=2\n", b""), "missing header keys"),
     ("missing-process", lambda d: d.replace(b"# process=iid-packet:p=0.3\n", b""),
@@ -921,25 +948,45 @@ def _simulate_binary(tmp_path, n=13):
     ("n-packets-above-payload", lambda d: d.replace(b"# n_packets=13", b"# n_packets=17"),
      "needs 3 payload bytes, got 2"),
     ("n-packets-below-payload", lambda d: d.replace(b"# n_packets=13", b"# n_packets=8"),
-     "1 trailing bytes"),
-    ("truncated-payload", lambda d: d[:-1], "needs 2 payload bytes, got 1"),
-    ("trailing-bytes", lambda d: d + b"\x00\x00", "2 trailing bytes"),
-    ("pad-bits", lambda d: d[:-1] + bytes([d[-1] | 1]), "pad bits"),
+     "needs 1 payload bytes, got more than 1"),
+    ("truncated-payload", _in_payload(lambda p: p[:-1]), "needs 2 payload bytes, got 1"),
+    ("trailing-bytes", _in_payload(lambda p: p + b"\x00\x00"),
+     "needs 2 payload bytes, got more than 2"),
+    ("pad-bits", _in_payload(lambda p: p[:-1] + bytes([p[-1] | 1])), "pad bits"),
+    ("bytes-after-stream", lambda d: d + b"\x00\x00", "2 trailing bytes after the payload"),
+    ("cut-stream", lambda d: d[:-1], "payload stream is cut short"),
+    ("checksum", lambda d: d[:-1] + bytes([d[-1] ^ 1]), "incorrect data check"),
+    ("mid-stream-byte", _flip_mid_stream, "payload stream: "),
+    ("format-1", lambda d: d.replace(_trace.TRACE_MAGIC, b"vlcrelay-trace 1\n"),
+     ":1: trace format 1 (a raw payload) is no longer read; rerun simulate with the "
+     "header's seed="),
 ])
 def test_analyze_rejects_malformed_binary_trace(tmp_path, capsys, name, edit, message):
     path = _simulate_binary(tmp_path)
     data = path.read_bytes()
-    assert data[-1] & 0b111 == 0  # 13 packets: three pad bits
+    assert oracles.split_binary_trace(data)[1][-1] & 0b111 == 0  # 13 packets: 3 pad bits
     bad = edit(data)
     assert bad != data
     path.write_bytes(bad)
-    capsys.readouterr()
-    rc = run_cli("analyze", str(path), "--clusters-out", str(tmp_path / "c.csv"),
-                 "--report-out", str(tmp_path / "r.txt"))
-    assert rc == 3
-    err = run_err(capsys)
-    assert err.startswith("error: ") and message in err
-    assert not (tmp_path / "c.csv").exists()
+    assert message in _analyze_exits_3(tmp_path, capsys)
+
+
+def test_analyze_rejects_a_stream_that_inflates_past_the_header_at_once(tmp_path, capsys):
+    # about 10^8 bytes from a ~100 kB stream, under a header of 13 packets:
+    # the reader inflates at most one byte past the 2 the header allows
+    path = _simulate_binary(tmp_path)
+    data = path.read_bytes()
+    deflate, zeros = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE), bytes(2**20)
+    stream = b"".join([*(deflate.compress(zeros) for _ in range(95)), deflate.flush()])
+    path.write_bytes(data[:data.index(b"\n\n") + 2] + stream)
+    tracemalloc.start()
+    try:
+        err = _analyze_exits_3(tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "needs 2 payload bytes, got more than 2" in err
+    assert peak < 2**20
 
 
 def test_analyze_binary_and_csv_export_agree(tmp_path):

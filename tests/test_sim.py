@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vlcrelay import _trace, channel, cli, clusters, node, sim
 
@@ -375,13 +377,27 @@ def test_binary_trace_roundtrip_equals_run(tmp_path, spec, mode, n):
     sim.write_trace(trace, path)
     data = path.read_bytes()
     assert data.startswith(_trace.TRACE_MAGIC)
-    assert data.endswith(b"\n\n" + np.packbits(trace.received).tobytes())
+    assert oracles.split_binary_trace(data)[1] == np.packbits(trace.received).tobytes()
     back = sim.read_trace(path)
     assert (back.config, back.process_spec, back.seed) == (trace.config, trace.process_spec, 5)
     for column in ("tx_start_s", "received", "relayed", "latency_s"):
         got, want = getattr(back, column), getattr(trace, column)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), column
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=300))
+@example([False] * 13)  # all lost, n % 8 != 0
+@example([True] * 64)  # all received
+@example([True] * 9)
+def test_binary_payload_roundtrip(tmp_path_factory, flags):
+    payload = np.packbits(flags).tobytes()
+    stored = _trace.BinaryTrace(BROADCAST, "iid-packet:p=0.5", 3, len(flags), payload)
+    path = tmp_path_factory.mktemp("roundtrip") / "t.vlct"
+    _trace.write_binary(stored, path)
+    back = _trace.read_binary(path)
+    assert back.payload == payload and back == stored
 
 
 def test_write_trace_csv_suffix_is_the_csv_export(tmp_path):
@@ -393,10 +409,11 @@ def test_write_trace_csv_suffix_is_the_csv_export(tmp_path):
     assert np.array_equal(back.latency_s, trace.latency_s, equal_nan=True)
 
 
-# sha256 of write_trace's binary file for the cases of GOLDEN_TRACE_SHA256,
-# recorded as the magic line, the header and np.packbits(received) of the
-# traces the earlier CSV-only code drew; nb-cluster re-recorded for the
-# block stream (rng=numpy-pcg64/2)
+# sha256 of the format-1 image of write_trace's binary file for the cases of
+# GOLDEN_TRACE_SHA256: the line "vlcrelay-trace 1", the header and the
+# inflated payload, np.packbits(received), as format 1 stored it raw.
+# Recorded from the traces the earlier CSV-only code drew; nb-cluster
+# re-recorded for the block stream (rng=numpy-pcg64/2)
 GOLDEN_BINARY_TRACE_SHA256 = {
     ("broadcast", "iid-packet:p=0.1"):
         "d5add41ebb1b23222ba01ea61177c49857a98b1b34dc3bc535d494cdb620098f",
@@ -423,8 +440,13 @@ def test_golden_binary_trace_bytes(tmp_path, mode, spec):
     trace = sim.run(config, channel.process_from_spec(spec), 3000, seed=7)
     path = tmp_path / "t.vlct"
     sim.write_trace(trace, path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    data = path.read_bytes()
+    header, payload = oracles.split_binary_trace(data)
+    digest = hashlib.sha256(b"vlcrelay-trace 1\n" + header + payload).hexdigest()
     assert digest == GOLDEN_BINARY_TRACE_SHA256[mode, spec]
+    # the stream is a function of the payload alone
+    sim.write_trace(trace, tmp_path / "again.vlct")
+    assert (tmp_path / "again.vlct").read_bytes() == data
 
 
 # the relay scan's block edges: n around multiples of the block, runs that
@@ -639,8 +661,8 @@ def test_peak_memory_per_packet(tmp_path, mode):
 
 @pytest.mark.parametrize("mode", ["broadcast", "beacon"])
 def test_read_trace_peak_memory_per_packet(tmp_path, mode):
-    # the file's bytes, the unpacked bits as the received column and the
-    # relayed column: 2.2-2.7 B/packet with the block scans' temporaries, so
+    # the file's bytes, the inflated payload, the unpacked bits as the
+    # received column and the relayed column: 2.2-2.7 B/packet with the block scans' temporaries, so
     # 3.5 leaves 1.25x; one more whole-trace bool temporary reaches 3.8
     n = 10**6
     path = tmp_path / "t.vlct"
