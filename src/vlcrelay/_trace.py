@@ -42,7 +42,7 @@ class BinaryTrace(Record):
     process_spec: str
     seed: int
     n_packets: int
-    payload: bytes | memoryview
+    payload: bytes
 
     def header(self) -> dict[str, str]:
         """The header's fields in the order written; the readers require

@@ -14,10 +14,12 @@ The model-law half (the families, a law's CDF table and quantile, the
 model table and the latency map) is ``laws``; its names are re-exported
 here.  This module imports no numpy: the run histogram is counted from a
 trace's stored form, its packed payload (``_trace.BinaryTrace``), a block
-at a time as Python ints, and the fits are scalar ports of scipy's
-``gammaln`` and bounded Brent search, scored on ``array`` CDFs.  So
-``analyze`` of a binary trace runs on the standard library alone, but for
-a law whose CDF table ``laws`` grows past one chunk of 2^16 entries.
+at a time as Python ints, and the negative-binomial fit sums the log pmf
+of ``laws`` (``math.lgamma``) by ``math.fsum`` and maximises it by a
+scalar port of scipy's bounded Brent search; the fits are scored on
+``array`` CDFs.  So ``analyze`` of a binary trace runs on the standard
+library alone, but for a law whose CDF table ``laws`` grows past one
+chunk of 2^16 entries.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .laws import (  # noqa: F401  (re-exported)
     LatencyParams,
     ModelTable,
     SalPoint,
+    _log_pmf_terms,
     cdf_table,
     check_params,
     latency_from_clusters,
@@ -196,71 +199,6 @@ def _add_runs(lost: int, runs: Counter) -> None:
             runs[k] += at_least[k - 1] - at_least[k]
 
 
-# Cephes lgam (scipy.special.gammaln): Stirling-series polynomial A, and the
-# rational approximation B/C of log Gamma(2 + x) for x in [0, 1)
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-           7.93650340457716943945e-4, -2.77777777730099687205e-3,
-           8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
-           -3.31612992738871184744e5, -1.16237097492762307383e6,
-           -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
-           -2.20528590553854454839e5, -1.13933444367982507207e6,
-           -2.53252307177582951285e6, -2.01889141433532773231e6)
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_MAXLGM = 2.556348e305
-
-
-def _polevl(x, coefs):
-    """Horner's rule, leading coefficient first (Cephes ``polevl``)."""
-    ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _lgam_below_13(x: float) -> float:
-    """Cephes ``lgam`` for 0 < x < 13: recur into [2, 3), then B/C."""
-    if not x > 0.0:
-        raise ValueError(f"gammaln is ported for x > 0, got {x}")
-    z, p, u = 1.0, 0.0, x
-    while u >= 3.0:
-        p -= 1.0
-        u = x + p
-        z *= u
-    while u < 2.0:
-        z /= u
-        p += 1.0
-        u = x + p
-    if u == 2.0:
-        return math.log(z)
-    x = x + (p - 2.0)
-    return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
-
-
-def _gammaln(x: float) -> float:
-    """``scipy.special.gammaln`` bit for bit, for x > 0 and non-finite x.
-
-    An operation-for-operation port of Cephes ``lgam``, which scipy 1.17
-    calls, so the negative-binomial fit keeps its bytes without the 0.3 s
-    ``scipy.special`` import.  ``log`` is libm's, through ``math.log``.
-    """
-    if not math.isfinite(x):  # Cephes returns a non-finite x as it is
-        return x
-    if x < 13.0:
-        return _lgam_below_13(x)
-    if x > _MAXLGM:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1e8:  # Cephes stops at the leading term
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
-                    * p + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
 def _sign(x: float) -> float:
     """``np.sign``: -1.0, 0.0 or 1.0, and NaN for NaN."""
     return x if x != x else float((x > 0) - (x < 0))
@@ -372,17 +310,15 @@ def _fit_nb_mle(dist: ClusterDistribution) -> tuple[float, float]:
     mean = dist.mean
     if mean <= 0:
         raise FitDiverged("negative-binomial fit needs a positive mean")
-    terms = [(float(k), float(w), _gammaln(k + 1.0)) for k, w in zip(dist.lengths, dist.counts)]
+    hist = list(zip(dist.lengths, dist.counts))
 
     def nll(logr: float) -> float:
         r = math.exp(logr)
-        p = r / (r + mean)
-        gammaln_r, log_p, log_q = _gammaln(r), math.log(p), math.log1p(-p)
-        # each run length's weighted term, summed correctly rounded: the
+        params = (r, r / (r + mean))
+        # every run length's weighted terms, summed correctly rounded: the
         # same bits on every host, which no BLAS dot product promises
-        return -math.fsum(w * (_gammaln(k + r) - gammaln_r - log_k_factorial
-                               + r * log_p + k * log_q)
-                          for k, w, log_k_factorial in terms)
+        return -math.fsum(w * term for k, w in hist
+                          for term in _log_pmf_terms(Family.NEG_BINOMIAL, params, k))
 
     logr, fun, _, flag = _minimize_bounded(nll, math.log(1e-8), math.log(1e8),
                                            xatol=1e-12)

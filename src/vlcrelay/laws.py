@@ -99,7 +99,8 @@ def _log_start(log_pmf0: float, ratio, size: int) -> tuple[int, float]:
 
 
 def _log_pmf_terms(family: Family, params, k: int) -> tuple[float, ...]:
-    """The terms whose sum is a law's log pmf(k), by ``math.lgamma``."""
+    """The terms whose sum is a law's log pmf(k), by ``math.lgamma``: the
+    negative-binomial fit's likelihood and ``cdf_table``'s log pmf(0)."""
     if family is Family.NEG_BINOMIAL:
         r, p = params
         return (math.lgamma(k + r), -math.lgamma(r), -math.lgamma(k + 1.0),
@@ -191,7 +192,7 @@ class CdfTable:
 
 
 def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
-    """A law's CDF table from its pmf(0), the log of that and pmf(k) / pmf(k-1).
+    """A law's CDF table from its pmf(0) and pmf(k) / pmf(k-1).
 
     When pmf(0) underflows (NB r=200, p=1e-3), the table starts at the
     first k whose pmf is back in the float range: the leading terms are
@@ -203,20 +204,22 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
     size = _RUN_CAP + 1
     if family is Family.NEG_BINOMIAL:
         r, p = params
-        pmf0, log_pmf0, ratio = p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k
+        pmf0, ratio = p ** r, lambda k: (1.0 - p) * (k - 1 + r) / k
     elif family is Family.POISSON:
         (lam,) = params
-        pmf0, log_pmf0, ratio = math.exp(-lam), -lam, lambda k: lam / k
+        pmf0, ratio = math.exp(-lam), lambda k: lam / k
     else:
         n, p = int(params[0]), params[1]
         if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
             if n > _RUN_CAP:  # no mass below the cap
                 return CdfTable(0.0, None, size, start=size - 1)
             return CdfTable(1.0, None, size=n + 1, start=n)
-        pmf0, log_pmf0 = math.exp(n * math.log(1.0 - p)), n * math.log1p(-p)
+        pmf0 = math.exp(n * math.log(1.0 - p))
         ratio, size = lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(n, _RUN_CAP) + 1
     if not pmf0 < sys.float_info.min:
         return CdfTable(pmf0, ratio, size)
+    # the log-gamma terms of pmf(0) cancel exactly in the sum
+    log_pmf0 = math.fsum(_log_pmf_terms(family, params, 0))
     if _never_in_float_range(family, params, log_pmf0, size):
         return CdfTable(0.0, ratio, size, start=size - 1)
     start, pmf = _log_start(log_pmf0, ratio, size)

@@ -82,7 +82,8 @@ class PacketTrace:
     @cached_property
     def latency_s(self) -> np.ndarray:
         """Per-packet latency, NaN where not relayed."""
-        return np.concatenate([latency_s for _, _, latency_s in _csv_columns(self)])
+        return np.concatenate([latency_s for _, latency_s in
+                               _latency_blocks(self.config, self.received, self.relayed)])
 
     @property
     def n_tx(self) -> int:
@@ -143,8 +144,12 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
     A relayed packet's latency spans back over the loss run just before it:
     ``l0 + run * period``.
     """
-    trace = _build_trace(config, "", 0, np.asarray(received, dtype=bool))
-    return trace.relayed, trace.latency_s
+    received = np.asarray(received, dtype=bool)
+    if received.size < 1:
+        raise EmptyTrace("trace must contain at least one packet")
+    relayed = _relay_flags(config, received)
+    return relayed, np.concatenate([latency_s for _, latency_s in
+                                    _latency_blocks(config, received, relayed)])
 
 
 def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
@@ -157,14 +162,19 @@ def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
     return relayed
 
 
+def _latency_blocks(config: LinkConfig, received: np.ndarray, relayed: np.ndarray):
+    """Per packet block: the block and its latencies, NaN where not
+    relayed; a relayed packet's latency spans the loss run just before it,
+    ``l0 + run * period``."""
+    for block, runs in _runs_before(received, False):
+        yield block, np.where(relayed[block], config.l0_s + runs * config.period_s, np.nan)
+
+
 def _csv_columns(trace: PacketTrace):
     """Per packet block: the block and its ``tx_start_s`` and ``latency_s``
-    values (NaN where not relayed); a relayed packet's latency spans the
-    loss run just before it, ``l0 + run * period``."""
-    config = trace.config
-    for block, runs in _runs_before(trace.received, False):
-        yield (block, np.arange(block.start, block.stop) * config.period_s,
-               np.where(trace.relayed[block], config.l0_s + runs * config.period_s, np.nan))
+    values."""
+    for block, latency_s in _latency_blocks(trace.config, trace.received, trace.relayed):
+        yield block, np.arange(block.start, block.stop) * trace.config.period_s, latency_s
 
 
 def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,

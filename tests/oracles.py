@@ -21,8 +21,9 @@ the package's table) for ``clusters.fit``'s CDF error, with
 run-length law and a dense one; ``window_hist`` and ``loss_run_lengths`` (the run
 lengths from the edges of the padded loss flags) for
 ``clusters.extract_clusters`` and ``sim.summarize``; and ``fit_nb_mle`` (the
-negative-binomial fit through ``scipy.optimize.minimize_scalar`` and scipy's
-``gammaln``, its likelihood the same ``math.fsum``) for ``clusters._fit_nb_mle``;
+negative-binomial fit through ``scipy.optimize.minimize_scalar``, its
+likelihood a plain loop over ``math.lgamma`` summed by one ``math.fsum``)
+for ``clusters._fit_nb_mle``;
 ``dataclass_twin``, a record class as the ``@dataclass(frozen=True)`` it
 stands in for, for ``_record.Record``; and ``split_binary_trace``, a
 ``.vlct`` file's header and its payload stream inflated by plain ``zlib``,
@@ -287,9 +288,12 @@ def fit_nb_mle(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     def nll(logr: float) -> float:
         r = math.exp(logr)
         p = r / (r + mean)
-        terms = weights * (gammaln(values + r) - gammaln(r) - gammaln(values + 1)
-                           + r * math.log(p) + values * math.log1p(-p))
-        return -math.fsum(terms.tolist())  # correctly rounded, as no BLAS dot is
+        terms = []
+        for k, w in zip(values.tolist(), weights.tolist()):
+            for term in (math.lgamma(k + r), -math.lgamma(r), -math.lgamma(k + 1.0),
+                         r * math.log(p), k * math.log1p(-p)):
+                terms.append(w * term)
+        return -math.fsum(terms)  # correctly rounded, as no BLAS dot is
 
     res = minimize_scalar(nll, bounds=(math.log(1e-8), math.log(1e8)),
                           method="bounded", options={"xatol": 1e-12})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,6 +18,9 @@ from vlcrelay import _trace, channel, cli, clusters, sim
 from vlcrelay.node import LinkConfig, Mode
 
 import oracles
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -201,6 +205,19 @@ def test_analyze_loss_free_trace_warns(tmp_path, capsys):
     report = (tmp_path / "r.txt").read_text()
     assert "warning=" in report
     assert "empirical_quantile_0.999=0" in report
+
+
+def test_analyze_all_lost_trace_fits_a_finite_negative_binomial(tmp_path):
+    # one run of 10^5: the NB fit's r rises to its 1e8 bound, where every
+    # log-gamma argument is still finite and positive
+    trace, report = tmp_path / "t.vlct", tmp_path / "r.txt"
+    assert run_cli("simulate", "--per", "1.0", "--n", "100000", "--out", str(trace)) == 0
+    assert run_cli("analyze", str(trace), "--clusters-out", str(tmp_path / "c.csv"),
+                   "--report-out", str(report)) == 0
+    lines = dict(line.split("=", 1) for line in report.read_text().splitlines())
+    r, p = map(float, re.fullmatch(r"negbinomial\(r=(\S+), p=(\S+)\) max_cdf_error=\S+",
+                                   lines["fit_negbinomial"]).groups())
+    assert math.isfinite(r) and r > 1e7 and 0.0 < p < 1.0
 
 
 def test_analyze_malformed_row_names_line(tmp_path, capsys):
@@ -581,16 +598,15 @@ def test_analyze_rejects_hand_edited_relayed_bit(tmp_path, capsys):
 # the exact mean of the relayed packets' runs, rounded once, and again when
 # it lost ber_upper=; report.txt when each fit_ line printed its law's
 # parameters by repr, so that they read back, and again, for its
-# fit_negbinomial= line alone, when the NB fit's likelihood became an fsum.
+# fit_negbinomial= line alone, when the NB fit's likelihood became an fsum
+# and once more when its log-gamma became math.lgamma.
 # clusters.csv was re-recorded when it dropped the run lengths never seen:
-# its rows are the old file's rows of non-zero count and the k = 0 row
-GOLDEN_CLI_SHA256 = {
-    "summary.txt": "01a0c0056fbffb3314dc807c963500bb698099d64aa2446465eb34f23be717a7",
-    "clusters.csv": "6a90ddc34f06cb4e12be24ecd1944e86c1efc5ebd2f1bcf65bbf71acaf4daac7",
-    "report.txt": "66af9f13eac9844d463f40545cc93b5c75fe5b12e4e48cc80a450b97a1a99b7a",
-    "sal.csv": "026308c6bc938ea1cfec667578ce964b7a43da789cfc86f54ae6cac6dbddb845",
-    "safety.csv": "4c7219b3ff3c3fa343bd41fd11e158227a1a262a277b5fbd297e60ecb4bbb7b6",
-}
+# its rows are the old file's rows of non-zero count and the k = 0 row.
+# The digests are a sha256sum file, which CI also checks without pytest
+GOLDEN_CLI_SHA256 = dict(line.split()[::-1] for line in
+                         (DATA / "golden_cli.sha256").read_text().splitlines())
+# the golden chain's trace, in the binary format
+GOLDEN_TRACE = DATA / "golden_nb_cluster.vlct"
 
 
 def golden_cli_digests(tmp_path: Path) -> dict[str, str]:
@@ -613,6 +629,21 @@ def golden_cli_digests(tmp_path: Path) -> dict[str, str]:
 
 def test_golden_cli_outputs(tmp_path, capsys):
     assert golden_cli_digests(tmp_path) == GOLDEN_CLI_SHA256
+
+
+def test_golden_trace_file_is_the_golden_chains_trace(tmp_path):
+    # simulate writes the committed trace, and analyze of that file gives
+    # the golden report; CI analyzes the file again under the declared
+    # floor, on the standard library alone
+    trace, report = tmp_path / "t.vlct", tmp_path / "report.txt"
+    assert run_cli("simulate", "--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3",
+                   "--n", "20000", "--seed", "7", "--out", str(trace)) == 0
+    assert trace.read_bytes() == GOLDEN_TRACE.read_bytes()
+    assert run_cli("analyze", str(GOLDEN_TRACE), "--clusters-out", str(tmp_path / "c.csv"),
+                   "--report-out", str(report)) == 0
+    kept = b"".join(line for line in report.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"trace="))
+    assert hashlib.sha256(kept).hexdigest() == GOLDEN_CLI_SHA256["report.txt"]
 
 
 def test_golden_cli_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
@@ -670,9 +701,10 @@ def _subprocess_env():
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     # scipy's imports cost more than the work of most commands, and no
-    # command needs scipy: the fits and quantiles run on the package's own
-    # gammaln and xlogy ports.  concurrent.futures is imported only by a
-    # several-seed simulate with --jobs
+    # command needs scipy: the fits and quantiles run on math.lgamma and
+    # the package's own port of the bounded Brent search.
+    # concurrent.futures is imported only by a several-seed simulate with
+    # --jobs
     env = _subprocess_env()
     code = ("import sys, vlcrelay.cli; "
             "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')])")

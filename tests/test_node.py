@@ -96,6 +96,12 @@ def test_tx_schedule_rejects_empty():
         sim.run(CFG, channel.IidPacket(0.0), 0, seed=0)
 
 
+def test_relay_rejects_no_packets():
+    for received in ([], np.zeros(0, dtype=bool)):
+        with pytest.raises(node.EmptyTrace, match="at least one packet"):
+            sim.relay(CFG, received)
+
+
 def test_step_clean_packet_idle_node():
     relayed, latency = sim.relay(CFG, np.array([True]))
     assert relayed[0]
