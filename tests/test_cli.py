@@ -343,6 +343,7 @@ def test_safety_empty_scenarios(tmp_path, capsys):
 GOOD_ROWS = "0.3,poisson,0.2,\n0.5,poisson,0.4,\n"
 SAL_AT_0_4 = ["sal", "--per-grid", "0.4", "--models"]
 SAL_AT_0_05 = ["sal", "--per-grid", "0.05", "--models"]
+SAL_AT_0_3 = ["sal", "--per-grid", "0.3", "--models"]
 INGEST_AT_15 = ["ingest-per-table", "--distance-m", "15", "--baud", "230000"]
 # model-table rows whose PER is outside (0, 1], each on line 2
 BAD_PER_ROWS = [
@@ -369,6 +370,9 @@ BAD_PER_IDS = ["models-per-zero", "models-per-negative", "models-per-above-1", "
     ("m.csv", f"per,family,param1,param2\n0.1,binomial,0.5,0.1\n{GOOD_ROWS}", SAL_AT_0_4),
     ("m.csv", f"per,family,param1,param2\n0.1,binomial,2,1.5\n{GOOD_ROWS}", SAL_AT_0_4),
     ("m.csv", f"per,family,param1,param2\n0.1,negbinomial,0.2,1.5\n{GOOD_ROWS}", SAL_AT_0_4),
+    # laws whose mass lies far past the run cap, with r and n past lgamma's range
+    ("m.csv", "per,family,param1,param2\n0.3,negbinomial,1e306,0.5\n", SAL_AT_0_3),
+    ("m.csv", "per,family,param1,param2\n0.3,binomial,1e306,0.5\n", SAL_AT_0_3),
     ("p.csv", "distance_m,baud,per\n10,230000,0.1,99\n", ["ingest-per-table"]),
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.5\n", ["safety"]),  # above the model span
     ("s.csv", "v_kmh,distance_m,per\n50,12,0.01\n", ["safety", "--target", "1.5"]),
@@ -386,6 +390,7 @@ BAD_PER_IDS = ["models-per-zero", "models-per-negative", "models-per-above-1", "
         "models-negative-r", "models-zero-lambda", "models-poisson-two-params",
         "models-nb-one-param", "models-binomial-fractional-n", "models-binomial-n-below-1",
         "models-binomial-p-above-1", "models-nb-p-above-1",
+        "models-nb-huge-r", "models-binomial-huge-n",
         "per-table-extra-field", "scenario-per-above-models", "safety-target-above-1", "scenario-per-nan",
         "scenario-speed-nan", "scenario-distance-nan", "scenario-per-negative",
         *BAD_PER_IDS, "per-table-baud-inf", "per-table-baud-fractional",

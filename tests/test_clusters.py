@@ -1,5 +1,8 @@
+import decimal
 import math
+import sys
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -329,7 +332,7 @@ def test_nb_log_pmf_terms_match_scipy_logpmf():
                 p = r / (r + dist.mean)
                 ref = sp_nbinom.logpmf(ks, r, p).tolist()
                 for k, expect in zip(ks, ref):
-                    terms = laws._log_pmf_terms(NB, (r, p), k)
+                    terms = clusters._nb_log_pmf_terms((r, p), k)
                     assert math.fsum(terms) == pytest.approx(
                         expect, rel=0, abs=1e-15 * math.fsum(map(abs, terms))), (spec, r, k)
 
@@ -569,13 +572,17 @@ def test_empirical_quantile_past_a_cdf_end_below_1_is_the_longest_run():
     (POISSON, (800.0,)), (POISSON, (5000.0,)),  # e^-lambda underflows
     (BINOMIAL, (59.0, 0.1)), (BINOMIAL, (3.0, 0.0)), (BINOMIAL, (40.0, 0.999)),
     (BINOMIAL, (1844.0, 0.675)), (BINOMIAL, (3000.0, 0.9)),  # (1-p)^n underflows
-    # log-space starts over several chunks of 2^16 terms
+    # starts past several chunks of 2^16 terms
     (NB, (2000.0, 0.01)), (POISSON, (2e5,)), (BINOMIAL, (3e5, 0.5)),
     (BINOMIAL, (float(laws._RUN_CAP + 1), 1e-9)),  # n past the run cap
 ])
 def test_cdf_table_matches_the_recurrence_loop(family, params):
+    # a table whose pmf(0) underflows starts where the log-space walk does,
+    # and from its start pmf (pinned against exact arithmetic below) on it
+    # is the loop's, bit for bit; the others are the loop's from k = 0
     table = clusters.cdf_table(family, params)
-    assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(family, params))
+    assert np.array_equal(oracles.full_table(table),
+                          oracles.seeded_law_table(table, family, params))
     assert table.finished
 
 
@@ -600,15 +607,17 @@ def test_cdf_table_grows_to_an_index():
     (BINOMIAL, (26.0, 0.05)), (BINOMIAL, (1e12, 1e-11)),
 ])
 def test_cdf_table_chunk_edges_match_the_recurrence_loop(monkeypatch, chunk, family, params):
-    # tiny chunks put a chunk edge at or next to every step of the log-space
-    # start, its crossing, and the finish.  A chunk shorter than _TABLE_CHUNK
+    # tiny chunks put a chunk edge at or next to every step of the fill,
+    # from the table's start (past 0 for the first three laws, whose pmf(0)
+    # underflows) to its finish.  A chunk shorter than _TABLE_CHUNK
     # is filled by itertools.accumulate and a full one by numpy, so each
     # table but the smallest crosses from one fill to the other (the chunks
     # double from 1: from 2 on they are full once they reach the chunk size),
     # and at 2^16 these tables are all the itertools fill's
     monkeypatch.setattr(laws, "_TABLE_CHUNK", chunk)
     table = clusters.cdf_table(family, params)
-    assert np.array_equal(oracles.full_table(table), oracles.law_cdf_table(family, params))
+    assert np.array_equal(oracles.full_table(table),
+                          oracles.seeded_law_table(table, family, params))
 
 
 def test_itertools_and_numpy_fills_give_the_same_table(monkeypatch):
@@ -638,16 +647,70 @@ def test_binomial_table_ends_at_the_run_cap(monkeypatch):
     (POISSON, (4251.6,), True),   # log pmf(cap) -748: exp gives 0
     (POISSON, (1e5,), True),
     (BINOMIAL, (1e12, 0.5), True),
+    (NB, (1.7e308, 0.999), True),  # r + (r + k) p overflows in Loader's deviance
 ])
 def test_law_never_in_float_range_starts_at_the_cap(monkeypatch, family, params, start_at_cap):
     # a cap short of the mode: the log pmf peaks at the cap, and a law
-    # whose peak lies clearly below what exp can return starts there
-    # without the log-space walk, with the walk's table
+    # whose peak lies below the float range starts there, with exp of its
+    # log pmf, subnormal or 0: the table the log-space walk ends in
     monkeypatch.setattr(laws, "_RUN_CAP", 2000)
     table = clusters.cdf_table(family, params)
     assert (table.start == 2000 and table.grow()[0] == 0.0) is start_at_cap
     assert np.array_equal(oracles.full_table(table),
                           oracles.law_cdf_table(family, params, size=2001))
+
+
+# laws whose pmf(0) underflows: the tables the loop pins above start past
+# 0, and two start terms whose coefficient is near 1 (r = 3.5, and n - k
+# = 34 of 40), where Stirling's error comes from math.lgamma
+UNDERFLOWING_LAWS = [
+    (NB, (200.0, 1e-3)), (NB, (200.0, 0.02)), (NB, (2000.0, 0.01)), (NB, (3.5, 1e-90)),
+    (POISSON, (800.0,)), (POISSON, (5000.0,)), (POISSON, (2e5,)),
+    (BINOMIAL, (1844.0, 0.675)), (BINOMIAL, (3000.0, 0.9)), (BINOMIAL, (3e5, 0.5)),
+    (BINOMIAL, (40.0, 1.0 - 1e-9)),
+]
+
+
+def _exact_pmfs(family, params, k: int) -> tuple[Decimal, Decimal]:
+    """pmf(k - 1) and pmf(k) of a law with these float parameters, in
+    50-digit decimal: p^r, e^-lambda or q^n times the first k ratios
+    pmf(i) / pmf(i - 1)."""
+    with decimal.localcontext(decimal.Context(prec=50, Emin=decimal.MIN_EMIN,
+                                              Emax=decimal.MAX_EMAX)):
+        if family is NB:
+            r, p = map(Decimal, params)
+            pmf, ratio = p ** r, lambda i: (r + i - 1) * (1 - p) / i
+        elif family is POISSON:
+            lam = Decimal(params[0])
+            pmf, ratio = (-lam).exp(), lambda i: lam / i
+        else:
+            n, p = int(params[0]), Decimal(params[1])
+            pmf, ratio = (1 - p) ** n, lambda i: (n - i + 1) * p / ((1 - p) * i)
+        for i in range(1, k):
+            pmf *= ratio(i)
+        return pmf, pmf * ratio(k)
+
+
+@pytest.mark.parametrize("family, params", UNDERFLOWING_LAWS)
+def test_underflowing_law_starts_at_its_exact_pmf(family, params):
+    # the table starts at the first k whose pmf reaches the float range,
+    # with that pmf within 1e-12 of exact arithmetic on the same parameters
+    table = clusters.cdf_table(family, params)
+    before, exact = _exact_pmfs(family, params, table.start)
+    assert before < Decimal(sys.float_info.min) <= exact
+    assert abs(Decimal(table.grow()[0]) / exact - 1) < Decimal("1e-12")
+
+
+@pytest.mark.parametrize("family, params, start", [
+    (NB, (99998623.8305305, 0.9090897717465402), 9876239),
+    (POISSON, (1e7,), 9881961),
+], ids=["negbinomial", "poisson"])
+def test_all_lost_fits_start_their_tables_at_once(family, params, start):
+    # the fits of an all-lost 10^7-packet trace: each table starts near
+    # 9.88e6, where the log-space walk, one math.log per step, took 2 s
+    t0 = time.perf_counter()
+    assert clusters.cdf_table(family, params).start == start
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_binomial_mass_past_the_run_cap_raises():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlcrelay import codec
+from vlcrelay import channel, codec
 
 GOLDEN = Path(__file__).parent / "data" / "chips_golden.txt"
 
@@ -131,3 +131,25 @@ def test_chips_text_roundtrip():
     assert np.array_equal(back.chips, stream.chips)
     with pytest.raises(codec.CodecError):
         codec.text_to_chips("01012")
+
+
+@pytest.mark.parametrize("q", [0.002, 0.01, 0.03])
+def test_iid_bit_is_the_codec_under_iid_chip_flips(q):
+    # the relay keeps a packet iff it decodes, its preamble matches and its
+    # payload is the reference.  One flipped chip of a pair makes an invalid
+    # pair and two a wrong bit, so under chip flips of probability q a
+    # packet passes iff none of its 64 chips flipped: iid-bit at
+    # p = 1 - (1 - q)^2 per bit
+    chips = codec.manchester_encode(codec.frame(codec.REFERENCE_PAYLOAD)).chips
+    flips = np.random.default_rng(31).random((2000, chips.size)) < q
+    passed = []
+    for flipped in flips:
+        try:
+            bits = codec.manchester_decode(chips ^ flipped)
+            passed.append(codec.validate_preamble(bits) == codec.REFERENCE_PAYLOAD)
+        except codec.CodecError:
+            passed.append(False)
+    assert passed == (~flips.any(axis=1)).tolist()
+    assert 0 < sum(passed) < len(passed)
+    process = channel.IidBit(1.0 - (1.0 - q) ** 2)
+    assert process.loss_rate == pytest.approx(1.0 - (1.0 - q) ** 64, rel=1e-13)
