@@ -32,12 +32,15 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# measured at 10^7 (2 CPUs, Python 3.11, numpy 2.4): simulate 58 MB for all
-# three processes (nb-cluster 58.2 MB); analyze of a binary trace 19.3 MB for
-# both, as it loads no numpy and counts the runs from the packed payload a
-# block at a time (51 MB when it unpacked the flags with numpy); each bound
-# is that plus about a quarter.  The CSV analyze at 10^6 peaks at 50 MB
-SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 72.0, 24.0, 24.0, 100.0
+# measured at 10^7 (2 CPUs, Python 3.11, numpy 2.4): simulate 47 MB for all
+# three processes and all-lost (nb-cluster 47.3 MB), as it writes and sums up
+# the packed draw alone (57-58 MB when it built the per-packet relay flags and
+# scanned them); the CSV simulate at 10^6 peaks at 43 MB.  Analyze of a
+# binary trace 18-19.3 MB for both, as it loads no numpy and counts the runs
+# from the packed payload a block at a time (51 MB when it unpacked the flags
+# with numpy); each bound is that plus about a quarter.  The CSV analyze at
+# 10^6 peaks at 50 MB
+SIMULATE_MB, ANALYZE_MB, ANALYZE_GE_MB, ANALYZE_CSV_MB = 60.0, 24.0, 24.0, 100.0
 # the all-lost analyze at 10^7 peaks at 38 MB, as the run-length law holds
 # only the lengths seen (324 MB when it held every length up to the longest
 # run, and wrote a clusters.csv row for each); its bound is that plus about

@@ -1,27 +1,25 @@
 """A trace's stored form and the trace file's layout, without numpy.
 
-``BinaryTrace`` is a trace as stored.  ``write_binary`` writes it in the
-binary format and ``read_binary`` reads and checks it: the line
-``vlcrelay-trace 2``, the ``# key=value`` lines of ``BinaryTrace.header()``,
-one empty line, then the packed payload as one zlib stream (RFC 1950),
-deflated with the run-length strategy.  At a realistic PER the payload is
-nearly all 1-bits, so the stream is about half its size or less, and its
-Adler-32 checksum makes a damaged payload a format error rather than other
-losses.  The reader inflates the stream into the packed bytes that
-``BinaryTrace.payload`` holds in memory; it asks for one byte more than
-the header's packet count allows, so a stream that inflates further fails
-without allocating the rest.  ``sim`` turns a ``PacketTrace`` into
-this form (``PacketTrace.stored``) and back, and writes the same header
-lines atop its CSV export; ``analyze`` of a binary trace reads it here
-alone and counts its loss runs from the payload
-(``clusters.extract_clusters``), so it loads neither numpy nor ``sim``.
-Both readers take a header line by ``add_header_line`` and check the
-header by ``check_header``.
+``BinaryTrace`` is a trace as stored and the one owner of its bits: every
+summary, report and per-packet relay flag reads its ``received_bits``,
+``relayed_bits`` (the relay rule) and ``loss_runs`` (the run count).
+``write_binary`` writes it and ``read_binary`` reads and checks it: the
+line ``vlcrelay-trace 2``, the ``# key=value`` lines of ``header()``, one
+empty line, then the packed payload as one zlib stream (RFC 1950) of the
+run-length strategy.  At a realistic PER the payload is nearly all 1-bits,
+so the stream is half its size or less, and its Adler-32 checksum makes a
+damaged payload a format error.  The reader inflates at most one byte more
+than the header's packet count allows.  ``simulate`` and ``analyze`` of a
+binary trace use this form alone: neither builds a ``PacketTrace``, and
+``analyze`` loads neither numpy nor ``sim``.  Both readers check a header
+by ``add_header_line`` and ``check_header``.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import Counter
+from functools import cached_property
 
 from . import channel as _channel
 from ._errors import TraceFormatError
@@ -31,6 +29,9 @@ from .node import DEFAULT_PREAMBLE, REFERENCE_PAYLOAD, ConfigError, LinkConfig
 TRACE_MAGIC = b"vlcrelay-trace 2\n"
 # the format that stored the packed payload raw; it has no reader
 _FORMAT_1_MAGIC = b"vlcrelay-trace 1\n"
+_RUN_BLOCK = 1 << 16  # packets per block of the run count: 2^13 payload bytes
+_LADDER = 16  # runs shorter than this are counted by popcounts, longer ones one by one
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # packet j to bit j
 
 
 class BinaryTrace(Record):
@@ -59,6 +60,78 @@ class BinaryTrace(Record):
 
     def header_lines(self) -> list[str]:
         return [f"# {key}={value}" for key, value in self.header().items()]
+
+    @property
+    def opens_lost(self) -> bool:
+        return not self.payload[0] >> 7
+
+    @cached_property
+    def received_bits(self) -> int:
+        """The payload as one int, packet j at bit j, set where received."""
+        return int.from_bytes(self.payload.translate(_REVERSED), "little")
+
+    @cached_property
+    def relayed_bits(self) -> int:
+        """The relay rule, held as ``received_bits`` are: on a link where
+        ``LinkConfig.relay_blocks``, a received packet is relayed iff its
+        offset in its run of receptions is even, else every one is.  Adding
+        a run's first bit carries through the run and clears it, so
+        ``even_runs`` holds the runs that start at an even bit."""
+        x = self.received_bits
+        if not self.config.relay_blocks:
+            return x
+        even = int.from_bytes(b"\x55" * len(self.payload), "little")
+        starts = x & ~(x << 1)
+        even_runs = x & ~(x + (starts & even))
+        return x & ~(even_runs ^ even)
+
+    @cached_property
+    def loss_runs(self) -> Counter:
+        """The maximal loss runs by length, the trailing run too, a block of
+        ``_RUN_BLOCK`` packets at a time: each block adds the run its first
+        reception ends, with the losses carried from the blocks before, and
+        the runs between its receptions, and carries the rest on."""
+        payload, n = self.payload, self.n_packets
+        runs, open_run = Counter(), 0
+        step = _RUN_BLOCK // 8
+        for lo in range(0, len(payload), step):
+            chunk = payload[lo:lo + step]
+            size = min(8 * len(chunk), n - 8 * lo)
+            bits = int.from_bytes(chunk, "big") >> (8 * len(chunk) - size)  # no pad bits
+            if not bits:
+                open_run += size
+                continue
+            top = bits.bit_length()  # size - top losses open the block
+            last = (bits & -bits).bit_length() - 1  # losses after its last reception
+            if open_run + size - top:
+                runs[open_run + size - top] += 1
+            _add_runs((((1 << top) - 1) ^ bits) >> last, runs)
+            open_run = last
+        if open_run:
+            runs[open_run] += 1
+        return runs
+
+
+def _add_runs(lost: int, runs: Counter) -> None:
+    """Add the maximal runs of set bits of ``lost`` to ``runs``, by length.
+
+    After ``lost &= lost << 1`` a set bit ends one more set bit in a row,
+    so each step keeps a run but one bit shorter, and the popcount falls by
+    the number of runs at least as long as the steps so far.  A run still
+    there after ``_LADDER - 1`` steps is taken from the digits of the bits
+    left, which by then are few."""
+    at_least: list[int] = []  # at_least[k - 1]: the runs of k or more
+    count = lost.bit_count()
+    while lost and len(at_least) < _LADDER - 1:
+        lost &= lost << 1
+        count, before = lost.bit_count(), count
+        at_least.append(before - count)
+    long_runs = format(lost, "b").replace("0", " ").split() if lost else []
+    runs.update(len(digits) + len(at_least) for digits in long_runs)
+    at_least.append(len(long_runs))
+    for k in range(1, len(at_least)):
+        if at_least[k - 1] > at_least[k]:
+            runs[k] += at_least[k - 1] - at_least[k]
 
 
 # every header key but rng=, which the readers ignore

@@ -14,13 +14,13 @@ function; the import of this module loads ``node``, ``_tables`` and
 ``_errors`` alone.  With no bytecode cache, every module a child imports
 is compiled from source, so an unused layer costs every command.  So
 ``simulate`` loads ``channel``, ``sim`` and ``_trace`` (and ``laws`` for
-an ``nb-cluster`` process).  ``analyze`` of a binary trace loads
+an ``nb-cluster`` process), and of a binary ``--out`` builds no
+``PacketTrace`` (``sim.draw``).  ``analyze`` of a binary trace loads
 ``_trace``, ``channel`` (to check the header's process), ``clusters`` and
-``laws``, and counts the loss runs from the packed payload; only a CSV
-export goes through ``sim``, which packs its flags into that same stored
-form to count them.  ``sal`` loads ``laws``, and ``safety`` ``laws`` and
-``safety``.  ``sal``, ``safety`` and ``analyze`` of a binary trace run on
-the standard library alone; no command loads ``codec``.
+``laws``; only a CSV export goes through ``sim``.  Both count the runs by
+``_trace.BinaryTrace.loss_runs``.  ``sal`` loads ``laws``, and ``safety``
+``laws`` and ``safety``.  ``sal``, ``safety`` and ``analyze`` of a binary
+trace run on the standard library alone; no command loads ``codec``.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return out.with_name(f"{out.stem}_seed{seed}{out.suffix}")
 
     def one(seed: int) -> tuple[int, _sim.Summary]:
-        trace = _sim.run(config, process, n, seed)
-        _sim.write_trace(trace, trace_path(seed))
-        return seed, _sim.summarize(trace)
+        stored = _sim.draw(config, process, n, seed)
+        _sim.write_trace(stored, trace_path(seed))
+        return seed, _sim.summarize(stored)
 
     if jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~10 ms import, only here

@@ -12,9 +12,10 @@ follows the number of distinct lengths, not the longest run.
 
 The model-law half (the families, a law's CDF table and quantile, the
 model table and the latency map) is ``laws``; its names are re-exported
-here.  This module imports no numpy: the run histogram is counted from a
-trace's stored form, its packed payload (``_trace.BinaryTrace``), a block
-at a time as Python ints, and the negative-binomial fit sums the log pmf
+here.  This module imports no numpy and reads no payload bytes: the run
+histogram is formed from a trace's stored form, whose ``loss_runs`` and
+``opens_lost`` (``_trace.BinaryTrace``) give the runs and the windows,
+and the negative-binomial fit sums the log pmf
 of ``laws`` (``math.lgamma``) by ``math.fsum`` and maximises it by a
 scalar port of scipy's bounded Brent search; the fits are scored on
 ``array`` CDFs.  So ``analyze`` of a binary trace runs on the standard
@@ -29,7 +30,6 @@ import itertools
 import math
 import operator
 from array import array
-from collections import Counter
 from functools import cached_property
 
 from ._record import Record
@@ -53,8 +53,6 @@ from .laws import (  # noqa: F401  (re-exported)
 
 MIN_LOSSES = 10  # below this the run-length sample has no inferential value
 _TIE_TOL = 1e-4  # CDF-error margin within which select_best calls fits tied
-_RUN_BLOCK = 1 << 16  # packets per block of the run count: 2^13 payload bytes
-_LADDER = 16  # runs shorter than this are counted by popcounts, longer ones one by one
 
 
 class FitDiverged(ClusterStatsError):
@@ -133,69 +131,17 @@ def extract_clusters(trace) -> ClusterDistribution:
     """Count maximal loss runs in a trace (blocked packets are not losses).
 
     ``trace`` is a stored trace, as ``_trace.read_binary`` checked it, or
-    a ``PacketTrace``, counted through its stored form ``trace.stored``:
-    the runs are counted from the packed payload.  A sample of fewer than
-    ``MIN_LOSSES`` losses is flagged ``insufficient``.
+    a ``PacketTrace``, through ``trace.stored``: its ``loss_runs``.  Each
+    reception is a window, as is a lost first packet; those that end no run
+    are the zeros.  Fewer than ``MIN_LOSSES`` losses are ``insufficient``.
     """
     stored = trace if isinstance(trace, BinaryTrace) else trace.stored
-    return ClusterDistribution(*_window_hist(stored.payload, stored.n_packets),
-                               n_packets=stored.n_packets)
-
-
-def _window_hist(payload, n: int) -> tuple[list[int], list[int]]:
-    """The window histogram of the ``n`` packets of a packed payload, read
-    a block of ``_RUN_BLOCK`` packets at a time as an int, first packet in
-    the high bit, set where received.  Each block adds the run its first
-    reception ends (with the losses carried from the blocks before) and the
-    runs between its receptions, and carries the losses after its last
-    reception on.  Returns the run lengths seen, 0 first, and their counts."""
-    runs: Counter[int] = Counter()  # maximal loss runs by length
-    open_run = n_received = 0
-    opens_lost = not payload[0] >> 7
-    step = _RUN_BLOCK // 8
-    for lo in range(0, len(payload), step):
-        chunk = payload[lo:lo + step]
-        size = min(8 * len(chunk), n - 8 * lo)
-        bits = int.from_bytes(chunk, "big") >> (8 * len(chunk) - size)  # no pad bits
-        if not bits:
-            open_run += size
-            continue
-        top = bits.bit_length()  # size - top losses open the block
-        last = (bits & -bits).bit_length() - 1  # losses after its last reception
-        if open_run + size - top:
-            runs[open_run + size - top] += 1
-        n_received += bits.bit_count()
-        _add_runs((((1 << top) - 1) ^ bits) >> last, runs)
-        open_run = last
-    if open_run:
-        runs[open_run] += 1
-    # a window per reception, and one more when the trace opens with a loss;
-    # those that end no run are the zeros
+    runs = stored.loss_runs
     lengths = sorted(runs)
-    return ([0, *lengths],
-            [n_received + opens_lost - sum(runs.values()), *map(runs.__getitem__, lengths)])
-
-
-def _add_runs(lost: int, runs: Counter) -> None:
-    """Add the maximal runs of set bits of ``lost`` to ``runs``, by length.
-
-    After ``lost &= lost << 1`` a set bit ends one more set bit in a row,
-    so each step keeps a run but one bit shorter, and the popcount falls by
-    the number of runs at least as long as the steps so far.  A run still
-    there after ``_LADDER - 1`` steps is taken from the digits of the bits
-    left, which by then are few."""
-    at_least: list[int] = []  # at_least[k - 1]: the runs of k or more
-    count = lost.bit_count()
-    while lost and len(at_least) < _LADDER - 1:
-        lost &= lost << 1
-        count, before = lost.bit_count(), count
-        at_least.append(before - count)
-    long_runs = format(lost, "b").replace("0", " ").split() if lost else []
-    runs.update(len(digits) + len(at_least) for digits in long_runs)
-    at_least.append(len(long_runs))
-    for k in range(1, len(at_least)):
-        if at_least[k - 1] > at_least[k]:
-            runs[k] += at_least[k - 1] - at_least[k]
+    windows = stored.n_packets - sum(k * runs[k] for k in lengths) + stored.opens_lost
+    return ClusterDistribution([0, *lengths],
+                               [windows - sum(runs.values()), *map(runs.__getitem__, lengths)],
+                               n_packets=stored.n_packets)
 
 
 def _sign(x: float) -> float:

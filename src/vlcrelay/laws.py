@@ -189,7 +189,8 @@ def cdf_table(family: Family, params: tuple[float, ...]) -> CdfTable:
     else:
         n, p = int(params[0]), params[1]
         q = 1.0 - p
-        pmf0 = math.exp(n * math.log(q)) if q else 0.0
+        # where q rounds to 1, log(q) would be 0: log(1 - p) is -p to within p^2
+        pmf0 = math.exp(-n * p) if q == 1.0 else math.exp(n * math.log(q)) if q else 0.0
         ratio, size = lambda k: (n - k + 1) * p / (k * q), min(n, _RUN_CAP) + 1
         mode = (n + 1) * p
 

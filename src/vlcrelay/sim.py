@@ -4,39 +4,32 @@ Each run is a pure function of (config, process, n_packets, seed): the
 channel outcomes come from a seeded PCG64 stream and the relay rule is
 deterministic, so identical arguments reproduce traces byte-for-byte.
 
-A trace is its config plus the channel's ``received`` flags: ``relay``
-derives the relay flags and latencies, and the transmit times follow from
-the period.  ``run`` and both readers build a trace through one helper, so
-a derived column read from a file is only checked, never used.  One block
-scan, ``_runs_before``, gives the run of one flag value just before each
-packet: the run of receptions, whose parity is the relay rule on a link
-where ``LinkConfig.relay_blocks``, and the loss run, which gives every
-latency.  Its blocks are the channel draw's, ``channel._BLOCK`` packets,
-so the temporaries stay a few hundred kB at any trace length.  The frame
-constants come from ``node``, not ``codec``: with no bytecode cache a
-child compiles every module it imports, and ``simulate`` runs neither the
-fits nor the codec.  A trace builds its latency column only when it is
-read: ``summarize`` keeps only the relayed packets' least run and run sum,
-and the longest run, and takes ``per=`` by the same ``relay_blocks``.
+A trace is its config plus the channel's ``received`` flags.  Its stored
+form, ``_trace.BinaryTrace``, owns the relay rule and the loss-run count,
+and ``summarize`` reads it alone.  ``draw`` gives that form, which
+``simulate`` of a binary trace writes and summarizes without building a
+``PacketTrace``; ``run`` and both readers unpack it into one, so a
+derived column read from a file is only checked, never used.  The latency
+column is built when first read, by one block scan of the loss run before
+each packet (``_runs_before``), ``channel._BLOCK`` packets at a time.  The
+frame constants come from ``node``, not ``codec``: with no bytecode cache
+a child compiles every module it imports, and ``simulate`` runs neither
+the fits nor the codec.
 ``write_trace`` picks the format by path:
 
-* binary, the default (any path not ending in ``.csv``): the trace's
-  stored form, ``PacketTrace.stored``, as ``_trace.write_binary`` writes
-  it: a header, then ``received`` packed eight to a byte and deflated as
-  one zlib stream.
+* binary, the default (any path not ending in ``.csv``): the stored form,
+  as ``_trace.write_binary`` writes it: a header, then ``received``
+  packed eight to a byte and deflated as one zlib stream.
 * CSV export (a path ending in ``.csv``): the same ``# key=value`` lines
   followed by ``seq,tx_start_us,received,relayed,latency_us``, with an
   empty latency field for packets that were not relayed.  Its reader
-  checks the derived columns by the block rule its writer formats them by.
+  checks the derived columns by the rules its writer formats them by.
 
 ``read_trace`` tells the two apart by the binary format's first line.  In
 both, a header line is ``# key=value`` with a key not seen before, every
 key but ``rng`` must be there and ``process`` must parse, and the CSV
 export has no header line after its column line.  The header rules and
-the binary format are ``_trace``'s, which needs no numpy: ``read_trace``
-unpacks the payload that ``_trace.read_binary`` inflated and checked, and
-``analyze`` of a binary trace counts its runs from that payload without
-building a ``PacketTrace``.
+the binary format are ``_trace``'s, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -108,24 +101,37 @@ class PacketTrace:
 
     @cached_property
     def stored(self) -> _trace.BinaryTrace:
-        """The trace as stored: ``received`` packed, the bytes that
-        ``write_trace`` deflates and writes and ``extract_clusters`` counts."""
-        return _trace.BinaryTrace(self.config, self.process_spec, self.seed, self.n_tx,
-                                  np.packbits(self.received).tobytes())
+        """The trace as stored: ``received`` packed, which ``write_trace``
+        writes and ``summarize`` and ``extract_clusters`` count."""
+        return _stored(self.config, self.process_spec, self.seed, self.received)
 
 
-def _runs_before(received: np.ndarray, value: bool):
-    """Per packet block: the block and, for each of its packets, how many
-    packets just before it have ``received == value``.  With ``value``
-    False that is the loss run a received packet ends; with True, a
-    received packet's offset in its run of receptions.  The scan carries
-    the last index of the other value across blocks."""
+def _stored(config: LinkConfig, process_spec: str, seed: int,
+            received: np.ndarray) -> _trace.BinaryTrace:
+    return _trace.BinaryTrace(config, process_spec, seed, received.size,
+                              np.packbits(received).tobytes())
+
+
+def _unpacked(stored: _trace.BinaryTrace) -> PacketTrace:
+    """A stored trace's bits unpacked, the stored trace kept as ``stored``."""
+    flags = [np.unpackbits(np.frombuffer(bits.to_bytes(len(stored.payload), "little"), np.uint8),
+                           count=stored.n_packets, bitorder="little").view(bool)  # 0 or 1
+             for bits in (stored.received_bits, stored.relayed_bits)]
+    trace = PacketTrace(stored.config, stored.process_spec, stored.seed, *flags)
+    object.__setattr__(trace, "stored", stored)  # the cached_property's value
+    return trace
+
+
+def _runs_before(received: np.ndarray):
+    """Per packet block: the block and, for each of its packets, the loss
+    run just before it.  The scan carries the last reception's index
+    across blocks."""
     last = -1
     for block in _packet_blocks(received.size):
         idx = np.arange(block.start, block.stop)
-        ends = np.where(received[block] != value, idx, last)
-        np.maximum.accumulate(ends, out=ends)  # the last other-value index so far
-        idx -= 1  # minus the last other-value index before each packet
+        ends = np.where(received[block], idx, last)
+        np.maximum.accumulate(ends, out=ends)  # the last reception so far
+        idx -= 1  # minus the last reception before each packet
         idx[0] -= last
         idx[1:] -= ends[:-1]
         yield block, idx
@@ -137,36 +143,20 @@ def relay(config: LinkConfig, received: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A relay transmission starts ``dead_time_s`` after a packet ends and lasts
     one packet time, and the node cannot listen meanwhile.  When that window
-    reaches into the next packet (``LinkConfig.relay_blocks``), the next
-    packet is blocked, so within a run of received packets only those at an
-    even offset are relayed; otherwise every received packet is.  The short
-    spill-over into the following preamble is absorbed by the sync pattern.
-    A relayed packet's latency spans back over the loss run just before it:
-    ``l0 + run * period``.
+    reaches into the next packet (``LinkConfig.relay_blocks``), a run of
+    receptions is relayed at its even offsets only (``_trace.BinaryTrace``'s
+    ``relayed_bits``); the short spill-over into the next preamble is
+    absorbed by its sync pattern.  Latency is ``l0 + run * period``.
     """
-    received = np.asarray(received, dtype=bool)
-    if received.size < 1:
-        raise EmptyTrace("trace must contain at least one packet")
-    relayed = _relay_flags(config, received)
-    return relayed, np.concatenate([latency_s for _, latency_s in
-                                    _latency_blocks(config, received, relayed)])
-
-
-def _relay_flags(config: LinkConfig, received: np.ndarray) -> np.ndarray:
-    """``relay``'s flags: on a link that blocks, a received packet is relayed
-    iff the receptions just before it, its offset in its run, are even."""
-    relayed = received.copy()
-    if config.relay_blocks:
-        for block, runs in _runs_before(received, True):
-            relayed[block] &= runs % 2 == 0
-    return relayed
+    trace = _unpacked(_stored(config, "", 0, np.asarray(received, dtype=bool)))
+    return trace.relayed, trace.latency_s
 
 
 def _latency_blocks(config: LinkConfig, received: np.ndarray, relayed: np.ndarray):
     """Per packet block: the block and its latencies, NaN where not
     relayed; a relayed packet's latency spans the loss run just before it,
     ``l0 + run * period``."""
-    for block, runs in _runs_before(received, False):
+    for block, runs in _runs_before(received):
         yield block, np.where(relayed[block], config.l0_s + runs * config.period_s, np.nan)
 
 
@@ -177,28 +167,21 @@ def _csv_columns(trace: PacketTrace):
         yield block, np.arange(block.start, block.stop) * trace.config.period_s, latency_s
 
 
-def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
-        seed: int) -> PacketTrace:
-    """Simulate ``n_packets`` transmissions through channel and relay."""
+def draw(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
+         seed: int) -> _trace.BinaryTrace:
+    """The stored form of ``n_packets`` transmissions through the channel."""
     if n_packets < 1:
         raise ConfigError(f"n_packets must be >= 1, got {n_packets}")
     rng = np.random.default_rng(_trace.check_seed(seed))
     received = _channel.sample_losses(process, n_packets, rng)
     np.logical_not(received, out=received)
-    return _build_trace(config, _channel.process_to_spec(process), seed, received)
+    return _stored(config, _channel.process_to_spec(process), seed, received)
 
 
-def _build_trace(config: LinkConfig, process_spec: str, seed: int,
-                 received: np.ndarray) -> PacketTrace:
-    """The trace of channel outcomes ``received``; every other column is
-    derived here or, for the latencies, when first read."""
-    return PacketTrace(
-        config=config,
-        process_spec=process_spec,
-        seed=seed,
-        received=received,
-        relayed=_relay_flags(config, received),
-    )
+def run(config: LinkConfig, process: _channel.ErrorProcess, n_packets: int,
+        seed: int) -> PacketTrace:
+    """Simulate ``n_packets`` transmissions through channel and relay."""
+    return _unpacked(draw(config, process, n_packets, seed))
 
 
 class Summary(Record):
@@ -213,53 +196,50 @@ class Summary(Record):
     max_cluster: int
 
 
-def summarize(trace: PacketTrace) -> Summary:
-    """Aggregate a trace into the headline link metrics.  A relayed packet's
-    latency ``l0 + run * period`` rises with its loss run, so the least run
-    gives the least latency, and the mean is exact, then rounded once.
-    ``per`` rescales the relay count as the link's blocking bounds it
-    (``compute_per``)."""
-    config, n_received, n_relayed = trace.config, trace.n_received, trace.n_relayed
-    min_run, run_sum, max_run = trace.n_tx, 0, 0
-    for block, runs in _runs_before(trace.received, False):
-        max_run = max(max_run, int(runs.max()))
-        relayed_runs = runs[trace.relayed[block]]
-        min_run = int(relayed_runs.min(initial=min_run))
-        run_sum += int(relayed_runs.sum())
-    # l0 + period * run_sum / n_relayed as one int / int, which rounds once
+def summarize(trace) -> Summary:
+    """Aggregate a trace, or its stored form, into the headline link
+    metrics from the stored form's bits and runs.  Each run of receptions
+    opens with a relayed packet, so the runs before relayed packets hold
+    every loss but the trailing ones.  ``per`` is ``compute_per``'s."""
+    stored = trace if isinstance(trace, _trace.BinaryTrace) else trace.stored
+    config, n = stored.config, stored.n_packets
+    received, relayed, runs = stored.received_bits, stored.relayed_bits, stored.loss_runs
+    n_received, n_relayed = received.bit_count(), relayed.bit_count()
+    trailing = n - received.bit_length()  # the losses after the last reception
+    # 0 where a relayed packet has no loss just before it, else the least run
+    # that a reception ends: one run of the trailing run's length ends none
+    min_run = 0 if relayed & (received << 1 | 1) else min(
+        (k for k, count in runs.items() if count > (k == trailing)), default=0)
+    # l0 + period * (sum of runs) / n_relayed as one int / int, rounded once
     (a, b), (c, d) = config.l0_s.as_integer_ratio(), config.period_s.as_integer_ratio()
     return Summary(
-        per=compute_per(trace.n_tx, n_relayed, config),
-        channel_per=1.0 - n_received / trace.n_tx,
-        n_tx=trace.n_tx,
+        per=compute_per(n, n_relayed, config),
+        channel_per=1.0 - n_received / n,
+        n_tx=n,
         n_received=n_received,
         n_relayed=n_relayed,
         n_blocked=n_received - n_relayed,  # relayed implies received
         min_latency_s=config.l0_s + min_run * config.period_s if n_relayed else math.nan,
-        mean_latency_s=((a * d * n_relayed + c * b * run_sum) / (b * d * n_relayed)
-                        if n_relayed else math.nan),
-        # and the losses after the last packet, from the last block's runs
-        max_cluster=max(max_run, 0 if trace.received[-1] else int(runs[-1]) + 1),
+        mean_latency_s=((a * d * n_relayed + c * b * (n - n_received - trailing))
+                        / (b * d * n_relayed) if n_relayed else math.nan),
+        max_cluster=max(runs, default=0),
     )
 
 
-def write_trace(trace: PacketTrace, path) -> None:
-    """Write ``trace`` as the CSV export if ``path`` ends in ``.csv``, else
-    in the binary format."""
+def write_trace(trace, path) -> None:
+    """Write ``trace``, or its stored form, as the CSV export if ``path``
+    ends in ``.csv``, else in the binary format."""
+    packed = isinstance(trace, _trace.BinaryTrace)
     if str(path).endswith(".csv"):
-        write_trace_csv(trace, path)
-        return
-    _trace.write_binary(trace.stored, path)
+        write_trace_csv(_unpacked(trace) if packed else trace, path)
+    else:
+        _trace.write_binary(trace if packed else trace.stored, path)
 
 
 def read_trace(path) -> PacketTrace:
     """Read a trace in either format, checked against the relay rule."""
     stored = _trace.read_binary(path)
-    if stored is None:
-        return read_trace_csv(path)
-    bits = np.unpackbits(np.frombuffer(stored.payload, np.uint8), count=stored.n_packets)
-    return _build_trace(stored.config, stored.process_spec, stored.seed,
-                        bits.view(bool))  # bits are 0 or 1
+    return read_trace_csv(path) if stored is None else _unpacked(stored)
 
 
 def write_trace_csv(trace: PacketTrace, path) -> None:
@@ -320,7 +300,7 @@ def read_trace_csv(path) -> PacketTrace:
         raise TraceFormatError(path, 0, "no packet records")
     rows = np.frombuffer(flags, dtype=bool).reshape(-1, 2)
     us = np.frombuffer(times).reshape(-1, 2)
-    trace = _build_trace(*_trace.check_header(path, header, len(rows)), rows[:, 0].copy())
+    trace = _unpacked(_stored(*_trace.check_header(path, header, len(rows)), rows[:, 0]))
     for block, tx_start_s, latency_s in _csv_columns(trace):
         for column, bad in (
             ("tx_start_us", ~np.isclose(us[block, 0] / 1e6, tx_start_s, rtol=1e-9, atol=0)),

@@ -563,6 +563,17 @@ def test_sal_takes_the_lowest_rows_law_below_the_span(tmp_path):
     assert latencies == pytest.approx([595.02, 595.02, 595.02, 873.28], abs=0.01)
 
 
+def test_sal_of_a_binomial_whose_one_minus_p_rounds_to_one(tmp_path):
+    # binomial(10^12, 1e-17) loses a packet with probability 1 - e^(-1e-5),
+    # so its 0.999999 quantile is 1 packet, not the 0 a pmf(0) of 1 gave
+    models = tmp_path / "models.csv"
+    models.write_text("per,family,param1,param2\n0.3,binomial,1e12,1e-17\n")
+    out = tmp_path / "sal.csv"
+    assert run_cli("sal", "--models", str(models), "--targets", "0.999999",
+                   "--out", str(out)) == 0
+    assert out.read_text().splitlines()[1] == "0.3,0.999999,1,873.2826086956521"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("sal", "--targets"), ("sal", "--per-grid"), ("analyze", "--targets"),
 ])
@@ -1024,6 +1035,24 @@ def test_analyze_rejects_a_stream_that_inflates_past_the_header_at_once(tmp_path
         tracemalloc.stop()
     assert "needs 2 payload bytes, got more than 2" in err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("flags", [
+    ["--per", "0.1"], ["--per", "1.0"], ["--per", "0.3", "--mode", "beacon"],
+    ["--process", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,loss_bad=0.5"],
+    ["--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3"],
+], ids=["iid", "all-lost", "iid-beacon", "ge", "nb"])
+@pytest.mark.parametrize("name", ["t.vlct", "t.csv"])
+def test_simulate_and_analyze_print_one_max_cluster(tmp_path, capsys, flags, name):
+    # both count the runs by the stored form's loss_runs
+    trace = tmp_path / name
+    assert run_cli("simulate", *flags, "--n", "20000", "--seed", "5", "--out", str(trace)) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert run_cli("analyze", str(trace), "--clusters-out", str(tmp_path / "c.csv"),
+                   "--report-out", str(tmp_path / "r.txt")) in (cli.EXIT_OK, cli.EXIT_THIN_SAMPLE)
+    report = capsys.readouterr().out.splitlines()
+    got = [line for line in summary + report if line.startswith("max_cluster=")]
+    assert len(got) == 2 and got[0] == got[1], got
 
 
 def test_analyze_binary_and_csv_export_agree(tmp_path):

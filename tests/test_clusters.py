@@ -103,10 +103,10 @@ def test_extract_clusters_hist_edge_cases(flags, hist):
 
 
 # the run count takes a trace a block of R packets at a time, and runs of
-# at least clusters._LADDER losses one by one: lengths around a payload byte
+# at least _trace._LADDER losses one by one: lengths around a payload byte
 # and a block, runs across block edges and runs around the ladder's top
-R = clusters._RUN_BLOCK
-LADDER = clusters._LADDER
+R = _trace._RUN_BLOCK
+LADDER = _trace._LADDER
 
 
 def _flags_with_runs(n: int, *runs) -> np.ndarray:
@@ -711,6 +711,15 @@ def test_all_lost_fits_start_their_tables_at_once(family, params, start):
     t0 = time.perf_counter()
     assert clusters.cdf_table(family, params).start == start
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_binomial_pmf0_where_one_minus_p_rounds_to_one():
+    # 1 - 1e-17 is 1.0, so n * log(1 - p) would give pmf(0) = 1 and a table
+    # that climbs past 1; pmf(0) is e^(-n p) = e^(-1e-5) to within p^2
+    table = clusters.cdf_table(BINOMIAL, (1e12, 1e-17))
+    assert table.grow(k=3)[0] == math.exp(-1e-5)
+    assert max(table.grow(k=3)) <= 1.0
+    assert clusters.quantile(clusters.FitResult(BINOMIAL, (1e12, 1e-17)), 0.999999) == 1
 
 
 def test_binomial_mass_past_the_run_cap_raises():

@@ -528,9 +528,10 @@ MAX_CLUSTER_CASES = {
 @pytest.mark.parametrize("case", sorted(MAX_CLUSTER_CASES))
 @pytest.mark.parametrize("config", [BROADCAST, BEACON], ids=["broadcast", "beacon"])
 def test_summary_max_cluster_is_the_longest_loss_run(config, case):
-    # summarize and extract_clusters take the runs from the block scan of
-    # the runs before each packet, carried across block edges, and the
-    # trailing run; the oracle takes them from the edges of the loss flags
+    # summarize and extract_clusters take the runs from the stored form's
+    # loss_runs, counted a block at a time with runs carried across block
+    # edges, and the trailing run; the oracle takes them from the edges of
+    # the loss flags
     received = MAX_CLUSTER_CASES[case]()
     relayed, _ = sim.relay(config, received)
     trace = sim.PacketTrace(config=config, process_spec="synthetic", seed=0,
@@ -611,6 +612,57 @@ def test_summary_per_follows_the_links_blocking(link):
         assert s.per == s.channel_per
 
 
+def _summary_loop(received: np.ndarray, config: node.LinkConfig) -> sim.Summary:
+    """``summarize`` as a per-packet loop over the relay loop's flags."""
+    relayed, _, latency = oracles.scan(received, config)
+    runs, run, longest = [], 0, 0  # runs: the loss run before each relayed packet
+    for ok, rel in zip(received.tolist(), relayed.tolist()):
+        if rel:
+            runs.append(run)
+        run = 0 if ok else run + 1
+        longest = max(longest, run)
+    assert np.array_equal(latency[relayed], config.l0_s + np.array(runs) * config.period_s)
+    n, n_received, n_relayed = received.size, int(received.sum()), len(runs)
+    return sim.Summary(
+        per=node.compute_per(n, n_relayed, config),
+        channel_per=1.0 - n_received / n,
+        n_tx=n,
+        n_received=n_received,
+        n_relayed=n_relayed,
+        n_blocked=n_received - n_relayed,
+        min_latency_s=config.l0_s + min(runs) * config.period_s if runs else math.nan,
+        mean_latency_s=(float(Fraction(config.l0_s) + Fraction(config.period_s)
+                              * Fraction(sum(runs), n_relayed)) if runs else math.nan),
+        max_cluster=longest,
+    )
+
+
+_R = _trace._RUN_BLOCK  # the run count's block of packets
+
+
+@pytest.mark.parametrize("link", sorted(PER_LINKS))
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=300))
+@example([True])
+@example([False] * 7)
+@example([True, False, True, True, True, False, False, True])
+@example([False, True, True, False, True, True, True, False, False])
+@example([False] * 40)  # all lost
+@example([True] * 41)  # all received
+@example([True] * (_R - 5) + [False] * 9 + [True] * 3)  # a loss run across a block edge
+@example([True] * (_R - 2) + [False] * 5)  # the trailing run across a block edge
+def test_summary_is_the_per_packet_loop(link, flags):
+    # every field of the stored form's summary, and of the per-packet
+    # trace's, which summarizes its stored form: NaN for NaN
+    config = PER_LINKS[link]
+    received = np.array(flags, dtype=bool)
+    trace = sim.PacketTrace(config, "synthetic", 0, received, sim.relay(config, received)[0])
+    want = _summary_loop(received, config)
+    for got in (sim.summarize(trace), sim.summarize(trace.stored)):
+        for field, a, b in zip(sim.Summary._fields, got._values(), want._values()):
+            assert a == b or (a != a and b != b), (field, a, b)
+
+
 def test_summary_and_analyze_leave_latency_column_unbuilt(tmp_path):
     trace = sim.run(BROADCAST, channel.IidPacket(0.2), 5000, seed=3)
     sim.summarize(trace)
@@ -661,8 +713,8 @@ def test_peak_memory_per_packet(tmp_path, mode):
 
 @pytest.mark.parametrize("mode", ["broadcast", "beacon"])
 def test_read_trace_peak_memory_per_packet(tmp_path, mode):
-    # the file's bytes, the inflated payload, the unpacked bits as the
-    # received column and the relayed column: 2.2-2.7 B/packet with the block scans' temporaries, so
+    # the file's bytes, the inflated payload, its received_bits and
+    # relayed_bits ints and the two unpacked columns: 2.4-2.5 B/packet, so
     # 3.5 leaves 1.25x; one more whole-trace bool temporary reaches 3.8
     n = 10**6
     path = tmp_path / "t.vlct"
