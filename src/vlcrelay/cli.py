@@ -21,11 +21,15 @@ an ``nb-cluster`` process), and of a binary ``--out`` builds no
 ``_trace.BinaryTrace.loss_runs``.  ``sal`` loads ``laws``, and ``safety``
 ``laws`` and ``safety``.  ``sal``, ``safety`` and ``analyze`` of a binary
 trace run on the standard library alone; no command loads ``codec``.
+Run as a process, ``entry()`` freezes the garbage collector once ``main()``
+returns, so that shutdown's full collections skip what the command left;
+``main()`` itself leaves the collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -165,7 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return seed, _sim.summarize(stored)
 
     if jobs > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # ~10 ms import, only here
+        from concurrent.futures import ThreadPoolExecutor  # ~7 ms import, only here
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, seeds))
@@ -433,7 +437,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # shutdown's full collections would walk every object the command left
+    # behind; main() has closed its files, and the OS takes the rest at exit
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

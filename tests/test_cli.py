@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -828,15 +829,83 @@ def test_sal_law_far_past_the_run_cap_exits_2_without_numpy(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sal_and_safety_run_as_main_with_warnings_as_errors(tmp_path):
-    # python -m vlcrelay.cli: the package import must not load vlcrelay.cli
-    # first, which runpy reports with a RuntimeWarning
+def test_only_the_process_entry_freezes_the_collector(tmp_path):
+    # entry() freezes the collector once main() returns, so that shutdown's
+    # full collections skip what the command left; main(), which tests and
+    # library callers run in-process, leaves the collector as it was
+    before = (gc.get_freeze_count(), gc.isenabled())
     for argv in (["sal", "--out", str(tmp_path / "sal.csv")],
-                 ["safety", "--out", str(tmp_path / "safety.csv")]):
-        done = subprocess.run([sys.executable, "-W", "error", "-m", "vlcrelay.cli", *argv],
-                              env=_subprocess_env(), capture_output=True, text=True,
-                              timeout=120)
-        assert (done.returncode, done.stderr) == (0, ""), argv
+                 ["simulate", "--per", "0.1", "--n", "2000", "--out", str(tmp_path / "t.vlct")]):
+        assert run_cli(*argv) == cli.EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+    # as python -m runs it; the hook, registered first, runs after any other,
+    # and finds vlcrelay.cli run as __main__ alone, so compiled once
+    code = ("import atexit, gc, runpy, sys; atexit.register(lambda: print("
+            "gc.get_freeze_count() > 0, 'vlcrelay.cli' in sys.modules)); "
+            "runpy.run_module('vlcrelay.cli', run_name='__main__', alter_sys=True)")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code,
+                           "sal", "--out", str(tmp_path / "m.csv")],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "True False"
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "sal.csv").read_bytes()
+
+
+def test_the_entry_path_gives_what_main_gives(tmp_path, capsys):
+    # each command through python -m vlcrelay.cli, which ends in entry(), and
+    # through main() in this process, each side in its own directory: the
+    # same stdout, stderr, exit code and files, once the directory is named.
+    # With warnings as errors, the package import must not load vlcrelay.cli
+    # before runpy does, which runpy reports with a RuntimeWarning
+    bundled = Path(cli.__file__).parent / "data"
+    cases = [
+        (cli.EXIT_OK, ["simulate", "--per", "0.1", "--n", "20000", "--seed", "5",
+                       "--out", "{d}/t.vlct", "--summary", "{d}/s.txt"]),
+        (cli.EXIT_OK, ["simulate", "--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3",
+                       "--n", "5000", "--seed", "7", "--out", "{d}/nb.csv"]),
+        (cli.EXIT_OK, ["simulate", "--mode", "beacon", "--per", "0.2", "--n", "3000",
+                       "--seed", "1", "--seed", "2", "--seed", "3", "--jobs", "2",
+                       "--out", "{d}/b.vlct"]),
+        (cli.EXIT_OK, ["analyze", "{d}/t.vlct", "--clusters-out", "{d}/c.csv",
+                       "--report-out", "{d}/r.txt"]),
+        (cli.EXIT_OK, ["simulate", "--per", "0.002", "--n", "2000", "--seed", "1",
+                       "--out", "{d}/thin.vlct"]),
+        (cli.EXIT_THIN_SAMPLE, ["analyze", "{d}/thin.vlct", "--clusters-out", "{d}/thin.c",
+                                "--report-out", "{d}/thin.r"]),
+        (cli.EXIT_OK, ["sal", "--out", "{d}/sal.csv"]),
+        (cli.EXIT_OK, ["safety", "--out", "{d}/safety.csv"]),
+        (cli.EXIT_OK, ["ingest-per-table", str(bundled / "per_distance.csv"),
+                       "--out", "{d}/per.csv", "--distance-m", "35", "--baud", "230000"]),
+        (cli.EXIT_CONFIG, ["simulate", "--per", "2", "--out", "{d}/bad.vlct"]),
+        (cli.EXIT_IO, ["analyze", "{d}/nope.vlct", "--clusters-out", "{d}/nope.c",
+                       "--report-out", "{d}/nope.r"]),
+    ]
+    by_entry, by_main = tmp_path / "entry", tmp_path / "main"
+    by_entry.mkdir()
+    by_main.mkdir()
+
+    def normalized(directory: Path, text: str) -> str:
+        return text.replace(str(directory), "{d}")
+
+    for code, argv in cases:
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "vlcrelay.cli",
+             *(arg.format(d=by_entry) for arg in argv)],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert run_cli(*(arg.format(d=by_main) for arg in argv)) == done.returncode == code, argv
+        got = capsys.readouterr()
+        assert (normalized(by_entry, done.stdout), normalized(by_entry, done.stderr)) == (
+            normalized(by_main, got.out), normalized(by_main, got.err)), argv
+
+    def files(directory: Path) -> dict[str, str]:
+        return {path.name: normalized(directory, path.read_bytes().decode("latin-1"))
+                for path in sorted(directory.iterdir())}
+
+    assert files(by_entry) == files(by_main)
+    assert sorted(files(by_main)) == sorted(
+        ["t.vlct", "s.txt", "nb.csv", "b_seed1.vlct", "b_seed2.vlct", "b_seed3.vlct",
+         "c.csv", "r.txt", "thin.vlct", "thin.c", "thin.r", "sal.csv", "safety.csv",
+         "per.csv"])
 
 
 def test_sal_and_safety_run_with_numpy_unimportable(tmp_path):
