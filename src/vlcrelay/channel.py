@@ -9,15 +9,16 @@ to measured distances per baud rate.
 Only the ``nb-cluster`` process needs a count law, so ``laws`` is imported
 where that law is checked or drawn: an iid or Gilbert-Elliott ``simulate``
 does not load (and, with no bytecode cache, compile) it.  In the same way
-numpy is imported by the samplers and the PER-table code alone, so
-``process_from_spec``, which checks a trace header's process, runs on the
-standard library: ``analyze`` of a binary trace loads no numpy.  The draws
-fill a block of ``_BLOCK`` packets at a time; ``sim`` scans its runs over
-the same blocks.
+numpy is imported by the packet draws alone, so ``process_from_spec``,
+which checks a trace header's process, and the PER-vs-distance table run
+on the standard library: neither ``analyze`` of a binary trace nor
+``ingest-per-table`` loads numpy.  The draws fill a block of ``_BLOCK``
+packets at a time; ``sim`` scans its runs over the same blocks.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from typing import TYPE_CHECKING
@@ -335,36 +336,30 @@ def _check_baud(baud: float) -> int:
 
 
 class PerDistanceTable(Record):
-    """Measured (distance, baud) -> PER anchors with log-linear lookup."""
+    """Measured (distance, baud) -> PER anchors, in (baud, distance) order."""
 
-    distances_m: np.ndarray
-    bauds: np.ndarray
-    pers: np.ndarray
+    distances_m: tuple[float, ...]
+    bauds: tuple[int, ...]
+    pers: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
+        d, p = tuple(map(float, self.distances_m)), tuple(map(float, self.pers))
+        if not d or len(d) != len(self.bauds) or len(d) != len(p):
+            raise ChannelError("table needs at least one row, each with a distance, baud and per")
         # each check is written so that NaN fails it
-        if not np.all((self.distances_m > 0) & (self.distances_m < math.inf)):
+        if not all(0 < x < math.inf for x in d):
             raise ChannelError("distances must be finite and positive")
-        if not np.all((self.pers >= 0) & (self.pers <= 1)):
+        if not all(0 <= x <= 1 for x in p):
             raise ChannelError("per values must be in [0, 1]")
-        object.__setattr__(self, "bauds", np.array(
-            [_check_baud(b) for b in np.asarray(self.bauds).tolist()], dtype=int))
-        keys = set(zip(self.distances_m.tolist(), self.bauds.tolist()))
-        if len(keys) != self.distances_m.size:
+        rows = sorted(zip(map(_check_baud, self.bauds), d, p))
+        if len({row[:2] for row in rows}) != len(rows):
             raise ChannelError("(distance, baud) pairs must be unique")
+        self.__dict__.update(zip(("bauds", "distances_m", "pers"), zip(*rows)))
 
     @classmethod
     def from_rows(cls, rows) -> "PerDistanceTable":
-        import numpy as np
-
-        rows = sorted(rows, key=lambda r: (r[1], r[0]))
-        if not rows:
-            raise ChannelError("table needs at least one row")
-        d, b, p = zip(*rows)
-        return cls(distances_m=np.asarray(d, dtype=float), bauds=np.asarray(b),
-                   pers=np.asarray(p, dtype=float))
+        d, b, p = tuple(zip(*rows)) or ((), (), ())
+        return cls(distances_m=d, bauds=b, pers=p)
 
     @classmethod
     def from_csv(cls, path) -> "PerDistanceTable":
@@ -379,7 +374,7 @@ class PerDistanceTable(Record):
             writer = csv.writer(fh)
             writer.writerow(["distance_m", "baud", "per"])
             for d, b, p in zip(self.distances_m, self.bauds, self.pers):
-                writer.writerow([repr(float(d)), int(b), repr(float(p))])
+                writer.writerow([repr(d), b, repr(p)])
 
     @classmethod
     def bundled(cls) -> "PerDistanceTable":
@@ -392,20 +387,20 @@ class PerDistanceTable(Record):
 
 
 def per_at(table: PerDistanceTable, distance_m: float, baud: int) -> float:
-    """PER at a distance, log-linear in PER between bracketing anchors.
+    """PER at a distance, log-linear in PER between bracketing anchors by
+    ``numpy.interp``'s formula, ``slope * (x - d[j]) + y[j]``.
 
     Interpolated values are floored at PER_FLOOR, the smallest rate the
     underlying measurements could resolve.
     """
-    import numpy as np
-
-    mask = table.bauds == baud
-    if not mask.any():
-        raise UnknownBaud(baud, set(table.bauds.tolist()))
-    d = table.distances_m[mask]
-    p = np.maximum(table.pers[mask], PER_FLOOR)
-    lo, hi = d.min(), d.max()
-    if not lo <= distance_m <= hi:
-        raise OutOfRange("distance", distance_m, "table", lo, hi, unit="m")
-    logp = np.interp(distance_m, d, np.log10(p))
-    return max(float(10.0 ** logp), PER_FLOOR)
+    lo = bisect.bisect_left(table.bauds, baud)
+    hi = bisect.bisect_right(table.bauds, baud, lo)
+    if lo == hi:
+        raise UnknownBaud(baud, set(table.bauds))
+    d = table.distances_m[lo:hi]
+    if not d[0] <= distance_m <= d[-1]:
+        raise OutOfRange("distance", distance_m, "table", d[0], d[-1], unit="m")
+    j = bisect.bisect_right(d, distance_m) - 1
+    y = [math.log10(max(p, PER_FLOOR)) for p in table.pers[lo + j:lo + j + 2]]
+    slope = (y[1] - y[0]) / (d[j + 1] - d[j]) if d[j] < distance_m else 0.0
+    return max(10.0 ** (slope * (distance_m - d[j]) + y[0]), PER_FLOOR)

@@ -339,8 +339,8 @@ def cmd_ingest_per_table(args: argparse.Namespace) -> int:
     table = _channel.PerDistanceTable.from_csv(args.table)
     if args.distance_m is not None and args.baud is None:
         raise ConfigError("--baud is required with --distance-m")
-    print(f"rows={table.distances_m.size}")
-    print(f"bauds={sorted(set(int(b) for b in table.bauds))}")
+    print(f"rows={len(table.distances_m)}")
+    print(f"bauds={sorted(set(table.bauds))}")
     if args.out:
         table.to_csv(args.out)
     if args.distance_m is not None:

@@ -306,7 +306,9 @@ def fit(dist: ClusterDistribution, family: Family) -> FitResult:
     ends = [k - 1 for k in dist.lengths[1:]] + [dist.max_cluster]
     err = max(abs(c - (held[min(k - start, len(held) - 1)] if k >= start else 0.0))
               for k, c in zip([*dist.lengths, *ends], [*dist.cdf, *dist.cdf]))
-    return FitResult(family=family, params=params, max_cdf_error=err)
+    result = FitResult(family=family, params=params, max_cdf_error=err)
+    object.__setattr__(result, "_table", table)  # the cached_property's value
+    return result
 
 
 def select_best(fits) -> FitResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .node import CHIPS_PER_FRAME, DEFAULT_PREAMBLE, FRAME_BITS
+from .node import CHIPS_PER_FRAME, DEFAULT_PREAMBLE, FRAME_BITS, LinkConfig
 from .node import REFERENCE_PAYLOAD  # noqa: F401  (re-exported)
 
 
@@ -98,7 +98,7 @@ class ChipStream(Record):
         return self.chips.size / self.baud
 
 
-def manchester_encode(frame_bits: np.ndarray, baud: int = 230000,
+def manchester_encode(frame_bits: np.ndarray, baud: int = LinkConfig.baud,
                       invert_polarity: bool = False) -> ChipStream:
     """Encode a 32-bit frame as 64 chips: bit 1 -> (0,1), bit 0 -> (1,0).
 
@@ -141,7 +141,7 @@ def chips_to_text(stream: ChipStream) -> str:
     return "".join("1" if c else "0" for c in stream.chips)
 
 
-def text_to_chips(line: str, baud: int = 230000) -> ChipStream:
+def text_to_chips(line: str, baud: int = LinkConfig.baud) -> ChipStream:
     line = line.strip()
     if not line or set(line) - {"0", "1"}:
         raise CodecError("chip line must be nonempty and contain only 0/1")

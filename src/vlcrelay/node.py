@@ -5,8 +5,8 @@ reference, and re-transmits it on a rear lamp when it matches.  While that
 relay transmission is in flight the node cannot listen.  Whether it then
 misses the next packet is a matter of timing alone,
 ``LinkConfig.relay_blocks``: on such a link at most every second packet can
-be relayed (``sim.relay``), and the packet-error accounting below corrects
-for that.  The mode only sets the period; back-to-back broadcast blocks,
+be relayed (``_trace.BinaryTrace.relayed_bits``), and the packet-error
+accounting below corrects for that.  The mode only sets the period; back-to-back broadcast blocks,
 and a beacon link or a broadcast link with a wide enough gap does not.
 """
 
@@ -74,7 +74,7 @@ class LinkConfig(Record):
             )
         if self.dead_time_s >= self.period_s:
             # the relay could then block a packet two or more slots later,
-            # which the relay rule in sim.relay does not model
+            # which the relay rule in _trace.BinaryTrace.relayed_bits does not model
             raise ConfigError(
                 f"t_proc_s + guard_s ({self.dead_time_s:.6g} s) must be shorter "
                 f"than the transmit period ({self.period_s:.6g} s)")

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlcrelay import channel, clusters, laws
 
@@ -430,6 +432,52 @@ def test_per_at_log_linear_midpoint():
     assert channel.per_at(table, 15.0, 230000) == pytest.approx(1e-3)
 
 
+def _per_at_interp(table, distance_m, baud):
+    """``per_at`` as ``numpy.interp`` of the floored anchors' log10 PERs."""
+    rows = sorted((d, p) for d, b, p in zip(table.distances_m, table.bauds, table.pers)
+                  if b == baud)
+    d, p = zip(*rows)
+    logp = np.interp(distance_m, d, [math.log10(max(x, channel.PER_FLOOR)) for x in p])
+    return max(float(10.0 ** logp), channel.PER_FLOOR)
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_per_at_is_numpy_interp_on_the_bundled_tables(tilted):
+    table = (channel.PerDistanceTable.bundled_tilted() if tilted
+             else channel.PerDistanceTable.bundled())
+    for baud in sorted(set(table.bauds)):
+        d = [x for x, b in zip(table.distances_m, table.bauds) if b == baud]
+        grid = np.concatenate((np.linspace(d[0], d[-1], 20001), d)).tolist()
+        assert [channel.per_at(table, x, baud) for x in grid] == [
+            _per_at_interp(table, x, baud) for x in grid], baud
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(0.5, 80.0), st.sampled_from([19000, 230000]),
+                               st.floats(0.0, 1.0)),
+                     min_size=1, max_size=8, unique_by=lambda row: row[:2]),
+       at=st.floats(0.0, 1.0))
+def test_per_at_is_numpy_interp(rows, at):
+    # any rows, in any order, read as numpy.interp reads them sorted
+    table = channel.PerDistanceTable(*zip(*rows))
+    assert table == channel.PerDistanceTable.from_rows(rows)
+    assert table.bauds == tuple(sorted(table.bauds))
+    for baud in set(table.bauds):
+        d = sorted(x for x, b, _ in rows if b == baud)
+        between = min(d[0] + at * (d[-1] - d[0]), d[-1])
+        for x in (between, *d):
+            assert channel.per_at(table, x, baud) == _per_at_interp(table, x, baud)
+
+
+def test_table_built_from_unsorted_rows_reads_as_from_rows():
+    rows = [(20.0, 230000, 1e-2), (10.0, 230000, 1e-4), (5.0, 57000, 0.5)]
+    table = channel.PerDistanceTable(*zip(*rows))
+    assert table == channel.PerDistanceTable.from_rows(rows)
+    assert hash(table) == hash(channel.PerDistanceTable.from_rows(rows[::-1]))
+    assert table.distances_m == (5.0, 10.0, 20.0) and table.bauds == (57000, 230000, 230000)
+    assert channel.per_at(table, 15.0, 230000) == pytest.approx(1e-3)
+
+
 def test_per_at_floor():
     table = channel.PerDistanceTable.from_rows([(10.0, 230000, 1e-7), (20.0, 230000, 1e-6)])
     assert channel.per_at(table, 15.0, 230000) == channel.PER_FLOOR
@@ -448,10 +496,7 @@ def test_table_csv_roundtrip(tmp_path):
     table = channel.PerDistanceTable.bundled()
     path = tmp_path / "table.csv"
     table.to_csv(path)
-    back = channel.PerDistanceTable.from_csv(path)
-    assert np.array_equal(back.distances_m, table.distances_m)
-    assert np.array_equal(back.bauds, table.bauds)
-    assert np.allclose(back.pers, table.pers)
+    assert channel.PerDistanceTable.from_csv(path) == table
 
 
 def test_table_from_rows_keeps_only_integral_bauds():
@@ -460,8 +505,13 @@ def test_table_from_rows_keeps_only_integral_bauds():
         with pytest.raises(channel.ChannelError, match="baud must be a positive integer"):
             channel.PerDistanceTable.from_rows([(10.0, baud, 0.1)])
     table = channel.PerDistanceTable.from_rows([(10.0, 2.3e5, 0.1), (20.0, 57000, 0.2)])
-    assert table.bauds.tolist() == [57000, 230000]
-    assert table.bauds.dtype == np.dtype(int)
+    assert table.bauds == (57000, 230000)
+    assert all(type(b) is int for b in table.bauds)
+    table = channel.PerDistanceTable(distances_m=np.array([10.0]), bauds=np.array([2.3e5]),
+                                     pers=np.array([0.1]))
+    assert table == channel.PerDistanceTable((10.0,), (230000,), (0.1,))
+    assert [type(v) for v in (table.distances_m[0], table.bauds[0], table.pers[0])] == [
+        float, int, float]
 
 
 def test_table_validation(tmp_path):
@@ -492,4 +542,4 @@ def test_table_validation(tmp_path):
             channel.PerDistanceTable.from_csv(bad)
     for baud in ("230000", "230000.0", "2.3e5"):
         bad.write_text(f"distance_m,baud,per\n10,{baud},0.1\n")
-        assert channel.PerDistanceTable.from_csv(bad).bauds.tolist() == [230000]
+        assert channel.PerDistanceTable.from_csv(bad).bauds == (230000,)

@@ -797,6 +797,12 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         _CLI_IMPORT | {"vlcrelay.laws"})
     assert _modules_after("vlcrelay", "safety", "--out", str(tmp_path / "safety.csv")) == (
         _CLI_IMPORT | {"vlcrelay.laws", "vlcrelay.safety"})
+    # the PER-vs-distance table is read, written and looked up without numpy
+    per_table = str(Path(cli.__file__).parent / "data" / "per_distance.csv")
+    for flags in ([], ["--distance-m", "35", "--baud", "230000", "--out",
+                       str(tmp_path / "per.csv")]):
+        for top, layers in (("vlcrelay", _CLI_IMPORT | {"vlcrelay.channel"}), ("numpy", set())):
+            assert _modules_after(top, "ingest-per-table", per_table, *flags) == layers, flags
 
 
 

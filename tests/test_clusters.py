@@ -187,6 +187,27 @@ def test_extract_clusters_matches_generator():
     assert oracles.table_cdf_error(dist, law) < 0.02
 
 
+def test_fit_hands_its_table_to_the_quantiles(monkeypatch):
+    # a fit scores its law on the table the law's quantiles then read, so
+    # fitting three families, selecting and taking quantiles builds three
+    process = channel.NbCluster.for_target_per(0.1691, 0.0638, 0.3)  # nb-burst's anchor
+    lost = channel.sample_losses(process, 10**5, np.random.default_rng(5))
+    dist = clusters.extract_clusters(_trace_of(~lost))
+    build, builds = laws.cdf_table, []
+
+    def counted(family, params):
+        builds.append(family)
+        return build(family, params)
+
+    for module in (clusters, laws):
+        monkeypatch.setattr(module, "cdf_table", counted)
+    best = clusters.select_best([clusters.fit(dist, f) for f in clusters.Family])
+    got = [clusters.quantile(best, t) for t in TARGETS]
+    assert builds == list(clusters.Family)
+    fresh = clusters.FitResult(best.family, best.params)
+    assert got == [clusters.quantile(fresh, t) for t in TARGETS]
+
+
 # --------------------------------------------------- a law's pmf, by its table
 
 def test_nb_pmf_table_ii_zero_mass():

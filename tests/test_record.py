@@ -25,9 +25,8 @@ SAMPLES = {
     channel.IidBit: ((0.003,), (0.0,)),
     channel.GilbertElliott: ((0.02, 0.1, 0.01, 0.5), (0.02, 0.1, 0.01, 0.6)),
     channel.NbCluster: ((0.1691, 0.0638, 0.05), (5.0, 0.5, 0.02)),
-    channel.PerDistanceTable: ((np.array([10.0, 20.0]), np.array([230000, 230000]),
-                                np.array([0.01, 0.1])),
-                               (np.array([10.0]), np.array([115200]), np.array([0.2]))),
+    channel.PerDistanceTable: (((10.0, 20.0), (230000, 230000), (0.01, 0.1)),
+                               ((10.0,), (115200,), (0.2,))),
     laws.FitResult: ((laws.Family.NEG_BINOMIAL, (0.1691, 0.0638), math.nan),
                      (laws.Family.POISSON, (0.4,), 0.01)),
     laws.LatencyParams: ((5.9e-4, 0.0, 2.8e-4), (5.9e-4, 1e-4, 2.8e-4)),
