@@ -1,6 +1,7 @@
-"""The package's small CSV tables: where the bundled ones live, one strict
-reader for bundled and user-supplied tables alike, and the error of a
-lookup outside a table's span."""
+"""The package's small CSV tables and the text of what the CLI writes:
+where the bundled tables live, one strict reader for bundled and
+user-supplied tables alike, the error of a lookup outside a table's span,
+and one spelling of a number and of a table, every line ending in LF."""
 
 from __future__ import annotations
 
@@ -49,3 +50,17 @@ def read_table(path, columns, parse, error) -> list:
             except ValueError as exc:
                 raise error(f"{path}:{reader.line_num}: bad row: {exc}") from None
     return rows
+
+
+def spell(x) -> str:
+    """A number as an output file writes it: an ``int`` as written, any
+    other number as the ``repr`` of its float, so that ``float`` reads it
+    back exactly (``1e-05``, ``nan``, ``-0.0``)."""
+    return str(x) if isinstance(x, int) else repr(float(x))
+
+
+def table_text(columns, rows) -> str:
+    """A CSV table's text: the column names, then each row's values by
+    ``spell``, every line ending in LF."""
+    lines = [",".join(columns), *(",".join(map(spell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"

@@ -19,13 +19,12 @@ packets at a time; ``sim`` scans its runs over the same blocks.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from typing import TYPE_CHECKING
 
 from ._errors import ChannelError, ClusterStatsError
 from ._record import Record
-from ._tables import OutOfRange, data_path, read_table
+from ._tables import OutOfRange, data_path, read_table, table_text
 from .node import FRAME_BITS
 
 if TYPE_CHECKING:
@@ -370,11 +369,9 @@ class PerDistanceTable(Record):
             ChannelError))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["distance_m", "baud", "per"])
-            for d, b, p in zip(self.distances_m, self.bauds, self.pers):
-                writer.writerow([repr(d), b, repr(p)])
+        with open(path, "w", newline="\n") as fh:
+            fh.write(table_text(("distance_m", "baud", "per"),
+                                zip(self.distances_m, self.bauds, self.pers)))
 
     @classmethod
     def bundled(cls) -> "PerDistanceTable":

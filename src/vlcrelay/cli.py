@@ -9,6 +9,13 @@ Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags override file values.  ``VLCRELAY_OUT`` names the default
 output directory for files whose path is not given explicitly.
 
+Numbers are written by ``_tables.spell`` and CSV tables by
+``_tables.table_text``.  The keys of ``summary.txt`` and the columns of
+``sal.csv`` and ``safety.csv`` are the fields of ``sim.Summary``,
+``laws.SalPoint`` and ``safety.ComparisonRow`` (``_named_values``), each
+time field ``x_s`` written as ``x_us`` in microseconds or, in
+``safety.csv``, ``x_ms`` in milliseconds.
+
 Each command imports only the layers it runs, inside its ``cmd_*``
 function; the import of this module loads ``node``, ``_tables`` and
 ``_errors`` alone.  With no bytecode cache, every module a child imports
@@ -36,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._errors import ChannelError, ClusterStatsError, SafetyError, TraceFormatError
-from ._tables import OutOfRange
+from ._tables import OutOfRange, spell, table_text
 from .node import ConfigError, LinkConfig, Mode
 
 if TYPE_CHECKING:
@@ -100,10 +107,6 @@ def _fill_from_config_file(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess:
     from . import channel as _channel
 
@@ -126,19 +129,18 @@ def _build_process(args: argparse.Namespace, baud: int) -> _channel.ErrorProcess
     return _channel.IidPacket(p_loss=per)
 
 
-def _summary_lines(seed: int, summary: _sim.Summary) -> list[str]:
-    return [
-        f"seed={seed}",
-        f"per={_format_float(summary.per)}",
-        f"channel_per={_format_float(summary.channel_per)}",
-        f"n_tx={summary.n_tx}",
-        f"n_received={summary.n_received}",
-        f"n_relayed={summary.n_relayed}",
-        f"n_blocked={summary.n_blocked}",
-        f"min_latency_us={_format_float(summary.min_latency_s * 1e6)}",
-        f"mean_latency_us={_format_float(summary.mean_latency_s * 1e6)}",
-        f"max_cluster={summary.max_cluster}",
-    ]
+def _named_values(record, unit: str) -> dict:
+    """A record's fields by output name: a time field ``x_s`` is written
+    as ``x_us`` in microseconds or ``x_ms`` in milliseconds, per ``unit``."""
+    scale = {"us": 1e6, "ms": 1e3}[unit]
+    return dict((name[:-1] + unit, value * scale) if name.endswith("_s") else (name, value)
+                for name, value in zip(record._fields, record._values()))
+
+
+def _csv_text(records, unit: str) -> str:
+    """A table of records, one row each, its columns the records' fields."""
+    rows = [_named_values(record, unit) for record in records]
+    return table_text(rows[0], (row.values() for row in rows))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -177,11 +179,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         results = [one(seed) for seed in seeds]
 
     results.sort(key=lambda item: item[0])
-    lines: list[str] = []
-    for seed, summary in results:
-        lines.extend(_summary_lines(seed, summary))
-        lines.append("")
-    text = "\n".join(lines).rstrip("\n") + "\n"
+    text = "\n\n".join(
+        "\n".join(f"{name}={spell(value)}"
+                  for name, value in {"seed": seed, **_named_values(summary, "us")}.items())
+        for seed, summary in results) + "\n"
     print(text, end="")
     if args.summary:
         Path(args.summary).write_text(text)
@@ -233,7 +234,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 lines.append(f"fit_{family.value}=diverged ({exc})")
         for f in fits:
             lines.append(f"fit_{f.family.value}={f.describe()} "
-                         f"max_cdf_error={_format_float(f.max_cdf_error)}")
+                         f"max_cdf_error={spell(f.max_cdf_error)}")
         best = _clusters.select_best(fits)
         lines.append(f"best={best.family.value}")
         for t in targets:
@@ -265,6 +266,9 @@ def _parse_targets(spec: str | None) -> list[float]:
     targets = _parse_floats("targets", spec)
     if not all(0.0 < t < 1.0 for t in targets):
         raise ConfigError(f"targets must be probabilities in (0, 1), got {spec}")
+    repeated = next((t for i, t in enumerate(targets) if t in targets[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"each target may be given once, got {repeated} again in {spec}")
     return targets
 
 
@@ -282,11 +286,7 @@ def cmd_sal(args: argparse.Namespace) -> int:
     points = _laws.sal_curve(grid, targets, table, params)
 
     out = Path(args.out) if args.out else _default_out("sal.csv")
-    lines = ["per,target,packets,latency_us"]
-    for pt in points:
-        lines.append(f"{_format_float(pt.per)},{_format_float(pt.target)},"
-                     f"{pt.packets},{_format_float(pt.latency_s * 1e6)}")
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(points, "us")
     out.write_text(text)
     print(text, end="")
     return EXIT_OK
@@ -306,23 +306,7 @@ def cmd_safety(args: argparse.Namespace) -> int:
     table = _safety.comparison_table(rows, **given)
 
     out = Path(args.out) if args.out else _default_out("safety.csv")
-    header = ("v_kmh,distance_m,per,vlc_reaction_latency_ms,vlc_relay_latency_ms,"
-              "brake_m,reaction_vlc_m,reaction_rf_m,reaction_human_m,"
-              "stop_vlc_m,stop_rf_m,stop_human_m")
-    lines = [header]
-    for r in table:
-        lines.append(",".join([
-            _format_float(r.v_kmh), _format_float(r.distance_m), _format_float(r.per),
-            _format_float(r.vlc_reaction_latency_s * 1e3),
-            _format_float(r.vlc_relay_latency_s * 1e3),
-            _format_float(r.brake_m),
-            _format_float(r.reaction_vlc_m), _format_float(r.reaction_rf_m),
-            _format_float(r.reaction_human_m),
-            _format_float(r.stop_vlc_m), _format_float(r.stop_rf_m),
-            _format_float(r.stop_human_m),
-        ]))
-    text = "\n".join(lines) + "\n"
-    out.write_text(text)
+    out.write_text(_csv_text(table, "ms"))
 
     print(f"{'v':>5} {'D':>6} {'per':>9} {'brake':>8} "
           f"{'r_vlc':>8} {'r_rf':>8} {'r_hum':>8} {'s_vlc':>8} {'s_rf':>8} {'s_hum':>8}")
@@ -337,14 +321,14 @@ def cmd_ingest_per_table(args: argparse.Namespace) -> int:
     from . import channel as _channel
 
     table = _channel.PerDistanceTable.from_csv(args.table)
-    if args.distance_m is not None and args.baud is None:
-        raise ConfigError("--baud is required with --distance-m")
+    if (args.distance_m is None) != (args.baud is None):
+        raise ConfigError("--baud is required with --distance-m, and --distance-m with --baud")
     print(f"rows={len(table.distances_m)}")
     print(f"bauds={sorted(set(table.bauds))}")
     if args.out:
         table.to_csv(args.out)
     if args.distance_m is not None:
-        print(f"per={_format_float(_channel.per_at(table, args.distance_m, args.baud))}")
+        print(f"per={spell(_channel.per_at(table, args.distance_m, args.baud))}")
     return EXIT_OK
 
 

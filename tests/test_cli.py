@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import vlcrelay
-from vlcrelay import _trace, channel, cli, clusters, sim
+from vlcrelay import _tables, _trace, channel, cli, clusters, laws, safety, sim
 from vlcrelay.node import LinkConfig, Mode
 
 import oracles
@@ -426,14 +426,25 @@ def test_ingest_per_table(tmp_path, capsys):
 
 
 def test_ingest_per_table_distance_without_baud_writes_nothing(tmp_path, capsys):
+    # and a baud without a distance, which no lookup would read
     src = tmp_path / "in.csv"
     src.write_text("distance_m,baud,per\n10,230000,1e-4\n20,230000,1e-2\n")
     out = tmp_path / "norm.csv"
-    assert run_cli("ingest-per-table", str(src), "--out", str(out), "--distance-m", "15") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--baud is required" in captured.err
-    assert not out.exists()
+    for flag, message in (("--distance-m=15", "--baud is required"),
+                          ("--baud=230000", "--distance-m with --baud")):
+        assert run_cli("ingest-per-table", str(src), "--out", str(out), flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+
+def test_ingest_per_table_out_ends_its_lines_in_lf(tmp_path, capsys):
+    out = tmp_path / "norm.csv"
+    bundled = str(_tables.data_path("per_distance.csv"))
+    assert run_cli("ingest-per-table", bundled, "--out", str(out)) == 0
+    assert b"\r" not in out.read_bytes()
+    assert channel.PerDistanceTable.from_csv(out) == channel.PerDistanceTable.bundled()
 
 
 def test_ingest_per_table_rejects_duplicates(tmp_path, capsys):
@@ -575,6 +586,20 @@ def test_sal_of_a_binomial_whose_one_minus_p_rounds_to_one(tmp_path):
     assert out.read_text().splitlines()[1] == "0.3,0.999999,1,873.2826086956521"
 
 
+@pytest.mark.parametrize("command", ["sal", "analyze"])
+def test_repeated_target_exits_2(tmp_path, capsys, command):
+    # each target is one report.txt key and one sal.csv row per PER
+    trace = tmp_path / "t.vlct"
+    assert run_cli("simulate", "--per", "0.2", "--n", "200", "--out", str(trace)) == 0
+    args = [str(trace), "--clusters-out", str(tmp_path / "c.csv"),
+            "--report-out", str(tmp_path / "r.txt")] if command == "analyze" else [
+        "--out", str(tmp_path / "sal.csv")]
+    capsys.readouterr()
+    assert run_cli(command, *args, "--targets", "0.9,0.99,0.90") == 2
+    assert "each target may be given once, got 0.9 again in 0.9,0.99,0.90" in run_err(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.vlct"]
+
+
 @pytest.mark.parametrize("command, flag", [
     ("sal", "--targets"), ("sal", "--per-grid"), ("analyze", "--targets"),
 ])
@@ -646,6 +671,34 @@ def golden_cli_digests(tmp_path: Path) -> dict[str, str]:
 
 def test_golden_cli_outputs(tmp_path, capsys):
     assert golden_cli_digests(tmp_path) == GOLDEN_CLI_SHA256
+
+
+def test_spell_and_table_text():
+    assert [_tables.spell(x) for x in (0, 230000, -7, 0.1, 1e-05, 1.0, math.nan, math.inf,
+                                       -math.inf, -0.0, np.float64(0.3))] == [
+        "0", "230000", "-7", "0.1", "1e-05", "1.0", "nan", "inf", "-inf", "-0.0", "0.3"]
+    assert _tables.table_text(("k", "x"), [(1, 0.5), (2, -0.0)]) == "k,x\n1,0.5\n2,-0.0\n"
+    assert _tables.table_text(["k"], []) == "k\n"
+
+
+def test_output_columns_are_the_record_fields(tmp_path, capsys):
+    # a time field x_s is written as x_us (summary.txt, sal.csv) or x_ms
+    # (safety.csv): renaming a field renames its column
+    def names(record_type, unit):
+        return [f"{name[:-1]}{unit}" if name.endswith("_s") else name
+                for name in record_type._fields]
+
+    summary, sal_csv, safety_csv = (tmp_path / name for name in
+                                    ("summary.txt", "sal.csv", "safety.csv"))
+    assert run_cli("simulate", "--n", "100", "--out", str(tmp_path / "t.vlct"),
+                   "--summary", str(summary)) == 0
+    assert run_cli("sal", "--out", str(sal_csv)) == 0
+    assert run_cli("safety", "--out", str(safety_csv)) == 0
+    keys = [line.partition("=")[0] for line in summary.read_text().splitlines()]
+    assert keys == ["seed", *names(sim.Summary, "us")]
+    assert sal_csv.read_text().splitlines()[0].split(",") == names(laws.SalPoint, "us")
+    assert safety_csv.read_text().splitlines()[0].split(",") == names(safety.ComparisonRow,
+                                                                      "ms")
 
 
 def test_golden_trace_file_is_the_golden_chains_trace(tmp_path):
