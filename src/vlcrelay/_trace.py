@@ -17,6 +17,7 @@ by ``add_header_line`` and ``check_header``.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from collections import Counter
 from functools import cached_property
@@ -188,7 +189,8 @@ def read_binary(path) -> BinaryTrace | None:
     size = -(-n // 8)
     inflate = zlib.decompressobj()
     try:
-        payload = inflate.decompress(memoryview(data)[end + 2:], size + 1)
+        # zlib takes a length up to sys.maxsize; a larger size fails below
+        payload = inflate.decompress(memoryview(data)[end + 2:], min(size + 1, sys.maxsize))
     except zlib.error as exc:
         raise TraceFormatError(path, 0, f"payload stream: {exc}") from None
     needs = f"header n_packets={n} needs {size} payload bytes, got"

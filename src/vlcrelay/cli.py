@@ -28,9 +28,14 @@ an ``nb-cluster`` process), and of a binary ``--out`` builds no
 ``_trace.BinaryTrace.loss_runs``.  ``sal`` loads ``laws``, and ``safety``
 ``laws`` and ``safety``.  ``sal``, ``safety`` and ``analyze`` of a binary
 trace run on the standard library alone; no command loads ``codec``.
-Run as a process, ``entry()`` freezes the garbage collector once ``main()``
-returns, so that shutdown's full collections skip what the command left;
-``main()`` itself leaves the collector as it was.
+Run as a process, ``entry()`` first sets ``OPENBLAS_NUM_THREADS=1``, so
+that a command which loads numpy (``simulate``, ``analyze`` of a CSV
+export, a law's table past 2^16 entries) starts no BLAS worker threads:
+no command calls a BLAS routine, and numpy's import would otherwise start
+one worker per further CPU beside the command's own thread.  Once
+``main()`` returns, ``entry()`` freezes the garbage collector, so that
+shutdown's full collections skip what the command left.  ``main()`` itself
+leaves both the environment and the collector as they were.
 """
 
 from __future__ import annotations
@@ -73,10 +78,12 @@ def read_config_file(path) -> list[str]:
     """``simulate`` flags from a flat ``key = value`` file; blank lines and
     ``#`` comments ignored.
 
-    Each key is a flag name with ``_`` for ``-``; ``seeds`` takes a comma
-    list (one ``--seed`` each) and ``tilted`` a boolean.
+    Each key is a flag name with ``_`` for ``-`` and may be given once;
+    ``seeds`` takes a comma list (one ``--seed`` each) and ``tilted`` a
+    boolean.
     """
     flags: list[str] = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,6 +91,10 @@ def read_config_file(path) -> list[str]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key.isidentifier():
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key} may be given once, "
+                              f"but line {first_line[key]} gave it already")
+        first_line[key] = lineno
         if key == "seeds":
             flags += [f"--seed={seed}" for seed in value.split(",")]
         elif key == "tilted":
@@ -323,12 +334,14 @@ def cmd_ingest_per_table(args: argparse.Namespace) -> int:
     table = _channel.PerDistanceTable.from_csv(args.table)
     if (args.distance_m is None) != (args.baud is None):
         raise ConfigError("--baud is required with --distance-m, and --distance-m with --baud")
+    # the lookup first: a distance outside the table's span writes nothing
+    per = None if args.distance_m is None else _channel.per_at(table, args.distance_m, args.baud)
     print(f"rows={len(table.distances_m)}")
     print(f"bauds={sorted(set(table.bauds))}")
     if args.out:
         table.to_csv(args.out)
-    if args.distance_m is not None:
-        print(f"per={spell(_channel.per_at(table, args.distance_m, args.baud))}")
+    if per is not None:
+        print(f"per={spell(per)}")
     return EXIT_OK
 
 
@@ -421,6 +434,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # numpy's import starts an OpenBLAS worker per further CPU unless this
+    # is set before it; no command calls BLAS, so they would only compete
+    # with the command's own thread
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     # shutdown's full collections would walk every object the command left
     # behind; main() has closed its files, and the OS takes the rest at exit

@@ -124,6 +124,24 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("text, key, lines", [
+    ("per = 0.1\nper = 0.2\n", "per", (1, 2)),
+    ("seeds = 1,2\n# more seeds\nn = 50\nseeds = 3\n", "seeds", (1, 4)),
+    ("tilted = yes\ndistance_m = 50\n\ntilted = no\n", "tilted", (1, 4)),
+], ids=["per", "seeds", "tilted"])
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys, text, key, lines):
+    # a later line would override the first silently, as the flags' parser
+    # keeps the last value (or, for seeds, adds them up)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "t.vlct"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    first, again = lines
+    assert run_err(capsys) == (f"error: {cfg}:{again}: {key} may be given once, "
+                               f"but line {first} gave it already\n")
+    assert not out.exists()
+
+
 def test_config_file_keys_act_as_their_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seeds = 1,2\ntilted = yes\ndistance_m = 50\nn = 2000\n")
@@ -426,13 +444,17 @@ def test_ingest_per_table(tmp_path, capsys):
 
 
 def test_ingest_per_table_distance_without_baud_writes_nothing(tmp_path, capsys):
-    # and a baud without a distance, which no lookup would read
+    # and a baud without a distance, which no lookup would read, and a
+    # distance outside the table's span, which is looked up before --out
+    # is written
     src = tmp_path / "in.csv"
     src.write_text("distance_m,baud,per\n10,230000,1e-4\n20,230000,1e-2\n")
     out = tmp_path / "norm.csv"
-    for flag, message in (("--distance-m=15", "--baud is required"),
-                          ("--baud=230000", "--distance-m with --baud")):
-        assert run_cli("ingest-per-table", str(src), "--out", str(out), flag) == 2
+    for flags, message in ((["--distance-m=15"], "--baud is required"),
+                           (["--baud=230000"], "--distance-m with --baud"),
+                           (["--distance-m=25", "--baud=230000"],
+                            "distance 25.0 m outside table span [10.0, 20.0] m")):
+        assert run_cli("ingest-per-table", str(src), "--out", str(out), *flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
@@ -892,11 +914,12 @@ def test_only_the_process_entry_freezes_the_collector(tmp_path):
     # entry() freezes the collector once main() returns, so that shutdown's
     # full collections skip what the command left; main(), which tests and
     # library callers run in-process, leaves the collector as it was
-    before = (gc.get_freeze_count(), gc.isenabled())
+    # and the environment, which entry() alone gives OPENBLAS_NUM_THREADS
+    before = (gc.get_freeze_count(), gc.isenabled(), dict(os.environ))
     for argv in (["sal", "--out", str(tmp_path / "sal.csv")],
                  ["simulate", "--per", "0.1", "--n", "2000", "--out", str(tmp_path / "t.vlct")]):
         assert run_cli(*argv) == cli.EXIT_OK
-        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+        assert (gc.get_freeze_count(), gc.isenabled(), dict(os.environ)) == before, argv
     # as python -m runs it; the hook, registered first, runs after any other,
     # and finds vlcrelay.cli run as __main__ alone, so compiled once
     code = ("import atexit, gc, runpy, sys; atexit.register(lambda: print("
@@ -908,6 +931,39 @@ def test_only_the_process_entry_freezes_the_collector(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "True False"
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "sal.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_a_command_run_as_a_process_ends_on_one_thread(tmp_path):
+    # entry() sets OPENBLAS_NUM_THREADS=1 before any numpy import, so the
+    # commands that load numpy start no OpenBLAS workers beside their own
+    # thread; no command calls BLAS.  Without it a simulate child ends with
+    # one worker per further CPU, but on a 1-CPU host OpenBLAS starts none
+    # either way, and there this test cannot tell the difference
+    env = {name: value for name, value in _subprocess_env().items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    code = ("import atexit, os, runpy; atexit.register(lambda: print("
+            "len(os.listdir('/proc/self/task')))); "
+            "runpy.run_module('vlcrelay.cli', run_name='__main__', alter_sys=True)")
+    d = tmp_path
+    cases = [
+        ["simulate", "--per", "0.1", "--n", "20000", "--out", f"{d}/iid.csv"],
+        ["simulate", "--process", "gilbert-elliott:p_gb=0.02,p_bg=0.1,loss_good=0.01,"
+         "loss_bad=0.5", "--n", "20000", "--out", f"{d}/ge.vlct"],
+        ["simulate", "--process", "nb-cluster:r=0.1691,p=0.0638,target_per=0.3",
+         "--n", "20000", "--out", f"{d}/nb.vlct"],
+        ["analyze", f"{d}/nb.vlct", "--clusters-out", f"{d}/c1.csv", "--report-out", f"{d}/r1"],
+        ["analyze", f"{d}/iid.csv", "--clusters-out", f"{d}/c2.csv", "--report-out", f"{d}/r2"],
+        ["sal", "--out", f"{d}/sal.csv"],
+        ["safety", "--out", f"{d}/safety.csv"],
+        ["ingest-per-table", str(_tables.data_path("per_distance.csv")),
+         "--distance-m", "35", "--baud", "230000"],
+    ]
+    for argv in cases:
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert done.stdout.splitlines()[-1] == "1", argv
 
 
 def test_the_entry_path_gives_what_main_gives(tmp_path, capsys):
@@ -1125,6 +1181,9 @@ def _analyze_exits_3(tmp_path, capsys) -> str:
      "needs 3 payload bytes, got 2"),
     ("n-packets-below-payload", lambda d: d.replace(b"# n_packets=13", b"# n_packets=8"),
      "needs 1 payload bytes, got more than 1"),
+    ("n-packets-past-ssize-t", lambda d: d.replace(b"# n_packets=13", b"# n_packets=" +
+                                                   str(10**20).encode()),
+     f"n_packets={10**20} needs {10**20 // 8} payload bytes, got 2"),
     ("truncated-payload", _in_payload(lambda p: p[:-1]), "needs 2 payload bytes, got 1"),
     ("trailing-bytes", _in_payload(lambda p: p + b"\x00\x00"),
      "needs 2 payload bytes, got more than 2"),
